@@ -1,9 +1,8 @@
 """Generic initial ideals, Borel-fixed staircases, and monomial invariants."""
 
 from .ring import (DEFAULT_PRIME, LinearChange, Poly, PolyRing,
-                   apply_change, initial_monomial, mono_div, mono_divides,
-                   mono_gcd, mono_lcm, mono_mul, restrict, revlex_cmp,
-                   revlex_key)
+                   initial_monomial, mono_div, mono_divides, mono_gcd,
+                   mono_lcm, mono_mul, restrict, revlex_cmp, revlex_key)
 from .groebner import (HilbertFunction, Ideal, buchberger, hilbert_function,
                        ideal_quotient, initial_ideal, intersect, normal_form,
                        quotient_by_power, restrict_ideal, saturate, truncate)

@@ -276,12 +276,6 @@ def render_entry(entry: CorpusEntry, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_entry_file(path) -> CorpusEntry:
-    from pathlib import Path
-    path = Path(path)
-    return parse_entry(path.read_text(), name=path.stem)
-
-
 def builtin_entries() -> tuple:
     """The packaged corpus, sorted by name."""
     entries = []

@@ -1,8 +1,18 @@
 """Groebner bases and ideal arithmetic for homogeneous ideals.
 
 Buchberger with the normal selection strategy and Gebauer-Moeller pair
-elimination.  Intersections (and through them quotients and saturations)
-go through the one-auxiliary-variable elimination construction: adjoin t,
+elimination.  Quotients and saturations by a linear form h follow Bayer
+and Stillman: a substitution psi of the last variable sends h to x_n, and
+in grevlex with x_n last two facts hold for a homogeneous ideal J with
+reduced basis G:
+
+* in(J : x_n) = in(J) : x_n, so dividing x_n^p out of each element of G
+  (as far as it divides) gives a basis of J : x_n^p;
+* G|_{x_n=0} is a basis of J|_{x_n=0}.
+
+One basis of psi(I) therefore gives every (I : h^p) and every section
+(I : h^p)|_h.  Intersections, and quotients by forms of higher degree, go
+through the one-auxiliary-variable elimination construction: adjoin t,
 form t*I + (1-t)*J, and eliminate t with a block order.  That block order
 lives here and nowhere else.
 """
@@ -11,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import (Poly, PolyRing, mono_degree, mono_div, mono_divides,
-                   mono_lcm, mono_mul, monomials_of_degree, count_monomials,
-                   restrict, revlex_key)
+from .ring import (Poly, PolyRing, drop_last, last_image, mono_degree,
+                   mono_div, mono_divides, mono_lcm, mono_mul,
+                   monomials_of_degree, count_monomials, restrict, revlex_key,
+                   substitute_last)
 from .staircase import MonomialIdeal
 
 
@@ -280,11 +291,14 @@ def exact_divide(f: Poly, d: Poly) -> Poly:
 
 
 def ideal_quotient(I: Ideal, f: Poly) -> Ideal:
-    """(I : f), as the intersection I meet (f) with f divided back out."""
+    """(I : f); by elimination, as I meet (f) with f divided back out,
+    unless f is a linear form."""
     if f.is_zero():
         raise ValueError("quotient by the zero polynomial")
     if f.degree == 0:
         return I
+    if _is_linear(f):
+        return _linear_quotient(I, f, 1)
     meet = intersect(I, Ideal(I.ring, [f]))
     reduced = _reduce_basis([exact_divide(g, f) for g in meet.gens], I.ring)
     result = Ideal(I.ring, reduced)
@@ -293,9 +307,11 @@ def ideal_quotient(I: Ideal, f: Poly) -> Ideal:
 
 
 def quotient_by_power(I: Ideal, f: Poly, power: int) -> Ideal:
-    """(I : f^power) by iterating the single quotient."""
+    """(I : f^power); iterates the single quotient unless f is linear."""
     if power < 0:
         raise ValueError("negative power")
+    if power > 0 and _is_linear(f):
+        return _linear_quotient(I, f, power)
     current = I
     for _ in range(power):
         current = ideal_quotient(current, f)
@@ -303,15 +319,86 @@ def quotient_by_power(I: Ideal, f: Poly, power: int) -> Ideal:
 
 
 def saturate(I: Ideal, f: Poly) -> Ideal:
-    """(I : f^infinity): quotient until two consecutive iterates agree."""
+    """(I : f^infinity); for f not linear, quotient until two consecutive
+    iterates agree."""
     if f.is_zero():
         raise ValueError("saturation by the zero polynomial")
+    if _is_linear(f):
+        return _linear_quotient(I, f, None)
     current = I
     while True:
         step = ideal_quotient(current, f)
         if step.same_ideal(current):
             return current
         current = step
+
+
+def _is_linear(f: Poly) -> bool:
+    return f.degree == 1 and f.is_homogeneous()
+
+
+class _SliceBasis:
+    """The reduced basis of psi(I), for the change psi that sends h to x_n.
+
+    psi substitutes x_n -> (x_n - sum_{i<n} h_i x_i) / h_n (see
+    ``ring.last_image``), so h needs a nonzero coefficient on x_n.  Every
+    colon of I by a power of h, and every section of one by h, is read off
+    this one basis.
+    """
+
+    def __init__(self, I: Ideal, h: Poly):
+        self.ring = I.ring
+        self.h = h
+        image = last_image(h)
+        self.basis = buchberger([substitute_last(g, image) for g in I.gens],
+                                self.ring)
+
+    def colon(self, power) -> tuple:
+        """The reduced basis of psi(I : h^power); ``None`` saturates."""
+        if power == 0:
+            return self.basis
+        divided = []
+        for g in self.basis:
+            k = g.lead_monomial[-1]  # in grevlex x_n^k divides all of g
+            if power is not None:
+                k = min(k, power)
+            divided.append(g if k == 0 else Poly(self.ring, tuple(
+                (m[:-1] + (m[-1] - k,), c) for m, c in g.terms)))
+        return _reduce_basis(divided, self.ring)
+
+    def quotient(self, power) -> Ideal:
+        """(I : h^power) in the original coordinates."""
+        return Ideal(self.ring, [substitute_last(g, self.h)
+                                 for g in self.colon(power)])
+
+    def section(self, power) -> Ideal:
+        """(I : h^power)|_h, in one fewer variable, with its reduced basis."""
+        kept = tuple(r for r in (drop_last(g) for g in self.colon(power))
+                     if not r.is_zero())
+        result = Ideal(self.ring.restricted(), kept)
+        result._gb = kept  # restricting a grevlex basis at x_n keeps it reduced
+        return result
+
+
+def _linear_quotient(I: Ideal, h: Poly, power) -> Ideal:
+    """(I : h^power) for a linear form h; ``None`` saturates.
+
+    A form without x_n first trades places with the last variable it
+    involves, which keeps psi a substitution of x_n alone.
+    """
+    k = max(m.index(1) for m, _ in h.terms)
+    if k == I.ring.nvars - 1:
+        return _SliceBasis(I, h).quotient(power)
+    swapped = Ideal(I.ring, [_swap_last(g, k) for g in I.gens])
+    moved = _SliceBasis(swapped, _swap_last(h, k)).quotient(power)
+    return Ideal(I.ring, [_swap_last(g, k) for g in moved.gens])
+
+
+def _swap_last(f: Poly, k: int) -> Poly:
+    """f with the variables x_k and x_n exchanged."""
+    def swap(m):
+        return m[:k] + (m[-1],) + m[k + 1:-1] + (m[k],)
+    return f.ring.from_dict({swap(m): c for m, c in f.terms})
 
 
 def restrict_ideal(I: Ideal, h: Poly) -> Ideal:

@@ -429,36 +429,33 @@ def _inverse_mod(matrix, p):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def apply_change(change: LinearChange, f: Poly) -> Poly:
-    return change.apply(f)
+def last_image(h: Poly) -> Poly:
+    """psi(x_n) for the change psi that sends the linear form h to x_n.
 
-
-def restrict(f: Poly, h: Poly) -> Poly:
-    """f modulo the linear form h, written in one fewer variable.
-
-    h must have a nonzero coefficient on the last variable x_n (otherwise
-    pre-compose with a variable permutation); x_n is eliminated by the
-    substitution x_n = -(1/h_n) * sum_{i<n} h_i x_i.
+    psi fixes x0..x_{n-1} and substitutes
+    x_n -> (x_n - sum_{i<n} h_i x_i) / h_n, so h needs a nonzero coefficient
+    on x_n.  Its inverse substitutes x_n -> h.
     """
     if h.is_zero():
         raise ValueError("cannot restrict by the zero form")
     if h.degree != 1:
         raise ValueError("restriction requires a linear form")
-    ring = f.ring
-    if h.ring != ring:
-        raise ValueError("form from a different ring")
-    n = ring.nvars - 1
+    ring = h.ring
     coeffs = [0] * ring.nvars
     for m, c in h.terms:
         coeffs[m.index(1)] = c
-    if coeffs[n] == 0:
+    if coeffs[-1] == 0:
         raise ValueError("form has no x_n component; permute variables first")
-    small = ring.restricted()
+    inv = ring.inv(coeffs[-1])
+    return ring.linear_form([-c * inv for c in coeffs[:-1]] + [inv])
+
+
+def substitute_last(f: Poly, image: Poly) -> Poly:
+    """f with the last variable x_n replaced by the linear form image."""
+    ring = f.ring
+    n = ring.nvars - 1
     p = ring.prime
-    neg_inv = (-ring.inv(coeffs[n])) % p
-    subst = small.from_dict({tuple(1 if j == i else 0 for j in range(n)): (neg_inv * coeffs[i]) % p
-                             for i in range(n)})
-    powers = {0: small.one()}
+    powers = {0: ring.one()}
     acc = {}
     for mono, coeff in f.terms:
         e = mono[n]
@@ -466,8 +463,30 @@ def restrict(f: Poly, h: Poly) -> Poly:
             top = max(powers)
             cur = powers[top]
             for k in range(top + 1, e + 1):
-                cur = cur * subst
+                cur = cur * image
                 powers[k] = cur
-        for m, c in powers[e].mul_term(mono[:n], coeff).terms:
+        for m, c in powers[e].mul_term(mono[:n] + (0,), coeff).terms:
             acc[m] = (acc.get(m, 0) + c) % p
-    return small.from_dict(acc)
+    return ring.from_dict(acc)
+
+
+def drop_last(f: Poly) -> Poly:
+    """f modulo x_n, written in one fewer variable.
+
+    Deleting a zero last exponent keeps the order of the remaining terms.
+    """
+    return Poly(f.ring.restricted(),
+                tuple((m[:-1], c) for m, c in f.terms if m[-1] == 0))
+
+
+def restrict(f: Poly, h: Poly) -> Poly:
+    """f modulo the linear form h, written in one fewer variable.
+
+    h must have a nonzero coefficient on the last variable x_n (otherwise
+    pre-compose with a variable permutation).  The result is psi(f) with its
+    x_n terms dropped, for the change psi of ``last_image``: at x_n = 0 it
+    substitutes x_n = -(1/h_n) * sum_{i<n} h_i x_i.
+    """
+    if h.ring != f.ring:
+        raise ValueError("form from a different ring")
+    return drop_last(substitute_last(f, last_image(h)))

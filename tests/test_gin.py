@@ -472,3 +472,14 @@ def test_section_quotients_connected_for_twisted_cubic():
     assert len(reports) >= 1
     for k, M, verdicts, all_ok in reports:
         assert all_ok, (k, M)
+
+
+@pytest.mark.parametrize("name", ["points-3", "points-5", "points-4-collinear"])
+def test_section_quotients_of_plane_points_stop_before_unit_ideal(
+        corpus_entries, name):
+    """A section of a point set is m-primary, so its colon chain reaches
+    the unit ideal; the last level reported is the maximal ideal."""
+    reports = check_section_quotients(corpus_entries[name].ideal(), seed=0)
+    for k, M, verdicts, all_ok in reports:
+        assert all_ok, (name, k, M)
+    assert reports[-1][1] == MonomialIdeal.from_monomials(2, [(1, 0), (0, 1)])

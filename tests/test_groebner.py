@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gintools.ring import PolyRing
-from gintools.groebner import (Ideal, exact_divide,
+from gintools.ring import LinearChange, PolyRing, restrict
+from gintools.groebner import (Ideal, _SliceBasis, buchberger, exact_divide,
                                hilbert_function, ideal_quotient,
                                initial_ideal, intersect, normal_form,
                                quotient_by_power, restrict_ideal, saturate,
@@ -346,3 +346,109 @@ def test_quotient_matches_bruteforce(seed):
     for d in range(5):
         assert oracles.ideal_dim(list(Q.gens), d, 3, R3.prime) == \
             oracles.colon_dim(list(I.gens), f, d, 3, R3.prime)
+
+
+# ---------------------------------------------------------------------------
+# quotients by a linear form (Bayer-Stillman) against elimination
+
+RINGS = {3: R3, 4: R4}
+FORM_KINDS = st.sampled_from(["general", "no_xn", "variable"])
+
+
+def linear_form(rng, ring, kind):
+    """A random linear form; ``no_xn`` and ``variable`` have no x_n term."""
+    n = ring.nvars - 1
+    if kind == "general":
+        return ring.general_linear_form(rng)
+    if kind == "variable":
+        return ring.variable(rng.randrange(n))
+    coeffs = [rng.randrange(ring.prime) for _ in range(n)] + [0]
+    coeffs[rng.randrange(n)] = rng.randrange(1, ring.prime)
+    return ring.linear_form(coeffs)
+
+
+def ideal_with_h_torsion(rng, ring, h):
+    """Generators h^e * f with e up to 2, so that the colons by h move."""
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        e = rng.randint(0, 2)
+        gens.append(h ** e * ring.random_form(rng.randint(1, 3 - e), rng))
+    return Ideal(ring, gens)
+
+
+def eliminated_quotient(I, h):
+    """(I : h) by the elimination construction: I meet (h), divided by h."""
+    meet = intersect(I, Ideal(I.ring, [h]))
+    return Ideal(I.ring, [exact_divide(g, h) for g in meet.gens])
+
+
+def random_case(seed, nvars, kind):
+    rng = random.Random(seed)
+    ring = RINGS[nvars]
+    h = linear_form(rng, ring, kind)
+    return ideal_with_h_torsion(rng, ring, h), h
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), FORM_KINDS)
+@settings(max_examples=20)
+def test_linear_colon_matches_elimination_and_ranks(seed, nvars, kind):
+    I, h = random_case(seed, nvars, kind)
+    Q = ideal_quotient(I, h)
+    assert Q.same_ideal(eliminated_quotient(I, h))
+    for d in range(4):
+        assert oracles.ideal_dim(list(Q.gens), d, nvars, R3.prime) == \
+            oracles.colon_dim(list(I.gens), h, d, nvars, R3.prime)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), FORM_KINDS)
+@settings(max_examples=15)
+def test_linear_power_quotient_and_saturation_match_iterates(seed, nvars,
+                                                             kind):
+    I, h = random_case(seed, nvars, kind)
+    assert quotient_by_power(I, h, 0) is I
+    iterated, eliminated = I, I
+    for p in range(1, 4):
+        iterated = ideal_quotient(iterated, h)
+        eliminated = eliminated_quotient(eliminated, h)
+        Q = quotient_by_power(I, h, p)
+        assert Q.same_ideal(iterated)
+        assert Q.same_ideal(eliminated)
+    while True:
+        step = eliminated_quotient(eliminated, h)
+        if step.same_ideal(eliminated):
+            break
+        eliminated = step
+    assert saturate(I, h).same_ideal(eliminated)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]))
+@settings(max_examples=15)
+def test_sections_are_reduced_bases_of_restricted_quotients(seed, nvars):
+    I, h = random_case(seed, nvars, "general")
+    slices = _SliceBasis(I, h)
+    for p in range(4):
+        expected = restrict_ideal(quotient_by_power(I, h, p), h)
+        section = slices.section(p)
+        assert section.groebner_basis() == \
+            buchberger(expected.gens, expected.ring)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), st.integers(1, 3))
+@settings(max_examples=25)
+def test_restrict_is_psi_then_drop_xn(seed, nvars, degree):
+    """psi, written out as a full matrix, sends h to x_n and fixes x0..x_{n-1}."""
+    rng = random.Random(seed)
+    ring = RINGS[nvars]
+    n = nvars - 1
+    f = ring.random_form(degree, rng)
+    h = ring.general_linear_form(rng)
+    hn = h.coeff(tuple(int(i == n) for i in range(nvars)))
+    inv = ring.inv(hn)
+    image = [(-h.coeff(tuple(int(i == j) for i in range(nvars))) * inv)
+             % ring.prime for j in range(n)] + [inv]
+    rows = tuple(tuple(int(i == j) for j in range(nvars)) for i in range(n))
+    psi = LinearChange(ring, rows + (tuple(image),))
+    assert psi.apply(h) == ring.variable(n)
+    moved = psi.apply(f)
+    kept = {m[:n]: c for m, c in moved.terms if m[n] == 0}
+    assert restrict(f, h) == ring.restricted().from_dict(kept)
