@@ -37,7 +37,7 @@ def main():
             print(f"{N:>3}  {render_monomial_ideal(result.gin):<34}"
                   f"  -  {'-':<16} -          1, 1, 1, ...")
             continue
-        inv = variety_invariants(I, seed=0)
+        inv = variety_invariants(I, gin_result=result)
         ((_, prof),) = inv.table.entries
         ok, _ = is_connected(prof)
         dims = ", ".join(map(str, hilbert_function(result.gin)))

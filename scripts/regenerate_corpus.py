@@ -82,7 +82,7 @@ def regenerate(data_dir: Path):
         n = ideal.ring.nvars - 1
         result = gin(ideal, seed=SEED, votes=5)
         assert result.agreed, name
-        inv = variety_invariants(ideal, seed=SEED)
+        inv = variety_invariants(ideal, gin_result=result)
         hf = hilbert_function(result.gin)
         expect = {
             "gin": render_monomial_ideal(result.gin),

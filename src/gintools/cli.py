@@ -12,7 +12,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .ring import DEFAULT_PRIME
+from .ring import DEFAULT_PRIME, _is_prime
 from .groebner import hilbert_function, initial_ideal, default_dmax
 from .staircase import (MonomialIdeal, gap_degrees, is_borel_fixed,
                         slice_level)
@@ -55,29 +55,6 @@ class RunConfig:
             raise ConfigError(
                 f"prime {self.prime} too small for coefficient {largest}: "
                 f"need p > {2 * largest}")
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if p % q == 0:
-            return p == q
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _max_coefficient(text):
@@ -290,7 +267,7 @@ def entry_report(entry, seed=0, votes=5, forms=1, p_max=2):
     result = gin(ideal, seed=seed, votes=votes)
     borel_ok, _ = is_borel_fixed(result.gin)
     saturated = is_saturated_gin(result.gin)
-    inv = variety_invariants(ideal, seed=seed, votes=votes)
+    inv = variety_invariants(ideal, gin_result=result)
     conn = connectedness_from_table(inv.table)
     slice_rep = verify_slice_identity(ideal, p_max=p_max, forms=forms,
                                       seed=seed, votes=votes, gin_result=result)
@@ -375,18 +352,9 @@ def cmd_corpus_run(args):
             raise ConfigError(f"unknown corpus entries: {sorted(unknown)}")
         entries = tuple(e for e in entries if e.name in wanted)
 
-    def build(entry):
-        return entry_report(entry, seed=args.seed, votes=args.votes,
+    reports = [entry_report(entry, seed=args.seed, votes=args.votes,
                             forms=args.forms, p_max=args.pmax)
-
-    if args.jobs > 1:
-        # entries are independent and seed streams are labeled, so the
-        # fan-out cannot change any result, only the wall time
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(build, entries))
-    else:
-        reports = [build(entry) for entry in entries]
+               for entry in entries]
     for report in reports:
         if not args.as_json:
             status = "ok" if report["passed"] else "FAILED"
@@ -446,8 +414,6 @@ def build_parser():
     p.add_argument("--prime", type=int, default=None)
     p.add_argument("--entries", default="",
                    help="comma-separated entry names (default: all)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="entries processed concurrently (results unchanged)")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.set_defaults(fn=cmd_corpus_run)
     return parser

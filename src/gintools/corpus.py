@@ -255,7 +255,10 @@ def parse_entry(text, name="entry") -> CorpusEntry:
     except ValueError:
         raise ParseError(f"entry {name!r} has a non-integer header value")
     tags = frozenset(t.strip() for t in header.get("tags", "").split(",") if t.strip())
-    ring = PolyRing(n + 1, prime)
+    try:
+        ring = PolyRing(n + 1, prime)
+    except ValueError as exc:
+        raise ParseError(f"entry {name!r}: {exc}")
     gens = tuple(parse_polynomial(line, ring) for line in gens_lines)
     if not gens:
         raise ParseError(f"entry {name!r} has no generators")

@@ -59,23 +59,21 @@ class GinResult:
 
 
 _MAX_SAMPLES = 5
-_gin_cache: dict = {}
 
 
-def gin(I: Ideal, seed=0, votes=2, max_samples=_MAX_SAMPLES) -> GinResult:
+def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     """The generic initial ideal of I, certified by unanimous sampling.
 
     ``votes`` independent coordinate changes are drawn; if their initial
     ideals all agree the result is returned with ``agreed=True``.  On
-    disagreement the sample count escalates to ``max_samples`` and the
+    disagreement the sample count escalates to ``_MAX_SAMPLES`` and the
     majority is returned with ``agreed=False``; no majority at all is an
     error.  A unanimous non-Borel-fixed result signals an internal bug.
+    Nothing is cached: a caller that needs the same gin twice passes the
+    result on (the ``gin_result`` arguments below).
     """
     if votes < 2:
         raise ValueError("need at least two votes")
-    cache_key = (I.ring.nvars, I.ring.prime, I.gb_key(), seed, votes, max_samples)
-    if cache_key in _gin_cache:
-        return _gin_cache[cache_key]
 
     def sample(k):
         change = LinearChange.random(I.ring, child_rng(seed, "gin-sample", k))
@@ -87,7 +85,7 @@ def gin(I: Ideal, seed=0, votes=2, max_samples=_MAX_SAMPLES) -> GinResult:
     if agreed:
         winner = results[0]
     else:
-        while len(results) < max(votes, max_samples):
+        while len(results) < max(votes, _MAX_SAMPLES):
             results.append(sample(len(results)))
         counts = Counter(results).most_common()
         if len(counts) > 1 and counts[0][1] == counts[1][1]:
@@ -102,9 +100,7 @@ def gin(I: Ideal, seed=0, votes=2, max_samples=_MAX_SAMPLES) -> GinResult:
                 "this is a bug")
         raise GinUnstableError(
             f"majority result is not Borel-fixed (witness {witness})")
-    result = GinResult(winner, len(results), seed, agreed)
-    _gin_cache[cache_key] = result
-    return result
+    return GinResult(winner, len(results), seed, agreed)
 
 
 def is_saturated_gin(M: MonomialIdeal) -> bool:
@@ -123,16 +119,17 @@ class VarietyInvariants:
     s_Gamma: int
 
 
-def variety_invariants(I: Ideal, seed=0, votes=2,
-                       bounds=None) -> VarietyInvariants:
+def variety_invariants(I: Ideal, seed=0, votes=2, bounds=None,
+                       gin_result=None) -> VarietyInvariants:
     """Gin, full invariant table, and the two minimal-degree readings.
 
     s_Z is the profile s at the zero multi-index; s_Gamma is read from the
     stabilized entry, which matches the generic 2-plane section.  Passing
     ``bounds`` widens (or narrows) the tabulated levels per axis; s_Gamma
-    always uses the stabilization bound.
+    always uses the stabilization bound.  A ``gin_result`` already computed
+    for I is used as it is.
     """
-    result = gin(I, seed=seed, votes=votes)
+    result = gin_result or gin(I, seed=seed, votes=votes)
     if not is_saturated_gin(result.gin):
         raise UnsaturatedIdealError(
             "gin has a generator containing the last variable; saturate first")
@@ -226,17 +223,24 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
     The left side runs the analytic pipeline (ideal quotient, restriction,
     then a fresh gin), every level read off one Groebner basis per form;
     the right side is pure staircase combinatorics on gin(I).  Random
-    general forms h are drawn per trial.
+    general forms h are drawn per trial.  Levels whose sections have the
+    same reduced basis share one gin; for a saturated I that is every level
+    of a form.
     """
     n = I.ring.nvars - 1
     M = (gin_result or gin(I, seed=seed, votes=votes)).gin
     xn_power = lambda p: tuple(p if i == n else 0 for i in range(I.ring.nvars))
+    section_gins = {}
     cases = []
     for trial in range(forms):
         rng = child_rng(seed, "slice-form", trial)
         slices = _SliceBasis(I, I.ring.general_linear_form(rng))
         for p in range(p_max + 1):
-            lhs = gin(slices.section(p), seed=seed, votes=votes).gin
+            section = slices.section(p)
+            key = tuple(g.terms for g in section.groebner_basis())
+            if key not in section_gins:
+                section_gins[key] = gin(section, seed=seed, votes=votes).gin
+            lhs = section_gins[key]
             rhs = restrict_last(colon_by_monomial(M, xn_power(p)))
             cases.append(SliceCase(trial, p, lhs == rhs, lhs, rhs))
     return SliceIdentityReport(tuple(cases), all(c.equal for c in cases))

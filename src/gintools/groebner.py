@@ -61,10 +61,6 @@ class Ideal:
             raise ValueError("ideals from different rings")
         return self.groebner_basis() == other.groebner_basis()
 
-    def gb_key(self):
-        """Hashable canonical form (the reduced basis' term tuples)."""
-        return tuple(g.terms for g in self.groebner_basis())
-
     def __repr__(self):
         inside = ", ".join(repr(g) for g in self.gens) or "0"
         return f"Ideal({inside})"

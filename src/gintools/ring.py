@@ -102,6 +102,30 @@ def count_monomials(nvars: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
+def _is_prime(p):
+    """Miller-Rabin with the first twelve prime bases; exact below 3.3e24."""
+    if p < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PolyRing:
     """K[x0..xn] over F_p, with a fixed computational monomial order.
 
@@ -113,8 +137,8 @@ class PolyRing:
     def __init__(self, nvars, prime=DEFAULT_PRIME, graded=True, order_key=None):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        if prime < 2:
-            raise ValueError("prime must be at least 2")
+        if not _is_prime(prime):
+            raise ValueError(f"modulus {prime} is not prime")
         self.nvars = nvars
         self.prime = prime
         self.graded = graded

@@ -133,6 +133,13 @@ def test_malformed_entry_file_is_parse_error(capsys, tmp_path):
     assert code == EXIT_PARSE
 
 
+def test_composite_prime_in_entry_file_is_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.ideal"
+    bad.write_text("name: composite\nn: 2\nprime: 9\ngens:\nx0\n")
+    code, _ = run(capsys, "gin", "--in", str(bad))
+    assert code == EXIT_PARSE
+
+
 def test_computation_error_exit_code(capsys):
     # not saturated: x0 * (irrelevant ideal)
     code, _ = run(capsys, "invariants", "--gens", "x0^2, x0*x1, x0*x2")
@@ -149,6 +156,7 @@ def test_computation_error_exit_code(capsys):
      ("check", "--in", str(DATA / "rational-quartic.ideal"), "--seed", "0", "--json")),
     ("invariants_points5_seed0.json",
      ("invariants", "--in", str(DATA / "points-5.ideal"), "--seed", "0", "--json")),
+    ("corpus_run_seed0.json", ("corpus-run", "--seed", "0", "--json")),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)
@@ -184,12 +192,3 @@ def test_corpus_run_plain_output(capsys):
     assert "[points-4-collinear]" in out
     assert "all_passed: true" in out
 
-
-def test_corpus_run_jobs_do_not_change_output(capsys):
-    base = ("corpus-run", "--entries", "twisted-cubic,points-5,genus4-ci",
-            "--json")
-    code, sequential = run(capsys, *base)
-    assert code == 0
-    code, parallel = run(capsys, *base, "--jobs", "3")
-    assert code == 0
-    assert sequential == parallel

@@ -210,6 +210,21 @@ def test_unsaturated_input_rejected():
         variety_invariants(I, seed=0)
 
 
+def test_variety_invariants_reuse_a_given_gin(monkeypatch):
+    I = twisted_cubic()
+    result = gin(I, seed=3)
+    fresh = variety_invariants(I, seed=3)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a coordinate change was drawn")
+
+    monkeypatch.setattr(LinearChange, "random", no_draw)
+    reused = variety_invariants(I, gin_result=result)
+    assert reused.gin_result is result
+    assert reused.table == fresh.table
+    assert (reused.s_Z, reused.s_Gamma) == (fresh.s_Z, fresh.s_Gamma)
+
+
 def test_stable_profile_matches_section_invariants():
     """The stabilized entry agrees with the invariants of a hyperplane cut."""
     I = ideal(R4, "x1*x2 - x0*x3, x1^3 - x0^2*x2, "
@@ -271,10 +286,8 @@ def test_hilbert_tail_is_polynomial_on_corpus(corpus_entries, corpus_gins):
 def test_concurrent_votes_match_sequential():
     """Labeled seed splitting keeps results identical under concurrency."""
     from concurrent.futures import ThreadPoolExecutor
-    from gintools.gin import _gin_cache
     I = twisted_cubic()
     expected = gin(I, seed=21, votes=3)
-    _gin_cache.clear()
     ideals = [ideal(R4, "x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2")
               for _ in range(4)]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -316,6 +329,25 @@ def test_slice_identity_level_zero_drops_last_variable():
     assert case.equal
     from gintools.staircase import restrict_last
     assert case.rhs == restrict_last(result.gin)
+
+
+def test_slice_identity_computes_one_gin_per_distinct_section(monkeypatch):
+    """A saturated ideal has (I : h^p) = I, so every level of a form shares
+    one section and one gin."""
+    import importlib
+    # the attribute gintools.gin is the function the package re-exports
+    gin_module = importlib.import_module("gintools.gin")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return gin(*args, **kwargs)
+
+    monkeypatch.setattr(gin_module, "gin", counted)
+    report = verify_slice_identity(twisted_cubic(), p_max=3, forms=2, seed=0)
+    assert report.passed
+    assert len(report.cases) == 8
+    assert len(calls) == 1 + 2
 
 
 def test_slice_identity_on_borel_monomial_input():

@@ -47,6 +47,11 @@ def test_inhomogeneous_generator_rejected():
         parse_ideal("x0 + 1", nvars=3)
 
 
+def test_composite_modulus_rejected():
+    with pytest.raises(ValueError, match="not prime"):
+        parse_ideal("x0", prime=9)
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(ParseError, match="unknown variable"):
         parse_polynomial("x5", R3)

@@ -142,6 +142,14 @@ def test_cross_ring_rejected():
         poly(R3, "x0") + poly(R4, "x0")
 
 
+def test_composite_modulus_rejected():
+    # over Z/9 the Fermat inverse would be wrong: 2^7 = 2 mod 9, but 2*5 = 1
+    with pytest.raises(ValueError, match="not prime"):
+        PolyRing(3, 9)
+    with pytest.raises(ValueError):
+        PolyRing(3, 1)
+
+
 @given(st.integers(0, 31))
 def test_scalar_arithmetic_matches_field(k):
     p = 31
