@@ -15,16 +15,25 @@ One basis of psi(I) therefore gives every (I : h^p) and every section
 through the one-auxiliary-variable elimination construction: adjoin t,
 form t*I + (1-t)*J, and eliminate t with a block order.  That block order
 lives here and nowhere else.
+
+Every comparison uses the ring's ascending sort key (see ``ring``), in
+which the smallest key is the greatest monomial.  Division keeps its
+pending terms in a dict of coefficients and a heap of (key, monomial)
+entries, each key computed once when its monomial first appears (Monagan
+and Pearce, Sparse polynomial division using a heap, J. Symbolic Comput.
+46 (2011)); a term that cancels stays in the heap and is skipped when
+popped.  Buchberger keys each pair's lcm once, when the pair is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 
 from .ring import (Poly, PolyRing, drop_last, last_image, mono_degree,
-                   mono_div, mono_divides, mono_lcm, mono_mul,
-                   monomials_of_degree, count_monomials, restrict, revlex_key,
-                   substitute_last)
+                   mono_div, mono_divides, mono_lcm, monomials_of_degree,
+                   count_monomials, restrict, revlex_key, substitute_last)
 from .staircase import MonomialIdeal
 
 
@@ -77,30 +86,57 @@ def normal_form(f: Poly, basis) -> Poly:
     """
     if f.is_zero() or not basis:
         return f
+    return _heap_divide(f, basis, exact=False)
+
+
+def _heap_divide(f: Poly, basis, exact) -> Poly:
+    """Divide f by basis, each term by the first divisor whose lead divides it.
+
+    Returns the remainder, or with ``exact`` the quotient by a single
+    divisor, refusing any remainder.  Terms are popped greatest first, so
+    either result comes out in term order.
+    """
     ring = f.ring
-    key = ring.order_key
+    for g in basis:  # the loop below adds exponent tuples unchecked
+        if g.ring.nvars != ring.nvars:
+            raise ValueError("exponent vectors of different lengths: "
+                             f"{ring.nvars} vs {g.ring.nvars}")
+    key = ring.sort_key
     p = ring.prime
-    leads = [(g.lead_monomial, ring.inv(g.lead_coeff), g.terms) for g in basis]
+    # Buchberger's basis elements are monic, and inverting 1 is not free
+    leads = [(g.lead_monomial, 1 if g.lead_coeff == 1 else ring.inv(g.lead_coeff),
+              g.terms[1:]) for g in basis]
     work = dict(f.terms)
-    remainder = {}
-    while work:
-        m = max(work, key=key)
+    get = work.get
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
+    out = []
+    while heap:
+        m = heappop(heap)[1]
         c = work.pop(m)
-        for lm, lc_inv, terms in leads:
-            if mono_divides(lm, m):
-                shift = mono_div(m, lm)
-                factor = (c * lc_inv) % p
-                for gm, gc in terms[1:]:
-                    mm = mono_mul(gm, shift)
-                    v = (work.get(mm, 0) - factor * gc) % p
-                    if v:
-                        work[mm] = v
+        if not c:
+            continue  # cancelled after it was pushed
+        for lm, lc_inv, tail in leads:
+            if all(map(le, lm, m)):
+                shift = tuple(map(sub, m, lm))
+                factor = c * lc_inv % p
+                if exact:
+                    out.append((shift, factor))
+                factor = p - factor
+                for gm, gc in tail:
+                    mm = tuple(map(add, gm, shift))
+                    v = get(mm)
+                    if v is None:
+                        work[mm] = factor * gc % p
+                        heappush(heap, (key(mm), mm))
                     else:
-                        work.pop(mm, None)
+                        work[mm] = (v + factor * gc) % p
                 break
         else:
-            remainder[m] = c
-    return ring.from_dict(remainder)
+            if exact:
+                raise ValueError("division is not exact")
+            out.append((m, c))
+    return Poly(ring, tuple(out))
 
 
 def spoly(f: Poly, g: Poly) -> Poly:
@@ -111,28 +147,37 @@ def spoly(f: Poly, g: Poly) -> Poly:
     return s1 - s2
 
 
-def _update(G, P, f, lead):
-    """Add f to the basis, pruning pairs by the Gebauer-Moeller criteria."""
+def _update(G, P, f, lead, pair_lcm):
+    """Add f to the basis, pruning pairs by the Gebauer-Moeller criteria.
+
+    ``pair_lcm`` maps each pair in P to its lcm's sort key and the lcm;
+    the entries of pruned pairs are removed here, and those of new pairs
+    added.
+    """
     lmf = f.lead_monomial
     kept = set()
-    for i, j in P:
-        lij = mono_lcm(lead[i], lead[j])
-        if (not mono_divides(lmf, lij)
-                or lij == mono_lcm(lead[i], lmf)
-                or lij == mono_lcm(lead[j], lmf)):
-            kept.add((i, j))
+    for ij in P:
+        lij = pair_lcm[ij][1]
+        if (not all(map(le, lmf, lij))
+                or lij == tuple(map(max, lead[ij[0]], lmf))
+                or lij == tuple(map(max, lead[ij[1]], lmf))):
+            kept.add(ij)
+        else:
+            del pair_lcm[ij]
     new_index = len(G)
     by_lcm = {}
     for i in range(new_index):
-        by_lcm.setdefault(mono_lcm(lead[i], lmf), []).append(i)
+        by_lcm.setdefault(tuple(map(max, lead[i], lmf)), []).append(i)
+    keys = {lcm: f.ring.sort_key(lcm) for lcm in by_lcm}
     minimal = []
-    for lcm in sorted(by_lcm, key=f.ring.order_key):
-        if not any(mono_divides(seen, lcm) for seen in minimal):
+    for lcm in sorted(by_lcm, key=keys.__getitem__, reverse=True):
+        if not any(all(map(le, seen, lcm)) for seen in minimal):
             minimal.append(lcm)
     for lcm in minimal:
-        if not any(mono_lcm(lead[i], lmf) == mono_mul(lead[i], lmf)
-                   for i in by_lcm[lcm]):
-            kept.add((min(by_lcm[lcm]), new_index))
+        if not any(lcm == tuple(map(add, lead[i], lmf)) for i in by_lcm[lcm]):
+            pair = (min(by_lcm[lcm]), new_index)
+            pair_lcm[pair] = (keys[lcm], lcm)
+            kept.add(pair)
     G.append(f)
     lead.append(lmf)
     return kept
@@ -142,29 +187,29 @@ def buchberger(gens, ring) -> tuple:
     """The reduced Groebner basis of the given generators.
 
     Pairs are processed in increasing order of their lcm (the normal
-    strategy); the result is auto-reduced, monic, and sorted with the
-    lowest-degree leads first.
+    strategy), which is the largest sort key; the result is auto-reduced,
+    monic, and sorted with the lowest-degree leads first.
     """
-    G, lead, P = [], [], set()
+    G, lead, P, pair_lcm = [], [], set(), {}
     for f in gens:
         if f.is_zero():
             continue
         r = normal_form(f, G)
         if not r.is_zero():
-            P = _update(G, P, r.monic(), lead)
-    key = ring.order_key
+            P = _update(G, P, r.monic(), lead, pair_lcm)
     while P:
-        pair = min(P, key=lambda ij: key(mono_lcm(lead[ij[0]], lead[ij[1]])))
+        pair = max(P, key=pair_lcm.__getitem__)
         P.discard(pair)
+        del pair_lcm[pair]
         r = normal_form(spoly(G[pair[0]], G[pair[1]]), G)
         if not r.is_zero():
-            P = _update(G, P, r.monic(), lead)
+            P = _update(G, P, r.monic(), lead, pair_lcm)
     return _reduce_basis(G, ring)
 
 
 def _reduce_basis(G, ring):
     minimal = []
-    for g in sorted(G, key=lambda h: ring.order_key(h.lead_monomial)):
+    for g in sorted(G, key=lambda h: ring.sort_key(h.lead_monomial), reverse=True):
         if not any(mono_divides(h.lead_monomial, g.lead_monomial) for h in minimal):
             minimal.append(g)
     reduced = []
@@ -228,12 +273,14 @@ def hilbert_function(M: MonomialIdeal, dmax=None) -> HilbertFunction:
 # ---------------------------------------------------------------------------
 # intersection, quotient, saturation
 
-def _elim_key(m):
-    return (m[-1], sum(m[:-1]), tuple(-e for e in reversed(m[:-1])))
+def _elim_sort_key(m):
+    """Ascending key of the block order: fewest t first, then grevlex."""
+    return (-m[-1], -sum(m[:-1]), m[-2::-1])
 
 
 def _elimination_ring(ring):
-    return PolyRing(ring.nvars + 1, ring.prime, graded=False, order_key=_elim_key)
+    return PolyRing(ring.nvars + 1, ring.prime, graded=False,
+                    sort_key=_elim_sort_key)
 
 
 def _lift(f, big, extra=0):
@@ -262,28 +309,7 @@ def exact_divide(f: Poly, d: Poly) -> Poly:
     """f / d for an exact divisor; raises when the division leaves a remainder."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    key = ring.order_key
-    p = ring.prime
-    lm, lc_inv = d.lead_monomial, ring.inv(d.lead_coeff)
-    work = dict(f.terms)
-    quotient = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not mono_divides(lm, m):
-            raise ValueError("division is not exact")
-        shift = mono_div(m, lm)
-        factor = (c * lc_inv) % p
-        quotient[shift] = factor
-        for gm, gc in d.terms[1:]:
-            mm = mono_mul(gm, shift)
-            v = (work.get(mm, 0) - factor * gc) % p
-            if v:
-                work[mm] = v
-            else:
-                work.pop(mm, None)
-    return ring.from_dict(quotient)
+    return _heap_divide(f, [d], exact=True)
 
 
 def ideal_quotient(I: Ideal, f: Poly) -> Ideal:

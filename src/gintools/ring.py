@@ -6,12 +6,23 @@ degree wins, and ties within a degree are broken at the rightmost index
 where the exponents differ: the monomial with the smaller exponent there
 is the greater one.  All coefficients live in F_p for a configurable
 prime p.
+
+Each ring carries one ascending sort key for its computational order: the
+smallest key belongs to the greatest monomial, so a polynomial's terms are
+its monomials sorted by key, lead first, and a heap of keys pops the
+greatest pending monomial.  The default is grevlex, (-deg, m[::-1]), which
+agrees with the public order within each degree.  Products and coordinate
+changes gather every term in one dict and sort it once; their inner loops
+add exponent tuples directly, after one check per call that the operands
+come from the same ring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 
 DEFAULT_PRIME = 32003
 
@@ -32,7 +43,7 @@ def _check_same_length(a, b):
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     _check_same_length(a, b)
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -75,14 +86,15 @@ def revlex_cmp(a: Monomial, b: Monomial) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def grevlex_key(m: Monomial):
-    """Degree-refining variant of the same tie-break; a well-order.
+def _grevlex_sort_key(m: Monomial):
+    """Ascending sort key of grevlex; the smallest key is the greatest monomial.
 
-    Agrees with revlex_key within each degree, which is the only case that
-    matters for homogeneous polynomials; used internally wherever a
-    terminating division order is required.
+    Higher degree comes first, then the smaller exponent at the rightmost
+    differing index.  Agrees with revlex_key within each degree, which is
+    the only case that matters for homogeneous polynomials; a well-order,
+    so division terminates.
     """
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (-sum(m), m[::-1])
 
 
 def monomials_of_degree(nvars: int, d: int):
@@ -134,7 +146,7 @@ class PolyRing:
     elimination ring used internally by ideal intersection relaxes this.
     """
 
-    def __init__(self, nvars, prime=DEFAULT_PRIME, graded=True, order_key=None):
+    def __init__(self, nvars, prime=DEFAULT_PRIME, graded=True, sort_key=None):
         if nvars < 1:
             raise ValueError("need at least one variable")
         if not _is_prime(prime):
@@ -142,7 +154,7 @@ class PolyRing:
         self.nvars = nvars
         self.prime = prime
         self.graded = graded
-        self.order_key = order_key if order_key is not None else grevlex_key
+        self.sort_key = sort_key if sort_key is not None else _grevlex_sort_key
         self._zero = Poly(self, ())
 
     def __eq__(self, other):
@@ -150,10 +162,10 @@ class PolyRing:
                 and self.nvars == other.nvars
                 and self.prime == other.prime
                 and self.graded == other.graded
-                and self.order_key is other.order_key)
+                and self.sort_key is other.sort_key)
 
     def __hash__(self):
-        return hash((self.nvars, self.prime, self.graded, id(self.order_key)))
+        return hash((self.nvars, self.prime, self.graded, id(self.sort_key)))
 
     def __repr__(self):
         return f"PolyRing(nvars={self.nvars}, prime={self.prime})"
@@ -182,10 +194,10 @@ class PolyRing:
         return Poly(self, ((tuple(mono), c),))
 
     def from_dict(self, coeffs):
+        """The polynomial with these coefficients, reduced mod p, in one sort."""
         p = self.prime
-        terms = [(m, c % p) for m, c in coeffs.items() if c % p != 0]
-        terms.sort(key=lambda t: self.order_key(t[0]), reverse=True)
-        return Poly(self, tuple(terms))
+        return Poly(self, tuple((m, c) for m in sorted(coeffs, key=self.sort_key)
+                                if (c := coeffs[m] % p)))
 
     def linear_form(self, coeffs):
         """The form sum(coeffs[i] * x_i); rejects the zero vector."""
@@ -310,20 +322,15 @@ class Poly:
 
     def __mul__(self, other):
         self._check_ring(other)
-        acc = {}
-        p = self.ring.prime
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                acc[m] = (acc.get(m, 0) + c1 * c2) % p
-        return self.ring.from_dict(acc)
+        return self.ring.from_dict(_expand(self.terms, other.terms, {}))
 
     def mul_term(self, mono, coeff):
         p = self.ring.prime
         coeff %= p
         if coeff == 0 or not self.terms:
             return self.ring.zero()
-        return Poly(self.ring, tuple((mono_mul(m, mono), (c * coeff) % p)
+        _check_same_length(mono, self.terms[0][0])
+        return Poly(self.ring, tuple((tuple(map(add, m, mono)), (c * coeff) % p)
                                      for m, c in self.terms))
 
     def __pow__(self, k):
@@ -344,6 +351,25 @@ class Poly:
     def __repr__(self):
         from .parsing import render_poly
         return render_poly(self)
+
+
+def _expand(a, b, acc):
+    """Add the product of the term sequences a and b into the dict acc.
+
+    Exponent tuples are added inline, so the caller checks once that both
+    sides have the same number of variables.  Coefficients are left
+    unreduced; ``from_dict`` or ``_reduced`` reduces them.
+    """
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return acc
+
+
+def _reduced(acc, p):
+    """The nonzero terms of an unreduced coefficient dict, in no order."""
+    return [(m, r) for m, c in acc.items() if (r := c % p)]
 
 
 def initial_monomial(f: Poly) -> Monomial:
@@ -388,31 +414,54 @@ class LinearChange:
     def inverse(self):
         return LinearChange(self.ring, _inverse_mod(self.matrix, self.ring.prime))
 
+    @cached_property
+    def _powers(self):
+        """Per variable, {e: the terms of image^e}, filled on demand.
+
+        Shared by every ``apply`` of this change.  Filling a power is
+        idempotent, so concurrent callers at worst compute it twice.
+        """
+        one = (0,) * self.ring.nvars
+        return [{0: ((one, 1),), 1: self.ring.linear_form(row).terms}
+                for row in self.matrix]
+
+    def _power(self, i, e):
+        cache = self._powers[i]
+        if e not in cache:
+            cache[e] = _reduced(_expand(self._power(i, e - 1), cache[1], {}),
+                                self.ring.prime)
+        return cache[e]
+
     def apply(self, f: Poly) -> Poly:
-        """Substitute each variable by its image row and expand."""
+        """Substitute each variable by its image row and expand.
+
+        Horner's scheme, one variable at a time: the terms of f are grouped
+        by their exponent e of x_i, each group's image in the later
+        variables is expanded once and multiplied by image_i^e.  Every
+        product is added into one dict, sorted once at the end.
+        """
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        ring = self.ring
-        images = [ring.linear_form(row) for row in self.matrix]
-        powers = [{0: ring.one()} for _ in range(ring.nvars)]
-        acc = {}
-        p = ring.prime
-        for mono, coeff in f.terms:
-            prod = ring.one()
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    top = max(cache)
-                    cur = cache[top]
-                    for k in range(top + 1, e + 1):
-                        cur = cur * images[i]
-                        cache[k] = cur
-                prod = prod * cache[e]
-            for m, c in prod.terms:
-                acc[m] = (acc.get(m, 0) + coeff * c) % p
-        return ring.from_dict(acc)
+        return self.ring.from_dict(self._expand_from(f.terms, 0, {}))
+
+    def _expand_from(self, terms, i, acc):
+        """Add the image of the terms, read from x_i on, into acc."""
+        n = self.ring.nvars
+        if i == n - 1:
+            one = (0,) * n
+            for m, c in terms:
+                _expand(((one, c),), self._power(i, m[i]), acc)
+            return acc
+        groups = {}
+        for t in terms:
+            groups.setdefault(t[0][i], []).append(t)
+        for e, group in groups.items():
+            if e == 0:
+                self._expand_from(group, i + 1, acc)
+            else:
+                inner = self._expand_from(group, i + 1, {})
+                _expand(_reduced(inner, self.ring.prime), self._power(i, e), acc)
+        return acc
 
 
 def _det_mod(matrix, p):
@@ -475,22 +524,21 @@ def last_image(h: Poly) -> Poly:
 
 
 def substitute_last(f: Poly, image: Poly) -> Poly:
-    """f with the last variable x_n replaced by the linear form image."""
+    """f with the last variable x_n replaced by the linear form image.
+
+    Like ``LinearChange.apply``, it expands into one dict and sorts once.
+    """
+    f._check_ring(image)
     ring = f.ring
     n = ring.nvars - 1
     p = ring.prime
-    powers = {0: ring.one()}
+    powers = [ring.one().terms]
     acc = {}
     for mono, coeff in f.terms:
         e = mono[n]
-        if e not in powers:
-            top = max(powers)
-            cur = powers[top]
-            for k in range(top + 1, e + 1):
-                cur = cur * image
-                powers[k] = cur
-        for m, c in powers[e].mul_term(mono[:n] + (0,), coeff).terms:
-            acc[m] = (acc.get(m, 0) + c) % p
+        while len(powers) <= e:
+            powers.append(_reduced(_expand(powers[-1], image.terms, {}), p))
+        _expand(((mono[:n] + (0,), coeff),), powers[e], acc)
     return ring.from_dict(acc)
 
 

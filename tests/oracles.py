@@ -128,3 +128,105 @@ def intersection_dim(gens_i, gens_j, d, nvars, p):
     rows_j = _multiples(gens_j, d, nvars, index)
     return (rank_mod_p(rows_i, p) + rank_mod_p(rows_j, p)
             - rank_mod_p(rows_i + rows_j, p))
+
+
+# ---------------------------------------------------------------------------
+# reference division and expansion
+#
+# The loops the polynomial kernel used before heap division: every step
+# rescans all pending terms for the greatest one under an explicit
+# larger-is-greater order.  Polynomials are plain term sequences; results
+# come back sorted greatest first, the kernel's term order.
+
+def grevlex_order(m):
+    """Higher degree first, then the smaller exponent at the rightmost
+    differing index."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def elimination_order(m):
+    """The last variable t first, then grevlex on the others."""
+    return (m[-1], sum(m[:-1]), tuple(-e for e in reversed(m[:-1])))
+
+
+def _sorted_terms(coeffs, order):
+    return tuple(sorted(((m, c) for m, c in coeffs.items() if c),
+                        key=lambda t: order(t[0]), reverse=True))
+
+
+def _leading(terms, order):
+    return max(terms, key=lambda t: order(t[0]))
+
+
+def scan_normal_form(f_terms, basis_terms, p, order):
+    """Remainder of f by the basis, the first dividing lead in basis order."""
+    leads = []
+    for g in basis_terms:
+        lm, lc = _leading(g, order)
+        leads.append((lm, pow(lc, p - 2, p), [t for t in g if t[0] != lm]))
+    work = dict(f_terms)
+    remainder = {}
+    while work:
+        m = max(work, key=order)
+        c = work.pop(m)
+        for lm, lc_inv, tail in leads:
+            if all(a <= b for a, b in zip(lm, m)):
+                shift = tuple(b - a for a, b in zip(lm, m))
+                factor = c * lc_inv % p
+                for gm, gc in tail:
+                    mm = tuple(a + b for a, b in zip(gm, shift))
+                    v = (work.get(mm, 0) - factor * gc) % p
+                    if v:
+                        work[mm] = v
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[m] = c
+    return _sorted_terms(remainder, order)
+
+
+def scan_exact_divide(f_terms, d_terms, p, order):
+    """f / d; raises ValueError when a pending term is not divisible."""
+    lm, lc = _leading(d_terms, order)
+    lc_inv = pow(lc, p - 2, p)
+    tail = [t for t in d_terms if t[0] != lm]
+    work = dict(f_terms)
+    quotient = {}
+    while work:
+        m = max(work, key=order)
+        c = work.pop(m)
+        if not all(a <= b for a, b in zip(lm, m)):
+            raise ValueError("division is not exact")
+        shift = tuple(b - a for a, b in zip(lm, m))
+        factor = c * lc_inv % p
+        quotient[shift] = factor
+        for gm, gc in tail:
+            mm = tuple(a + b for a, b in zip(gm, shift))
+            v = (work.get(mm, 0) - factor * gc) % p
+            if v:
+                work[mm] = v
+            else:
+                work.pop(mm, None)
+    return _sorted_terms(quotient, order)
+
+
+def expand_change(f_terms, matrix, p):
+    """The terms of f(x_i -> sum_j matrix[i][j] x_j), multiplied out term
+    by term and factor by factor, greatest first in grevlex."""
+    nvars = len(matrix)
+    total = {}
+    for mono, coeff in f_terms:
+        prod = {(0,) * nvars: coeff}
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                step = {}
+                for m, c in prod.items():
+                    for j, a in enumerate(matrix[i]):
+                        if a % p:
+                            mm = m[:j] + (m[j] + 1,) + m[j + 1:]
+                            step[mm] = (step.get(mm, 0) + c * a) % p
+                prod = step
+        for m, c in prod.items():
+            total[m] = (total.get(m, 0) + c) % p
+    return _sorted_terms(total, grevlex_order)

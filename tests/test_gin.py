@@ -397,6 +397,26 @@ def test_gap_truncation_on_collinear_points(corpus_entries):
     assert report.passed
 
 
+def test_gap_truncation_computes_one_gin_per_distinct_truncation(
+        corpus_entries, monkeypatch):
+    """Both gaps of four points with three on a line cut the basis after
+    the line, so the two truncations share one gin."""
+    import importlib
+    gin_module = importlib.import_module("gintools.gin")
+    I = corpus_entries["points-4-collinear"].ideal()
+    result = gin(I, seed=0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return gin(*args, **kwargs)
+
+    monkeypatch.setattr(gin_module, "gin", counted)
+    report = verify_gap_truncation(I, seed=0, gin_result=result)
+    assert report.gaps == (2, 3) and report.passed
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # two-variable gcd
 

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gintools.ring import LinearChange, PolyRing, restrict
-from gintools.groebner import (Ideal, _SliceBasis, buchberger, exact_divide,
-                               hilbert_function, ideal_quotient,
-                               initial_ideal, intersect, normal_form,
-                               quotient_by_power, restrict_ideal, saturate,
-                               spoly, truncate)
+from gintools.ring import (LinearChange, PolyRing, mono_divides, mono_lcm,
+                           monomials_of_degree, restrict)
+from gintools.groebner import (Ideal, _SliceBasis, _elimination_ring,
+                               buchberger, exact_divide, hilbert_function,
+                               ideal_quotient, initial_ideal, intersect,
+                               normal_form, quotient_by_power, restrict_ideal,
+                               saturate, spoly, truncate)
 from gintools.parsing import parse_ideal, parse_polynomial
 from gintools.staircase import MonomialIdeal
 
@@ -68,6 +69,92 @@ def test_no_remainder_term_divisible_by_heads():
     assert all(not mono_divides(h, m) for h in heads for m, _ in r.terms)
 
 
+def sparse_poly(ring, rng, degrees, max_terms=8):
+    """A random polynomial with a few terms whose degrees lie in ``degrees``."""
+    monos = [m for d in degrees for m in monomials_of_degree(ring.nvars, d)]
+    picked = rng.sample(monos, min(len(monos), rng.randint(1, max_terms)))
+    return ring.from_dict({m: rng.randrange(1, ring.prime) for m in picked})
+
+
+def homogeneous_division_case(seed, nvars):
+    """A grevlex ring over F_7, where cancellations are frequent, a random
+    form f and divisors: a few random forms, or their Groebner basis."""
+    rng = random.Random(seed)
+    ring = PolyRing(nvars, 7)
+    divisors = [sparse_poly(ring, rng, [rng.randint(1, 2)])
+                for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        divisors = list(buchberger(divisors, ring))
+    f = sparse_poly(ring, rng, [rng.randint(2, 4)], max_terms=15)
+    return ring, f, divisors
+
+
+def elimination_division_case(seed, nvars):
+    """The same in the elimination ring, with inhomogeneous polynomials."""
+    rng = random.Random(seed)
+    big = _elimination_ring(PolyRing(nvars, 7))
+    divisors = [sparse_poly(big, rng, [1, 2], max_terms=4)
+                for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        divisors = list(buchberger(divisors, big))
+    f = sparse_poly(big, rng, [1, 2, 3], max_terms=15)
+    return big, f, divisors
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]))
+@settings(max_examples=40)
+def test_heap_normal_form_matches_scan_division_in_grevlex(seed, nvars):
+    ring, f, divisors = homogeneous_division_case(seed, nvars)
+    expected = oracles.scan_normal_form(f.terms, [g.terms for g in divisors],
+                                        ring.prime, oracles.grevlex_order)
+    assert normal_form(f, divisors).terms == expected
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+@settings(max_examples=40)
+def test_heap_normal_form_matches_scan_division_in_elimination_order(seed,
+                                                                     nvars):
+    big, f, divisors = elimination_division_case(seed, nvars)
+    expected = oracles.scan_normal_form(f.terms, [g.terms for g in divisors],
+                                        big.prime, oracles.elimination_order)
+    assert normal_form(f, divisors).terms == expected
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]), st.booleans())
+@settings(max_examples=40)
+def test_heap_exact_divide_matches_scan_division(seed, nvars, eliminate):
+    make_case = elimination_division_case if eliminate else homogeneous_division_case
+    ring, q, divisors = make_case(seed, nvars)
+    order = oracles.elimination_order if eliminate else oracles.grevlex_order
+    d = divisors[0]
+    f = q * d
+    assert exact_divide(f, d).terms == oracles.scan_exact_divide(
+        f.terms, d.terms, ring.prime, order) == q.terms
+    # adding a monomial that lead(d) does not divide leaves a remainder
+    lm = d.lead_monomial
+    if not any(lm):
+        return  # d is a unit (a Groebner basis of the whole ring)
+    outside = next(m for m in monomials_of_degree(ring.nvars, f.degree)
+                   if not mono_divides(lm, m))
+    g = f + ring.monomial(outside)
+    with pytest.raises(ValueError, match="not exact"):
+        exact_divide(g, d)
+    with pytest.raises(ValueError, match="not exact"):
+        oracles.scan_exact_divide(g.terms, d.terms, ring.prime, order)
+
+
+def test_division_rejects_a_ring_with_other_nvars():
+    f = poly(R3, "x0^2 + x1*x2")
+    with pytest.raises(ValueError, match="different lengths"):
+        normal_form(f, [poly(R4, "x0 + x3")])
+    with pytest.raises(ValueError, match="different lengths"):
+        normal_form(f, [poly(R3, "x1"), poly(R4, "x0 + x3")])
+    with pytest.raises(ValueError, match="different lengths"):
+        exact_divide(f, poly(R4, "x0"))
+    with pytest.raises(ValueError, match="different lengths"):
+        exact_divide(poly(R4, "x0^2"), poly(R3, "x0"))
+
+
 # ---------------------------------------------------------------------------
 # buchberger
 
@@ -111,6 +198,24 @@ def test_buchberger_certificates_random(seed):
         assert normal_form(g, gb).is_zero()
     for g in gb:
         assert oracles.is_member(g, list(I.gens), 3, R3.prime)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_buchberger_takes_pairs_by_increasing_lcm(seed, monkeypatch):
+    """The normal strategy on homogeneous input: the lcm degree of the
+    processed pairs never falls."""
+    import gintools.groebner as gb
+    degrees = []
+
+    def recorded(f, g):
+        degrees.append(sum(mono_lcm(f.lead_monomial, g.lead_monomial)))
+        return spoly(f, g)
+
+    monkeypatch.setattr(gb, "spoly", recorded)
+    rng = random.Random(seed)
+    buchberger([R4.random_form(d, rng) for d in (2, 2, 3)], R4)
+    assert len(set(degrees)) > 1
+    assert degrees == sorted(degrees)
 
 
 # ---------------------------------------------------------------------------

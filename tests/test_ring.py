@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from gintools.ring import (LinearChange, PolyRing, initial_monomial,
                            mono_div, mono_divides, mono_gcd, mono_lcm,
                            mono_mul, monomials_of_degree, restrict,
-                           revlex_cmp, revlex_key)
+                           revlex_cmp, revlex_key, substitute_last)
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -98,6 +99,13 @@ def test_divides_false():
     assert not mono_divides((1, 0, 1), (2, 0, 0))
 
 
+def test_monomial_operations_reject_other_lengths():
+    with pytest.raises(ValueError, match="different lengths"):
+        mono_mul((1, 0), (1, 0, 0))
+    with pytest.raises(ValueError, match="different lengths"):
+        mono_divides((1, 0, 0), (1, 0))
+
+
 def test_div_on_non_divisor_raises():
     with pytest.raises(ValueError):
         mono_div((2, 0, 0), (1, 0, 1))
@@ -140,6 +148,15 @@ def test_sum_with_zero_is_fine():
 def test_cross_ring_rejected():
     with pytest.raises(ValueError):
         poly(R3, "x0") + poly(R4, "x0")
+
+
+def test_products_reject_a_ring_with_other_nvars():
+    with pytest.raises(ValueError):
+        poly(R3, "x0 + x1") * poly(R4, "x0 + x3")
+    with pytest.raises(ValueError, match="different lengths"):
+        poly(R3, "x0 + x1").mul_term((1, 0, 0, 0), 1)
+    with pytest.raises(ValueError, match="different rings"):
+        substitute_last(poly(R3, "x2^2"), poly(R4, "x0 + x3"))
 
 
 def test_composite_modulus_rejected():
@@ -206,6 +223,29 @@ def test_binomial_expansion():
 def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         LinearChange(R3, ((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(0, 4))
+def test_change_matches_term_by_term_expansion(seed, nvars, degree):
+    """Over F_7, with sparse matrices and sparse inputs, so that terms
+    cancel and some variables are absent."""
+    import random
+    rng = random.Random(seed)
+    ring = PolyRing(nvars, 7)
+    while True:
+        rows = tuple(tuple(rng.choice((0, 0, 1, rng.randrange(7)))
+                           for _ in range(nvars)) for _ in range(nvars))
+        try:
+            change = LinearChange(ring, rows)
+            break
+        except ValueError:
+            continue
+    monos = list(monomials_of_degree(nvars, degree))
+    picked = rng.sample(monos, min(len(monos), rng.randint(1, 10)))
+    f = ring.from_dict({m: rng.randrange(1, 7) for m in picked})
+    expected = oracles.expand_change(f.terms, rows, ring.prime)
+    assert change.apply(f).terms == expected
+    assert change.apply(f).terms == expected  # again, from its cached powers
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 3))
