@@ -15,11 +15,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from gintools.corpus import BUILDERS, CorpusEntry, render_entry
+from gintools.corpus import BUILDERS, CorpusEntry, expected_values, render_entry
 from gintools.gin import gin, variety_invariants
-from gintools.groebner import hilbert_function
-from gintools.parsing import render_monomial_ideal
-from gintools.staircase import gap_degrees
 
 PRIME = 32003
 SEED = 0
@@ -82,18 +79,7 @@ def regenerate(data_dir: Path):
         n = ideal.ring.nvars - 1
         result = gin(ideal, seed=SEED, votes=5)
         assert result.agreed, name
-        inv = variety_invariants(ideal, gin_result=result)
-        hf = hilbert_function(result.gin)
-        expect = {
-            "gin": render_monomial_ideal(result.gin),
-            "s_Z": str(inv.s_Z),
-            "s_Gamma": str(inv.s_Gamma),
-            "lambda_zero": ", ".join(map(str, inv.table.profile(
-                (0,) * len(inv.table.axes)).lambdas)),
-            "lambda_stable": ", ".join(map(str, inv.table.stable_profile.lambdas)),
-            "gaps": ", ".join(map(str, gap_degrees(result.gin))) or "none",
-            "hilbert": ", ".join(map(str, hf)),
-        }
+        expect = expected_values(result, variety_invariants(ideal, gin_result=result))
         tags = frozenset(t.strip() for t in TAGS[name].split(","))
         entry = CorpusEntry(name, n, PRIME, SEED, ideal.gens, tags, expect)
         comments = COMMENTS[name] + [

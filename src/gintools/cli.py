@@ -10,19 +10,15 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .ring import DEFAULT_PRIME, _is_prime
 from .groebner import hilbert_function, initial_ideal, default_dmax
-from .staircase import (MonomialIdeal, gap_degrees, is_borel_fixed,
-                        slice_level)
-from .gin import (ComputationError, check_connectedness,
-                  connectedness_from_table, gin, run_trace,
-                  variety_invariants, verify_gap_truncation,
-                  verify_slice_identity, is_saturated_gin)
+from .staircase import MonomialIdeal, is_borel_fixed, slice_level
+from .gin import (ComputationError, check_connectedness, gin, run_trace,
+                  variety_invariants, is_saturated_gin)
 from .parsing import (ParseError, parse_ideal, render_monomial,
                       render_monomial_ideal, render_poly)
-from . import corpus as corpus_mod
+from .corpus import entry_names, entry_report, load_entry, parse_entry
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -35,26 +31,16 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    prime: int = DEFAULT_PRIME
-    nvars: int | None = None
-    seed: int = 0
-    votes: int = 2
-    dmax: int | None = None
-    phat_bounds: tuple | None = None
-    as_json: bool = False
-
-    def validate(self, input_text=""):
-        if not _is_prime(self.prime):
-            raise ConfigError(f"{self.prime} is not prime")
-        if self.votes < 2:
-            raise ConfigError("need at least two votes")
-        largest = _max_coefficient(input_text)
-        if largest is not None and self.prime <= 2 * largest:
-            raise ConfigError(
-                f"prime {self.prime} too small for coefficient {largest}: "
-                f"need p > {2 * largest}")
+def _validate(prime, votes, text):
+    if not _is_prime(prime):
+        raise ConfigError(f"{prime} is not prime")
+    if votes < 2:
+        raise ConfigError("need at least two votes")
+    largest = _max_coefficient(text)
+    if largest is not None and prime <= 2 * largest:
+        raise ConfigError(
+            f"prime {prime} too small for coefficient {largest}: "
+            f"need p > {2 * largest}")
 
 
 def _max_coefficient(text):
@@ -71,6 +57,11 @@ def _max_coefficient(text):
 # ---------------------------------------------------------------------------
 # input plumbing
 
+def _int_tuple(text):
+    """Comma-separated integers, such as ``--levels 1,0``."""
+    return tuple(int(x) for x in text.split(","))
+
+
 def _add_common(parser):
     parser.add_argument("--in", dest="infile", metavar="FILE",
                         help="ideal file (corpus entry format)")
@@ -84,12 +75,13 @@ def _add_common(parser):
     parser.add_argument("--votes", type=int, default=2)
     parser.add_argument("--dmax", type=int, default=None)
     parser.add_argument("--phat-bounds", default=None, metavar="B1,B2,..",
+                        type=_int_tuple,
                         help="override the tabulated level bound per axis")
     parser.add_argument("--json", action="store_true", dest="as_json")
 
 
 def _load_input(args):
-    """(ideal, config) from --in or --gens."""
+    """The ideal given by --in or --gens, checked against --prime and --votes."""
     if args.infile and args.gens:
         raise ConfigError("give either --in or --gens, not both")
     if args.infile:
@@ -98,7 +90,7 @@ def _load_input(args):
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read {args.infile}: {exc}")
-        entry = corpus_mod.parse_entry(text, name=args.infile)
+        entry = parse_entry(text, name=args.infile)
         prime = args.prime if args.prime is not None else entry.prime
         nvars = (args.n + 1) if args.n is not None else entry.n + 1
         gens_text = "\n".join(render_poly(g) for g in entry.gens)
@@ -108,14 +100,8 @@ def _load_input(args):
         nvars = (args.n + 1) if args.n is not None else None
     else:
         raise ConfigError("no input: give --in FILE or --gens STR")
-    raw_bounds = getattr(args, "phat_bounds", None)
-    bounds = tuple(int(b) for b in raw_bounds.split(",")) if raw_bounds else None
-    config = RunConfig(prime=prime, nvars=nvars, seed=args.seed,
-                       votes=args.votes, dmax=args.dmax, phat_bounds=bounds,
-                       as_json=args.as_json)
-    config.validate(gens_text)
-    ideal = parse_ideal(gens_text, nvars=nvars, prime=prime)
-    return ideal, config
+    _validate(prime, args.votes, gens_text)
+    return parse_ideal(gens_text, nvars=nvars, prime=prime)
 
 
 def _monomial_ideal_from(ideal) -> MonomialIdeal:
@@ -148,27 +134,25 @@ def _plain(value):
 # commands
 
 def cmd_gin(args):
-    ideal, config = _load_input(args)
-    result = gin(ideal, seed=config.seed, votes=config.votes)
+    ideal = _load_input(args)
+    result = gin(ideal, seed=args.seed, votes=args.votes)
     _emit({"gin": render_monomial_ideal(result.gin),
            "agreed": result.agreed,
            "samples": result.samples_used,
            "borel_fixed": True,
-           "saturated": is_saturated_gin(result.gin)}, config.as_json)
+           "saturated": is_saturated_gin(result.gin)}, args.as_json)
     return EXIT_OK
 
 
 def cmd_invariants(args):
-    ideal, config = _load_input(args)
-    inv = variety_invariants(ideal, seed=config.seed, votes=config.votes,
-                             bounds=config.phat_bounds)
-    if config.as_json:
-        print(json.dumps({
-            "gin": [render_monomial(g) for g in inv.gin_result.gin.gens],
-            "s_Z": inv.s_Z,
-            "s_Gamma": inv.s_Gamma,
-            "invariant_table": inv.table.to_json_entries(),
-        }, indent=2, sort_keys=True))
+    ideal = _load_input(args)
+    inv = variety_invariants(ideal, seed=args.seed, votes=args.votes,
+                             bounds=args.phat_bounds)
+    if args.as_json:
+        _emit({"gin": [render_monomial(g) for g in inv.gin_result.gin.gens],
+               "s_Z": inv.s_Z,
+               "s_Gamma": inv.s_Gamma,
+               "invariant_table": inv.table.to_json_entries()}, True)
         return EXIT_OK
     print(f"gin: {render_monomial_ideal(inv.gin_result.gin)}")
     print(f"s_Z: {inv.s_Z}")
@@ -181,11 +165,11 @@ def cmd_invariants(args):
 
 
 def cmd_check(args):
-    ideal, config = _load_input(args)
-    report = check_connectedness(ideal, seed=config.seed, votes=config.votes,
-                                 bounds=config.phat_bounds)
-    if config.as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    ideal = _load_input(args)
+    report = check_connectedness(ideal, seed=args.seed, votes=args.votes,
+                                 bounds=args.phat_bounds)
+    if args.as_json:
+        _emit(report.to_json(), True)
     else:
         yn = lambda b: "yes" if b else "no"
         print(f"s_Z={report.s_Z} s_Gamma={report.s_Gamma} "
@@ -201,47 +185,44 @@ def cmd_check(args):
 
 
 def cmd_slice(args):
-    ideal, config = _load_input(args)
+    ideal = _load_input(args)
     M = _monomial_ideal_from(ideal)
     sliced = slice_level(M, args.axis, args.level)
     _emit({"slice": render_monomial_ideal(sliced),
-           "axis": args.axis, "level": args.level}, config.as_json)
+           "axis": args.axis, "level": args.level}, args.as_json)
     return EXIT_OK
 
 
 def cmd_borel(args):
-    ideal, config = _load_input(args)
+    ideal = _load_input(args)
     M = _monomial_ideal_from(ideal)
     ok, witness = is_borel_fixed(M)
     payload = {"borel_fixed": ok}
     if witness is not None:
         payload["witness"] = f"({render_monomial(witness[0])}, e_{witness[1]})"
-    _emit(payload, config.as_json)
+    _emit(payload, args.as_json)
     return EXIT_OK
 
 
 def cmd_hilbert(args):
-    ideal, config = _load_input(args)
+    ideal = _load_input(args)
     try:
         M = _monomial_ideal_from(ideal)
     except ConfigError:
         M = initial_ideal(ideal)
-    dmax = config.dmax if config.dmax is not None else default_dmax(M)
+    dmax = args.dmax if args.dmax is not None else default_dmax(M)
     hf = hilbert_function(M, dmax)
-    _emit({"hilbert": list(hf), "dmax": dmax}, config.as_json)
+    _emit({"hilbert": list(hf), "dmax": dmax}, args.as_json)
     return EXIT_OK
 
 
 def cmd_trace(args):
-    ideal, config = _load_input(args)
+    ideal = _load_input(args)
     n = ideal.ring.nvars - 1
-    if args.levels:
-        levels = tuple(int(x) for x in args.levels.split(","))
-    else:
-        levels = (0,) * max(n - 2, 0)
-    result = run_trace(ideal, levels, seed=config.seed, votes=config.votes)
-    if config.as_json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
+    levels = args.levels if args.levels is not None else (0,) * max(n - 2, 0)
+    result = run_trace(ideal, levels, seed=args.seed, votes=args.votes)
+    if args.as_json:
+        _emit(result.to_json(), True)
     else:
         _emit({"levels": list(result.levels),
                "slice_gin": render_monomial_ideal(result.slice_gin),
@@ -260,103 +241,23 @@ def cmd_trace(args):
 # ---------------------------------------------------------------------------
 # corpus-run
 
-def entry_report(entry, seed=0, votes=5, forms=1, p_max=2):
-    """All checks for one corpus entry, as a JSON-ready dict."""
-    ideal = entry.ideal()
-    n = entry.n
-    result = gin(ideal, seed=seed, votes=votes)
-    borel_ok, _ = is_borel_fixed(result.gin)
-    saturated = is_saturated_gin(result.gin)
-    inv = variety_invariants(ideal, gin_result=result)
-    conn = connectedness_from_table(inv.table)
-    slice_rep = verify_slice_identity(ideal, p_max=p_max, forms=forms,
-                                      seed=seed, votes=votes, gin_result=result)
-    gap_rep = verify_gap_truncation(ideal, seed=seed, votes=votes,
-                                    gin_result=result)
-    checks = {
-        "slice": {"passed": slice_rep.passed,
-                  "cases": len(slice_rep.cases)},
-        "gap_truncation": {"passed": gap_rep.passed,
-                           "vacuous": gap_rep.vacuous,
-                           "gaps": list(gap_rep.gaps)},
-    }
-    if n >= 3:
-        trace = run_trace(ideal, (0,) * (n - 2), seed=seed, votes=votes,
-                          gin_result=result)
-        checks["proof_trace"] = trace.to_json()
-        trace_ok = trace.passed
-    else:
-        checks["proof_trace"] = {"skipped": "ambient dimension below 3"}
-        trace_ok = True
-    expected_ok, mismatches = check_expectations(entry, result, inv)
-    checks["expected"] = {"passed": expected_ok, "mismatches": mismatches}
-
-    conn_applies = {"integral", "codim2", "hypothesis"} <= set(entry.tags)
-    conn_ok = conn.all_connected if conn_applies else True
-    low_ok = conn.low_levels_ok if n == 3 else True
-    passed = all([result.agreed, borel_ok, saturated, slice_rep.passed,
-                  gap_rep.passed, trace_ok, expected_ok, conn_ok, low_ok])
-    return {
-        "name": entry.name,
-        "ideal": [render_poly(g) for g in entry.gens],
-        "seed": seed,
-        "prime": entry.prime,
-        "tags": sorted(entry.tags),
-        "gin": [render_monomial(g) for g in result.gin.gens],
-        "agreed": result.agreed,
-        "samples": result.samples_used,
-        "borel_fixed": borel_ok,
-        "saturated": saturated,
-        "invariant_table": inv.table.to_json_entries(),
-        "s_Z": inv.s_Z,
-        "s_Gamma": inv.s_Gamma,
-        "hypothesis": conn.hypothesis,
-        "connected": conn.all_connected,
-        "low_levels_connected": conn.low_levels_ok,
-        "violations": [{"p_hat": list(p), "index": i}
-                       for p, i in conn.violations],
-        "checks": checks,
-        "passed": passed,
-    }
-
-
-def check_expectations(entry, gin_result, inv):
-    """Compare the entry's expect block against the computed values."""
-    mismatches = []
-    expect = entry.expect
-
-    def compare(key, actual):
-        if key in expect and expect[key] != actual:
-            mismatches.append({"key": key, "expected": expect[key],
-                               "actual": actual})
-
-    compare("gin", render_monomial_ideal(gin_result.gin))
-    compare("s_Z", str(inv.s_Z))
-    compare("s_Gamma", str(inv.s_Gamma))
-    zero = (0,) * len(inv.table.axes)
-    compare("lambda_zero", ", ".join(map(str, inv.table.profile(zero).lambdas)))
-    compare("lambda_stable", ", ".join(map(str, inv.table.stable_profile.lambdas)))
-    compare("gaps", ", ".join(map(str, gap_degrees(gin_result.gin))) or "none")
-    compare("hilbert", ", ".join(map(str, hilbert_function(gin_result.gin))))
-    return not mismatches, mismatches
-
-
 def cmd_corpus_run(args):
-    if args.prime is not None and args.prime != DEFAULT_PRIME:
-        raise ConfigError("the packaged corpus is pinned to the default prime")
-    entries = corpus_mod.builtin_entries()
+    names = entry_names()
     if args.entries:
         wanted = {name.strip() for name in args.entries.split(",")}
-        unknown = wanted - {e.name for e in entries}
+        unknown = wanted - set(names)
         if unknown:
             raise ConfigError(f"unknown corpus entries: {sorted(unknown)}")
-        entries = tuple(e for e in entries if e.name in wanted)
+        names = [name for name in names if name in wanted]
 
-    reports = [entry_report(entry, seed=args.seed, votes=args.votes,
-                            forms=args.forms, p_max=args.pmax)
-               for entry in entries]
-    for report in reports:
-        if not args.as_json:
+    reports = [entry_report(load_entry(name), seed=args.seed, votes=args.votes)
+               for name in names]
+    all_passed = all(r["passed"] for r in reports)
+    if args.as_json:
+        _emit({"prime": DEFAULT_PRIME, "seed": args.seed, "votes": args.votes,
+               "entries": reports, "all_passed": all_passed}, True)
+    else:
+        for report in reports:
             status = "ok" if report["passed"] else "FAILED"
             print(f"[{report['name']}] gin={', '.join(report['gin'])} "
                   f"agreed={report['agreed']} connected={report['connected']} "
@@ -364,18 +265,8 @@ def cmd_corpus_run(args):
                   f"gaps={report['checks']['gap_truncation']['passed']} "
                   f"trace={report['checks']['proof_trace'].get('passed', 'skipped')} "
                   f"-> {status}")
-    payload = {
-        "prime": DEFAULT_PRIME,
-        "seed": args.seed,
-        "votes": args.votes,
-        "entries": reports,
-        "all_passed": all(r["passed"] for r in reports),
-    }
-    if args.as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"all_passed: {_plain(payload['all_passed'])}")
-    return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
+        print(f"all_passed: {_plain(all_passed)}")
+    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +293,13 @@ def build_parser():
             p.add_argument("--axis", type=int, required=True)
             p.add_argument("--level", type=int, required=True)
         if extra == "trace":
-            p.add_argument("--levels", default="",
+            p.add_argument("--levels", default=None, type=_int_tuple,
                            help="comma-separated colon levels for x2..x_{n-1}")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("corpus-run")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--votes", type=int, default=5)
-    p.add_argument("--forms", type=int, default=1)
-    p.add_argument("--pmax", type=int, default=2)
-    p.add_argument("--prime", type=int, default=None)
     p.add_argument("--entries", default="",
                    help="comma-separated entry names (default: all)")
     p.add_argument("--json", action="store_true", dest="as_json")

@@ -1,10 +1,11 @@
 """Constructors and data files for the varieties that exercise the checks.
 
-Entries live in ``data/*.ideal``: a small header (name, ambient dimension,
-prime, generation seed, tags), the generator polynomials one per line, and
-an optional block of expected values produced by the oracle regeneration
-pass.  Random entries are seed-pinned; ``scripts/regenerate_corpus.py`` is
-the explicit maintenance command that rebuilds them.
+Entries live in ``data/<name>.ideal``: a small header (name, ambient
+dimension, prime, generation seed, tags), the generator polynomials one per
+line, and an optional block of expected values produced by the oracle
+regeneration pass.  Random entries are seed-pinned;
+``scripts/regenerate_corpus.py`` is the explicit maintenance command that
+rebuilds them.  ``entry_report`` runs every check on one entry.
 """
 
 from __future__ import annotations
@@ -14,8 +15,14 @@ from importlib import resources
 
 from .ring import PolyRing, count_monomials, DEFAULT_PRIME
 from .groebner import Ideal, hilbert_function, initial_ideal, intersect
-from .gin import child_rng
-from .parsing import parse_polynomial, render_poly
+from .staircase import gap_degrees, is_borel_fixed
+from .gin import (child_rng, connectedness_from_table, gin,
+                  is_saturated_gin, run_trace, variety_invariants,
+                  verify_gap_truncation, verify_slice_identity)
+from .parsing import (ParseError, parse_polynomial, render_monomial,
+                      render_monomial_ideal, render_poly)
+
+DATA = resources.files("gintools").joinpath("data")
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,6 @@ def determinantal(n, seed, prime=DEFAULT_PRIME) -> Ideal:
 # entry files
 
 def parse_entry(text, name="entry") -> CorpusEntry:
-    from .parsing import ParseError
-
     header = {}
     gens_lines = []
     expect = {}
@@ -279,14 +284,23 @@ def render_entry(entry: CorpusEntry, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def entry_names() -> tuple:
+    """Names of the packaged entries, in the order of their file names."""
+    files = sorted(item.name for item in DATA.iterdir())
+    return tuple(f.removesuffix(".ideal") for f in files if f.endswith(".ideal"))
+
+
+def load_entry(name) -> CorpusEntry:
+    """The packaged entry ``data/<name>.ideal``, whose header must agree."""
+    entry = parse_entry(DATA.joinpath(f"{name}.ideal").read_text(), name=name)
+    if entry.name != name:
+        raise ParseError(f"entry file {name}.ideal is named {entry.name!r}")
+    return entry
+
+
 def builtin_entries() -> tuple:
     """The packaged corpus, sorted by name."""
-    entries = []
-    root = resources.files("gintools").joinpath("data")
-    for item in sorted(root.iterdir(), key=lambda p: p.name):
-        if item.name.endswith(".ideal"):
-            entries.append(parse_entry(item.read_text(), name=item.name[:-6]))
-    return tuple(entries)
+    return tuple(load_entry(name) for name in entry_names())
 
 
 BUILDERS = {
@@ -301,3 +315,90 @@ BUILDERS = {
     "ci-surface": lambda seed, prime: complete_intersection(2, 2, 4, seed, prime),
     "scroll-surface": lambda seed, prime: determinantal(4, seed, prime),
 }
+
+
+# ---------------------------------------------------------------------------
+# the per-entry report
+
+def _joined(values):
+    return ", ".join(map(str, values))
+
+
+def expected_values(gin_result, inv) -> dict:
+    """The values an entry's ``expect:`` block records, in file order."""
+    M = gin_result.gin
+    zero = (0,) * len(inv.table.axes)
+    return {
+        "gin": render_monomial_ideal(M),
+        "s_Z": str(inv.s_Z),
+        "s_Gamma": str(inv.s_Gamma),
+        "lambda_zero": _joined(inv.table.profile(zero).lambdas),
+        "lambda_stable": _joined(inv.table.stable_profile.lambdas),
+        "gaps": _joined(gap_degrees(M)) or "none",
+        "hilbert": _joined(hilbert_function(M)),
+    }
+
+
+def check_expectations(entry, gin_result, inv):
+    """Compare the entry's expect block against the computed values."""
+    mismatches = [{"key": key, "expected": entry.expect[key], "actual": actual}
+                  for key, actual in expected_values(gin_result, inv).items()
+                  if key in entry.expect and entry.expect[key] != actual]
+    return not mismatches, mismatches
+
+
+def entry_report(entry, seed=0, votes=5):
+    """All checks for one corpus entry, as a JSON-ready dict.
+
+    The slicing identity is checked for one general form at levels 0..2.
+    """
+    ideal = entry.ideal()
+    n = entry.n
+    result = gin(ideal, seed=seed, votes=votes)
+    borel_ok, _ = is_borel_fixed(result.gin)
+    saturated = is_saturated_gin(result.gin)
+    inv = variety_invariants(ideal, gin_result=result)
+    conn = connectedness_from_table(inv.table)
+    slice_rep = verify_slice_identity(ideal, p_max=2, forms=1, seed=seed,
+                                      votes=votes, gin_result=result)
+    gap_rep = verify_gap_truncation(ideal, seed=seed, votes=votes,
+                                    gin_result=result)
+    checks = {
+        "slice": {"passed": slice_rep.passed,
+                  "cases": len(slice_rep.cases)},
+        "gap_truncation": {"passed": gap_rep.passed,
+                           "vacuous": gap_rep.vacuous,
+                           "gaps": list(gap_rep.gaps)},
+    }
+    if n >= 3:
+        trace = run_trace(ideal, (0,) * (n - 2), seed=seed, votes=votes,
+                          gin_result=result)
+        checks["proof_trace"] = trace.to_json()
+        trace_ok = trace.passed
+    else:
+        checks["proof_trace"] = {"skipped": "ambient dimension below 3"}
+        trace_ok = True
+    expected_ok, mismatches = check_expectations(entry, result, inv)
+    checks["expected"] = {"passed": expected_ok, "mismatches": mismatches}
+
+    conn_applies = {"integral", "codim2", "hypothesis"} <= set(entry.tags)
+    conn_ok = conn.all_connected if conn_applies else True
+    low_ok = conn.low_levels_ok if n == 3 else True
+    passed = all([result.agreed, borel_ok, saturated, slice_rep.passed,
+                  gap_rep.passed, trace_ok, expected_ok, conn_ok, low_ok])
+    return {
+        "name": entry.name,
+        "ideal": [render_poly(g) for g in entry.gens],
+        "seed": seed,
+        "prime": entry.prime,
+        "tags": sorted(entry.tags),
+        "gin": [render_monomial(g) for g in result.gin.gens],
+        "agreed": result.agreed,
+        "samples": result.samples_used,
+        "borel_fixed": borel_ok,
+        "saturated": saturated,
+        "invariant_table": inv.table.to_json_entries(),
+        **conn.to_json(),  # s_Z, s_Gamma, hypothesis, connected, violations, ...
+        "checks": checks,
+        "passed": passed,
+    }

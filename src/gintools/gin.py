@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .ring import LinearChange, Poly, mono_degree
-from .groebner import (Ideal, _SliceBasis, ideal_quotient, initial_ideal,
-                       intersect, restrict_ideal, truncate)
+from .groebner import (Ideal, _SliceBasis, hilbert_function, ideal_quotient,
+                       initial_ideal, intersect, restrict_ideal, truncate)
 from .staircase import (InvariantTable, MonomialIdeal,
                         colon_by_monomial, gap_degrees, invariant_table,
                         is_borel_fixed, is_connected, profile_at,
@@ -269,12 +269,12 @@ def verify_gap_truncation(I: Ideal, seed=0, votes=2,
     truncation_gins = {}
     cases = []
     for delta in gaps:
-        truncated = truncate(I, delta, strict=False)
+        truncated = truncate(I, delta)
         key = tuple(g.terms for g in truncated.gens)
         if key not in truncation_gins:
             truncation_gins[key] = gin(truncated, seed=seed, votes=votes).gin
         lhs = truncation_gins[key]
-        rhs = truncate_monomial(M, delta, strict=False)
+        rhs = truncate_monomial(M, delta)
         cases.append((delta, lhs == rhs, lhs, rhs))
     return GapTruncationReport(gaps, tuple(cases), not gaps,
                                all(c[1] for c in cases))
@@ -356,7 +356,7 @@ class TraceResult:
     expected_gcd_degree: int      # min x0-exponent among <=delta generators
     step2_ok: bool
     specialization_degrees: tuple
-    consistent: bool              # all specializations found the same degree
+    consistent: bool              # generic draws found, all with the same degree
 
     @property
     def passed(self):
@@ -390,6 +390,9 @@ def _iterated_restriction(I: Ideal, levels, seed, label):
     return current
 
 
+_MAX_TRACE_DRAWS = 9
+
+
 def run_trace(I: Ideal, levels, seed=0, votes=2, gin_result=None,
               specializations=3) -> TraceResult:
     """Reproduce the computable steps of the connectedness argument.
@@ -399,8 +402,18 @@ def run_trace(I: Ideal, levels, seed=0, votes=2, gin_result=None,
     result lives in K[x0, x1].  Its gin must equal the same iterated slice
     of gin(I) (step 1), and the gcd of its generators up to the chosen gap
     degree must have degree equal to the least x0-exponent on the
-    staircase there (step 2).  The gcd degree is recomputed at independent
-    random specializations of the forms and must not vary.
+    staircase there (step 2).
+
+    The forms are drawn ``specializations`` times.  Dimensions of
+    restrictions are upper semicontinuous in the forms, so a draw whose
+    Hilbert function exceeds the pointwise minimum over the draws is
+    special; it is dropped and redrawn under the next label, up to
+    ``_MAX_TRACE_DRAWS`` draws in all.  The functions are compared up to
+    the largest sum, over the draws, of the greatest x0- and x1-exponents
+    among the generators of the draw's initial ideal: past it, the Hilbert
+    function of a monomial ideal of K[x0, x1] is constant.  Step 1 runs on the first draw at the minimum, and the gcd degree must
+    not vary over the draws; a special draw left when the bound runs out
+    makes the trace inconsistent.
     """
     n = I.ring.nvars - 1
     if n < 3:
@@ -416,7 +429,23 @@ def run_trace(I: Ideal, levels, seed=0, votes=2, gin_result=None,
     for axis in range(n - 1, 1, -1):
         combinatorial = slice_level(combinatorial, axis, levels[axis - 2])
 
-    J = _iterated_restriction(I, levels, seed, 0)
+    draws = [_iterated_restriction(I, levels, seed, k)
+             for k in range(specializations)]
+    label = specializations
+    while True:
+        leads = [initial_ideal(D) for D in draws]
+        bound = max(L.max_exponent(0) + L.max_exponent(1) for L in leads)
+        hilberts = [tuple(hilbert_function(L, bound)) for L in leads]
+        floor = tuple(min(values) for values in zip(*hilberts))
+        generic = [D for D, h in zip(draws, hilberts) if h == floor]
+        special = len(draws) - len(generic)
+        if not special or label + special > _MAX_TRACE_DRAWS:
+            break
+        draws = generic + [_iterated_restriction(I, levels, seed, label + k)
+                           for k in range(special)]
+        label += special
+    first = hilberts.index(floor) if floor in hilberts else 0
+    J = draws[first]
     if J.is_zero():
         raise DegenerateTraceError("iterated restriction collapsed to zero")
     analytic = gin(J, seed=seed, votes=votes).gin
@@ -431,22 +460,20 @@ def run_trace(I: Ideal, levels, seed=0, votes=2, gin_result=None,
         is_gap = False
 
     def gcd_degree_of(J_spec):
-        gens = truncate(J_spec, delta, strict=False).gens
+        gens = truncate(J_spec, delta).gens
         if not gens:
             raise DegenerateTraceError("no generators up to the gap degree")
         return gcd_two_vars(gens).degree
 
-    degrees = [gcd_degree_of(J)]
-    for k in range(1, specializations):
-        degrees.append(gcd_degree_of(_iterated_restriction(I, levels, seed, k)))
-    consistent = all(d == degrees[0] for d in degrees)
+    degrees = [gcd_degree_of(D) for D in draws]
+    consistent = not special and all(d == degrees[0] for d in degrees)
 
     eligible = [g for g in analytic.gens if mono_degree(g) <= delta]
     expected = min(g[0] for g in eligible) if eligible else 0
-    step2_ok = degrees[0] == expected
+    step2_ok = degrees[first] == expected
 
     return TraceResult(levels, combinatorial, analytic, step1_ok, delta,
-                       is_gap, degrees[0], expected, step2_ok,
+                       is_gap, degrees[first], expected, step2_ok,
                        tuple(degrees), consistent)
 
 

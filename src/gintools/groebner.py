@@ -433,17 +433,13 @@ def restrict_ideal(I: Ideal, h: Poly) -> Ideal:
     return Ideal(I.ring.restricted(), [g for g in restricted if not g.is_zero()])
 
 
-def truncate(I: Ideal, delta: int, strict: bool) -> Ideal:
-    """The ideal generated by the elements of I of degree < delta (or <=).
+def truncate(I: Ideal, delta: int) -> Ideal:
+    """The ideal generated by the elements of I of degree <= delta.
 
-    Generated by the reduced-basis elements below the cutoff: homogeneous
-    reduction never raises degree, so those span every graded piece below
+    Generated by the reduced-basis elements up to the cutoff: homogeneous
+    reduction never raises degree, so those span every graded piece up to
     it.
     """
     if delta < 0:
         raise ValueError("negative truncation degree")
-    if strict:
-        kept = [g for g in I.groebner_basis() if g.degree < delta]
-    else:
-        kept = [g for g in I.groebner_basis() if g.degree <= delta]
-    return Ideal(I.ring, kept)
+    return Ideal(I.ring, [g for g in I.groebner_basis() if g.degree <= delta])

@@ -135,15 +135,12 @@ def gap_degrees(M: MonomialIdeal) -> tuple:
                  if d not in present)
 
 
-def truncate_monomial(M: MonomialIdeal, delta: int, strict: bool) -> MonomialIdeal:
-    """Keep the generators of degree < delta (strict) or <= delta."""
+def truncate_monomial(M: MonomialIdeal, delta: int) -> MonomialIdeal:
+    """Keep the generators of degree <= delta."""
     if delta < 0:
         raise ValueError("negative truncation degree")
-    if strict:
-        kept = (g for g in M.gens if mono_degree(g) < delta)
-    else:
-        kept = (g for g in M.gens if mono_degree(g) <= delta)
-    return MonomialIdeal.from_monomials(M.nvars, kept)
+    return MonomialIdeal.from_monomials(
+        M.nvars, (g for g in M.gens if mono_degree(g) <= delta))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gintools import corpus
 from gintools.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTE, EXIT_CONFIG,
                           EXIT_PARSE, main)
 
@@ -168,22 +169,64 @@ def test_golden_outputs(capsys, golden, argv):
 # corpus-run
 
 def test_corpus_run_filtered(capsys):
-    code, out = run(capsys, "corpus-run", "--entries", "twisted-cubic,points-3",
-                    "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["all_passed"] is True
-    assert [e["name"] for e in payload["entries"]] == ["points-3", "twisted-cubic"]
-    entry = payload["entries"][1]
-    for key in ("ideal", "seed", "prime", "gin", "invariant_table", "s_Z",
-                "s_Gamma", "connected", "violations", "checks"):
-        assert key in entry
-    assert set(entry["checks"]) >= {"slice", "gap_truncation", "proof_trace"}
+    """Named entries run once each, in file-name order."""
+    for entries in ("twisted-cubic,points-3", "points-3,twisted-cubic,points-3"):
+        code, out = run(capsys, "corpus-run", "--entries", entries, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_passed"] is True
+        assert [e["name"] for e in payload["entries"]] == ["points-3",
+                                                            "twisted-cubic"]
+        entry = payload["entries"][1]
+        for key in ("ideal", "seed", "prime", "gin", "invariant_table", "s_Z",
+                    "s_Gamma", "connected", "violations", "checks"):
+            assert key in entry
+        assert set(entry["checks"]) >= {"slice", "gap_truncation", "proof_trace"}
 
 
 def test_corpus_run_unknown_entry(capsys):
     code, _ = run(capsys, "corpus-run", "--entries", "nope")
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("seed,name", [("85", "ci-surface"),
+                                       ("104005001", "elliptic-quartic")])
+def test_corpus_run_passes_at_seeds_with_special_trace_forms(capsys, seed,
+                                                             name):
+    code, _ = run(capsys, "corpus-run", "--seed", seed, "--entries", name)
+    assert code == 0
+
+
+def test_corpus_run_parses_only_the_named_entries(capsys, monkeypatch):
+    parsed = []
+    original = corpus.parse_entry
+
+    def counting(text, name="entry"):
+        parsed.append(name)
+        return original(text, name=name)
+
+    monkeypatch.setattr(corpus, "parse_entry", counting)
+    code, _ = run(capsys, "corpus-run", "--entries", "twisted-cubic")
+    assert code == 0
+    assert parsed == ["twisted-cubic"]
+
+
+@pytest.mark.parametrize("text", [
+    "name: broken\ngens:\nx0\n",            # no n: header
+    "name: other\nn: 2\ngens:\nx0\n",      # header names another entry
+])
+def test_corpus_run_bad_entry_file_is_parse_error(capsys, monkeypatch,
+                                                   tmp_path, text):
+    (tmp_path / "broken.ideal").write_text(text)
+    monkeypatch.setattr(corpus, "DATA", tmp_path)
+    code, _ = run(capsys, "corpus-run", "--entries", "broken")
+    assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("option", ["--prime", "--forms", "--pmax"])
+def test_corpus_run_has_no_single_value_options(capsys, option):
+    with pytest.raises(SystemExit):
+        main(["corpus-run", option, "1"])
 
 
 def test_corpus_run_plain_output(capsys):

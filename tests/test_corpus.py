@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import pytest
 
 import oracles
-from gintools.corpus import (collinear_points,
+from gintools import corpus
+from gintools.corpus import (DATA, check_expectations, collinear_points,
                              complete_intersection, determinantal,
-                             determinantal_from_matrix, general_points,
+                             determinantal_from_matrix, entry_names,
+                             expected_values, general_points, load_entry,
                              parse_entry, point_ideal, render_entry,
                              twisted_cubic)
 from gintools.gin import gin, variety_invariants
 from gintools.ring import PolyRing
 from gintools.staircase import InvariantProfile, gap_degrees, is_borel_fixed
-from gintools.parsing import parse_polynomial
+from gintools.parsing import ParseError, parse_polynomial
 
 
 def test_single_point_is_two_linear_forms():
@@ -115,11 +119,48 @@ def test_entry_roundtrip(corpus_entries):
 
 
 def test_entries_match_expected_values(corpus_entries, corpus_gins):
-    from gintools.cli import check_expectations
     for name, entry in corpus_entries.items():
         inv = variety_invariants(entry.ideal(), seed=0, votes=5)
         ok, mismatches = check_expectations(entry, corpus_gins[name], inv)
         assert ok, (name, mismatches)
+
+
+def test_file_names_are_entry_names():
+    names = entry_names()
+    assert len(names) == 10
+    for name in names:
+        assert parse_entry((DATA / f"{name}.ideal").read_text()).name == name
+
+
+def test_load_entry_rejects_a_header_naming_another_entry(tmp_path,
+                                                          monkeypatch):
+    (tmp_path / "foo.ideal").write_text("name: bar\nn: 2\ngens:\nx0\n")
+    monkeypatch.setattr(corpus, "DATA", tmp_path)
+    assert entry_names() == ("foo",)
+    with pytest.raises(ParseError, match="bar"):
+        load_entry("foo")
+
+
+def test_expected_values_follow_the_file_order(corpus_entries, corpus_gins):
+    entry = corpus_entries["points-4-collinear"]
+    inv = variety_invariants(entry.ideal(), gin_result=corpus_gins[entry.name])
+    values = expected_values(corpus_gins[entry.name], inv)
+    assert list(values) == ["gin", "s_Z", "s_Gamma", "lambda_zero",
+                            "lambda_stable", "gaps", "hilbert"]
+    assert values == entry.expect
+
+
+def test_check_expectations_reports_each_mismatch(corpus_entries,
+                                                  corpus_gins):
+    entry = corpus_entries["twisted-cubic"]
+    inv = variety_invariants(entry.ideal(), gin_result=corpus_gins[entry.name])
+    wrong = replace(entry, expect={"gaps": "2", "s_Z": "9", "other": "1"})
+    ok, mismatches = check_expectations(wrong, corpus_gins[entry.name], inv)
+    assert not ok
+    assert mismatches == [
+        {"key": "s_Z", "expected": "9", "actual": "2"},
+        {"key": "gaps", "expected": "2", "actual": "none"},
+    ]
 
 
 def test_expected_hilbert_matches_rank_oracle(corpus_entries):

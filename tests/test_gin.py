@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -505,6 +506,98 @@ def test_trace_exposes_proper_factor_on_disconnected_staircase():
     assert result.delta == 6
     assert result.delta_is_internal_gap
     assert result.gcd_degree == 2
+
+
+# Draws whose forms are special: ci-surface at gin seed 85 (the line of draw
+# 0 gives Hilbert function (1, 2, 1, 1, ...) against the generic
+# (1, 2, 1, 0, ...)) and elliptic-quartic at seed 104005001 (the line of
+# draw 2 meets the curve).
+RARE_SEEDS = [("ci-surface", (0, 0), 85), ("elliptic-quartic", (0,), 104005001)]
+
+
+def _record_draws(monkeypatch, replace=lambda label, J: J):
+    """Patch the trace's draws through ``replace``; return them by label."""
+    module = importlib.import_module("gintools.gin")
+    original = module._iterated_restriction
+    drawn = {}
+
+    def draw(I, levels, seed, label):
+        drawn[label] = replace(label, original(I, levels, seed, label))
+        return drawn[label]
+
+    monkeypatch.setattr(module, "_iterated_restriction", draw)
+    return drawn
+
+
+@pytest.mark.parametrize("name,levels,seed", RARE_SEEDS)
+def test_trace_redraws_special_forms(corpus_entries, monkeypatch, name,
+                                     levels, seed):
+    drawn = _record_draws(monkeypatch)
+    result = run_trace(corpus_entries[name].ideal(), levels, seed=seed,
+                       votes=5)
+    assert result.passed
+    assert max(drawn) == 3  # one redraw, under the next label
+
+
+def test_trace_fails_when_every_draw_is_special(corpus_entries, monkeypatch):
+    """The same special form on every draw leaves nothing to compare with."""
+    module = importlib.import_module("gintools.gin")
+    original = module._iterated_restriction
+    monkeypatch.setattr(module, "_iterated_restriction",
+                        lambda I, levels, seed, label: original(I, levels, seed, 0))
+    result = run_trace(corpus_entries["ci-surface"].ideal(), (0, 0), seed=85,
+                       votes=5)
+    assert not result.step1_ok
+    assert not result.passed
+
+
+def _first(J, k):
+    """A smaller ideal, so a larger Hilbert function: k generators of J.
+
+    The three quadrics of a twisted-cubic draw span all of degree 2; two of
+    them leave (1, 2, 1, 0, ...) with a unit gcd, one leaves (1, 2, 2, ...).
+    """
+    return Ideal(J.ring, J.gens[:k])
+
+
+def test_trace_takes_the_first_generic_draw(monkeypatch):
+    drawn = _record_draws(
+        monkeypatch, lambda label, J: _first(J, 2) if label == 0 else J)
+    module = importlib.import_module("gintools.gin")
+    seen = []
+    original_gin = module.gin
+
+    def recording_gin(I, **kwargs):
+        seen.append(I)
+        return original_gin(I, **kwargs)
+
+    monkeypatch.setattr(module, "gin", recording_gin)
+    I = twisted_cubic()
+    result = run_trace(I, (0,), seed=0, gin_result=original_gin(I, seed=0))
+    assert result.passed
+    assert seen == [drawn[1]]
+    assert sorted(drawn) == [0, 1, 2, 3]
+
+
+def test_trace_is_inconsistent_when_the_redraws_run_out(monkeypatch):
+    """Special draws with the generic gcd degree still fail the trace."""
+    drawn = _record_draws(
+        monkeypatch, lambda label, J: J if label == 0 else _first(J, 2))
+    result = run_trace(twisted_cubic(), (0,), seed=0)
+    assert result.step1_ok and result.step2_ok
+    assert set(result.specialization_degrees) == {0}
+    assert not result.consistent and not result.passed
+    assert max(drawn) == importlib.import_module("gintools.gin")._MAX_TRACE_DRAWS - 1
+
+
+def test_trace_runs_step_one_on_a_draw_at_the_minimum(monkeypatch):
+    """The last draw undercuts the one kept in front of it."""
+    last = importlib.import_module("gintools.gin")._MAX_TRACE_DRAWS - 1
+    _record_draws(monkeypatch, lambda label, J: (
+        _first(J, 2) if label == 0 else J if label == last else _first(J, 1)))
+    result = run_trace(twisted_cubic(), (0,), seed=0)
+    assert result.step1_ok
+    assert not result.consistent
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -413,24 +413,23 @@ def test_restricted_curve_section_has_degree_many_points():
 
 def test_truncate_no_op_past_generators():
     I = twisted_cubic()
-    assert truncate(I, 5, strict=False).same_ideal(I)
+    assert truncate(I, 5).same_ideal(I)
 
 
 def test_truncate_drops_higher_generators():
     I = ideal(R3, "x0, x1^3")
-    assert truncate(I, 2, strict=False).same_ideal(ideal(R3, "x0"))
+    assert truncate(I, 2).same_ideal(ideal(R3, "x0"))
 
 
 def test_truncate_below_everything_is_zero():
     I = ideal(R3, "x0^2")
-    assert truncate(I, 1, strict=False).is_zero()
-    assert truncate(I, 2, strict=True).is_zero()
+    assert truncate(I, 1).is_zero()
 
 
 def test_truncation_generates_from_basis_elements_below_cutoff():
     """Presentation choice: spanned by reduced-basis elements under the cutoff."""
     I = twisted_cubic()
-    T = truncate(I, 2, strict=False)
+    T = truncate(I, 2)
     assert all(g.degree <= 2 for g in T.gens)
     for g in T.gens:
         assert oracles.is_member(g, list(I.gens), 4, R4.prime)

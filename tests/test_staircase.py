@@ -185,18 +185,17 @@ def test_internal_gap():
 
 
 def test_truncate_below_min_is_zero():
-    assert truncate_monomial(M(3, (2, 0, 0)), 1, strict=False).is_zero()
+    assert truncate_monomial(M(3, (2, 0, 0)), 1).is_zero()
 
 
 def test_truncate_above_max_is_identity():
     ideal = M(3, (2, 0, 0), (0, 3, 0))
-    assert truncate_monomial(ideal, 9, strict=False) == ideal
+    assert truncate_monomial(ideal, 9) == ideal
 
 
 def test_truncate_filters_by_degree():
     ideal = M(3, (2, 0, 0), (1, 2, 0), (0, 3, 0))
-    assert truncate_monomial(ideal, 2, strict=False) == M(3, (2, 0, 0))
-    assert truncate_monomial(ideal, 3, strict=True) == M(3, (2, 0, 0))
+    assert truncate_monomial(ideal, 2) == M(3, (2, 0, 0))
 
 
 # ---------------------------------------------------------------------------
