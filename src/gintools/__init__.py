@@ -3,9 +3,9 @@
 from .ring import (DEFAULT_PRIME, LinearChange, Poly, PolyRing,
                    initial_monomial, mono_div, mono_divides, mono_gcd,
                    mono_lcm, mono_mul, restrict, revlex_cmp, revlex_key)
-from .groebner import (HilbertFunction, Ideal, buchberger, hilbert_function,
-                       ideal_quotient, initial_ideal, intersect, normal_form,
-                       quotient_by_power, restrict_ideal, saturate, truncate)
+from .groebner import (Ideal, buchberger, hilbert_function, ideal_quotient,
+                       initial_ideal, intersect, normal_form, quotient_by_power,
+                       restrict_ideal, saturate, truncate)
 from .staircase import (InvariantProfile, InvariantTable, MonomialIdeal,
                         colon_by_monomial, elementary_move, gap_degrees,
                         invariant_table, invariants, is_borel_fixed,

@@ -32,9 +32,13 @@ class ConfigError(ValueError):
 
 
 def _validate(prime, votes, text):
+    """Reject a composite prime, one vote, or a coefficient too large for p.
+
+    ``votes`` is None for a command that draws no coordinate change.
+    """
     if not _is_prime(prime):
         raise ConfigError(f"{prime} is not prime")
-    if votes < 2:
+    if votes is not None and votes < 2:
         raise ConfigError("need at least two votes")
     largest = _max_coefficient(text)
     if largest is not None and prime <= 2 * largest:
@@ -44,9 +48,12 @@ def _validate(prime, votes, text):
 
 
 def _max_coefficient(text):
-    """Largest integer literal used as a coefficient (exponents excluded)."""
+    """Largest integer literal used as a coefficient.
+
+    Exponents and the digits of variable names such as ``x12`` are skipped.
+    """
     best = None
-    for match in re.finditer(r"(\^\s*)?(\d+)", text):
+    for match in re.finditer(r"(\^\s*|x)?(\d+)", text):
         if match.group(1):
             continue
         value = int(match.group(2))
@@ -62,26 +69,9 @@ def _int_tuple(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _add_common(parser):
-    parser.add_argument("--in", dest="infile", metavar="FILE",
-                        help="ideal file (corpus entry format)")
-    parser.add_argument("--gens", metavar="STR",
-                        help="comma-separated generator polynomials")
-    parser.add_argument("--n", type=int, default=None,
-                        help="ambient projective dimension (default: inferred)")
-    parser.add_argument("--prime", type=int, default=None,
-                        help=f"field characteristic (default {DEFAULT_PRIME})")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--votes", type=int, default=2)
-    parser.add_argument("--dmax", type=int, default=None)
-    parser.add_argument("--phat-bounds", default=None, metavar="B1,B2,..",
-                        type=_int_tuple,
-                        help="override the tabulated level bound per axis")
-    parser.add_argument("--json", action="store_true", dest="as_json")
-
-
 def _load_input(args):
-    """The ideal given by --in or --gens, checked against --prime and --votes."""
+    """The ideal given by --in or --gens, checked against --prime and, for
+    the commands that take it, --votes."""
     if args.infile and args.gens:
         raise ConfigError("give either --in or --gens, not both")
     if args.infile:
@@ -100,7 +90,7 @@ def _load_input(args):
         nvars = (args.n + 1) if args.n is not None else None
     else:
         raise ConfigError("no input: give --in FILE or --gens STR")
-    _validate(prime, args.votes, gens_text)
+    _validate(prime, getattr(args, "votes", None), gens_text)
     return parse_ideal(gens_text, nvars=nvars, prime=prime)
 
 
@@ -146,8 +136,7 @@ def cmd_gin(args):
 
 def cmd_invariants(args):
     ideal = _load_input(args)
-    inv = variety_invariants(ideal, seed=args.seed, votes=args.votes,
-                             bounds=args.phat_bounds)
+    inv = variety_invariants(ideal, seed=args.seed, votes=args.votes)
     if args.as_json:
         _emit({"gin": [render_monomial(g) for g in inv.gin_result.gin.gens],
                "s_Z": inv.s_Z,
@@ -166,8 +155,7 @@ def cmd_invariants(args):
 
 def cmd_check(args):
     ideal = _load_input(args)
-    report = check_connectedness(ideal, seed=args.seed, votes=args.votes,
-                                 bounds=args.phat_bounds)
+    report = check_connectedness(ideal, seed=args.seed, votes=args.votes)
     if args.as_json:
         _emit(report.to_json(), True)
     else:
@@ -278,24 +266,39 @@ def build_parser():
         description="generic initial ideals and monomial invariants")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, extra in (
-            ("gin", cmd_gin, None),
-            ("invariants", cmd_invariants, None),
-            ("check", cmd_check, None),
-            ("slice", cmd_slice, "slice"),
-            ("borel", cmd_borel, None),
-            ("hilbert", cmd_hilbert, None),
-            ("trace", cmd_trace, "trace"),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if extra == "slice":
-            p.add_argument("--axis", type=int, required=True)
-            p.add_argument("--level", type=int, required=True)
-        if extra == "trace":
-            p.add_argument("--levels", default=None, type=_int_tuple,
-                           help="comma-separated colon levels for x2..x_{n-1}")
+    # every single-ideal command reads its input the same way
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--in", dest="infile", metavar="FILE",
+                        help="ideal file (corpus entry format)")
+    inputs.add_argument("--gens", metavar="STR",
+                        help="comma-separated generator polynomials")
+    inputs.add_argument("--n", type=int, default=None,
+                        help="ambient projective dimension (default: inferred)")
+    inputs.add_argument("--prime", type=int, default=None,
+                        help=f"field characteristic (default {DEFAULT_PRIME})")
+    inputs.add_argument("--json", action="store_true", dest="as_json")
+    # the commands that draw coordinate changes
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, default=0)
+    sampling.add_argument("--votes", type=int, default=2)
+
+    def command(name, fn, *parents):
+        p = sub.add_parser(name, parents=[inputs, *parents])
         p.set_defaults(fn=fn)
+        return p
+
+    command("gin", cmd_gin, sampling)
+    command("invariants", cmd_invariants, sampling)
+    command("check", cmd_check, sampling)
+    p = command("slice", cmd_slice)
+    p.add_argument("--axis", type=int, required=True)
+    p.add_argument("--level", type=int, required=True)
+    command("borel", cmd_borel)
+    p = command("hilbert", cmd_hilbert)
+    p.add_argument("--dmax", type=int, default=None)
+    p = command("trace", cmd_trace, sampling)
+    p.add_argument("--levels", default=None, type=_int_tuple,
+                   help="comma-separated colon levels for x2..x_{n-1}")
 
     p = sub.add_parser("corpus-run")
     p.add_argument("--seed", type=int, default=0)

@@ -54,7 +54,6 @@ def child_rng(seed, *labels) -> random.Random:
 class GinResult:
     gin: MonomialIdeal
     samples_used: int
-    seed: int
     agreed: bool
 
 
@@ -100,7 +99,7 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
                 "this is a bug")
         raise GinUnstableError(
             f"majority result is not Borel-fixed (witness {witness})")
-    return GinResult(winner, len(results), seed, agreed)
+    return GinResult(winner, len(results), agreed)
 
 
 def is_saturated_gin(M: MonomialIdeal) -> bool:
@@ -119,26 +118,21 @@ class VarietyInvariants:
     s_Gamma: int
 
 
-def variety_invariants(I: Ideal, seed=0, votes=2, bounds=None,
+def variety_invariants(I: Ideal, seed=0, votes=2,
                        gin_result=None) -> VarietyInvariants:
     """Gin, full invariant table, and the two minimal-degree readings.
 
     s_Z is the profile s at the zero multi-index; s_Gamma is read from the
-    stabilized entry, which matches the generic 2-plane section.  Passing
-    ``bounds`` widens (or narrows) the tabulated levels per axis; s_Gamma
-    always uses the stabilization bound.  A ``gin_result`` already computed
-    for I is used as it is.
+    stabilized entry, which matches the generic 2-plane section.  A
+    ``gin_result`` already computed for I is used as it is.
     """
     result = gin_result or gin(I, seed=seed, votes=votes)
     if not is_saturated_gin(result.gin):
         raise UnsaturatedIdealError(
             "gin has a generator containing the last variable; saturate first")
-    table = invariant_table(result.gin, bounds=bounds)
-    if bounds is None:
-        s_gamma = table.stable_profile.s
-    else:
-        s_gamma = invariant_table(result.gin).stable_profile.s
-    return VarietyInvariants(result, table, table.s_at_zero, s_gamma)
+    table = invariant_table(result.gin)
+    return VarietyInvariants(result, table, table.s_at_zero,
+                             table.stable_profile.s)
 
 
 @dataclass(frozen=True)
@@ -166,8 +160,7 @@ class ConnectednessReport:
         }
 
 
-def connectedness_from_table(table: InvariantTable, s_z=None,
-                             s_gamma=None) -> ConnectednessReport:
+def connectedness_from_table(table: InvariantTable) -> ConnectednessReport:
     entries = []
     violations = []
     low_ok = True
@@ -180,22 +173,20 @@ def connectedness_from_table(table: InvariantTable, s_z=None,
         for i in (0, 1):
             if i + 1 < prof.s and not lam[i + 1] + 1 <= lam[i] <= lam[i + 1] + 2:
                 low_ok = False
-    s_z = table.s_at_zero if s_z is None else s_z
-    s_gamma = table.stable_profile.s if s_gamma is None else s_gamma
+    s_z, s_gamma = table.s_at_zero, table.stable_profile.s
     return ConnectednessReport(s_z, s_gamma, s_z == s_gamma,
                                tuple(entries), tuple(violations), low_ok)
 
 
-def check_connectedness(I: Ideal, seed=0, votes=2,
-                        bounds=None) -> ConnectednessReport:
+def check_connectedness(I: Ideal, seed=0, votes=2) -> ConnectednessReport:
     """Connectedness verdict for every profile in the invariant table.
 
     The adjacent pairs at indices 0 and 1 are reported separately: those
     rows are expected to be connected even when the s_Z == s_Gamma
     hypothesis fails.
     """
-    inv = variety_invariants(I, seed=seed, votes=votes, bounds=bounds)
-    return connectedness_from_table(inv.table, inv.s_Z, inv.s_Gamma)
+    inv = variety_invariants(I, seed=seed, votes=votes)
+    return connectedness_from_table(inv.table)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +381,23 @@ def _iterated_restriction(I: Ideal, levels, seed, label):
     return current
 
 
+_TRACE_SPECIALIZATIONS = 3
 _MAX_TRACE_DRAWS = 9
 
 
-def run_trace(I: Ideal, levels, seed=0, votes=2, gin_result=None,
-              specializations=3) -> TraceResult:
+def _stable_ideal_with_hilbert(values) -> MonomialIdeal:
+    """The strongly stable ideal of K[x0, x1] with these Hilbert values.
+
+    In two variables such an ideal is fixed by its Hilbert function: its
+    degree-d part is the top d + 1 - h(d) monomials x0^(d-i) x1^i.  Only
+    generators up to the last degree given are found.
+    """
+    return MonomialIdeal.from_monomials(2, (
+        (d - i, i) for d, h in enumerate(values) for i in range(d + 1 - h)))
+
+
+def run_trace(I: Ideal, levels, seed=0, votes=2,
+              gin_result=None) -> TraceResult:
     """Reproduce the computable steps of the connectedness argument.
 
     The ideal is restricted once per ambient axis above x1, with a colon
@@ -404,16 +407,24 @@ def run_trace(I: Ideal, levels, seed=0, votes=2, gin_result=None,
     degree must have degree equal to the least x0-exponent on the
     staircase there (step 2).
 
-    The forms are drawn ``specializations`` times.  Dimensions of
+    The forms are drawn ``_TRACE_SPECIALIZATIONS`` times.  Dimensions of
     restrictions are upper semicontinuous in the forms, so a draw whose
     Hilbert function exceeds the pointwise minimum over the draws is
     special; it is dropped and redrawn under the next label, up to
     ``_MAX_TRACE_DRAWS`` draws in all.  The functions are compared up to
     the largest sum, over the draws, of the greatest x0- and x1-exponents
     among the generators of the draw's initial ideal: past it, the Hilbert
-    function of a monomial ideal of K[x0, x1] is constant.  Step 1 runs on the first draw at the minimum, and the gcd degree must
-    not vary over the draws; a special draw left when the bound runs out
-    makes the trace inconsistent.
+    function of a monomial ideal of K[x0, x1] is constant.  Step 1 runs on
+    the first draw at the minimum, and the gcd degree must not vary over the
+    draws; a special draw left when the bound runs out makes the trace
+    inconsistent.
+
+    The gin of that draw needs no coordinate changes: it is strongly stable
+    in K[x0, x1], so its Hilbert function, already computed up to the
+    bound, fixes it.  No generator lies past the bound: the gin's
+    generators lie at or below the regularity of the draw, which is at most
+    that of its initial ideal, and a monomial ideal of K[x0, x1] has
+    regularity at most its greatest x0- plus greatest x1-exponent.
     """
     n = I.ring.nvars - 1
     if n < 3:
@@ -430,12 +441,12 @@ def run_trace(I: Ideal, levels, seed=0, votes=2, gin_result=None,
         combinatorial = slice_level(combinatorial, axis, levels[axis - 2])
 
     draws = [_iterated_restriction(I, levels, seed, k)
-             for k in range(specializations)]
-    label = specializations
+             for k in range(_TRACE_SPECIALIZATIONS)]
+    label = _TRACE_SPECIALIZATIONS
     while True:
         leads = [initial_ideal(D) for D in draws]
         bound = max(L.max_exponent(0) + L.max_exponent(1) for L in leads)
-        hilberts = [tuple(hilbert_function(L, bound)) for L in leads]
+        hilberts = [hilbert_function(L, bound) for L in leads]
         floor = tuple(min(values) for values in zip(*hilberts))
         generic = [D for D, h in zip(draws, hilberts) if h == floor]
         special = len(draws) - len(generic)
@@ -448,7 +459,7 @@ def run_trace(I: Ideal, levels, seed=0, votes=2, gin_result=None,
     J = draws[first]
     if J.is_zero():
         raise DegenerateTraceError("iterated restriction collapsed to zero")
-    analytic = gin(J, seed=seed, votes=votes).gin
+    analytic = _stable_ideal_with_hilbert(hilberts[first])
     step1_ok = analytic == combinatorial
 
     internal = gap_degrees(analytic)

@@ -27,7 +27,6 @@ popped.  Buchberger keys each pair's lcm once, when the pair is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
@@ -229,33 +228,23 @@ def initial_ideal(I: Ideal) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 # Hilbert functions
 
-@dataclass(frozen=True)
-class HilbertFunction:
-    """Quotient dimensions dim (R/M)_d for 0 <= d <= dmax."""
-
-    values: tuple
-
-    def __getitem__(self, d):
-        return self.values[d]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
 def default_dmax(M: MonomialIdeal) -> int:
     """Past max generator degree + nvars the function is polynomial here."""
     return M.max_degree() + M.nvars
 
 
-def hilbert_function(M: MonomialIdeal, dmax=None) -> HilbertFunction:
-    """Count the degree-d monomials outside M for each d up to dmax."""
+def hilbert_function(M: MonomialIdeal, dmax=None) -> tuple:
+    """Quotient dimensions dim (R/M)_d for 0 <= d <= dmax.
+
+    Counts the degree-d monomials outside M; the generators' lengths are
+    checked once, so the divisibility test inside is inline.
+    """
     if dmax is None:
         dmax = default_dmax(M)
     if dmax < 0:
         raise ValueError("negative degree bound")
+    if any(len(g) != M.nvars for g in M.gens):
+        raise ValueError("generator has wrong number of variables")
     values = []
     for d in range(dmax + 1):
         gens = [g for g in M.gens if mono_degree(g) <= d]
@@ -266,8 +255,8 @@ def hilbert_function(M: MonomialIdeal, dmax=None) -> HilbertFunction:
             values.append(count_monomials(M.nvars, d))
             continue
         values.append(sum(1 for m in monomials_of_degree(M.nvars, d)
-                          if not any(mono_divides(g, m) for g in gens)))
-    return HilbertFunction(tuple(values))
+                          if not any(all(map(le, g, m)) for g in gens)))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +268,7 @@ def _elim_sort_key(m):
 
 
 def _elimination_ring(ring):
-    return PolyRing(ring.nvars + 1, ring.prime, graded=False,
-                    sort_key=_elim_sort_key)
+    return PolyRing(ring.nvars + 1, ring.prime, sort_key=_elim_sort_key)
 
 
 def _lift(f, big, extra=0):

@@ -240,10 +240,6 @@ def render_poly(f: Poly) -> str:
     return "".join(pieces)
 
 
-def render_ideal(I) -> str:
-    return ", ".join(render_poly(g) for g in I.gens)
-
-
 def render_monomial_ideal(M) -> str:
     if not M.gens:
         return "0"

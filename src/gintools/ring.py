@@ -141,31 +141,31 @@ def _is_prime(p):
 class PolyRing:
     """K[x0..xn] over F_p, with a fixed computational monomial order.
 
-    ``graded=True`` (the default) enforces the homogeneous-only contract:
-    sums of nonzero polynomials of different degrees are rejected.  The
-    elimination ring used internally by ideal intersection relaxes this.
+    A ring in grevlex, the default, is graded: it enforces the
+    homogeneous-only contract, so sums of nonzero polynomials of different
+    degrees are rejected.  The elimination ring that ideal intersection
+    builds with its own ``sort_key`` relaxes this.
     """
 
-    def __init__(self, nvars, prime=DEFAULT_PRIME, graded=True, sort_key=None):
+    def __init__(self, nvars, prime=DEFAULT_PRIME, sort_key=_grevlex_sort_key):
         if nvars < 1:
             raise ValueError("need at least one variable")
         if not _is_prime(prime):
             raise ValueError(f"modulus {prime} is not prime")
         self.nvars = nvars
         self.prime = prime
-        self.graded = graded
-        self.sort_key = sort_key if sort_key is not None else _grevlex_sort_key
+        self.sort_key = sort_key
+        self.graded = sort_key is _grevlex_sort_key
         self._zero = Poly(self, ())
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing)
                 and self.nvars == other.nvars
                 and self.prime == other.prime
-                and self.graded == other.graded
                 and self.sort_key is other.sort_key)
 
     def __hash__(self):
-        return hash((self.nvars, self.prime, self.graded, id(self.sort_key)))
+        return hash((self.nvars, self.prime, id(self.sort_key)))
 
     def __repr__(self):
         return f"PolyRing(nvars={self.nvars}, prime={self.prime})"
@@ -217,20 +217,18 @@ class PolyRing:
             if not f.is_zero():
                 return f
 
-    def general_linear_form(self, rng, nonzero_last=True):
-        """Random linear form; by default with a unit coefficient on x_n."""
+    def general_linear_form(self, rng):
+        """Random linear form with a unit coefficient on x_n."""
         while True:
             coeffs = [rng.randrange(self.prime) for _ in range(self.nvars)]
-            if nonzero_last and coeffs[-1] == 0:
-                continue
-            if any(coeffs):
+            if coeffs[-1]:
                 return self.linear_form(coeffs)
 
     def restricted(self):
         """The ring in one fewer variable."""
         if self.nvars == 1:
             raise ValueError("cannot drop the last remaining variable")
-        return PolyRing(self.nvars - 1, self.prime, graded=self.graded)
+        return PolyRing(self.nvars - 1, self.prime)
 
     def inv(self, c):
         c %= self.prime
@@ -303,8 +301,9 @@ class Poly:
 
     def __add__(self, other):
         self._check_ring(other)
+        # in a graded ring the lead term has the greatest degree
         if self.ring.graded and self.terms and other.terms \
-                and self.degree != other.degree:
+                and sum(self.terms[0][0]) != sum(other.terms[0][0]):
             raise ValueError(
                 f"inhomogeneous sum: degrees {self.degree} and {other.degree}")
         acc = dict(self.terms)
@@ -408,8 +407,10 @@ class LinearChange:
         n, p = ring.nvars, ring.prime
         while True:
             rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-            if _det_mod(rows, p) != 0:
+            try:
                 return cls(ring, rows)
+            except ValueError:  # __post_init__ rejects a singular draw
+                pass
 
     def inverse(self):
         return LinearChange(self.ring, _inverse_mod(self.matrix, self.ring.prime))

@@ -277,20 +277,15 @@ class InvariantTable:
                 for key, prof in self.entries]
 
 
-def invariant_table(M: MonomialIdeal, bounds=None) -> InvariantTable:
+def invariant_table(M: MonomialIdeal) -> InvariantTable:
     """Tabulate profiles for all p_hat up to max generator exponent plus one.
 
     Colons by x_j^p are constant once p passes the largest x_j exponent of
-    any generator, so the extra slot per axis certifies stabilization; an
-    explicit ``bounds`` tuple overrides the per-axis defaults.
+    any generator, so the extra slot per axis certifies stabilization: a
+    wider bound would only repeat the stable row.
     """
     axes = tuple(range(2, M.nvars - 1))
-    if bounds is None:
-        bounds = tuple(M.max_exponent(j) + 1 for j in axes)
-    else:
-        bounds = tuple(bounds)
-        if len(bounds) != len(axes) or any(b < 0 for b in bounds):
-            raise ValueError(f"need one non-negative bound per axis {axes}")
+    bounds = tuple(M.max_exponent(j) + 1 for j in axes)
     entries = []
     for p_hat in itertools.product(*(range(b + 1) for b in bounds)):
         entries.append((p_hat, invariants(M, p_hat)))

@@ -163,7 +163,7 @@ def test_criterion_09_bruteforce_equivalence():
         gens = [ring.random_form(rng.randint(1, 2), rng)
                 for _ in range(rng.randint(1, 2))]
         I = Ideal(ring, gens)
-        f = ring.general_linear_form(rng, nonzero_last=False)
+        f = ring.linear_form([rng.randrange(p) for _ in range(ring.nvars)])
 
         Q = ideal_quotient(I, f)
         for d in range(6):

@@ -1,13 +1,16 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from gintools import corpus
 from gintools.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTE, EXIT_CONFIG,
-                          EXIT_PARSE, main)
+                          EXIT_PARSE, _max_coefficient, main)
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "gintools" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "gintools" / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -113,8 +116,54 @@ def test_config_error_small_prime_for_coefficients(capsys):
 
 
 def test_config_error_votes(capsys):
-    code, _ = run(capsys, "gin", "--gens", "x0", "--votes", "1")
+    for command in ("gin", "invariants", "check", "trace"):
+        code, _ = run(capsys, command, "--gens", "x0", "--votes", "1")
+        assert code == EXIT_CONFIG, command
+
+
+def test_max_coefficient_skips_variable_indices():
+    assert _max_coefficient("3*x45 + x1^7") == 3
+    assert _max_coefficient("x0*x12") is None
+
+
+def test_variable_indices_are_not_coefficients(capsys):
+    code, _ = run(capsys, "borel", "--gens", "x0*x12", "--prime", "13")
+    assert code == 0
+    code, _ = run(capsys, "borel", "--gens", "7*x0*x12", "--prime", "13")
     assert code == EXIT_CONFIG
+
+
+# Each command takes only the options it reads: a valid command line for
+# each, and the options it does not take.
+COMMAND_LINES = {
+    "gin": ("--gens", "x0"),
+    "invariants": ("--gens", "x0"),
+    "check": ("--gens", "x0"),
+    "trace": ("--gens", "x0"),
+    "slice": ("--gens", "x0", "--axis", "2", "--level", "0"),
+    "borel": ("--gens", "x0"),
+    "hilbert": ("--gens", "x0"),
+}
+NOT_TAKEN = {
+    "gin": ("--dmax", "--phat-bounds"),
+    "invariants": ("--dmax", "--phat-bounds"),
+    "check": ("--dmax", "--phat-bounds"),
+    "trace": ("--dmax", "--phat-bounds"),
+    "slice": ("--seed", "--votes", "--dmax", "--phat-bounds"),
+    "borel": ("--seed", "--votes", "--dmax", "--phat-bounds"),
+    "hilbert": ("--seed", "--votes", "--phat-bounds"),
+}
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command, options in NOT_TAKEN.items()
+    for option in options])
+def test_options_a_command_does_not_read_are_rejected(capsys, command,
+                                                      option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *COMMAND_LINES[command], option, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_config_error_missing_input(capsys):
@@ -235,3 +284,42 @@ def test_corpus_run_plain_output(capsys):
     assert "[points-4-collinear]" in out
     assert "all_passed: true" in out
 
+
+# ---------------------------------------------------------------------------
+# the README's CLI examples
+
+def readme_examples():
+    """(argv, expected lines) for each ``gintools`` line of the CLI block.
+
+    The ``# ...`` lines under a command are lines of its output; a trailing
+    ``...`` marks an excerpt.
+    """
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("gintools "):
+            command = line.split("#", 1)[0]
+            examples.append((shlex.split(command)[1:], []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line[2:].removesuffix(" ..."))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv,expected", README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_examples_run(capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(ROOT)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    for line in expected:
+        assert line in out.splitlines()
+
+
+def test_readme_lists_every_command():
+    commands = {argv[0] for argv, _ in README_EXAMPLES}
+    assert commands == {"gin", "check", "invariants", "borel", "slice",
+                        "hilbert", "trace", "corpus-run"}

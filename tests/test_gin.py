@@ -5,7 +5,8 @@ import random
 import pytest
 
 from gintools.ring import LinearChange, PolyRing
-from gintools.groebner import Ideal, hilbert_function, restrict_ideal
+from gintools.groebner import (Ideal, hilbert_function, initial_ideal,
+                               restrict_ideal)
 from gintools.gin import (GinUnstableError, check_connectedness,
                           check_section_quotients, child_rng, gcd_two_vars,
                           gin, run_trace, variety_invariants,
@@ -50,7 +51,7 @@ def test_gin_fixes_borel_monomial_ideal():
 
 def test_gin_of_generic_linear_form():
     rng = random.Random(11)
-    I = Ideal(R3, [R3.general_linear_form(rng, nonzero_last=False)])
+    I = Ideal(R3, [R3.linear_form([rng.randrange(R3.prime) for _ in range(3)])])
     result = gin(I, seed=0)
     assert result.gin == staircase(3, (1, 0, 0))
 
@@ -80,13 +81,6 @@ def test_gin_is_idempotent_on_corpus_gins(corpus_gins):
         ring = PolyRing(result.gin.nvars)
         I = Ideal(ring, [ring.monomial(g) for g in result.gin.gens])
         assert gin(I, seed=4, votes=3).gin == result.gin, name
-
-
-def test_invariant_table_bounds_override():
-    inv = variety_invariants(twisted_cubic(), seed=0, bounds=(4,))
-    assert inv.table.bounds == (4,)
-    assert len(inv.table.entries) == 5
-    assert inv.s_Gamma == 2  # still read from the stabilization bound
 
 
 def test_small_field_escalates_or_fails():
@@ -475,7 +469,7 @@ def test_trace_level_zero_matches_profile():
 
 
 def test_trace_consistent_across_specializations():
-    result = run_trace(twisted_cubic(), (1,), seed=5, specializations=3)
+    result = run_trace(twisted_cubic(), (1,), seed=5)
     assert result.consistent
     assert len(result.specialization_degrees) == 3
 
@@ -561,22 +555,52 @@ def _first(J, k):
 
 
 def test_trace_takes_the_first_generic_draw(monkeypatch):
+    """Step 1 reads the gin of draw 1 off its Hilbert function, with no gin.
+
+    Draw 0 is special, (1, 2, 1, 0, ...); its gin would be x0^2, x0*x1, x1^3.
+    """
     drawn = _record_draws(
         monkeypatch, lambda label, J: _first(J, 2) if label == 0 else J)
     module = importlib.import_module("gintools.gin")
-    seen = []
+    seen, built = [], []
     original_gin = module.gin
+    original_build = module._stable_ideal_with_hilbert
 
     def recording_gin(I, **kwargs):
         seen.append(I)
         return original_gin(I, **kwargs)
 
+    def recording_build(values):
+        built.append(values)
+        return original_build(values)
+
     monkeypatch.setattr(module, "gin", recording_gin)
+    monkeypatch.setattr(module, "_stable_ideal_with_hilbert", recording_build)
     I = twisted_cubic()
     result = run_trace(I, (0,), seed=0, gin_result=original_gin(I, seed=0))
     assert result.passed
-    assert seen == [drawn[1]]
+    assert seen == []
+    bound = len(built[0]) - 1
+    assert built == [hilbert_function(initial_ideal(drawn[1]), bound)]
+    assert result.analytic_gin == original_gin(drawn[1]).gin
+    assert result.analytic_gin != original_gin(drawn[0]).gin
     assert sorted(drawn) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stable_ideal_with_hilbert_is_the_gin_in_two_variables(seed):
+    """Random ideals of K[x0, x1], some with a common factor: the gin is
+    fixed by the Hilbert function up to the greatest x0- plus the greatest
+    x1-exponent of in(J)."""
+    rng = random.Random(seed)
+    ring = PolyRing(2)
+    common = ring.random_form(rng.randint(0, 2), rng)
+    J = Ideal(ring, [common * ring.random_form(rng.randint(1, 4), rng)
+                     for _ in range(rng.randint(1, 3))])
+    L = initial_ideal(J)
+    bound = L.max_exponent(0) + L.max_exponent(1)
+    build = importlib.import_module("gintools.gin")._stable_ideal_with_hilbert
+    assert build(hilbert_function(L, bound)) == gin(J, seed=seed, votes=3).gin
 
 
 def test_trace_is_inconsistent_when_the_redraws_run_out(monkeypatch):

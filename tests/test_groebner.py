@@ -261,7 +261,12 @@ def test_hilbert_of_quadric_staircase_in_p3():
 
 def test_hilbert_of_principal_variable():
     M = MonomialIdeal.from_monomials(2, [(1, 0)])
-    assert list(hilbert_function(M, 5)) == [1] * 6
+    assert hilbert_function(M, 5) == (1,) * 6
+
+
+def test_hilbert_rejects_generators_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        hilbert_function(MonomialIdeal(3, ((1, 0),)), 2)
 
 
 # ---------------------------------------------------------------------------

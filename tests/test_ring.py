@@ -138,6 +138,8 @@ def test_multiplicative_identity():
 def test_inhomogeneous_sum_rejected():
     with pytest.raises(ValueError):
         poly(R3, "x0") + poly(R3, "x0^2")
+    with pytest.raises(ValueError, match="degrees 2 and 1"):
+        poly(R3, "x0^2") + poly(R3, "x1")
 
 
 def test_sum_with_zero_is_fine():
@@ -246,6 +248,27 @@ def test_change_matches_term_by_term_expansion(seed, nvars, degree):
     expected = oracles.expand_change(f.terms, rows, ring.prime)
     assert change.apply(f).terms == expected
     assert change.apply(f).terms == expected  # again, from its cached powers
+
+
+def test_random_change_redraws_singular_matrices():
+    """Over F_2 most 2x2 matrices are singular; the draw rejects them with
+    the same rng calls as a plain rejection loop."""
+    import random
+    ring = PolyRing(2, 2)
+    for seed in range(20):
+        rng = random.Random(seed)
+        while True:
+            rows = tuple(tuple(rng.randrange(2) for _ in range(2))
+                         for _ in range(2))
+            if (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % 2:
+                break
+        assert LinearChange.random(ring, random.Random(seed)).matrix == rows
+
+
+def test_only_grevlex_rings_are_graded():
+    assert R3.graded and R3.restricted() == PolyRing(2)
+    elimination = PolyRing(3, sort_key=lambda m: m)
+    assert not elimination.graded and elimination != R3
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 3))
