@@ -1,7 +1,8 @@
 """Command-line driver: parse ideals, run the pipelines, emit tables or JSON.
 
-Exit codes: 0 success, 2 parse error, 3 configuration error, 4 computation
-error, 5 a verification check failed.
+Exit codes: 0 success, 2 parse error, 3 configuration error (any other
+ValueError), 4 computation error (ComputationError), 5 a verification check
+failed.  ``main`` picks the code by the type of the exception alone.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ import json
 import re
 import sys
 
-from .ring import DEFAULT_PRIME, _is_prime
+from .ring import DEFAULT_PRIME
 from .groebner import hilbert_function, initial_ideal, default_dmax
 from .staircase import MonomialIdeal, is_borel_fixed, slice_level
 from .gin import (ComputationError, check_connectedness, gin, run_trace,
                   variety_invariants, is_saturated_gin)
 from .parsing import (ParseError, parse_ideal, render_monomial,
                       render_monomial_ideal, render_poly)
-from .corpus import entry_names, entry_report, load_entry, parse_entry
+from .corpus import entry_names, entry_report, load_entry, split_entry
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -29,22 +30,6 @@ EXIT_CHECK_FAILED = 5
 
 class ConfigError(ValueError):
     pass
-
-
-def _validate(prime, votes, text):
-    """Reject a composite prime, one vote, or a coefficient too large for p.
-
-    ``votes`` is None for a command that draws no coordinate change.
-    """
-    if not _is_prime(prime):
-        raise ConfigError(f"{prime} is not prime")
-    if votes is not None and votes < 2:
-        raise ConfigError("need at least two votes")
-    largest = _max_coefficient(text)
-    if largest is not None and prime <= 2 * largest:
-        raise ConfigError(
-            f"prime {prime} too small for coefficient {largest}: "
-            f"need p > {2 * largest}")
 
 
 def _max_coefficient(text):
@@ -70,28 +55,32 @@ def _int_tuple(text):
 
 
 def _load_input(args):
-    """The ideal given by --in or --gens, checked against --prime and, for
-    the commands that take it, --votes."""
-    if args.infile and args.gens:
+    """The ideal given by --in or --gens, parsed once at --prime.
+
+    ``--in FILE`` stands for ``--gens`` with the file's generator lines;
+    ``--n`` and ``--prime`` default to its ``n:`` and ``prime:`` headers.
+    """
+    text, n, prime = args.gens, args.n, args.prime
+    if args.infile and text:
         raise ConfigError("give either --in or --gens, not both")
     if args.infile:
         try:
             with open(args.infile) as fh:
-                text = fh.read()
+                header, lines, _ = split_entry(fh.read(), name=args.infile)
         except OSError as exc:
             raise ConfigError(f"cannot read {args.infile}: {exc}")
-        entry = parse_entry(text, name=args.infile)
-        prime = args.prime if args.prime is not None else entry.prime
-        nvars = (args.n + 1) if args.n is not None else entry.n + 1
-        gens_text = "\n".join(render_poly(g) for g in entry.gens)
-    elif args.gens:
-        gens_text = args.gens
-        prime = args.prime if args.prime is not None else DEFAULT_PRIME
-        nvars = (args.n + 1) if args.n is not None else None
-    else:
+        text = "\n".join(lines)
+        n = header["n"] if n is None else n
+        prime = header["prime"] if prime is None else prime
+    elif not text:
         raise ConfigError("no input: give --in FILE or --gens STR")
-    _validate(prime, getattr(args, "votes", None), gens_text)
-    return parse_ideal(gens_text, nvars=nvars, prime=prime)
+    prime = DEFAULT_PRIME if prime is None else prime
+    # only the text shows a literal too large for p: parsed, 10 at p = 7 is 3
+    largest = _max_coefficient(text)
+    if largest is not None and prime <= 2 * largest:
+        raise ConfigError(f"prime {prime} too small for coefficient "
+                          f"{largest}: need p > {2 * largest}")
+    return parse_ideal(text, nvars=None if n is None else n + 1, prime=prime)
 
 
 def _monomial_ideal_from(ideal) -> MonomialIdeal:
@@ -318,12 +307,12 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ComputationError, ValueError) as exc:
+    except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

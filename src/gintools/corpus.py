@@ -11,14 +11,15 @@ rebuilds them.  ``entry_report`` runs every check on one entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
 
 from .ring import PolyRing, count_monomials, DEFAULT_PRIME
 from .groebner import Ideal, hilbert_function, initial_ideal, intersect
-from .staircase import gap_degrees, is_borel_fixed
-from .gin import (child_rng, connectedness_from_table, gin,
-                  is_saturated_gin, run_trace, variety_invariants,
-                  verify_gap_truncation, verify_slice_identity)
+from .staircase import gap_degrees
+from .gin import (child_rng, connectedness_from_table, gin, run_trace,
+                  variety_invariants, verify_gap_truncation,
+                  verify_slice_identity)
 from .parsing import (ParseError, parse_polynomial, render_monomial,
                       render_monomial_ideal, render_poly)
 
@@ -87,6 +88,21 @@ def _canonical_point(pt, p):
     return tuple((c * inv) % p for c in pt)
 
 
+def _distinct_points(N, prime, draw) -> Ideal:
+    """The ideal of the first N distinct points of P^2 that ``draw`` returns.
+
+    Zero vectors and repeats are skipped; the ideals of single points are
+    intersected in the order the points were first drawn.
+    """
+    points = {}   # canonical point -> None, in first-drawn order
+    while len(points) < N:
+        pt = draw()
+        if any(pt):
+            points.setdefault(_canonical_point(pt, prime))
+    ring = PolyRing(3, prime)
+    return reduce(intersect, (point_ideal(ring, pt) for pt in points))
+
+
 def general_points(N, seed, prime=DEFAULT_PRIME) -> Ideal:
     """Intersection of the ideals of N uniformly random points in P^2.
 
@@ -97,23 +113,9 @@ def general_points(N, seed, prime=DEFAULT_PRIME) -> Ideal:
         raise ValueError("need at least one point")
     if N > prime * prime + prime + 1:
         raise ValueError("more points requested than the plane holds")
-    ring = PolyRing(3, prime)
     rng = child_rng(seed, "general-points", N)
-    points = []
-    seen = set()
-    while len(points) < N:
-        pt = tuple(rng.randrange(prime) for _ in range(3))
-        if not any(pt):
-            continue
-        canon = _canonical_point(pt, prime)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        points.append(canon)
-    I = point_ideal(ring, points[0])
-    for pt in points[1:]:
-        I = intersect(I, point_ideal(ring, pt))
-    return I
+    return _distinct_points(
+        N, prime, lambda: tuple(rng.randrange(prime) for _ in range(3)))
 
 
 def collinear_points(N, seed, prime=DEFAULT_PRIME) -> Ideal:
@@ -126,7 +128,6 @@ def collinear_points(N, seed, prime=DEFAULT_PRIME) -> Ideal:
         raise ValueError("need at least two points for a collinear family")
     if N > prime + 1:
         raise ValueError("more points requested than the line holds")
-    ring = PolyRing(3, prime)
     rng = child_rng(seed, "collinear-points", N)
     # a line through two random points, then N points on it
     while True:
@@ -134,33 +135,38 @@ def collinear_points(N, seed, prime=DEFAULT_PRIME) -> Ideal:
         b = tuple(rng.randrange(prime) for _ in range(3))
         if any(a) and any(b) and _canonical_point(a, prime) != _canonical_point(b, prime):
             break
-    points = []
-    seen = set()
-    while len(points) < N:
+
+    def on_line():
         t = rng.randrange(prime + 1)
-        if t == prime:
-            pt = b
-        else:
-            pt = tuple((x + t * y) % prime for x, y in zip(a, b))
-        if not any(pt):
-            continue
-        canon = _canonical_point(pt, prime)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        points.append(canon)
-    I = point_ideal(ring, points[0])
-    for pt in points[1:]:
-        I = intersect(I, point_ideal(ring, pt))
-    return I
+        return b if t == prime else tuple((x + t * y) % prime
+                                          for x, y in zip(a, b))
+    return _distinct_points(N, prime, on_line)
+
+
+def _rdim(n, d):
+    """Dimension of the forms of degree d on P^n; 0 in negative degree."""
+    return count_monomials(n + 1, d) if d >= 0 else 0
 
 
 def _koszul_dims(n, a, b, dmax):
     """Quotient dimensions of a regular sequence of degrees a, b in P^n."""
-    def rdim(d):
-        return count_monomials(n + 1, d) if d >= 0 else 0
-    return [rdim(d) - rdim(d - a) - rdim(d - b) + rdim(d - a - b)
-            for d in range(dmax + 1)]
+    return [_rdim(n, d) - _rdim(n, d - a) - _rdim(n, d - b)
+            + _rdim(n, d - a - b) for d in range(dmax + 1)]
+
+
+def _first_with_hilbert(expected, build, seed, *labels) -> Ideal:
+    """The first of 20 labelled draws whose quotient has these dimensions.
+
+    Draw ``k`` is ``build(child_rng(seed, *labels, k))``; its Hilbert
+    function is compared in degrees 0..len(expected) - 1.
+    """
+    dmax = len(expected) - 1
+    for attempt in range(20):
+        I = build(child_rng(seed, *labels, attempt))
+        if list(hilbert_function(initial_ideal(I), dmax)) == expected:
+            return I
+    raise RuntimeError(f"no {labels[0]} ideal with the expected Hilbert "
+                       "function; seed exhausted")
 
 
 def complete_intersection(a, b, n, seed, prime=DEFAULT_PRIME) -> Ideal:
@@ -174,15 +180,11 @@ def complete_intersection(a, b, n, seed, prime=DEFAULT_PRIME) -> Ideal:
     if n < 3:
         raise ValueError("need ambient dimension at least 3")
     ring = PolyRing(n + 1, prime)
-    dmax = a + b + 1
-    expected = _koszul_dims(n, a, b, dmax)
-    for attempt in range(20):
-        rng = child_rng(seed, "ci", a, b, n, attempt)
-        I = Ideal(ring, [ring.random_form(a, rng), ring.random_form(b, rng)])
-        actual = list(hilbert_function(initial_ideal(I), dmax))
-        if actual == expected:
-            return I
-    raise RuntimeError("no regular sequence found; seed exhausted")
+    return _first_with_hilbert(
+        _koszul_dims(n, a, b, a + b + 1),
+        lambda rng: Ideal(ring, [ring.random_form(a, rng),
+                                 ring.random_form(b, rng)]),
+        seed, "ci", a, b, n)
 
 
 def determinantal_from_matrix(rows) -> Ideal:
@@ -198,9 +200,8 @@ def determinantal_from_matrix(rows) -> Ideal:
 
 def _eagon_northcott_dims(n, dmax):
     """Quotient dimensions of a generic 2x3 linear determinantal in P^n."""
-    def rdim(d):
-        return count_monomials(n + 1, d) if d >= 0 else 0
-    return [rdim(d) - 3 * rdim(d - 2) + 2 * rdim(d - 3) for d in range(dmax + 1)]
+    return [_rdim(n, d) - 3 * _rdim(n, d - 2) + 2 * _rdim(n, d - 3)
+            for d in range(dmax + 1)]
 
 
 def determinantal(n, seed, prime=DEFAULT_PRIME) -> Ideal:
@@ -213,44 +214,31 @@ def determinantal(n, seed, prime=DEFAULT_PRIME) -> Ideal:
     if n < 3:
         raise ValueError("need ambient dimension at least 3")
     ring = PolyRing(n + 1, prime)
-    dmax = 5
-    expected = _eagon_northcott_dims(n, dmax)
-    for attempt in range(20):
-        rng = child_rng(seed, "determinantal", n, attempt)
-        rows = [[ring.random_form(1, rng) for _ in range(3)] for _ in range(2)]
-        I = determinantal_from_matrix(rows)
-        actual = list(hilbert_function(initial_ideal(I), dmax))
-        if actual == expected:
-            return I
-    raise RuntimeError("no nondegenerate matrix found; seed exhausted")
+    return _first_with_hilbert(
+        _eagon_northcott_dims(n, 5),
+        lambda rng: determinantal_from_matrix(
+            [[ring.random_form(1, rng) for _ in range(3)] for _ in range(2)]),
+        seed, "determinantal", n)
 
 
 # ---------------------------------------------------------------------------
 # entry files
 
-def parse_entry(text, name="entry") -> CorpusEntry:
-    header = {}
-    gens_lines = []
-    expect = {}
+def split_entry(text, name="entry"):
+    """(header, generator lines, expect) of an entry file; the header is
+    checked and holds the ``name, n, prime, seed, tags`` of a CorpusEntry."""
+    sections = {"header": {}, "gens": [], "expect": {}}
     section = "header"
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "gens:":
-            section = "gens"
-            continue
-        if line == "expect:":
-            section = "expect"
-            continue
-        if section == "header":
+        if line in ("gens:", "expect:"):
+            section = line[:-1]
+        elif line and section == "gens":
+            sections["gens"].append(line)
+        elif line:
             key, _, value = line.partition(":")
-            header[key.strip()] = value.strip()
-        elif section == "gens":
-            gens_lines.append(line)
-        else:
-            key, _, value = line.partition(":")
-            expect[key.strip()] = value.strip()
+            sections[section][key.strip()] = value.strip()
+    header = sections["header"]
     try:
         n = int(header["n"])
         prime = int(header.get("prime", DEFAULT_PRIME))
@@ -259,15 +247,23 @@ def parse_entry(text, name="entry") -> CorpusEntry:
         raise ParseError(f"entry {name!r} is missing the {exc.args[0]}: header")
     except ValueError:
         raise ParseError(f"entry {name!r} has a non-integer header value")
-    tags = frozenset(t.strip() for t in header.get("tags", "").split(",") if t.strip())
     try:
-        ring = PolyRing(n + 1, prime)
+        PolyRing(n + 1, prime)
     except ValueError as exc:
         raise ParseError(f"entry {name!r}: {exc}")
-    gens = tuple(parse_polynomial(line, ring) for line in gens_lines)
-    if not gens:
+    if not sections["gens"]:
         raise ParseError(f"entry {name!r} has no generators")
-    return CorpusEntry(header.get("name", name), n, prime, seed, gens, tags, expect)
+    tags = frozenset(t.strip() for t in header.get("tags", "").split(",") if t.strip())
+    fields = {"name": header.get("name", name), "n": n, "prime": prime,
+              "seed": seed, "tags": tags}
+    return fields, sections["gens"], sections["expect"]
+
+
+def parse_entry(text, name="entry") -> CorpusEntry:
+    fields, lines, expect = split_entry(text, name)
+    ring = PolyRing(fields["n"] + 1, fields["prime"])
+    gens = tuple(parse_polynomial(line, ring) for line in lines)
+    return CorpusEntry(gens=gens, expect=expect, **fields)
 
 
 def render_entry(entry: CorpusEntry, comments=()) -> str:
@@ -351,12 +347,13 @@ def entry_report(entry, seed=0, votes=5):
     """All checks for one corpus entry, as a JSON-ready dict.
 
     The slicing identity is checked for one general form at levels 0..2.
+    ``borel_fixed`` and ``saturated`` are always true: ``gin`` raises on a
+    winner that is not Borel-fixed, ``variety_invariants`` on an
+    unsaturated gin.
     """
     ideal = entry.ideal()
     n = entry.n
     result = gin(ideal, seed=seed, votes=votes)
-    borel_ok, _ = is_borel_fixed(result.gin)
-    saturated = is_saturated_gin(result.gin)
     inv = variety_invariants(ideal, gin_result=result)
     conn = connectedness_from_table(inv.table)
     slice_rep = verify_slice_identity(ideal, p_max=2, forms=1, seed=seed,
@@ -384,8 +381,8 @@ def entry_report(entry, seed=0, votes=5):
     conn_applies = {"integral", "codim2", "hypothesis"} <= set(entry.tags)
     conn_ok = conn.all_connected if conn_applies else True
     low_ok = conn.low_levels_ok if n == 3 else True
-    passed = all([result.agreed, borel_ok, saturated, slice_rep.passed,
-                  gap_rep.passed, trace_ok, expected_ok, conn_ok, low_ok])
+    passed = all([result.agreed, slice_rep.passed, gap_rep.passed, trace_ok,
+                  expected_ok, conn_ok, low_ok])
     return {
         "name": entry.name,
         "ideal": [render_poly(g) for g in entry.gens],
@@ -395,8 +392,8 @@ def entry_report(entry, seed=0, votes=5):
         "gin": [render_monomial(g) for g in result.gin.gens],
         "agreed": result.agreed,
         "samples": result.samples_used,
-        "borel_fixed": borel_ok,
-        "saturated": saturated,
+        "borel_fixed": True,
+        "saturated": True,
         "invariant_table": inv.table.to_json_entries(),
         **conn.to_json(),  # s_Z, s_Gamma, hypothesis, connected, violations, ...
         "checks": checks,

@@ -21,15 +21,11 @@ from dataclasses import dataclass
 from .ring import LinearChange, Poly, mono_degree
 from .groebner import (Ideal, _SliceBasis, hilbert_function, ideal_quotient,
                        initial_ideal, intersect, restrict_ideal, truncate)
-from .staircase import (InvariantTable, MonomialIdeal,
+from .staircase import (ComputationError, InvariantTable, MonomialIdeal,
                         colon_by_monomial, gap_degrees, invariant_table,
                         is_borel_fixed, is_connected, profile_at,
                         restrict_last, slice_level, truncate_monomial,
                         UnsaturatedIdealError)
-
-
-class ComputationError(RuntimeError):
-    pass
 
 
 class GinUnstableError(ComputationError):
@@ -142,7 +138,7 @@ class ConnectednessReport:
     hypothesis: bool     # s_Z == s_Gamma
     entries: tuple       # (p_hat, profile, connected, violation_index)
     violations: tuple    # (p_hat, index) pairs
-    low_levels_ok: bool  # adjacent pairs at indices 0 and 1, all entries
+    low_levels_ok: bool  # no entry's first violation is at index 0 or 1
 
     @property
     def all_connected(self):
@@ -161,21 +157,14 @@ class ConnectednessReport:
 
 
 def connectedness_from_table(table: InvariantTable) -> ConnectednessReport:
-    entries = []
-    violations = []
-    low_ok = True
-    for p_hat, prof in table.entries:
-        ok, index = is_connected(prof)
-        entries.append((p_hat, prof, ok, index))
-        if not ok:
-            violations.append((p_hat, index))
-        lam = prof.lambdas
-        for i in (0, 1):
-            if i + 1 < prof.s and not lam[i + 1] + 1 <= lam[i] <= lam[i + 1] + 2:
-                low_ok = False
+    entries = tuple((p_hat, prof, *is_connected(prof))
+                    for p_hat, prof in table.entries)
+    violations = tuple((p_hat, index)
+                       for p_hat, _, ok, index in entries if not ok)
+    low_ok = all(index > 1 for _, index in violations)
     s_z, s_gamma = table.s_at_zero, table.stable_profile.s
     return ConnectednessReport(s_z, s_gamma, s_z == s_gamma,
-                               tuple(entries), tuple(violations), low_ok)
+                               entries, violations, low_ok)
 
 
 def check_connectedness(I: Ideal, seed=0, votes=2) -> ConnectednessReport:

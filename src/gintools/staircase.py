@@ -15,11 +15,16 @@ from .ring import (Monomial, mono_degree, mono_divides, mono_div, mono_gcd,
                    revlex_key)
 
 
-class DegenerateProfileError(ValueError):
+class ComputationError(RuntimeError):
+    """Valid input on which a computation cannot give a certified answer."""
+
+
+# Both are also ValueErrors, so that callers catching bad input catch them.
+class DegenerateProfileError(ComputationError, ValueError):
     """The ideal meets K[x0, x1] in something without a finite staircase."""
 
 
-class UnsaturatedIdealError(ValueError):
+class UnsaturatedIdealError(ComputationError, ValueError):
     """A generator involves the last variable where saturation is required."""
 
 
@@ -226,6 +231,19 @@ def profile_at(M: MonomialIdeal, p_tilde) -> InvariantProfile:
     return profile_from_two_vars(two_variable_trace(colon_by_monomial(M, power)))
 
 
+def _require_borel_saturated(M: MonomialIdeal):
+    """Reject what ``invariants`` and ``invariant_table`` cannot read."""
+    if M.nvars < 3:
+        raise ValueError(
+            "profiles need at least three variables; read two-variable "
+            "staircases with profile_from_two_vars")
+    if any(g[-1] != 0 for g in M.gens):
+        raise UnsaturatedIdealError("a generator involves the last variable")
+    ok, witness = is_borel_fixed(M)
+    if not ok:
+        raise ValueError(f"ideal is not Borel-fixed: witness {witness}")
+
+
 def invariants(M: MonomialIdeal, p_hat) -> InvariantProfile:
     """Profile at the multi-index (p_2..p_{n-1}); requires M Borel and saturated.
 
@@ -233,19 +251,11 @@ def invariants(M: MonomialIdeal, p_hat) -> InvariantProfile:
     independent of it, and unsaturated input is rejected rather than
     silently saturated.
     """
-    if M.nvars < 3:
-        raise ValueError(
-            "profiles need at least three variables; read two-variable "
-            "staircases with profile_from_two_vars")
+    _require_borel_saturated(M)
     if len(p_hat) != M.nvars - 3:
         raise ValueError("multi-index must cover x2..x_{n-1}")
     if any(l < 0 for l in p_hat):
         raise ValueError("multi-index entries must be non-negative")
-    if any(g[-1] != 0 for g in M.gens):
-        raise UnsaturatedIdealError("a generator involves the last variable")
-    ok, witness = is_borel_fixed(M)
-    if not ok:
-        raise ValueError(f"ideal is not Borel-fixed: witness {witness}")
     return profile_at(M, tuple(p_hat) + (0,))
 
 
@@ -282,11 +292,12 @@ def invariant_table(M: MonomialIdeal) -> InvariantTable:
 
     Colons by x_j^p are constant once p passes the largest x_j exponent of
     any generator, so the extra slot per axis certifies stabilization: a
-    wider bound would only repeat the stable row.
+    wider bound would only repeat the stable row.  M is checked once, as
+    ``invariants`` checks it.
     """
+    _require_borel_saturated(M)
     axes = tuple(range(2, M.nvars - 1))
     bounds = tuple(M.max_exponent(j) + 1 for j in axes)
-    entries = []
-    for p_hat in itertools.product(*(range(b + 1) for b in bounds)):
-        entries.append((p_hat, invariants(M, p_hat)))
-    return InvariantTable(M.nvars, axes, bounds, tuple(entries))
+    entries = tuple((p_hat, profile_at(M, p_hat + (0,))) for p_hat in
+                    itertools.product(*(range(b + 1) for b in bounds)))
+    return InvariantTable(M.nvars, axes, bounds, entries)

@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_with_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_gin_command(capsys):
     code, out = run(capsys, "gin", "--in", str(DATA / "twisted-cubic.ideal"),
                     "--seed", "7")
@@ -196,6 +202,39 @@ def test_computation_error_exit_code(capsys):
     assert code == EXIT_COMPUTE
 
 
+@pytest.mark.parametrize("argv", [
+    ("corpus-run", "--votes", "1"),
+    ("hilbert", "--gens", "x0", "--dmax", "-3"),
+    ("slice", "--gens", "x0^2", "--n", "3", "--axis", "2", "--level", "-1"),
+    ("slice", "--gens", "x0^2", "--n", "3", "--axis", "7", "--level", "1"),
+    ("trace", "--in", str(DATA / "twisted-cubic.ideal"), "--levels", "-1"),
+    ("trace", "--in", str(DATA / "twisted-cubic.ideal"), "--levels", "1,1"),
+    ("trace", "--gens", "x0^2, x0*x1, x1^2", "--n", "2"),
+])
+def test_option_values_the_library_rejects_are_config_errors(capsys, argv):
+    code, _, err = run_with_err(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command,gens,extra,message", [
+    # parsed at the prime in effect, not at the file's prime
+    ("borel", "5*x0 - x1", ("--prime", "11"), "5*x0 - x1 is not a monomial"),
+    # the coefficient guard sees the literal 10, not its residue 3 mod 7
+    ("gin", "10*x0 - x1", (), "too small for coefficient 10"),
+])
+def test_in_file_behaves_as_its_generator_lines(capsys, tmp_path, command,
+                                                gens, extra, message):
+    entry = tmp_path / "u.ideal"
+    entry.write_text(f"name: u\nn: 2\nprime: 7\ngens:\n{gens}\n")
+    from_file = run_with_err(capsys, command, "--in", str(entry), *extra)
+    from_text = run_with_err(capsys, command, "--gens", gens, "--n", "2",
+                             "--prime", "7", *extra)
+    assert from_file == from_text
+    assert from_file[0] == EXIT_CONFIG
+    assert message in from_file[2]
+
+
 # ---------------------------------------------------------------------------
 # golden outputs under pinned seeds
 
@@ -270,6 +309,16 @@ def test_corpus_run_bad_entry_file_is_parse_error(capsys, monkeypatch,
     monkeypatch.setattr(corpus, "DATA", tmp_path)
     code, _ = run(capsys, "corpus-run", "--entries", "broken")
     assert code == EXIT_PARSE
+
+
+def test_corpus_run_unsaturated_entry_is_computation_error(capsys,
+                                                         monkeypatch,
+                                                         tmp_path):
+    (tmp_path / "unsat.ideal").write_text(
+        "name: unsat\nn: 2\ngens:\nx0^2\nx0*x1\nx0*x2\n")
+    monkeypatch.setattr(corpus, "DATA", tmp_path)
+    code, _ = run(capsys, "corpus-run", "--entries", "unsat")
+    assert code == EXIT_COMPUTE
 
 
 @pytest.mark.parametrize("option", ["--prime", "--forms", "--pmax"])

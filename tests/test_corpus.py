@@ -7,12 +7,13 @@ from gintools import corpus
 from gintools.corpus import (DATA, check_expectations, collinear_points,
                              complete_intersection, determinantal,
                              determinantal_from_matrix, entry_names,
-                             expected_values, general_points, load_entry,
-                             parse_entry, point_ideal, render_entry,
-                             twisted_cubic)
+                             entry_report, expected_values, general_points,
+                             load_entry, parse_entry, point_ideal,
+                             render_entry, twisted_cubic)
 from gintools.gin import gin, variety_invariants
 from gintools.ring import PolyRing
-from gintools.staircase import InvariantProfile, gap_degrees, is_borel_fixed
+from gintools.staircase import (InvariantProfile, UnsaturatedIdealError,
+                                gap_degrees, is_borel_fixed)
 from gintools.parsing import ParseError, parse_polynomial
 
 
@@ -171,3 +172,10 @@ def test_expected_hilbert_matches_rank_oracle(corpus_entries):
         counts = oracles.quotient_ring_dims(
             list(entry.gens), len(expected) - 1, entry.n + 1, entry.prime)
         assert counts == expected
+
+
+def test_entry_report_raises_on_an_unsaturated_ideal():
+    entry = parse_entry("name: unsat\nn: 2\ngens:\nx0^2\nx0*x1\nx0*x2\n")
+    with pytest.raises(UnsaturatedIdealError):
+        entry_report(entry, seed=0, votes=2)
+

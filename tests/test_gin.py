@@ -8,13 +8,15 @@ from gintools.ring import LinearChange, PolyRing
 from gintools.groebner import (Ideal, hilbert_function, initial_ideal,
                                restrict_ideal)
 from gintools.gin import (GinUnstableError, check_connectedness,
-                          check_section_quotients, child_rng, gcd_two_vars,
-                          gin, run_trace, variety_invariants,
+                          check_section_quotients, child_rng,
+                          connectedness_from_table, gcd_two_vars, gin,
+                          run_trace, variety_invariants,
                           verify_gap_truncation, verify_slice_identity)
 from gintools.parsing import parse_ideal, parse_polynomial
-from gintools.staircase import (InvariantProfile, MonomialIdeal,
-                                UnsaturatedIdealError, elementary_move,
-                                is_borel_fixed, is_connected, profile_at)
+from gintools.staircase import (InvariantProfile, InvariantTable,
+                                MonomialIdeal, UnsaturatedIdealError,
+                                elementary_move, is_borel_fixed,
+                                is_connected, profile_at)
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -249,6 +251,36 @@ def test_curve_low_level_rows(corpus_entries):
             continue
         report = check_connectedness(entry.ideal(), seed=0)
         assert report.low_levels_ok, name
+
+
+def one_profile_report(lambdas):
+    """Connectedness of a one-entry table (P^2) holding this profile."""
+    prof = InvariantProfile(len(lambdas), tuple(lambdas))
+    return connectedness_from_table(InvariantTable(3, (), (), (((), prof),)))
+
+
+@pytest.mark.parametrize("lambdas,index,low_ok", [
+    ((5, 1), 0, False),
+    ((4, 3, 3), 1, False),
+    ((5, 4, 3, 3), 2, True),
+    ((3, 2, 1), None, True),
+    ((1,), None, True),
+])
+def test_low_levels_follow_the_first_violation(lambdas, index, low_ok):
+    report = one_profile_report(lambdas)
+    assert report.violations == ((((), index),) if index is not None else ())
+    assert report.low_levels_ok is low_ok
+
+
+def test_low_levels_equal_the_jump_test_at_indices_0_and_1():
+    """Every profile with s <= 5 and every lambda <= 7."""
+    def jump_ok(lam, i):
+        return i + 1 >= len(lam) or lam[i + 1] + 1 <= lam[i] <= lam[i + 1] + 2
+
+    for s in range(1, 6):
+        for lam in itertools.product(range(1, 8), repeat=s):
+            expected = jump_ok(lam, 0) and jump_ok(lam, 1)
+            assert one_profile_report(lam).low_levels_ok == expected, lam
 
 
 def test_disconnected_synthetic_staircase():

@@ -216,6 +216,18 @@ def test_unsaturated_input_rejected():
         invariants(M(3, (2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 2, 0)), ())
 
 
+@pytest.mark.parametrize("ideal,error,match", [
+    (M(3, (2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 2, 0)), UnsaturatedIdealError,
+     "last variable"),
+    (M(4, (0, 2, 0, 0), (1, 1, 0, 0)), ValueError, "not Borel-fixed"),
+])
+def test_invariant_table_rejects_what_invariants_rejects(ideal, error, match):
+    with pytest.raises(error, match=match):
+        invariant_table(ideal)
+    with pytest.raises(error, match=match):
+        invariants(ideal, (0,) * (ideal.nvars - 3))
+
+
 def test_invariants_need_three_variables():
     with pytest.raises(ValueError, match="two-variable"):
         invariants(M(2, (2, 0), (0, 2)), ())
