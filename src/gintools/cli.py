@@ -66,10 +66,9 @@ def _load_input(args):
     if args.infile:
         try:
             with open(args.infile) as fh:
-                header, lines, _ = split_entry(fh.read(), name=args.infile)
+                header, text, _ = split_entry(fh.read(), name=args.infile)
         except OSError as exc:
             raise ConfigError(f"cannot read {args.infile}: {exc}")
-        text = "\n".join(lines)
         n = header["n"] if n is None else n
         prime = header["prime"] if prime is None else prime
     elif not text:

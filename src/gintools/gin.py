@@ -1,35 +1,35 @@
 """Generic initial ideals via randomized coordinates, with verification.
 
-A gin is computed by sampling independent invertible coordinate changes
-and voting: unanimity certifies the result (up to the negligible failure
-probability over a large prime field), disagreement escalates the sample
-count, and a Borel-fixedness check guards the output.  On top of that sit
-the harnesses that check the slicing identity, gap truncation, the
-connectedness of invariant tables, and the quotient-restriction trace
-whose gcd certificate reproduces the computable steps behind the
-connectedness statement.
+A gin is computed by sampling independent invertible coordinate changes.
+For every change g, in(gI) lies at or below gin(I) in each degree (Bayer
+and Stillman), so the gin is the largest sample: equal Borel-fixed samples
+are returned at once, anything else escalates the sample count and keeps
+the sample that is greatest in every degree, which must be Borel-fixed.
+On top of that sit the harnesses that check the slicing identity, gap
+truncation, the connectedness of invariant tables, and the
+quotient-restriction trace whose gcd certificate reproduces the computable
+steps behind the connectedness statement.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 
-from .ring import LinearChange, Poly, mono_degree
-from .groebner import (Ideal, _SliceBasis, hilbert_function, ideal_quotient,
-                       initial_ideal, intersect, restrict_ideal, truncate)
+from .ring import LinearChange, Poly, mono_degree, monomials_of_degree
+# intersect is unused here: bench/tests/test_tracer.py asserts its binding
+from .groebner import (Ideal, _SliceBasis, hilbert_function, initial_ideal,
+                       intersect, restrict_ideal, truncate)
 from .staircase import (ComputationError, InvariantTable, MonomialIdeal,
                         colon_by_monomial, gap_degrees, invariant_table,
-                        is_borel_fixed, is_connected, profile_at,
-                        restrict_last, slice_level, truncate_monomial,
+                        is_borel_fixed, is_connected, restrict_last,
+                        slice_level, truncate_monomial,
                         UnsaturatedIdealError)
 
 
 class GinUnstableError(ComputationError):
-    """Votes never agreed; the field may be too small for genericity."""
+    """No sample is certified as the gin; the field may be too small."""
 
 
 class DegenerateTraceError(ComputationError):
@@ -44,7 +44,7 @@ def child_rng(seed, *labels) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# the gin vote
+# the gin as the largest sample
 
 @dataclass(frozen=True)
 class GinResult:
@@ -56,16 +56,44 @@ class GinResult:
 _MAX_SAMPLES = 5
 
 
+def _degree_part(M: MonomialIdeal, d, sort_key):
+    """Sort keys of the degree-d monomials of M, greatest monomial first."""
+    return sorted(sort_key(m) for m in monomials_of_degree(M.nvars, d)
+                  if M.contains(m))
+
+
+def _largest_sample(samples, ring) -> MonomialIdeal:
+    """The sample that is greatest in every degree up to the top generator
+    degree among the samples.
+
+    Degree-d parts compare as lists of monomials sorted greatest first by
+    the ring's order: the first place where they differ decides.  Every
+    in(gI) is at most gin(I) in each degree, so a draw of the gin is kept.
+    Raises ``GinUnstableError`` when no sample is greatest in every degree.
+    """
+    top = max(M.max_degree() for M in samples)
+    parts = {M: [_degree_part(M, d, ring.sort_key) for d in range(top + 1)]
+             for M in samples}
+    for M, mine in parts.items():
+        if all(a <= b for theirs in parts.values()
+               for a, b in zip(mine, theirs)):
+            return M
+    raise GinUnstableError(f"no sample is greatest in every degree among "
+                           f"{len(samples)} samples at p={ring.prime}")
+
+
 def gin(I: Ideal, seed=0, votes=2) -> GinResult:
-    """The generic initial ideal of I, certified by unanimous sampling.
+    """The generic initial ideal of I, the largest of its sampled initial
+    ideals.
 
     ``votes`` independent coordinate changes are drawn; if their initial
-    ideals all agree the result is returned with ``agreed=True``.  On
-    disagreement the sample count escalates to ``_MAX_SAMPLES`` and the
-    majority is returned with ``agreed=False``; no majority at all is an
-    error.  A unanimous non-Borel-fixed result signals an internal bug.
-    Nothing is cached: a caller that needs the same gin twice passes the
-    result on (the ``gin_result`` arguments below).
+    ideals are equal and Borel-fixed, that ideal is returned with
+    ``agreed=True``.  Otherwise the sample count escalates to
+    ``_MAX_SAMPLES`` and the sample greatest in every degree is kept
+    (``_largest_sample``); it is returned with ``agreed=False`` if it is
+    Borel-fixed, and ``GinUnstableError`` is raised if it is not.  Nothing
+    is cached: a caller that needs the same gin twice passes the result on
+    (the ``gin_result`` arguments below).
     """
     if votes < 2:
         raise ValueError("need at least two votes")
@@ -76,26 +104,18 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
         return initial_ideal(moved)
 
     results = [sample(k) for k in range(votes)]
-    agreed = all(r == results[0] for r in results[1:])
-    if agreed:
-        winner = results[0]
-    else:
-        while len(results) < max(votes, _MAX_SAMPLES):
-            results.append(sample(len(results)))
-        counts = Counter(results).most_common()
-        if len(counts) > 1 and counts[0][1] == counts[1][1]:
-            raise GinUnstableError(
-                f"no majority among {len(results)} samples at p={I.ring.prime}")
-        winner = counts[0][0]
-    ok, witness = is_borel_fixed(winner)
+    if (all(r == results[0] for r in results[1:])
+            and is_borel_fixed(results[0])[0]):
+        return GinResult(results[0], votes, True)
+    while len(results) < max(votes, _MAX_SAMPLES):
+        results.append(sample(len(results)))
+    kept = _largest_sample(results, I.ring)
+    ok, witness = is_borel_fixed(kept)
     if not ok:
-        if agreed:
-            raise ComputationError(
-                f"unanimous result is not Borel-fixed (witness {witness}); "
-                "this is a bug")
         raise GinUnstableError(
-            f"majority result is not Borel-fixed (witness {witness})")
-    return GinResult(winner, len(results), agreed)
+            f"the largest of {len(results)} samples is not Borel-fixed "
+            f"(witness {witness}) at p={I.ring.prime}")
+    return GinResult(kept, len(results), False)
 
 
 def is_saturated_gin(M: MonomialIdeal) -> bool:
@@ -475,47 +495,3 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
     return TraceResult(levels, combinatorial, analytic, step1_ok, delta,
                        is_gap, degrees[first], expected, step2_ok,
                        tuple(degrees), consistent)
-
-
-# ---------------------------------------------------------------------------
-# section quotients (I|_h : m^k) for all k up to saturation
-
-def _colon_by_irrelevant(I: Ideal) -> Ideal:
-    """(I : m) for the irrelevant maximal ideal, as the meet of the colons."""
-    result = None
-    for i in range(I.ring.nvars):
-        q = ideal_quotient(I, I.ring.variable(i))
-        result = q if result is None else intersect(result, q)
-    return result
-
-
-def check_section_quotients(I: Ideal, seed=0, votes=2):
-    """Connectedness of the invariants of (I|_h : m^k) for every k.
-
-    The chain runs until the saturation fixed point, or stops before the
-    unit ideal, which is where it ends for a set of points.  These ideals
-    are not saturated in general, so their profiles are read with the
-    last-axis exponent participating in the multi-index.
-    """
-    rng = child_rng(seed, "section-form")
-    current = restrict_ideal(I, I.ring.general_linear_form(rng))
-    reports = []
-    k = 0
-    while True:
-        M = gin(current, seed=seed, votes=votes).gin
-        axes = tuple(range(2, M.nvars))
-        bounds = tuple(M.max_exponent(j) + 1 for j in axes)
-        verdicts = []
-        for p_tilde in itertools.product(*(range(b + 1) for b in bounds)):
-            prof = profile_at(M, p_tilde)
-            ok, index = is_connected(prof)
-            verdicts.append((p_tilde, prof, ok, index))
-        reports.append((k, M, tuple(verdicts),
-                        all(v[2] for v in verdicts)))
-        step = _colon_by_irrelevant(current)
-        # the unit ideal, where the chain of a point set ends, has no staircase
-        if step.same_ideal(current) or step.contains(current.ring.one()):
-            break
-        current = step
-        k += 1
-    return reports

@@ -140,7 +140,8 @@ class _Parser:
                 self.error("expected ')'")
             self.next()
             return f
-        self.error(f"expected a variable, integer, or '(', found {value!r}")
+        found = "end of input" if kind == "end" else repr(value)
+        self.error(f"expected a variable, integer, or '(', found {found}")
 
 
 def max_variable_index(text):

@@ -98,7 +98,8 @@ def _grevlex_sort_key(m: Monomial):
 
 
 def monomials_of_degree(nvars: int, d: int):
-    """Iterate all exponent tuples of total degree d, greatest first."""
+    """Iterate all exponent tuples of total degree d in lex order, x0^d
+    first; not grevlex, which puts x1^2 before x0*x2."""
     if nvars == 1:
         yield (d,)
         return

@@ -106,6 +106,20 @@ def test_parse_error_exit_code(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv", [("--gens", "x0^2, x1 + ", "--n", "2"),
+                                  ("--in", "{entry}")])
+def test_parse_error_names_the_end_of_input_at_its_place_in_the_file(
+        capsys, tmp_path, argv):
+    entry = tmp_path / "u.ideal"
+    entry.write_text("# seventh line: x1 + \nname: u\nn: 2\nprime: 32003\n"
+                     "gens:\nx0^2\nx1 + \nexpect:\ngin: x0\n")
+    argv = [a.format(entry=entry) for a in argv]
+    code, _, err = run_with_err(capsys, "gin", *argv)
+    assert code == EXIT_PARSE
+    where = "line 1, column 11" if argv[0] == "--gens" else "line 7, column 5"
+    assert err.strip().endswith(f"found end of input at {where}")
+
+
 def test_inhomogeneous_exit_code(capsys):
     code, _ = run(capsys, "gin", "--gens", "x0 + 1")
     assert code == EXIT_PARSE
@@ -283,6 +297,40 @@ def test_corpus_run_passes_at_seeds_with_special_trace_forms(capsys, seed,
                                                              name):
     code, _ = run(capsys, "corpus-run", "--seed", seed, "--entries", name)
     assert code == 0
+
+
+def test_corpus_run_keeps_the_largest_sample_past_a_special_one(capsys):
+    """At gin seed 196 one of five samples of the elliptic quartic is
+    (x0^2, x1^2), below the gin in degree 2."""
+    code, out = run(capsys, "corpus-run", "--seed", "196", "--entries",
+                    "elliptic-quartic", "--json")
+    assert code == 0
+    entry = json.loads(out)["entries"][0]
+    assert (entry["agreed"], entry["samples"]) == (False, 5)
+    assert entry["gin"] == ["x0^2", "x0*x1", "x1^3"]
+
+
+def test_gin_redraws_when_both_draws_are_special(capsys):
+    """Both first draws send 3*x0 - x1 to a multiple of x1 over F_7."""
+    code, out = run(capsys, "gin", "--gens", "3*x0 - x1", "--n", "1",
+                    "--prime", "7", "--seed", "0")
+    assert code == 0
+    assert out.splitlines()[:3] == ["gin: x0", "agreed: false", "samples: 5"]
+
+
+@pytest.mark.parametrize("gens,n,prime", [("x0^7, x1^7", "1", "7"),
+                                          ("x0^7, x1^7", "1", "11"),
+                                          ("x0^2, x1^2", "1", "2"),
+                                          ("x0^3, x1^3, x2^3", "2", "3")])
+def test_gin_refuses_a_largest_sample_that_is_not_borel_fixed(capsys, gens,
+                                                               n, prime):
+    """In characteristic p these gins are only p-Borel: at p = 7,
+    (x0^7, x1^7) is fixed by every coordinate change."""
+    code, _, err = run_with_err(capsys, "gin", "--gens", gens, "--n", n,
+                                "--prime", prime)
+    assert code == EXIT_COMPUTE
+    assert f"p={prime}" in err
+    assert "bug" not in err
 
 
 def test_corpus_run_parses_only_the_named_entries(capsys, monkeypatch):
