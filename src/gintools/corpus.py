@@ -354,10 +354,10 @@ def entry_report(entry, seed=0, votes=5):
     """All checks for one corpus entry, as a JSON-ready dict.
 
     The slicing identity is checked for one general form at levels 0..2.
-    ``borel_fixed`` and ``saturated`` are always true: ``gin`` raises on a
-    largest sample that is not Borel-fixed, ``variety_invariants`` on an
-    unsaturated gin.  ``agreed`` does not count towards ``passed``: a
-    disagreement only shows that a special draw was seen.
+    ``borel_fixed`` and ``saturated`` are always true: ``variety_invariants``
+    raises on a gin that is not strongly stable or not saturated.
+    ``agreed`` does not count towards ``passed``: a disagreement only shows
+    that a special draw was seen.
     """
     ideal = entry.ideal()
     n = entry.n

@@ -4,7 +4,10 @@ A gin is computed by sampling independent invertible coordinate changes.
 For every change g, in(gI) lies at or below gin(I) in each degree (Bayer
 and Stillman), so the gin is the largest sample: equal Borel-fixed samples
 are returned at once, anything else escalates the sample count and keeps
-the sample that is greatest in every degree, which must be Borel-fixed.
+the sample that is greatest in every degree, which must be Borel-fixed in
+the characteristic of the field.  Every sample has the Hilbert series of
+I, so each Buchberger run after the first stops once its lead monomials
+reach it.
 On top of that sit the harnesses that check the slicing identity, gap
 truncation, the connectedness of invariant tables, and the
 quotient-restriction trace whose gcd certificate reproduces the computable
@@ -19,17 +22,14 @@ from dataclasses import dataclass
 
 from .ring import LinearChange, Poly, mono_degree, monomials_of_degree
 # intersect is unused here: bench/tests/test_tracer.py asserts its binding
-from .groebner import (Ideal, _SliceBasis, hilbert_function, initial_ideal,
+from .groebner import (Ideal, _SliceBasis, _groebner_basis,
+                       _hilbert_numerator, hilbert_function, initial_ideal,
                        intersect, restrict_ideal, truncate)
-from .staircase import (ComputationError, InvariantTable, MonomialIdeal,
-                        colon_by_monomial, gap_degrees, invariant_table,
-                        is_borel_fixed, is_connected, restrict_last,
-                        slice_level, truncate_monomial,
-                        UnsaturatedIdealError)
-
-
-class GinUnstableError(ComputationError):
-    """No sample is certified as the gin; the field may be too small."""
+from .staircase import (ComputationError, GinUnstableError, InvariantTable,
+                        MonomialIdeal, colon_by_monomial, gap_degrees,
+                        invariant_table, is_borel_fixed, is_connected,
+                        is_p_borel_fixed, restrict_last, slice_level,
+                        truncate_monomial, UnsaturatedIdealError)
 
 
 class DegenerateTraceError(ComputationError):
@@ -82,40 +82,83 @@ def _largest_sample(samples, ring) -> MonomialIdeal:
                            f"{len(samples)} samples at p={ring.prime}")
 
 
+def _sample_initial_ideal(I: Ideal, change: LinearChange, target):
+    """in(change(I)), from a Buchberger run that stops once its lead
+    monomials reach the series ``target`` (``None``: run to the end).
+
+    The basis is left unreduced, since only its lead monomials are read.
+    """
+    moved = Ideal(I.ring, [change.apply(g) for g in I.gens])
+    moved._gb = _groebner_basis(moved.gens, I.ring, target)
+    return initial_ideal(moved)
+
+
 def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     """The generic initial ideal of I, the largest of its sampled initial
     ideals.
 
     ``votes`` independent coordinate changes are drawn; if their initial
-    ideals are equal and Borel-fixed, that ideal is returned with
-    ``agreed=True``.  Otherwise the sample count escalates to
-    ``_MAX_SAMPLES`` and the sample greatest in every degree is kept
-    (``_largest_sample``); it is returned with ``agreed=False`` if it is
-    Borel-fixed, and ``GinUnstableError`` is raised if it is not.  Nothing
-    is cached: a caller that needs the same gin twice passes the result on
-    (the ``gin_result`` arguments below).
+    ideals are equal and Borel-fixed in characteristic p
+    (``is_p_borel_fixed``), that ideal is returned with ``agreed=True``.
+    Otherwise the sample count escalates to ``_MAX_SAMPLES`` and the sample
+    greatest in every degree is kept (``_largest_sample``); it is returned
+    with ``agreed=False`` if it is Borel-fixed, and ``GinUnstableError`` is
+    raised if it is not.
+
+    Every sample has the Hilbert series of I.  Sample 0 runs Buchberger to
+    the end and its series becomes the target of the others, whose runs
+    stop as soon as their lead monomials reach it; a run that ends short
+    of it raises ``GinUnstableError``.  An I that already holds its basis
+    (a section from a slice basis, an intersection, or a quotient by a
+    form of higher degree) gives the target itself, so every sample stops
+    early.  No sample's basis is
+    reduced.  Nothing is cached: a caller that needs the same gin twice
+    passes the result on (the ``gin_result`` arguments below).
     """
     if votes < 2:
         raise ValueError("need at least two votes")
 
-    def sample(k):
+    def sample(k, target):
         change = LinearChange.random(I.ring, child_rng(seed, "gin-sample", k))
-        moved = Ideal(I.ring, [change.apply(g) for g in I.gens])
-        return initial_ideal(moved)
+        return _sample_initial_ideal(I, change, target)
 
-    results = [sample(k) for k in range(votes)]
+    target = None if I._gb is None else _hilbert_numerator(
+        [g.lead_monomial for g in I._gb], I.ring.nvars)
+    results = [sample(0, target)]
+    if target is None:
+        target = _hilbert_numerator(results[0].gens, I.ring.nvars)
+    results += [sample(k, target) for k in range(1, votes)]
+    prime = I.ring.prime
     if (all(r == results[0] for r in results[1:])
-            and is_borel_fixed(results[0])[0]):
+            and is_p_borel_fixed(results[0], prime)[0]):
         return GinResult(results[0], votes, True)
     while len(results) < max(votes, _MAX_SAMPLES):
-        results.append(sample(len(results)))
+        results.append(sample(len(results), target))
     kept = _largest_sample(results, I.ring)
-    ok, witness = is_borel_fixed(kept)
+    ok, witness = is_p_borel_fixed(kept, prime)
     if not ok:
         raise GinUnstableError(
             f"the largest of {len(results)} samples is not Borel-fixed "
-            f"(witness {witness}) at p={I.ring.prime}")
+            f"(witness {witness}) at p={prime}")
     return GinResult(kept, len(results), False)
+
+
+def _stable_gin(I: Ideal, seed, votes, gin_result) -> GinResult:
+    """gin(I), or the ``gin_result`` given for I, if it is strongly stable.
+
+    The staircase checks rest on strong stability, which a gin in
+    characteristic p has only up to the p-Borel moves; one that lacks it
+    is refused with a ``ComputationError`` that names the prime.
+    """
+    result = gin_result or gin(I, seed=seed, votes=votes)
+    ok, witness = is_borel_fixed(result.gin)
+    if not ok:
+        p = I.ring.prime
+        raise ComputationError(
+            f"the gin is {p}-Borel-fixed but not strongly stable (witness "
+            f"{witness}) at p={p}; the staircase checks need a strongly "
+            "stable gin, so use a larger prime")
+    return result
 
 
 def is_saturated_gin(M: MonomialIdeal) -> bool:
@@ -140,9 +183,10 @@ def variety_invariants(I: Ideal, seed=0, votes=2,
 
     s_Z is the profile s at the zero multi-index; s_Gamma is read from the
     stabilized entry, which matches the generic 2-plane section.  A
-    ``gin_result`` already computed for I is used as it is.
+    ``gin_result`` already computed for I is used as it is.  A gin that is
+    not strongly stable is refused (``_stable_gin``).
     """
-    result = gin_result or gin(I, seed=seed, votes=votes)
+    result = _stable_gin(I, seed, votes, gin_result)
     if not is_saturated_gin(result.gin):
         raise UnsaturatedIdealError(
             "gin has a generator containing the last variable; saturate first")
@@ -228,13 +272,14 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
     of a form.
     """
     n = I.ring.nvars - 1
-    M = (gin_result or gin(I, seed=seed, votes=votes)).gin
+    M = _stable_gin(I, seed, votes, gin_result).gin
+    series = _hilbert_numerator(M.gens, M.nvars)  # I's, kept by psi
     xn_power = lambda p: tuple(p if i == n else 0 for i in range(I.ring.nvars))
     section_gins = {}
     cases = []
     for trial in range(forms):
         rng = child_rng(seed, "slice-form", trial)
-        slices = _SliceBasis(I, I.ring.general_linear_form(rng))
+        slices = _SliceBasis(I, I.ring.general_linear_form(rng), series)
         for p in range(p_max + 1):
             section = slices.section(p)
             key = tuple(g.terms for g in section.groebner_basis())
@@ -264,7 +309,7 @@ def verify_gap_truncation(I: Ideal, seed=0, votes=2,
 
     Gaps whose truncations keep the same basis elements share one gin.
     """
-    M = (gin_result or gin(I, seed=seed, votes=votes)).gin
+    M = _stable_gin(I, seed, votes, gin_result).gin
     gaps = gap_degrees(M)
     truncation_gins = {}
     cases = []
@@ -444,7 +489,7 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
     if any(l < 0 for l in levels):
         raise ValueError("levels must be non-negative")
 
-    M = (gin_result or gin(I, seed=seed, votes=votes)).gin
+    M = _stable_gin(I, seed, votes, gin_result).gin
     combinatorial = restrict_last(M)
     for axis in range(n - 1, 1, -1):
         combinatorial = slice_level(combinatorial, axis, levels[axis - 2])

@@ -1,7 +1,8 @@
 """Combinatorics of monomial ideals and their two-variable staircases.
 
 Everything here is exact set arithmetic on exponent tuples: elementary
-moves, the Borel-fixedness test, colons by monomials, axis slices, gap
+moves, the Borel-fixedness tests (strong stability, and its
+characteristic-p form), colons by monomials, axis slices, gap
 degrees, and the profile invariants read off the staircase of the ideal's
 trace in K[x0, x1].
 """
@@ -26,6 +27,10 @@ class DegenerateProfileError(ComputationError, ValueError):
 
 class UnsaturatedIdealError(ComputationError, ValueError):
     """A generator involves the last variable where saturation is required."""
+
+
+class GinUnstableError(ComputationError):
+    """No sample is certified as the gin; the field may be too small."""
 
 
 def minimalize(monos) -> tuple:
@@ -97,6 +102,43 @@ def is_borel_fixed(M: MonomialIdeal):
             if moved is not None and not M.contains(moved):
                 return False, (g, j)
     return True, None
+
+
+def is_p_borel_fixed(M: MonomialIdeal, p: int):
+    """(True, None) or (False, (generator, moved)): M is Borel-fixed in
+    characteristic p, and ``moved`` is a required move that leaves M.
+
+    For a generator g whose x_j-exponent is t, the moves
+    x_j^s -> x_i^s (i < j) are required only when C(t, s) is nonzero mod p,
+    that is, when no base-p digit of s exceeds the one of t (Lucas); the
+    generators suffice (Eisenbud, Commutative Algebra, Thm 15.23; Pardue,
+    Nonstandard Borel-fixed ideals, 1994).  Where every exponent is below p
+    every move is required, and this is strong stability: the
+    elementary-move test ``is_borel_fixed`` runs, with its witness.
+    """
+    if all(a < p for g in M.gens for a in g):
+        return is_borel_fixed(M)
+    for g in M.gens:
+        for j in range(1, M.nvars):
+            for s in range(1, g[j] + 1):
+                if not _lucas_nonzero(g[j], s, p):
+                    continue
+                for i in range(j):
+                    moved = list(g)
+                    moved[i] += s
+                    moved[j] -= s
+                    if not M.contains(tuple(moved)):
+                        return False, (g, tuple(moved))
+    return True, None
+
+
+def _lucas_nonzero(t, s, p):
+    """Whether C(t, s) is nonzero mod p, digit by digit in base p."""
+    while s:
+        if s % p > t % p:
+            return False
+        s, t = s // p, t // p
+    return True
 
 
 def colon_by_monomial(M: MonomialIdeal, m: Monomial) -> MonomialIdeal:

@@ -26,6 +26,14 @@ def monomial_basis(nvars, d):
     return basis
 
 
+def hilbert_by_enumeration(gens, nvars, dmax):
+    """dim (R/M)_d for d = 0..dmax, M the monomial ideal of the exponent
+    tuples ``gens``: the degree-d monomials no generator divides."""
+    return [sum(1 for m in monomial_basis(nvars, d)
+                if not any(all(a <= b for a, b in zip(g, m)) for g in gens))
+            for d in range(dmax + 1)]
+
+
 def rank_mod_p(rows, p):
     """Row rank over F_p by vectorized Gaussian elimination."""
     if not len(rows):

@@ -259,7 +259,8 @@ def test_in_file_behaves_as_its_generator_lines(capsys, tmp_path, command,
      ("check", "--in", str(DATA / "rational-quartic.ideal"), "--seed", "0", "--json")),
     ("invariants_points5_seed0.json",
      ("invariants", "--in", str(DATA / "points-5.ideal"), "--seed", "0", "--json")),
-    ("corpus_run_seed0.json", ("corpus-run", "--seed", "0", "--json")),
+    *((f"corpus_run_seed{seed}.json",
+       ("corpus-run", "--seed", str(seed), "--json")) for seed in range(5)),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)
@@ -318,19 +319,38 @@ def test_gin_redraws_when_both_draws_are_special(capsys):
     assert out.splitlines()[:3] == ["gin: x0", "agreed: false", "samples: 5"]
 
 
+P_BOREL_GINS = {
+    ("x0^7, x1^7", "7"): "x0^7, x1^7",
+    ("x0^7, x1^7", "11"):
+        "x0^7, x0^6*x1, x0^5*x1^3, x0^4*x1^5, x0^3*x1^7, x1^11",
+    ("x0^2, x1^2", "2"): "x0^2, x1^2",
+    ("x0^3, x1^3, x2^3", "3"): "x0^3, x1^3, x2^3",
+}
+
+
 @pytest.mark.parametrize("gens,n,prime", [("x0^7, x1^7", "1", "7"),
                                           ("x0^7, x1^7", "1", "11"),
                                           ("x0^2, x1^2", "1", "2"),
                                           ("x0^3, x1^3, x2^3", "2", "3")])
-def test_gin_refuses_a_largest_sample_that_is_not_borel_fixed(capsys, gens,
-                                                               n, prime):
-    """In characteristic p these gins are only p-Borel: at p = 7,
-    (x0^7, x1^7) is fixed by every coordinate change."""
-    code, _, err = run_with_err(capsys, "gin", "--gens", gens, "--n", n,
-                                "--prime", prime)
+def test_gin_accepts_a_largest_sample_that_is_only_p_borel(capsys, gens, n,
+                                                          prime):
+    """In characteristic p these gins are p-Borel but not strongly stable:
+    at p = 7, (x0^7, x1^7) is fixed by every coordinate change, and at
+    p = 11 the move x1^11 -> x0*x1^10 is not required, as C(11, 1) = 11."""
+    code, out = run(capsys, "gin", "--gens", gens, "--n", n, "--prime", prime)
+    assert code == 0
+    assert out.splitlines()[0] == f"gin: {P_BOREL_GINS[gens, prime]}"
+
+
+@pytest.mark.parametrize("command", ["invariants", "check", "trace"])
+def test_staircase_commands_refuse_a_gin_that_is_only_p_borel(capsys,
+                                                              command):
+    """At p = 2 the gin of (x0^2, x1^2) in P^3 is itself, without x0*x1."""
+    code, _, err = run_with_err(capsys, command, "--gens", "x0^2, x1^2",
+                                "--n", "3", "--prime", "2")
     assert code == EXIT_COMPUTE
-    assert f"p={prime}" in err
-    assert "bug" not in err
+    assert "p=2" in err
+    assert "not strongly stable" in err
 
 
 def test_corpus_run_parses_only_the_named_entries(capsys, monkeypatch):

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gintools.ring import LinearChange, PolyRing
-from gintools.groebner import (Ideal, hilbert_function, initial_ideal,
+from gintools.groebner import (Ideal, _SliceBasis, _hilbert_numerator,
+                               hilbert_function, initial_ideal,
                                restrict_ideal)
-from gintools.gin import (GinUnstableError, check_connectedness, child_rng,
+from gintools.cli import main
+from gintools.gin import (ComputationError, GinUnstableError,
+                          check_connectedness, child_rng,
                           connectedness_from_table, gcd_two_vars, gin,
                           run_trace, variety_invariants,
                           verify_gap_truncation, verify_slice_identity)
@@ -33,6 +36,10 @@ def ideal(ring, text):
 
 def twisted_cubic():
     return ideal(R4, "x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2")
+
+
+def hilbert_numerator(M):
+    return _hilbert_numerator(M.gens, M.nvars)
 
 
 def staircase(nvars, *gens):
@@ -722,14 +729,15 @@ def test_every_sample_is_at_most_the_kept_one(seed, count, p):
     I = Ideal(ring, [ring.random_form(rng.randint(1, 2), rng)
                      for _ in range(count)])
     module = importlib.import_module("gintools.gin")
+    sample = module._sample_initial_ideal
     samples = []
 
-    def recording(J):
-        samples.append(initial_ideal(J))
+    def recording(*args):
+        samples.append(sample(*args))
         return samples[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "initial_ideal", recording)
+        patch.setattr(module, "_sample_initial_ideal", recording)
         try:
             kept = gin(I, seed=seed).gin
         except GinUnstableError:
@@ -737,3 +745,59 @@ def test_every_sample_is_at_most_the_kept_one(seed, count, p):
     top = max(M.max_degree() for M in samples)
     for M in samples:
         assert _at_most_in_every_degree(M, kept, top), (M, kept)
+
+
+# ---------------------------------------------------------------------------
+# samples stopped by the Hilbert series
+
+def recorded_targets(I, monkeypatch):
+    """The target series each sample's Buchberger run of gin(I) gets."""
+    module = importlib.import_module("gintools.gin")
+    run = module._groebner_basis
+    targets = []
+
+    def recording(gens, ring, target=None):
+        targets.append(target)
+        return run(gens, ring, target)
+
+    monkeypatch.setattr(module, "_groebner_basis", recording)
+    gin(I, seed=3)
+    return targets
+
+
+def test_samples_after_the_first_stop_at_its_series(monkeypatch):
+    I = twisted_cubic()
+    targets = recorded_targets(I, monkeypatch)
+    expected = hilbert_numerator(initial_ideal(I))
+    assert targets == [None, expected]
+
+
+def test_every_sample_of_an_ideal_with_its_basis_stops(monkeypatch):
+    """A section read off a slice basis holds its reduced basis."""
+    section = _SliceBasis(twisted_cubic(), R4.variable(3)).section(0)
+    targets = recorded_targets(section, monkeypatch)
+    assert targets == [hilbert_numerator(initial_ideal(section))] * 2
+
+
+def test_a_sample_short_of_the_series_is_refused(capsys, monkeypatch):
+    """A kernel that loses a generator after the first sample ends short
+    of the series: exit 4, naming the prime."""
+    module = importlib.import_module("gintools.gin")
+    run = module._groebner_basis
+
+    def lossy(gens, ring, target=None):
+        return run(gens if target is None else gens[:-1], ring, target)
+
+    monkeypatch.setattr(module, "_groebner_basis", lossy)
+    code = main(["gin", "--gens", "x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2",
+                 "--n", "3", "--prime", "11"])
+    assert code == 4
+    assert "p=11" in capsys.readouterr().err
+
+
+def test_slice_and_gap_refuse_a_gin_that_is_only_p_borel():
+    I = ideal(PolyRing(4, 2), "x0^2, x1^2")
+    for check in (verify_slice_identity, verify_gap_truncation):
+        with pytest.raises(ComputationError,
+                           match="not strongly stable.*p=2"):
+            check(I)

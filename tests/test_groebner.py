@@ -7,12 +7,13 @@ import oracles
 from gintools.ring import (LinearChange, PolyRing, mono_divides, mono_lcm,
                            monomials_of_degree, restrict)
 from gintools.groebner import (Ideal, _SliceBasis, _elimination_ring,
+                               _groebner_basis, _hilbert_numerator,
                                buchberger, exact_divide, hilbert_function,
                                ideal_quotient, initial_ideal, intersect,
                                normal_form, quotient_by_power, restrict_ideal,
                                saturate, spoly, truncate)
 from gintools.parsing import parse_ideal, parse_polynomial
-from gintools.staircase import MonomialIdeal
+from gintools.staircase import GinUnstableError, MonomialIdeal
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -267,6 +268,93 @@ def test_hilbert_of_principal_variable():
 def test_hilbert_rejects_generators_of_the_wrong_length():
     with pytest.raises(ValueError):
         hilbert_function(MonomialIdeal(3, ((1, 0),)), 2)
+
+
+def test_hilbert_of_unit_ideal_is_zero():
+    assert hilbert_function(MonomialIdeal(3, ((0, 0, 0),)), 3) == (0,) * 4
+
+
+MONOMIAL_IDEALS = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=7)))
+
+
+@given(MONOMIAL_IDEALS, st.integers(0, 14))
+@settings(max_examples=200)
+def test_hilbert_function_matches_enumeration(ideal_gens, dmax):
+    nvars, gens = ideal_gens
+    M = MonomialIdeal.from_monomials(nvars, gens)
+    assert list(hilbert_function(M, dmax)) == \
+        oracles.hilbert_by_enumeration(gens, nvars, dmax)
+
+
+# ---------------------------------------------------------------------------
+# Buchberger stopped by a known Hilbert series
+
+def series(M):
+    return _hilbert_numerator(M.gens, M.nvars)
+
+
+def lead_ideal(basis, nvars):
+    return MonomialIdeal.from_monomials(nvars,
+                                        (g.lead_monomial for g in basis))
+
+
+def sparse_form(ring, degree, rng):
+    """Two or three terms of one degree: sparse ideals have bases that
+    skip degrees, which dense ones in general coordinates seldom do."""
+    terms = {}
+    for _ in range(rng.randint(2, 3)):
+        m = [0] * ring.nvars
+        for _ in range(degree):
+            m[rng.randrange(ring.nvars)] += 1
+        terms[tuple(m)] = rng.randrange(1, ring.prime)
+    return ring.from_dict(terms)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([7, 11, 32003]),
+       st.sampled_from([3, 4]), st.booleans())
+@settings(max_examples=80)
+def test_early_stopped_lead_ideal_equals_the_full_one(seed, p, nvars, move):
+    """A coordinate change keeps the Hilbert series, so the series of I
+    stops the run on g(I); its lead monomials are in(g(I)) all the same."""
+    rng = random.Random(seed)
+    ring = PolyRing(nvars, p)
+    I = Ideal(ring, [sparse_form(ring, rng.randint(1, 4), rng)
+                     for _ in range(rng.randint(2, 3))])
+    change = (LinearChange.random(ring, rng) if move
+              else LinearChange.identity(ring))
+    moved = [change.apply(g) for g in I.gens]
+    stopped = _groebner_basis(moved, ring, series(initial_ideal(I)))
+    assert lead_ideal(stopped, nvars) == initial_ideal(Ideal(ring, moved))
+
+
+def test_stop_needs_the_whole_series_not_the_values_so_far():
+    """The basis gains x0*x2^3 in degree 4 and x1^3*x2^3 in degree 6.  At
+    the degree-5 boundary the leads found so far have the right Hilbert
+    values up to degree 5, but not the right series."""
+    I = ideal(R3, "x0^2 - x0*x1, x0*x1^2 - x2^3")
+    full = initial_ideal(I)
+    assert (0, 3, 3) in full.gens
+    stopped = _groebner_basis(I.gens, R3, series(full))
+    assert lead_ideal(stopped, 3) == full
+
+
+def test_a_basis_with_its_series_processes_no_pair(monkeypatch):
+    import gintools.groebner as gb
+    I = twisted_cubic()
+    target = series(initial_ideal(I))
+    calls = []
+    monkeypatch.setattr(gb, "spoly", lambda f, g: calls.append(1))
+    assert len(_groebner_basis(I.groebner_basis(), R4, target)) == 3
+    assert calls == []
+
+
+def test_a_series_never_reached_raises_naming_the_prime():
+    ring = PolyRing(3, 7)
+    I = ideal(ring, "x0^2 + x1*x2, x1^2")
+    wrong = series(MonomialIdeal.from_monomials(3, [(2, 0, 0)]))
+    with pytest.raises(GinUnstableError, match="p=7"):
+        _groebner_basis(I.gens, ring, wrong)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from gintools.ring import LinearChange, PolyRing
 from gintools.staircase import (DegenerateProfileError, InvariantProfile,
                                 MonomialIdeal, UnsaturatedIdealError,
                                 colon_by_monomial, elementary_move,
                                 gap_degrees, invariant_table, invariants,
-                                is_borel_fixed, is_connected,
+                                is_borel_fixed, is_connected, is_p_borel_fixed,
                                 profile_from_two_vars, restrict_last,
                                 slice_level, truncate_monomial,
                                 two_variable_trace)
@@ -76,6 +77,60 @@ def test_borel_closure_is_borel_fixed(seeds):
     ideal = borel_closure(4, seeds)
     ok, _ = is_borel_fixed(ideal)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# Borel-fixedness in characteristic p
+
+def fixed_by_transvections(M, p):
+    """Whether every x_j -> x_j + x_i with i < j maps each generator into
+    M over F_p.  With the diagonal matrices, which fix every monomial
+    ideal, these generate the Borel group; the coefficient of each moved
+    monomial is a binomial coefficient, nonzero for c = 1 exactly when it
+    is for any nonzero c."""
+    ring = PolyRing(M.nvars, p)
+    for i, j in itertools.combinations(range(M.nvars), 2):
+        matrix = [[int(a == b) for b in range(M.nvars)] for a in range(M.nvars)]
+        matrix[j][i] = 1
+        change = LinearChange(ring, tuple(map(tuple, matrix)))
+        for g in M.gens:
+            if not all(M.contains(m) for m, _ in
+                       change.apply(ring.monomial(g)).terms):
+                return False
+    return True
+
+
+def frobenius_power(M, q):
+    return MonomialIdeal.from_monomials(
+        M.nvars, (tuple(q * a for a in g) for g in M.gens))
+
+
+SMALL_PRIMES = st.sampled_from([2, 3, 5])
+EXPONENT_LISTS = st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3),
+                          min_size=1, max_size=4)
+
+
+@given(EXPONENT_LISTS, SMALL_PRIMES, st.integers(0, 2))
+def test_p_borel_test_matches_the_transvections(seeds, p, frobenius):
+    """On random ideals, and on Frobenius powers of strongly stable ones,
+    which are p-Borel without being strongly stable."""
+    stable = borel_closure(3, seeds)
+    for ideal in (M(3, *map(tuple, seeds)),
+                  frobenius_power(stable, p ** frobenius)):
+        ok, witness = is_p_borel_fixed(ideal, p)
+        assert ok == fixed_by_transvections(ideal, p)
+        assert (witness is None) == ok
+
+
+def test_p_borel_is_strong_stability_below_p():
+    assert is_p_borel_fixed(M(2, (7, 0), (0, 7)), 11) == \
+        (False, ((0, 7), 1))
+    assert is_p_borel_fixed(M(2, (7, 0), (0, 7)), 7) == (True, None)
+
+
+def test_p_borel_witness_is_the_move_that_leaves_the_ideal():
+    # C(2, 1) = 2 vanishes mod 2, but x1^2 -> x0^2 is still required
+    assert is_p_borel_fixed(M(2, (0, 2)), 2) == (False, ((0, 2), (2, 0)))
 
 
 # ---------------------------------------------------------------------------
