@@ -1,8 +1,8 @@
 """Generic initial ideals, Borel-fixed staircases, and monomial invariants."""
 
-from .ring import (DEFAULT_PRIME, LinearChange, Poly, PolyRing,
-                   initial_monomial, mono_div, mono_divides, mono_gcd,
-                   mono_lcm, mono_mul, restrict, revlex_cmp, revlex_key)
+from .ring import (DEFAULT_PRIME, LinearChange, Poly, PolyRing, mono_div,
+                   mono_divides, mono_gcd, mono_lcm, mono_mul, restrict,
+                   revlex_key)
 from .groebner import (Ideal, buchberger, hilbert_function, ideal_quotient,
                        initial_ideal, intersect, normal_form, quotient_by_power,
                        restrict_ideal, saturate, truncate)

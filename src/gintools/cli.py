@@ -14,7 +14,7 @@ import sys
 
 from .ring import DEFAULT_PRIME
 from .groebner import hilbert_function, initial_ideal, default_dmax
-from .staircase import MonomialIdeal, is_borel_fixed, slice_level
+from .staircase import MonomialIdeal, is_p_borel_fixed, slice_level
 from .gin import (ComputationError, check_connectedness, gin, run_trace,
                   variety_invariants, is_saturated_gin)
 from .parsing import (ParseError, parse_ideal, render_monomial,
@@ -172,10 +172,12 @@ def cmd_slice(args):
 def cmd_borel(args):
     ideal = _load_input(args)
     M = _monomial_ideal_from(ideal)
-    ok, witness = is_borel_fixed(M)
+    ok, witness = is_p_borel_fixed(M, ideal.ring.prime)
     payload = {"borel_fixed": ok}
     if witness is not None:
-        payload["witness"] = f"({render_monomial(witness[0])}, e_{witness[1]})"
+        g, move = witness  # a move index below p, else the moved monomial
+        move = f"e_{move}" if isinstance(move, int) else render_monomial(move)
+        payload["witness"] = f"({render_monomial(g)}, {move})"
     _emit(payload, args.as_json)
     return EXIT_OK
 

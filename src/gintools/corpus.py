@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 from importlib import resources
 
-from .ring import PolyRing, count_monomials, DEFAULT_PRIME
-from .groebner import Ideal, hilbert_function, initial_ideal, intersect
+from .ring import PolyRing, DEFAULT_PRIME
+from .groebner import (Ideal, _hilbert_numerator, hilbert_function,
+                       initial_ideal, intersect)
 from .staircase import gap_degrees
 from .gin import (child_rng, connectedness_from_table, gin, run_trace,
                   variety_invariants, verify_gap_truncation,
@@ -143,37 +144,36 @@ def collinear_points(N, seed, prime=DEFAULT_PRIME) -> Ideal:
     return _distinct_points(N, prime, on_line)
 
 
-def _rdim(n, d):
-    """Dimension of the forms of degree d on P^n; 0 in negative degree."""
-    return count_monomials(n + 1, d) if d >= 0 else 0
+def _koszul_numerator(a, b):
+    """(1 - t^a)(1 - t^b), lowest degree first: the Hilbert series
+    numerator of a complete intersection of degrees a and b."""
+    return [(k == 0) - (k == a) - (k == b) + (k == a + b)
+            for k in range(a + b + 1)]
 
 
-def _koszul_dims(n, a, b, dmax):
-    """Quotient dimensions of a regular sequence of degrees a, b in P^n."""
-    return [_rdim(n, d) - _rdim(n, d - a) - _rdim(n, d - b)
-            + _rdim(n, d - a - b) for d in range(dmax + 1)]
+# 1 - 3t^2 + 2t^3: three quadrics with two linear syzygies (Eagon-Northcott)
+_DETERMINANTAL_NUMERATOR = [1, 0, -3, 2]
 
 
-def _first_with_hilbert(expected, build, seed, *labels) -> Ideal:
-    """The first of 20 labelled draws whose quotient has these dimensions.
+def _first_with_hilbert(numerator, build, seed, *labels) -> Ideal:
+    """The first of 20 labelled draws with this Hilbert series numerator.
 
-    Draw ``k`` is ``build(child_rng(seed, *labels, k))``; its Hilbert
-    function is compared in degrees 0..len(expected) - 1.
+    Draw ``k`` is ``build(child_rng(seed, *labels, k))``; the numerator
+    is that of its initial ideal, which has the same Hilbert series.
     """
-    dmax = len(expected) - 1
     for attempt in range(20):
         I = build(child_rng(seed, *labels, attempt))
-        if list(hilbert_function(initial_ideal(I), dmax)) == expected:
+        if _hilbert_numerator(initial_ideal(I).gens, I.ring.nvars) == numerator:
             return I
     raise RuntimeError(f"no {labels[0]} ideal with the expected Hilbert "
-                       "function; seed exhausted")
+                       "series; seed exhausted")
 
 
 def complete_intersection(a, b, n, seed, prime=DEFAULT_PRIME) -> Ideal:
     """Two dense random forms of degrees a <= b in P^n.
 
-    Degenerate pairs are detected by comparing the quotient Hilbert
-    function against the Koszul pattern and resampled.
+    Degenerate pairs are detected by comparing the Hilbert series
+    against the Koszul pattern and resampled.
     """
     if not 2 <= a <= b:
         raise ValueError("need 2 <= a <= b")
@@ -181,7 +181,7 @@ def complete_intersection(a, b, n, seed, prime=DEFAULT_PRIME) -> Ideal:
         raise ValueError("need ambient dimension at least 3")
     ring = PolyRing(n + 1, prime)
     return _first_with_hilbert(
-        _koszul_dims(n, a, b, a + b + 1),
+        _koszul_numerator(a, b),
         lambda rng: Ideal(ring, [ring.random_form(a, rng),
                                  ring.random_form(b, rng)]),
         seed, "ci", a, b, n)
@@ -198,24 +198,17 @@ def determinantal_from_matrix(rows) -> Ideal:
     return Ideal(ring, minors)
 
 
-def _eagon_northcott_dims(n, dmax):
-    """Quotient dimensions of a generic 2x3 linear determinantal in P^n."""
-    return [_rdim(n, d) - 3 * _rdim(n, d - 2) + 2 * _rdim(n, d - 3)
-            for d in range(dmax + 1)]
-
-
 def determinantal(n, seed, prime=DEFAULT_PRIME) -> Ideal:
     """Minors of a random 2x3 matrix of linear forms in P^n.
 
     Degenerate matrices (shared factors among the minors) are detected by
-    the Hilbert function against the Eagon-Northcott pattern and
-    resampled.
+    the Hilbert series against the Eagon-Northcott pattern and resampled.
     """
     if n < 3:
         raise ValueError("need ambient dimension at least 3")
     ring = PolyRing(n + 1, prime)
     return _first_with_hilbert(
-        _eagon_northcott_dims(n, 5),
+        _DETERMINANTAL_NUMERATOR,
         lambda rng: determinantal_from_matrix(
             [[ring.random_form(1, rng) for _ in range(3)] for _ in range(2)]),
         seed, "determinantal", n)

@@ -76,7 +76,8 @@ class _Parser:
         f = self.expression()
         kind, value, *_ = self.peek()
         if kind != "end":
-            self.error(f"unexpected {value!r} after expression")
+            found = f"x{value}" if kind == "var" else repr(value)
+            self.error(f"unexpected {found} after expression")
         return f
 
     def expression(self):
@@ -167,12 +168,7 @@ def _split_with_positions(text):
     return chunks
 
 
-def split_generators(text: str):
-    """Generator chunks: one per line, with commas/semicolons also splitting."""
-    return [chunk for chunk, _, _ in _split_with_positions(text)]
-
-
-def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME, ring=None):
+def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME):
     """Parse generators into an Ideal; raises on inhomogeneous input.
 
     The variable count is inferred from the largest index present unless
@@ -180,12 +176,11 @@ def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME, ring=None):
     """
     from .groebner import Ideal
 
-    if ring is None:
-        if nvars is None:
-            nvars = max_variable_index(text) + 1
-        if nvars < 1:
-            raise ParseError("no variables found; declare the variable count")
-        ring = PolyRing(nvars, prime)
+    if nvars is None:
+        nvars = max_variable_index(text) + 1
+    if nvars < 1:
+        raise ParseError("no variables found; declare the variable count")
+    ring = PolyRing(nvars, prime)
     gens = []
     for chunk, lineno, col in _split_with_positions(text):
         try:

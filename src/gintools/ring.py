@@ -19,7 +19,6 @@ come from the same ring.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
@@ -79,13 +78,6 @@ def revlex_key(m: Monomial):
     return (-sum(m), tuple(-e for e in reversed(m)))
 
 
-def revlex_cmp(a: Monomial, b: Monomial) -> int:
-    """+1 if a > b, 0 if equal, -1 if a < b in the reverse lex order."""
-    _check_same_length(a, b)
-    ka, kb = revlex_key(a), revlex_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def _grevlex_sort_key(m: Monomial):
     """Ascending sort key of grevlex; the smallest key is the greatest monomial.
 
@@ -106,10 +98,6 @@ def monomials_of_degree(nvars: int, d: int):
     for first in range(d, -1, -1):
         for rest in monomials_of_degree(nvars - 1, d - first):
             yield (first,) + rest
-
-
-def count_monomials(nvars: int, d: int) -> int:
-    return math.comb(d + nvars - 1, nvars - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +260,6 @@ class Poly:
             raise ValueError("zero polynomial has no lead coefficient")
         return self.terms[0][1]
 
-    def coeff(self, mono):
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
     def monic(self):
         if not self.terms:
             return self
@@ -372,13 +354,6 @@ def _reduced(acc, p):
     return [(m, r) for m, c in acc.items() if (r := c % p)]
 
 
-def initial_monomial(f: Poly) -> Monomial:
-    """The greatest monomial of f in the reverse lex order."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no initial monomial")
-    return max((m for m, _ in f.terms), key=revlex_key)
-
-
 # ---------------------------------------------------------------------------
 # linear changes of coordinates
 
@@ -397,12 +372,6 @@ class LinearChange:
             raise ValueError("singular matrix")
 
     @classmethod
-    def identity(cls, ring):
-        n = ring.nvars
-        return cls(ring, tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)))
-
-    @classmethod
     def random(cls, ring, rng):
         """Uniform invertible matrix, sampled by rejection."""
         n, p = ring.nvars, ring.prime
@@ -412,9 +381,6 @@ class LinearChange:
                 return cls(ring, rows)
             except ValueError:  # __post_init__ rejects a singular draw
                 pass
-
-    def inverse(self):
-        return LinearChange(self.ring, _inverse_mod(self.matrix, self.ring.prime))
 
     @cached_property
     def _powers(self):
@@ -484,24 +450,6 @@ def _det_mod(matrix, p):
             if factor:
                 rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[col])]
     return det % p
-
-
-def _inverse_mod(matrix, p):
-    n = len(matrix)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(a * inv) % p for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def last_image(h: Poly) -> Poly:

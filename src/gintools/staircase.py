@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import le
 
 from .ring import (Monomial, mono_degree, mono_divides, mono_div, mono_gcd,
                    revlex_key)
@@ -33,15 +34,18 @@ class GinUnstableError(ComputationError):
     """No sample is certified as the gin; the field may be too small."""
 
 
-def minimalize(monos) -> tuple:
-    """Minimal generators among the given monomials, canonically sorted."""
-    unique = sorted(set(monos), key=mono_degree)
+def minimal_monomials(monos) -> list:
+    """Minimal generators among monomials of one length, in no set order."""
     kept = []
-    for m in unique:
-        if not any(mono_divides(g, m) for g in kept):
+    for m in sorted(set(monos), key=sum):
+        if not any(all(map(le, g, m)) for g in kept):
             kept.append(m)
-    kept.sort(key=revlex_key, reverse=True)
-    return tuple(kept)
+    return kept
+
+
+def minimalize(monos) -> tuple:
+    """Minimal generators among monomials of one length, canonically sorted."""
+    return tuple(sorted(minimal_monomials(monos), key=revlex_key, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -62,17 +66,11 @@ class MonomialIdeal:
     def is_zero(self):
         return not self.gens
 
-    def is_unit(self):
-        return any(mono_degree(g) == 0 for g in self.gens)
-
     def contains(self, mono: Monomial) -> bool:
         return any(mono_divides(g, mono) for g in self.gens)
 
     def max_degree(self):
         return max((mono_degree(g) for g in self.gens), default=0)
-
-    def min_degree(self):
-        return min((mono_degree(g) for g in self.gens), default=0)
 
     def max_exponent(self, axis):
         return max((g[axis] for g in self.gens), default=0)

@@ -55,6 +55,19 @@ def test_borel_command_witness(capsys):
     assert "witness: (x1, e_1)" in out
 
 
+@pytest.mark.parametrize("gens,expected", [
+    ("x0^7, x1^7", ["borel_fixed: true"]),
+    ("x1^7", ["borel_fixed: false", "witness: (x1^7, x0^7)"])])
+def test_borel_command_tests_p_borel_at_the_given_prime(capsys, gens,
+                                                        expected):
+    """At p = 7 the move x1^7 -> x0^7 is required, but no other move of
+    x1^7 is: C(7, s) = 0 mod 7 for 0 < s < 7."""
+    code, out = run(capsys, "borel", "--gens", gens, "--n", "1",
+                    "--prime", "7")
+    assert code == 0
+    assert out.splitlines() == expected
+
+
 def test_borel_command_positive(capsys):
     code, out = run(capsys, "borel", "--gens", "x0^2, x0*x1, x1^2", "--n", "2")
     assert code == 0
@@ -118,6 +131,13 @@ def test_parse_error_names_the_end_of_input_at_its_place_in_the_file(
     assert code == EXIT_PARSE
     where = "line 1, column 11" if argv[0] == "--gens" else "line 7, column 5"
     assert err.strip().endswith(f"found end of input at {where}")
+
+
+def test_parse_error_names_a_variable_by_its_name(capsys):
+    code, _, err = run_with_err(capsys, "gin", "--gens", "x0x1", "--n", "1")
+    assert code == EXIT_PARSE
+    assert err.strip() == ("parse error: unexpected x1 after expression "
+                           "at line 1, column 3")
 
 
 def test_inhomogeneous_exit_code(capsys):
@@ -214,6 +234,15 @@ def test_computation_error_exit_code(capsys):
     # not saturated: x0 * (irrelevant ideal)
     code, _ = run(capsys, "invariants", "--gens", "x0^2, x0*x1, x0*x2")
     assert code == EXIT_COMPUTE
+
+
+def test_invariants_on_a_line_in_p1_is_a_computation_error(capsys):
+    """variety_invariants refuses the unsaturated gin (x0, x1) before the
+    staircase table would refuse its two variables as a config error."""
+    code, _, err = run_with_err(capsys, "invariants", "--gens", "x0, x1",
+                                "--n", "1")
+    assert code == EXIT_COMPUTE
+    assert "saturate first" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,18 +1,23 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
 import oracles
 from gintools import corpus
-from gintools.corpus import (DATA, check_expectations, collinear_points,
+from gintools.corpus import (DATA, _DETERMINANTAL_NUMERATOR,
+                             _first_with_hilbert, _koszul_numerator,
+                             check_expectations, collinear_points,
                              complete_intersection, determinantal,
                              determinantal_from_matrix, entry_names,
                              entry_report, expected_values, general_points,
                              load_entry, parse_entry, point_ideal,
                              render_entry, twisted_cubic)
-from gintools.gin import gin, variety_invariants
+from gintools.gin import child_rng, gin, variety_invariants
+from gintools.groebner import Ideal, _hilbert_numerator, initial_ideal
 from gintools.ring import PolyRing
-from gintools.staircase import (InvariantProfile, UnsaturatedIdealError,
+from gintools.staircase import (InvariantProfile, MonomialIdeal,
+                                UnsaturatedIdealError,
                                 gap_degrees, is_borel_fixed)
 from gintools.parsing import ParseError, parse_polynomial
 
@@ -80,6 +85,44 @@ def test_determinantal_random_surface():
     assert all(g[-1] == 0 for g in result.gin.gens)
     inv = variety_invariants(I, seed=0)
     assert inv.s_Z == inv.s_Gamma == 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_koszul_numerator_is_that_of_two_coprime_powers(n):
+    for a, b in itertools.product(range(1, 5), repeat=2):
+        M = MonomialIdeal.from_monomials(
+            n + 1, [(a,) + (0,) * n, (0, b) + (0,) * (n - 1)])
+        assert _koszul_numerator(a, b) == _hilbert_numerator(M.gens, n + 1)
+
+
+@pytest.mark.parametrize("build", [twisted_cubic,
+                                   lambda: determinantal(4, seed=0)])
+def test_determinantal_numerator_is_that_of_the_minors(build):
+    I = build()
+    assert _DETERMINANTAL_NUMERATOR == [1, 0, -3, 2]
+    assert _hilbert_numerator(initial_ideal(I).gens, I.ring.nvars) == \
+        _DETERMINANTAL_NUMERATOR
+
+
+def test_first_with_hilbert_skips_forms_with_a_common_factor():
+    """Draw 0 is l*f, l*g for a linear form l, draw 1 two general quadrics:
+    the Koszul series rejects the first and returns the second."""
+    ring = PolyRing(4)
+    rngs, drawn = [], []
+
+    def build(rng):
+        rngs.append(rng.getstate())
+        if not drawn:
+            l = ring.random_form(1, rng)
+            forms = [l * ring.random_form(1, rng), l * ring.random_form(1, rng)]
+        else:
+            forms = [ring.random_form(2, rng), ring.random_form(2, rng)]
+        drawn.append(Ideal(ring, forms))
+        return drawn[-1]
+
+    I = _first_with_hilbert(_koszul_numerator(2, 2), build, 5, "ci", 2, 2, 3)
+    assert I is drawn[1]
+    assert rngs == [child_rng(5, "ci", 2, 2, 3, k).getstate() for k in (0, 1)]
 
 
 def test_builders_reject_bad_arguments():

@@ -31,7 +31,7 @@ def poly(ring, text):
 
 
 def ideal(ring, text):
-    return parse_ideal(text, ring=ring)
+    return parse_ideal(text, ring.nvars, ring.prime)
 
 
 def twisted_cubic():

@@ -24,7 +24,7 @@ def poly(ring, text):
 
 
 def ideal(ring, text):
-    return parse_ideal(text, ring=ring)
+    return parse_ideal(text, ring.nvars, ring.prime)
 
 
 def twisted_cubic():
@@ -321,8 +321,10 @@ def test_early_stopped_lead_ideal_equals_the_full_one(seed, p, nvars, move):
     ring = PolyRing(nvars, p)
     I = Ideal(ring, [sparse_form(ring, rng.randint(1, 4), rng)
                      for _ in range(rng.randint(2, 3))])
+    identity = tuple(tuple(int(i == j) for j in range(nvars))
+                     for i in range(nvars))
     change = (LinearChange.random(ring, rng) if move
-              else LinearChange.identity(ring))
+              else LinearChange(ring, identity))
     moved = [change.apply(g) for g in I.gens]
     stopped = _groebner_basis(moved, ring, series(initial_ideal(I)))
     assert lead_ideal(stopped, nvars) == initial_ideal(Ideal(ring, moved))
@@ -639,9 +641,10 @@ def test_restrict_is_psi_then_drop_xn(seed, nvars, degree):
     n = nvars - 1
     f = ring.random_form(degree, rng)
     h = ring.general_linear_form(rng)
-    hn = h.coeff(tuple(int(i == n) for i in range(nvars)))
+    coeffs = dict(h.terms)
+    hn = coeffs.get(tuple(int(i == n) for i in range(nvars)), 0)
     inv = ring.inv(hn)
-    image = [(-h.coeff(tuple(int(i == j) for i in range(nvars))) * inv)
+    image = [(-coeffs.get(tuple(int(i == j) for i in range(nvars)), 0) * inv)
              % ring.prime for j in range(n)] + [inv]
     rows = tuple(tuple(int(i == j) for j in range(nvars)) for i in range(n))
     psi = LinearChange(ring, rows + (tuple(image),))

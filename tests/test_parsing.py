@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gintools.ring import PolyRing
-from gintools.parsing import (ParseError, parse_ideal, parse_polynomial,
-                              render_monomial, render_poly, split_generators)
+from gintools.parsing import (ParseError, _split_with_positions, parse_ideal,
+                              parse_polynomial, render_monomial, render_poly)
 
 R3 = PolyRing(3)
 
@@ -84,7 +84,8 @@ def test_missing_operand_rejected():
 
 def test_split_generators_handles_lines_commas_comments():
     text = "x0*x1, x2^2\nx1^2  # a comment\n# full comment line\n"
-    assert split_generators(text) == ["x0*x1", "x2^2", "x1^2"]
+    chunks = [chunk for chunk, _, _ in _split_with_positions(text)]
+    assert chunks == ["x0*x1", "x2^2", "x1^2"]
 
 
 def test_ideal_variable_count_inferred():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from gintools.ring import LinearChange, PolyRing
+from gintools.ring import LinearChange, PolyRing, mono_divides, revlex_key
 from gintools.staircase import (DegenerateProfileError, InvariantProfile,
                                 MonomialIdeal, UnsaturatedIdealError,
                                 colon_by_monomial, elementary_move,
@@ -30,6 +30,24 @@ def borel_closure(nvars, seeds):
                 seen.add(moved)
                 todo.append(moved)
     return MonomialIdeal.from_monomials(nvars, seen)
+
+
+# ---------------------------------------------------------------------------
+# minimal generators
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3)
+                .map(tuple), max_size=8),
+       st.integers(0, 3), st.booleans())
+def test_from_monomials_keeps_the_minimal_ones_in_canonical_order(
+        monos, repeats, unit):
+    """Against the definition: a monomial no other one of the list divides,
+    greatest first in the reverse lex order; duplicates and 1 included."""
+    monos = monos + monos[:repeats] + ([(0, 0, 0)] if unit else [])
+    distinct = set(monos)
+    minimal = [m for m in distinct
+               if not any(g != m and mono_divides(g, m) for g in distinct)]
+    expected = tuple(sorted(minimal, key=revlex_key, reverse=True))
+    assert MonomialIdeal.from_monomials(3, monos).gens == expected
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +166,7 @@ def test_colon_example():
 
 
 def test_colon_to_unit():
-    assert colon_by_monomial(M(3, (1, 0, 0)), (1, 0, 0)).is_unit()
+    assert colon_by_monomial(M(3, (1, 0, 0)), (1, 0, 0)).gens == ((0, 0, 0),)
 
 
 @given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
@@ -183,7 +201,7 @@ def test_restrict_last_kills_generators():
 
 
 def test_restrict_last_unit():
-    assert restrict_last(M(3, (0, 0, 0))).is_unit()
+    assert restrict_last(M(3, (0, 0, 0))).gens == ((0, 0),)
 
 
 def test_slice_example():
@@ -369,7 +387,7 @@ def test_profile_ignores_last_exponent_on_saturated_input(seeds, level, pn):
 def test_s_at_zero_is_min_generator_degree():
     ideal = M(4, (2, 0, 0, 0), (1, 1, 0, 0), (0, 3, 0, 0))
     table = invariant_table(ideal)
-    assert table.s_at_zero == 2 == ideal.min_degree()
+    assert table.s_at_zero == 2 == min(map(sum, ideal.gens))
 
 
 def test_constant_table_when_no_late_variables():
