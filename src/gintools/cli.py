@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .ring import DEFAULT_PRIME
@@ -17,8 +16,8 @@ from .groebner import hilbert_function, initial_ideal, default_dmax
 from .staircase import MonomialIdeal, is_p_borel_fixed, slice_level
 from .gin import (ComputationError, check_connectedness, gin, run_trace,
                   variety_invariants, is_saturated_gin)
-from .parsing import (ParseError, parse_ideal, render_monomial,
-                      render_monomial_ideal, render_poly)
+from .parsing import (ParseError, max_coefficient, parse_ideal,
+                      render_monomial, render_monomial_ideal, render_poly)
 from .corpus import entry_names, entry_report, load_entry, split_entry
 
 EXIT_OK = 0
@@ -30,20 +29,6 @@ EXIT_CHECK_FAILED = 5
 
 class ConfigError(ValueError):
     pass
-
-
-def _max_coefficient(text):
-    """Largest integer literal used as a coefficient.
-
-    Exponents and the digits of variable names such as ``x12`` are skipped.
-    """
-    best = None
-    for match in re.finditer(r"(\^\s*|x)?(\d+)", text):
-        if match.group(1):
-            continue
-        value = int(match.group(2))
-        best = value if best is None else max(best, value)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +60,7 @@ def _load_input(args):
         raise ConfigError("no input: give --in FILE or --gens STR")
     prime = DEFAULT_PRIME if prime is None else prime
     # only the text shows a literal too large for p: parsed, 10 at p = 7 is 3
-    largest = _max_coefficient(text)
+    largest = max_coefficient(text)
     if largest is not None and prime <= 2 * largest:
         raise ConfigError(f"prime {prime} too small for coefficient "
                           f"{largest}: need p > {2 * largest}")

@@ -1,9 +1,12 @@
 """Constructors and data files for the varieties that exercise the checks.
 
-Entries live in ``data/<name>.ideal``: a small header (name, ambient
-dimension, prime, generation seed, tags), the generator polynomials one per
-line, and an optional block of expected values produced by the oracle
-regeneration pass.  Random entries are seed-pinned;
+Entries live in ``data/<name>.ideal``: a header of ``key: value`` lines
+(name, ambient dimension, prime, generation seed, tags), a ``gens:``
+section and an optional ``expect:`` block of expected values produced by
+the oracle regeneration pass; ``#`` starts a comment anywhere.  The
+``gens:`` section is read by ``parse_ideal``, as ``--gens`` is, so commas,
+semicolons and line breaks separate generators, and errors carry the
+file's lines.  Random entries are seed-pinned;
 ``scripts/regenerate_corpus.py`` is the explicit maintenance command that
 rebuilds them.  ``entry_report`` runs every check on one entry.
 """
@@ -21,7 +24,7 @@ from .staircase import gap_degrees
 from .gin import (child_rng, connectedness_from_table, gin, run_trace,
                   variety_invariants, verify_gap_truncation,
                   verify_slice_identity)
-from .parsing import (ParseError, parse_polynomial, render_monomial,
+from .parsing import (ParseError, parse_ideal, render_monomial,
                       render_monomial_ideal, render_poly)
 
 DATA = resources.files("gintools").joinpath("data")
@@ -50,19 +53,13 @@ class CorpusEntry:
 
 def twisted_cubic(prime=DEFAULT_PRIME) -> Ideal:
     """The three 2x2 minors cutting out the twisted cubic curve in P^3."""
-    ring = PolyRing(4, prime)
-    gens = [parse_polynomial(s, ring) for s in
-            ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")]
-    return Ideal(ring, gens)
+    return parse_ideal("x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2", 4, prime)
 
 
 def rational_quartic(prime=DEFAULT_PRIME) -> Ideal:
     """The smooth rational quartic curve (s^4, s^3 t, s t^3, t^4) in P^3."""
-    ring = PolyRing(4, prime)
-    gens = [parse_polynomial(s, ring) for s in
-            ("x1*x2 - x0*x3", "x1^3 - x0^2*x2",
-             "x2^3 - x1*x3^2", "x0*x2^2 - x1^2*x3")]
-    return Ideal(ring, gens)
+    return parse_ideal("x1*x2 - x0*x3, x1^3 - x0^2*x2, "
+                       "x2^3 - x1*x3^2, x0*x2^2 - x1^2*x3", 4, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +257,9 @@ def split_entry(text, name="entry"):
 
 def parse_entry(text, name="entry") -> CorpusEntry:
     fields, gens_text, expect = split_entry(text, name)
-    ring = PolyRing(fields["n"] + 1, fields["prime"])
-    gens = tuple(parse_polynomial(line, ring)
-                 for line in gens_text.splitlines() if line.strip())
+    gens = parse_ideal(gens_text, fields["n"] + 1, fields["prime"]).gens
+    if not gens:  # the entry's ring is that of its generators
+        raise ParseError(f"entry {name!r} has only zero generators")
     return CorpusEntry(gens=gens, expect=expect, **fields)
 
 

@@ -1,16 +1,26 @@
 """Text syntax for polynomials and ideals.
 
-Grammar: expressions over x0..xn, integer literals, the operators + - * ^
-and parentheses, whitespace-insensitive.  The renderer emits the canonical
-form (terms in decreasing order, balanced signed coefficients) and
-round-trips through the parser.
+Grammar, read by one lexer (``_tokenize``):
+
+    ideal       := [expression] (separator [expression])*
+    separator   := ',' | ';' | line break
+    expression  := ['+' | '-'] term (('+' | '-') term)*
+    term        := factor ('*' factor)*
+    factor      := base ['^' integer]
+    base        := 'x' integer | integer | '(' expression ')'
+
+Other whitespace is insignificant, and a ``#`` starts a comment that runs
+to the end of its line.  Each expression of an ideal is one generator, and
+a sum of terms of different degrees is rejected where it is formed.  The
+renderer emits the canonical form (terms in decreasing order, balanced
+signed coefficients) and round-trips through the parser.
 """
 
 from __future__ import annotations
 
 import re
 
-from .ring import Poly, PolyRing, mono_degree, DEFAULT_PRIME
+from .ring import Poly, PolyRing, DEFAULT_PRIME
 
 
 class ParseError(ValueError):
@@ -21,36 +31,39 @@ class ParseError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-_TOKEN = re.compile(r"x(?P<index>\d+)|(?P<int>\d+)|(?P<op>[+\-*^()])")
-
-
-def _position(text, pos):
-    line = text.count("\n", 0, pos) + 1
-    col = pos - text.rfind("\n", 0, pos)
-    return line, col
+_EOL = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"   # where str.splitlines breaks
+_TOKEN = re.compile(rf"(?P<sep>[,;]|\r\n|[{_EOL}])|[^\S{_EOL}]+|#[^{_EOL}]*"
+                    r"|x(?P<var>\d+)|(?P<int>\d+)|(?P<op>[+\-*^()])")
 
 
 def _tokenize(text):
+    """The (kind, value, line, column) tokens of the text, in one pass.
+
+    Kinds are ``var`` (its index), ``int``, ``op``, ``sep`` and a last
+    ``end``; whitespace and comments make none.  A ``sep`` or ``end`` token
+    sits just past the last token before it, where an expression cut short
+    by it ends.
+    """
     tokens = []
+    line, start = 1, 0          # the line's number and its offset in text
+    stop = (1, 1)               # just past the last var, int or op
     pos = 0
     while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
         match = _TOKEN.match(text, pos)
         if match is None:
-            line, col = _position(text, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        line, col = _position(text, pos)
-        if match.group("index") is not None:
-            tokens.append(("var", int(match.group("index")), line, col))
-        elif match.group("int") is not None:
-            tokens.append(("int", int(match.group("int")), line, col))
-        else:
-            tokens.append(("op", match.group("op"), line, col))
-        pos = match.end()
-    line, col = _position(text, len(text))
-    tokens.append(("end", None, line, col))
+            raise ParseError(f"unexpected character {text[pos]!r}",
+                             line, pos - start + 1)
+        kind, pos = match.lastgroup, match.end()
+        if kind == "sep":
+            tokens.append(("sep", match.group(), *stop))
+            if match.group() not in ",;":
+                line, start = line + 1, pos
+        elif kind is not None:
+            value = match.group(kind)
+            tokens.append((kind, value if kind == "op" else int(value),
+                           line, match.start() - start + 1))
+            stop = (line, pos - start + 1)
+    tokens.append(("end", None, *stop))
     return tokens
 
 
@@ -68,104 +81,96 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, ops):
+        """The next token's operator if it is one of ``ops``, consumed."""
+        kind, value, *_ = self.peek()
+        if kind == "op" and value in ops:
+            self.i += 1
+            return value
+        return None
+
     def error(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok[2], tok[3])
 
-    def parse(self):
+    def generator(self, stops=("sep", "end")):
         f = self.expression()
         kind, value, *_ = self.peek()
-        if kind != "end":
+        if kind not in stops:
             found = f"x{value}" if kind == "var" else repr(value)
             self.error(f"unexpected {found} after expression")
         return f
 
-    def expression(self):
-        sign = 1
-        kind, value, *_ = self.peek()
-        if kind == "op" and value in "+-":
-            self.next()
-            sign = -1 if value == "-" else 1
-        f = self.term().scale(sign)
+    def generators(self):
+        """The expressions between separators, up to the end of input."""
+        gens = []
         while True:
-            kind, value, *_ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                g = self.term()
-                try:
-                    f = f - g if value == "-" else f + g
-                except ValueError as exc:
-                    self.error(str(exc))
-            else:
-                return f
+            if self.peek()[0] not in ("sep", "end"):
+                gens.append(self.generator())
+            if self.next()[0] == "end":
+                return gens
+
+    def expression(self):
+        sign = -1 if self.accept("+-") == "-" else 1
+        f = self.term().scale(sign)
+        while op := self.accept("+-"):
+            g = self.term()
+            try:
+                f = f - g if op == "-" else f + g
+            except ValueError as exc:
+                self.error(str(exc))
+        return f
 
     def term(self):
         f = self.factor()
-        while True:
-            kind, value, *_ = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                f = f * self.factor()
-            else:
-                return f
+        while self.accept("*"):
+            f = f * self.factor()
+        return f
 
     def factor(self):
         base = self.base()
-        kind, value, *_ = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            kind, exp, *_ = self.peek()
-            if kind != "int":
-                self.error("expected an integer exponent")
-            self.next()
-            return base ** exp
-        return base
+        if not self.accept("^"):
+            return base
+        kind, exp, *_ = self.peek()
+        if kind != "int":
+            self.error("expected an integer exponent")
+        self.next()
+        return base ** exp
 
     def base(self):
-        kind, value, line, col = self.peek()
+        tok = self.next()
+        kind, value, *_ = tok
         if kind == "var":
-            self.next()
             if value >= self.ring.nvars:
-                raise ParseError(
-                    f"unknown variable x{value}: ring has x0..x{self.ring.nvars - 1}",
-                    line, col)
+                self.error(f"unknown variable x{value}: "
+                           f"ring has x0..x{self.ring.nvars - 1}", tok)
             return self.ring.variable(value)
         if kind == "int":
-            self.next()
             return self.ring.one().scale(value)
         if kind == "op" and value == "(":
-            self.next()
             f = self.expression()
-            kind, value, *_ = self.peek()
-            if kind != "op" or value != ")":
+            if not self.accept(")"):
                 self.error("expected ')'")
-            self.next()
             return f
-        found = "end of input" if kind == "end" else repr(value)
-        self.error(f"expected a variable, integer, or '(', found {found}")
+        found = "end of input" if kind in ("sep", "end") else repr(value)
+        self.error(f"expected a variable, integer, or '(', found {found}", tok)
 
 
-def max_variable_index(text):
-    """Largest variable index mentioned anywhere in the text, or -1."""
-    return max((int(m.group(1)) for m in re.finditer(r"x(\d+)", text)), default=-1)
+def max_coefficient(text):
+    """Largest integer literal used as a coefficient, or None.
+
+    Exponents, variable indices and comments hold no coefficient.
+    """
+    best = prev = None
+    for kind, value, *_ in _tokenize(text):
+        if kind == "int" and prev != "^":
+            best = value if best is None else max(best, value)
+        prev = value
+    return best
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Poly:
-    return _Parser(_tokenize(text), ring).parse()
-
-
-def _split_with_positions(text):
-    """(chunk, line, column) triples, 1-based positions in the original text."""
-    chunks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        col = 1
-        for piece in re.split(r"[,;]", line):
-            stripped = piece.strip()
-            if stripped:
-                chunks.append((stripped, lineno, col + piece.index(stripped[0])))
-            col += len(piece) + 1
-    return chunks
+    return _Parser(_tokenize(text), ring).generator(stops=("end",))
 
 
 def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME):
@@ -176,29 +181,13 @@ def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME):
     """
     from .groebner import Ideal
 
+    tokens = _tokenize(text)
     if nvars is None:
-        nvars = max_variable_index(text) + 1
+        nvars = 1 + max((v for k, v, *_ in tokens if k == "var"), default=-1)
     if nvars < 1:
         raise ParseError("no variables found; declare the variable count")
     ring = PolyRing(nvars, prime)
-    gens = []
-    for chunk, lineno, col in _split_with_positions(text):
-        try:
-            f = parse_polynomial(chunk, ring)
-        except ParseError as exc:
-            line = lineno + (exc.line or 1) - 1
-            column = exc.column + (col - 1 if exc.line == 1 else 0)
-            raise ParseError(exc.args[0].rsplit(" at line", 1)[0],
-                             line, column) from None
-        if f.is_zero():
-            continue
-        if not f.is_homogeneous():
-            degrees = sorted({mono_degree(m) for m, _ in f.terms})
-            raise ParseError(
-                f"inhomogeneous generator {chunk!r}: degrees {degrees}",
-                lineno, col)
-        gens.append(f)
-    return Ideal(ring, gens)
+    return Ideal(ring, _Parser(tokens, ring).generators())
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +198,18 @@ def render_monomial(m) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _balanced(c, p):
-    return c - p if c > p // 2 else c
-
-
 def render_poly(f: Poly) -> str:
-    """Canonical text form; parse(render(f)) == f."""
-    if f.is_zero():
-        return "0"
-    p = f.ring.prime
-    pieces = []
-    for i, (m, c) in enumerate(f.terms):
-        c = _balanced(c, p)
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if mono_degree(m) == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = render_monomial(m)
+    """Canonical text form, balanced coefficients; parse(render(f)) == f."""
+    p, text = f.ring.prime, ""
+    for m, c in f.terms:
+        c = c - p if c > p // 2 else c
+        mag, mono = abs(c), render_monomial(m)
+        body = str(mag) if not any(m) else mono if mag == 1 else f"{mag}*{mono}"
+        if text:
+            text += f" - {body}" if c < 0 else f" + {body}"
         else:
-            body = f"{mag}*{render_monomial(m)}"
-        if i == 0:
-            pieces.append(f"-{body}" if sign == "-" else body)
-        else:
-            pieces.append(f" {sign} {body}")
-    return "".join(pieces)
+            text = f"-{body}" if c < 0 else body
+    return text or "0"
 
 
 def render_monomial_ideal(M) -> str:

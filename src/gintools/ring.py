@@ -103,18 +103,24 @@ def monomials_of_degree(nvars: int, d: int):
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
+# Miller-Rabin at these bases is exact below _PRIME_LIMIT, the least strong
+# pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461
+
+
 def _is_prime(p):
-    """Miller-Rabin with the first twelve prime bases; exact below 3.3e24."""
+    """Whether p is prime; exact for p below _PRIME_LIMIT."""
     if p < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if p % q == 0:
             return p == q
     d, r = p - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, p)
         if x in (1, p - 1):
             continue
@@ -139,6 +145,9 @@ class PolyRing:
     def __init__(self, nvars, prime=DEFAULT_PRIME, sort_key=_grevlex_sort_key):
         if nvars < 1:
             raise ValueError("need at least one variable")
+        if prime >= _PRIME_LIMIT:
+            raise ValueError(f"modulus {prime} is past the primality test's "
+                             f"limit: need p < {_PRIME_LIMIT}")
         if not _is_prime(prime):
             raise ValueError(f"modulus {prime} is not prime")
         self.nvars = nvars

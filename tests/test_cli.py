@@ -7,7 +7,8 @@ import pytest
 
 from gintools import corpus
 from gintools.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTE, EXIT_CONFIG,
-                          EXIT_PARSE, _max_coefficient, main)
+                          EXIT_PARSE, main)
+from gintools.parsing import max_coefficient
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "gintools" / "data"
@@ -140,6 +141,35 @@ def test_parse_error_names_a_variable_by_its_name(capsys):
                            "at line 1, column 3")
 
 
+def test_in_file_reports_a_bad_generator_at_its_line(capsys, tmp_path):
+    entry = tmp_path / "bad.ideal"
+    entry.write_text("# comment\nname: bad\nn: 2\ngens:\nx0^2 + x1\n")
+    code, _, err = run_with_err(capsys, "gin", "--in", str(entry))
+    assert code == EXIT_PARSE
+    assert err.strip().endswith("at line 5, column 10")
+
+
+def test_a_comment_does_not_change_the_ring(capsys):
+    plain = run(capsys, "gin", "--gens", "x0^2, x0*x1, x1^2")
+    commented = run(capsys, "gin", "--gens", "x0^2, x0*x1, x1^2 # x5")
+    assert commented == plain
+    assert "saturated: false" in plain[1]
+
+
+def test_a_number_in_a_comment_is_not_a_coefficient(capsys):
+    code, _ = run(capsys, "gin", "--gens",
+                  "x0^2, x0*x1, x1^2  # from 99999 samples")
+    assert code == 0
+
+
+def test_strong_pseudoprime_modulus_is_config_error(capsys):
+    code, _, err = run_with_err(capsys, "gin", "--gens", "x0^2, x0*x1",
+                                "--n", "2", "--prime",
+                                "318665857834031151167461")
+    assert code == EXIT_CONFIG
+    assert "318665857834031151167461" in err
+
+
 def test_inhomogeneous_exit_code(capsys):
     code, _ = run(capsys, "gin", "--gens", "x0 + 1")
     assert code == EXIT_PARSE
@@ -162,8 +192,8 @@ def test_config_error_votes(capsys):
 
 
 def test_max_coefficient_skips_variable_indices():
-    assert _max_coefficient("3*x45 + x1^7") == 3
-    assert _max_coefficient("x0*x12") is None
+    assert max_coefficient("3*x45 + x1^7") == 3
+    assert max_coefficient("x0*x12") is None
 
 
 def test_variable_indices_are_not_coefficients(capsys):
@@ -453,10 +483,14 @@ def readme_examples():
 
 
 README_EXAMPLES = readme_examples()
+# a command's first example is named by the command, any later one by its
+# whole command line, so that adding an example renames no test
+_COMMANDS = [argv[0] for argv, _ in README_EXAMPLES]
+README_IDS = [argv[0] if _COMMANDS.index(argv[0]) == i else " ".join(argv)
+              for i, (argv, _) in enumerate(README_EXAMPLES)]
 
 
-@pytest.mark.parametrize("argv,expected", README_EXAMPLES,
-                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+@pytest.mark.parametrize("argv,expected", README_EXAMPLES, ids=README_IDS)
 def test_readme_examples_run(capsys, monkeypatch, argv, expected):
     monkeypatch.chdir(ROOT)
     code, out = run(capsys, *argv)

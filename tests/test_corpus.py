@@ -185,6 +185,28 @@ def test_load_entry_rejects_a_header_naming_another_entry(tmp_path,
         load_entry("foo")
 
 
+def test_parse_entry_reads_several_generators_on_a_line():
+    one_line = parse_entry("name: a\nn: 2\ngens:\nx0^2, x1^2  # two\n")
+    two_lines = parse_entry("name: a\nn: 2\ngens:\nx0^2\nx1^2\n")
+    assert one_line == two_lines
+    assert len(one_line.gens) == 2
+
+
+def test_parse_entry_rejects_an_entry_of_zero_generators():
+    with pytest.raises(ParseError, match="only zero generators"):
+        parse_entry("name: a\nn: 2\ngens:\nx0 - x0, 0\n")
+
+
+def test_load_entry_reports_a_bad_generator_at_its_line(tmp_path,
+                                                        monkeypatch):
+    (tmp_path / "bad.ideal").write_text(
+        "# comment\nname: bad\nn: 2\ngens:\nx0^2 + x1\n")
+    monkeypatch.setattr(corpus, "DATA", tmp_path)
+    with pytest.raises(ParseError, match="inhomogeneous") as info:
+        load_entry("bad")
+    assert (info.value.line, info.value.column) == (5, 10)
+
+
 def test_expected_values_follow_the_file_order(corpus_entries, corpus_gins):
     entry = corpus_entries["points-4-collinear"]
     inv = variety_invariants(entry.ideal(), gin_result=corpus_gins[entry.name])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gintools.ring import PolyRing
-from gintools.parsing import (ParseError, _split_with_positions, parse_ideal,
+from gintools.parsing import (ParseError, max_coefficient, parse_ideal,
                               parse_polynomial, render_monomial, render_poly)
 
 R3 = PolyRing(3)
@@ -84,8 +84,9 @@ def test_missing_operand_rejected():
 
 def test_split_generators_handles_lines_commas_comments():
     text = "x0*x1, x2^2\nx1^2  # a comment\n# full comment line\n"
-    chunks = [chunk for chunk, _, _ in _split_with_positions(text)]
-    assert chunks == ["x0*x1", "x2^2", "x1^2"]
+    gens = parse_ideal(text, nvars=3).gens
+    assert gens == tuple(parse_polynomial(g, R3)
+                         for g in ("x0*x1", "x2^2", "x1^2"))
 
 
 def test_ideal_variable_count_inferred():
@@ -131,3 +132,39 @@ def test_roundtrip_property(seed, degree):
     rng = random.Random(seed)
     f = R3.random_form(degree, rng)
     assert parse_polynomial(render_poly(f), R3) == f
+
+
+# ---------------------------------------------------------------------------
+# generator lists: separators, whitespace and comments
+
+# one or more of these, at least one of them not a space or a tab
+SEPARATORS = st.lists(
+    st.sampled_from([",", ";", "\n", "\r\n", " ", "\t"]), min_size=1,
+    max_size=3).map("".join).filter(lambda sep: sep.strip(" \t"))
+
+
+@given(st.integers(1, 4), st.sampled_from([7, 101, 32003]),
+       st.integers(0, 10 ** 9), st.data())
+def test_generator_list_parses_as_each_generator_alone(nvars, prime, seed,
+                                                       data):
+    ring = PolyRing(nvars, prime)
+    rng = random.Random(seed)
+    gens = [ring.random_form(rng.randint(1, 3), rng)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    rendered = [render_poly(g) for g in gens]
+    text = data.draw(st.sampled_from(["", "\n", " ; ", "# x99 is 7\n"]))
+    for piece in rendered:
+        sep = data.draw(SEPARATORS)
+        if data.draw(st.booleans()):   # a comment runs to the line's end
+            k = data.draw(st.integers(nvars, 99))
+            digits = data.draw(st.integers(0, 10 ** 6))
+            sep = f" # x{k} and {digits}\n" + sep
+        text += piece + sep
+    assert parse_ideal(text, nvars, prime).gens == \
+        tuple(parse_polynomial(g, ring) for g in rendered)
+    top = max(i for g in gens for m, _ in g.terms for i, e in enumerate(m) if e)
+    assert parse_ideal(text, prime=prime).ring.nvars == top + 1
+    literals = [abs(c - prime if c > prime // 2 else c)
+                for g in gens for _, c in g.terms]
+    assert max_coefficient(text) == max(
+        (c for c in literals if c != 1), default=None)

@@ -169,6 +169,13 @@ def test_composite_modulus_rejected():
         PolyRing(3, 1)
 
 
+def test_strong_pseudoprime_to_the_twelve_bases_rejected():
+    """399165290221 * 798330580441 passes Miller-Rabin at bases 2..37."""
+    with pytest.raises(ValueError, match="need p < 318665857834031151167461"):
+        PolyRing(2, 399165290221 * 798330580441)
+    assert PolyRing(2, 2 ** 61 - 1).prime == 2 ** 61 - 1
+
+
 @given(st.integers(0, 31))
 def test_scalar_arithmetic_matches_field(k):
     p = 31
