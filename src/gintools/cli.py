@@ -18,7 +18,8 @@ from .gin import (ComputationError, check_connectedness, gin, run_trace,
                   variety_invariants, is_saturated_gin)
 from .parsing import (ParseError, max_coefficient, parse_ideal,
                       render_monomial, render_monomial_ideal, render_poly)
-from .corpus import entry_names, entry_report, load_entry, split_entry
+from .corpus import (entry_names, entry_report, header_value, load_entry,
+                     split_entry)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,8 +55,10 @@ def _load_input(args):
                 header, text, _ = split_entry(fh.read(), name=args.infile)
         except OSError as exc:
             raise ConfigError(f"cannot read {args.infile}: {exc}")
-        n = header["n"] if n is None else n
-        prime = header["prime"] if prime is None else prime
+        if n is None:
+            n = header_value(header, "n", args.infile)
+        if prime is None:
+            prime = header_value(header, "prime", args.infile)
     elif not text:
         raise ConfigError("no input: give --in FILE or --gens STR")
     prime = DEFAULT_PRIME if prime is None else prime

@@ -215,8 +215,9 @@ def determinantal(n, seed, prime=DEFAULT_PRIME) -> Ideal:
 # entry files
 
 def split_entry(text, name="entry"):
-    """(header, generator text, expect) of an entry file; the header is
-    checked and holds the ``name, n, prime, seed, tags`` of a CorpusEntry.
+    """(header, generator text, expect) of an entry file; the header holds
+    the ``name, n, prime, seed, tags`` of a CorpusEntry, as integers where
+    they are numbers.  Its ring is checked by ``header_value`` where used.
 
     The generator text keeps one line per line of the file, blank outside
     the ``gens:`` section, so that positions in it are those of the file.
@@ -243,10 +244,6 @@ def split_entry(text, name="entry"):
         raise ParseError(f"entry {name!r} is missing the {exc.args[0]}: header")
     except ValueError:
         raise ParseError(f"entry {name!r} has a non-integer header value")
-    try:
-        PolyRing(n + 1, prime)
-    except ValueError as exc:
-        raise ParseError(f"entry {name!r}: {exc}")
     if not gens.strip():
         raise ParseError(f"entry {name!r} has no generators")
     tags = frozenset(t.strip() for t in header.get("tags", "").split(",") if t.strip())
@@ -255,9 +252,23 @@ def split_entry(text, name="entry"):
     return fields, gens, sections["expect"]
 
 
+def header_value(fields, key, name="entry"):
+    """The header's ``n`` or ``prime``, refused as a parse error of the
+    entry when no ring has it.  Checked only where it is used, since
+    ``--n`` and ``--prime`` replace it."""
+    value = fields[key]
+    nvars, prime = (value + 1, DEFAULT_PRIME) if key == "n" else (1, value)
+    try:
+        PolyRing(nvars, prime)
+    except ValueError as exc:
+        raise ParseError(f"entry {name!r}: {exc}")
+    return value
+
+
 def parse_entry(text, name="entry") -> CorpusEntry:
     fields, gens_text, expect = split_entry(text, name)
-    gens = parse_ideal(gens_text, fields["n"] + 1, fields["prime"]).gens
+    gens = parse_ideal(gens_text, header_value(fields, "n", name) + 1,
+                       header_value(fields, "prime", name)).gens
     if not gens:  # the entry's ring is that of its generators
         raise ParseError(f"entry {name!r} has only zero generators")
     return CorpusEntry(gens=gens, expect=expect, **fields)

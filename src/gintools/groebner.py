@@ -13,8 +13,16 @@ reduced basis G:
 One basis of psi(I) therefore gives every (I : h^p) and every section
 (I : h^p)|_h.  Intersections, and quotients by forms of higher degree, go
 through the one-auxiliary-variable elimination construction: adjoin t,
-form t*I + (1-t)*J, and eliminate t with a block order.  That block order
-lives here and nowhere else.
+form t*I + (1-t)*J, and eliminate t.  The order gives t weight 0: x-degree
+first, then the power of t, then grevlex on x.  Every polynomial the
+construction meets is homogeneous in x, and there the order picks the
+same leads as the block order with t greatest, so the t-free elements of
+a Groebner basis form one of I meet J (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, ch. 3 sec. 3 and ch. 8 sec. 3).  The normal
+strategy takes pairs by x-degree, which is their sugar degree (Giovini,
+Mora, Niesi, Robbiano and Traverso, One sugar cube, please, ISSAC 1991),
+and only the t-free elements are reduced.  That order lives here and
+nowhere else.
 
 Every comparison uses the ring's ascending sort key (see ``ring``), in
 which the smallest key is the greatest monomial.  Division keeps its
@@ -350,8 +358,16 @@ def _numerator(gens, nvars) -> list:
 # intersection, quotient, saturation
 
 def _elim_sort_key(m):
-    """Ascending key of the block order: fewest t first, then grevlex."""
-    return (-m[-1], -sum(m[:-1]), m[-2::-1])
+    """Ascending key of the elimination order, t the last exponent.
+
+    x-degree first, then the power of t, then grevlex on x.  On a
+    polynomial homogeneous in x all terms share one x-degree, so the power
+    of t decides first, as in the block order with t greatest; the
+    generators of t*I + (1-t)*J are such polynomials, and S-polynomials and
+    reductions of them stay so.  Hence t is eliminated, though the order is
+    not a block order.
+    """
+    return (-sum(m[:-1]), -m[-1], m[-2::-1])
 
 
 def _elimination_ring(ring):
@@ -363,17 +379,26 @@ def _lift(f, big, extra=0):
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I meet J via elimination of t from t*I + (1-t)*J."""
+    """I meet J via elimination of t from t*I + (1-t)*J.
+
+    The ring must be graded: the elimination order eliminates t only on
+    generators homogeneous in x.  The t-free elements of any Groebner basis
+    in that order form a basis of the intersection, so only they are
+    reduced.
+    """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
+    if not ring.graded:
+        raise ValueError("intersection needs a graded ring: elimination "
+                         "by x-degree first needs homogeneous generators")
     big = _elimination_ring(ring)
     gens = [_lift(f, big, extra=1) for f in I.gens]
     for g in J.gens:
         gens.append(_lift(g, big) - _lift(g, big, extra=1))
-    basis = buchberger(gens, big)
-    kept = [Poly(ring, tuple((m[:-1], c) for m, c in g.terms))
-            for g in basis if g.lead_monomial[-1] == 0]
+    # each kept element at t = 0: itself, written without t
+    kept = [Poly(ring, tuple((m[:-1], c) for m, c in g.terms if not m[-1]))
+            for g in _groebner_basis(gens, big) if g.lead_monomial[-1] == 0]
     reduced = _reduce_basis(kept, ring)
     result = Ideal(ring, reduced)
     result._gb = reduced  # elimination returns a basis of the intersection

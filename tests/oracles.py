@@ -3,7 +3,9 @@
 Everything here works degree by degree with dense coefficient matrices
 over F_p and deliberately shares no code with the Groebner machinery it
 checks: monomial enumeration goes through itertools and ranks through
-numpy Gaussian elimination.
+numpy Gaussian elimination.  The one exception is the last section, the
+slow path that intersection by elimination replaced, which runs the
+kernel's Buchberger in a block order.
 """
 
 import itertools
@@ -153,8 +155,15 @@ def grevlex_order(m):
 
 
 def elimination_order(m):
-    """The last variable t first, then grevlex on the others."""
+    """The block order: the last variable t first, then grevlex on the
+    others."""
     return (m[-1], sum(m[:-1]), tuple(-e for e in reversed(m[:-1])))
+
+
+def x_degree_first_order(m):
+    """Degree in all variables but the last first, then the last variable
+    t, then grevlex on the others."""
+    return (sum(m[:-1]), m[-1], tuple(-e for e in reversed(m[:-1])))
 
 
 def _sorted_terms(coeffs, order):
@@ -238,3 +247,45 @@ def expand_change(f_terms, matrix, p):
         for m, c in prod.items():
             total[m] = (total.get(m, 0) + c) % p
     return _sorted_terms(total, grevlex_order)
+
+
+# ---------------------------------------------------------------------------
+# intersection by elimination in the block order
+#
+# The slow path: t*I + (1-t)*J in the block order with t greatest, whose
+# every Groebner basis eliminates t, and a reduced basis of all of it.
+# It runs the kernel's Buchberger, so it checks the order and the elements
+# an intersection keeps, not Buchberger itself.
+
+def block_sort_key(m):
+    """Ascending sort key of ``elimination_order``, the kernel's convention:
+    the smallest key is the greatest monomial."""
+    return (-m[-1], -sum(m[:-1]), m[-2::-1])
+
+
+def block_elimination_meet(gens_i, gens_j, ring):
+    """The reduced basis of I meet J, from the t-free elements of the
+    block-order basis of t*I + (1-t)*J."""
+    from gintools.groebner import buchberger
+    from gintools.ring import PolyRing
+
+    big = PolyRing(ring.nvars + 1, ring.prime, sort_key=block_sort_key)
+
+    def lift(f, t):
+        return big.from_dict({m + (t,): c for m, c in f.terms})
+
+    gens = [lift(f, 1) for f in gens_i]
+    gens += [lift(g, 0) - lift(g, 1) for g in gens_j]
+    kept = [ring.from_dict({m[:-1]: c for m, c in g.terms})
+            for g in buchberger(gens, big) if g.lead_monomial[-1] == 0]
+    return buchberger(kept, ring)
+
+
+def block_elimination_quotient(gens, f, ring):
+    """The reduced basis of (I : f): the block-order meet of I and (f),
+    each element divided by f with the scan division above."""
+    from gintools.groebner import buchberger
+
+    return buchberger([ring.from_dict(dict(scan_exact_divide(
+        g.terms, f.terms, ring.prime, grevlex_order)))
+        for g in block_elimination_meet(gens, [f], ring)], ring)

@@ -1,6 +1,8 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,6 +262,33 @@ def test_composite_prime_in_entry_file_is_parse_error(capsys, tmp_path):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("header,override", [
+    ("n: 2\nprime: 9", ("--prime", "7")),
+    ("n: -1", ("--n", "2")),
+], ids=["prime", "n"])
+def test_in_file_header_is_checked_only_where_no_option_replaces_it(
+        capsys, tmp_path, header, override):
+    entry = tmp_path / "u.ideal"
+    entry.write_text(f"name: u\n{header}\ngens:\nx0^2, x1\n")
+    code, out, err = run_with_err(capsys, "gin", "--in", str(entry), *override)
+    assert code == 0, err
+    assert (code, out, err) == run_with_err(capsys, "gin", "--gens", "x0^2, x1",
+                                            "--n", "2", *override)
+    code, _, err = run_with_err(capsys, "gin", "--in", str(entry))
+    assert code == EXIT_PARSE
+    assert "entry" in err
+
+
+def test_composite_prime_option_on_a_good_entry_file_is_config_error(
+        capsys, tmp_path):
+    entry = tmp_path / "u.ideal"
+    entry.write_text("name: u\nn: 2\nprime: 7\ngens:\nx0^2, x1\n")
+    code, _, err = run_with_err(capsys, "gin", "--in", str(entry),
+                                "--prime", "9")
+    assert code == EXIT_CONFIG
+    assert "modulus 9 is not prime" in err
+
+
 def test_computation_error_exit_code(capsys):
     # not saturated: x0 * (irrelevant ideal)
     code, _ = run(capsys, "invariants", "--gens", "x0^2, x0*x1, x0*x2")
@@ -325,6 +354,14 @@ def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_points_survey_matches_its_golden():
+    """The survey script at ``--max-n 8``; CI diffs ``--max-n 20``."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "points_survey.py"),
+         "--max-n", "8"], capture_output=True, text=True, check=True).stdout
+    assert out == (GOLDEN / "points_survey_max8.txt").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,21 @@ def test_parse_entry_rejects_an_entry_of_zero_generators():
         parse_entry("name: a\nn: 2\ngens:\nx0 - x0, 0\n")
 
 
+@pytest.mark.parametrize("header,message", [
+    ("n: 2\nprime: 9", "modulus 9 is not prime"),
+    ("n: -1", "need at least one variable"),
+], ids=["prime", "n"])
+def test_parse_and_load_entry_refuse_a_header_that_names_no_ring(
+        tmp_path, monkeypatch, header, message):
+    text = f"name: bad\n{header}\ngens:\nx0\n"
+    with pytest.raises(ParseError, match=message):
+        parse_entry(text)
+    (tmp_path / "bad.ideal").write_text(text)
+    monkeypatch.setattr(corpus, "DATA", tmp_path)
+    with pytest.raises(ParseError, match=message):
+        load_entry("bad")
+
+
 def test_load_entry_reports_a_bad_generator_at_its_line(tmp_path,
                                                         monkeypatch):
     (tmp_path / "bad.ideal").write_text(

@@ -90,10 +90,17 @@ def homogeneous_division_case(seed, nvars):
     return ring, f, divisors
 
 
-def elimination_division_case(seed, nvars):
-    """The same in the elimination ring, with inhomogeneous polynomials."""
+def elimination_rings(nvars):
+    """The elimination ring over F_7, x-degree first, and a ring in the
+    block order it replaced, each with its larger-is-greater oracle order."""
+    return [(_elimination_ring(PolyRing(nvars, 7)), oracles.x_degree_first_order),
+            (PolyRing(nvars + 1, 7, sort_key=oracles.block_sort_key),
+             oracles.elimination_order)]
+
+
+def elimination_division_case(seed, big):
+    """The same in an elimination ring, with inhomogeneous polynomials."""
     rng = random.Random(seed)
-    big = _elimination_ring(PolyRing(nvars, 7))
     divisors = [sparse_poly(big, rng, [1, 2], max_terms=4)
                 for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.5:
@@ -115,33 +122,37 @@ def test_heap_normal_form_matches_scan_division_in_grevlex(seed, nvars):
 @settings(max_examples=40)
 def test_heap_normal_form_matches_scan_division_in_elimination_order(seed,
                                                                      nvars):
-    big, f, divisors = elimination_division_case(seed, nvars)
-    expected = oracles.scan_normal_form(f.terms, [g.terms for g in divisors],
-                                        big.prime, oracles.elimination_order)
-    assert normal_form(f, divisors).terms == expected
+    for big, order in elimination_rings(nvars):
+        _, f, divisors = elimination_division_case(seed, big)
+        expected = oracles.scan_normal_form(
+            f.terms, [g.terms for g in divisors], big.prime, order)
+        assert normal_form(f, divisors).terms == expected
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]), st.booleans())
 @settings(max_examples=40)
 def test_heap_exact_divide_matches_scan_division(seed, nvars, eliminate):
-    make_case = elimination_division_case if eliminate else homogeneous_division_case
-    ring, q, divisors = make_case(seed, nvars)
-    order = oracles.elimination_order if eliminate else oracles.grevlex_order
-    d = divisors[0]
-    f = q * d
-    assert exact_divide(f, d).terms == oracles.scan_exact_divide(
-        f.terms, d.terms, ring.prime, order) == q.terms
-    # adding a monomial that lead(d) does not divide leaves a remainder
-    lm = d.lead_monomial
-    if not any(lm):
-        return  # d is a unit (a Groebner basis of the whole ring)
-    outside = next(m for m in monomials_of_degree(ring.nvars, f.degree)
-                   if not mono_divides(lm, m))
-    g = f + ring.monomial(outside)
-    with pytest.raises(ValueError, match="not exact"):
-        exact_divide(g, d)
-    with pytest.raises(ValueError, match="not exact"):
-        oracles.scan_exact_divide(g.terms, d.terms, ring.prime, order)
+    if eliminate:
+        cases = [(elimination_division_case(seed, big), order)
+                 for big, order in elimination_rings(nvars)]
+    else:
+        cases = [(homogeneous_division_case(seed, nvars), oracles.grevlex_order)]
+    for (ring, q, divisors), order in cases:
+        d = divisors[0]
+        f = q * d
+        assert exact_divide(f, d).terms == oracles.scan_exact_divide(
+            f.terms, d.terms, ring.prime, order) == q.terms
+        # adding a monomial that lead(d) does not divide leaves a remainder
+        lm = d.lead_monomial
+        if not any(lm):
+            continue  # d is a unit (a Groebner basis of the whole ring)
+        outside = next(m for m in monomials_of_degree(ring.nvars, f.degree)
+                       if not mono_divides(lm, m))
+        g = f + ring.monomial(outside)
+        with pytest.raises(ValueError, match="not exact"):
+            exact_divide(g, d)
+        with pytest.raises(ValueError, match="not exact"):
+            oracles.scan_exact_divide(g.terms, d.terms, ring.prime, order)
 
 
 def test_division_rejects_a_ring_with_other_nvars():
@@ -467,6 +478,57 @@ def test_intersect_matches_lcm_construction_on_monomials(mons_a, mons_b):
                                      for a in mons_a for b in mons_b])
     assert initial_ideal(meet) == expected
     assert all(len(g.terms) == 1 for g in meet.gens)
+
+
+MEET_RINGS = {(n, p): PolyRing(n, p) for n in (3, 4) for p in (7, 32003)}
+MEET_CASES = (st.integers(0, 10 ** 6), st.sampled_from(sorted(MEET_RINGS)))
+
+
+def random_forms(rng, ring):
+    """One to three random forms of degree one to three."""
+    return [ring.random_form(rng.randint(1, 3), rng)
+            for _ in range(rng.randint(1, 3))]
+
+
+@given(*MEET_CASES)
+@settings(max_examples=25)
+def test_intersect_matches_block_order_elimination_and_ranks(seed, key):
+    """The x-degree-first elimination against the block order it replaced."""
+    ring = MEET_RINGS[key]
+    rng = random.Random(seed)
+    gens_i, gens_j = random_forms(rng, ring), random_forms(rng, ring)
+    meet = intersect(Ideal(ring, gens_i), Ideal(ring, gens_j))
+    assert meet.groebner_basis() == oracles.block_elimination_meet(
+        gens_i, gens_j, ring)
+    for d in range(6):
+        assert oracles.ideal_dim(list(meet.gens), d, ring.nvars, ring.prime) \
+            == oracles.intersection_dim(gens_i, gens_j, d, ring.nvars,
+                                        ring.prime)
+
+
+@given(*MEET_CASES)
+@settings(max_examples=25)
+def test_quotient_by_a_quadric_matches_block_order_elimination(seed, key):
+    ring = MEET_RINGS[key]
+    rng = random.Random(seed)
+    gens, q = random_forms(rng, ring), ring.random_form(2, rng)
+    Q = ideal_quotient(Ideal(ring, gens), q)
+    assert Q.groebner_basis() == oracles.block_elimination_quotient(
+        gens, q, ring)
+    for d in range(4):
+        assert oracles.ideal_dim(list(Q.gens), d, ring.nvars, ring.prime) \
+            == oracles.colon_dim(gens, q, d, ring.nvars, ring.prime)
+
+
+def test_intersect_refuses_a_ring_that_is_not_graded():
+    """The elimination order eliminates t only on homogeneous generators."""
+    ring = PolyRing(3, 7, sort_key=lambda m: m)
+    x0, x2 = ring.variable(0), ring.variable(2)
+    I = Ideal(ring, [x0 * ring.variable(1) + x2 * x2])
+    with pytest.raises(ValueError, match="graded"):
+        intersect(I, Ideal(ring, [x0]))
+    with pytest.raises(ValueError, match="graded"):
+        ideal_quotient(I, x0 * x0 + x2 * x2)
 
 
 def test_exact_divide():
