@@ -109,11 +109,10 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     the end and its series becomes the target of the others, whose runs
     stop as soon as their lead monomials reach it; a run that ends short
     of it raises ``GinUnstableError``.  An I that already holds its basis
-    (a section from a slice basis, an intersection, or a quotient by a
-    form of higher degree) gives the target itself, so every sample stops
-    early.  No sample's basis is
-    reduced.  Nothing is cached: a caller that needs the same gin twice
-    passes the result on (the ``gin_result`` arguments below).
+    (a section from a slice basis, or an intersection) gives the target
+    itself, so every sample stops early.  No sample's basis is reduced.
+    Nothing is cached: a caller that needs the same gin twice passes the
+    result on (the ``gin_result`` arguments below).
     """
     if votes < 2:
         raise ValueError("need at least two votes")

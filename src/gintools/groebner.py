@@ -1,9 +1,10 @@
 """Groebner bases and ideal arithmetic for homogeneous ideals.
 
 Buchberger with the normal selection strategy and Gebauer-Moeller pair
-elimination.  Quotients and saturations by a linear form h follow Bayer
-and Stillman: a substitution psi of the last variable sends h to x_n, and
-in grevlex with x_n last two facts hold for a homogeneous ideal J with
+elimination.  Quotients and saturations are taken by linear forms only,
+as the colons behind the monomial invariants are, and follow Bayer and
+Stillman: a substitution psi of the last variable sends h to x_n, and in
+grevlex with x_n last two facts hold for a homogeneous ideal J with
 reduced basis G:
 
 * in(J : x_n) = in(J) : x_n, so dividing x_n^p out of each element of G
@@ -11,7 +12,7 @@ reduced basis G:
 * G|_{x_n=0} is a basis of J|_{x_n=0}.
 
 One basis of psi(I) therefore gives every (I : h^p) and every section
-(I : h^p)|_h.  Intersections, and quotients by forms of higher degree, go
+(I : h^p)|_h; a form of higher degree is refused.  Intersections go
 through the one-auxiliary-variable elimination construction: adjoin t,
 form t*I + (1-t)*J, and eliminate t.  The order gives t weight 0: x-degree
 first, then the power of t, then grevlex on x.  Every polynomial the
@@ -102,21 +103,13 @@ class Ideal:
 def normal_form(f: Poly, basis) -> Poly:
     """Remainder of f under division by the polynomials in basis.
 
-    No term of the result is divisible by any lead monomial of the basis;
-    the difference f - result lies in the ideal the basis generates.
+    Each term goes to the first divisor whose lead divides it.  No term of
+    the result is divisible by any lead monomial of the basis; the
+    difference f - result lies in the ideal the basis generates.  Terms are
+    popped greatest first, so the remainder comes out in term order.
     """
     if f.is_zero() or not basis:
         return f
-    return _heap_divide(f, basis, exact=False)
-
-
-def _heap_divide(f: Poly, basis, exact) -> Poly:
-    """Divide f by basis, each term by the first divisor whose lead divides it.
-
-    Returns the remainder, or with ``exact`` the quotient by a single
-    divisor, refusing any remainder.  Terms are popped greatest first, so
-    either result comes out in term order.
-    """
     ring = f.ring
     for g in basis:  # the loop below adds exponent tuples unchecked
         if g.ring.nvars != ring.nvars:
@@ -140,10 +133,7 @@ def _heap_divide(f: Poly, basis, exact) -> Poly:
         for lm, lc_inv, tail in leads:
             if all(map(le, lm, m)):
                 shift = tuple(map(sub, m, lm))
-                factor = c * lc_inv % p
-                if exact:
-                    out.append((shift, factor))
-                factor = p - factor
+                factor = p - c * lc_inv % p
                 for gm, gc in tail:
                     mm = tuple(map(add, gm, shift))
                     v = get(mm)
@@ -154,8 +144,6 @@ def _heap_divide(f: Poly, basis, exact) -> Poly:
                         work[mm] = (v + factor * gc) % p
                 break
         else:
-            if exact:
-                raise ValueError("division is not exact")
             out.append((m, c))
     return Poly(ring, tuple(out))
 
@@ -405,71 +393,40 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
-def exact_divide(f: Poly, d: Poly) -> Poly:
-    """f / d for an exact divisor; raises when the division leaves a remainder."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    return _heap_divide(f, [d], exact=True)
-
-
 def ideal_quotient(I: Ideal, f: Poly) -> Ideal:
-    """(I : f); by elimination, as I meet (f) with f divided back out,
-    unless f is a linear form."""
-    if f.is_zero():
-        raise ValueError("quotient by the zero polynomial")
-    if f.degree == 0:
-        return I
-    if _is_linear(f):
-        return _linear_quotient(I, f, 1)
-    meet = intersect(I, Ideal(I.ring, [f]))
-    reduced = _reduce_basis([exact_divide(g, f) for g in meet.gens], I.ring)
-    result = Ideal(I.ring, reduced)
-    result._gb = reduced  # dividing a basis of I meet (f) by f yields one of (I : f)
-    return result
+    """(I : f) for a linear form f (see ``_linear_quotient``)."""
+    return _linear_quotient(I, f, 1)
 
 
 def quotient_by_power(I: Ideal, f: Poly, power: int) -> Ideal:
-    """(I : f^power); iterates the single quotient unless f is linear."""
+    """(I : f^power) for a linear form f; power 0 returns I itself."""
     if power < 0:
         raise ValueError("negative power")
-    if power > 0 and _is_linear(f):
-        return _linear_quotient(I, f, power)
-    current = I
-    for _ in range(power):
-        current = ideal_quotient(current, f)
-    return current
+    return _linear_quotient(I, f, power)
 
 
 def saturate(I: Ideal, f: Poly) -> Ideal:
-    """(I : f^infinity); for f not linear, quotient until two consecutive
-    iterates agree."""
-    if f.is_zero():
-        raise ValueError("saturation by the zero polynomial")
-    if _is_linear(f):
-        return _linear_quotient(I, f, None)
-    current = I
-    while True:
-        step = ideal_quotient(current, f)
-        if step.same_ideal(current):
-            return current
-        current = step
-
-
-def _is_linear(f: Poly) -> bool:
-    return f.degree == 1 and f.is_homogeneous()
+    """(I : f^infinity) for a linear form f."""
+    return _linear_quotient(I, f, None)
 
 
 class _SliceBasis:
     """The reduced basis of psi(I), for the change psi that sends h to x_n.
 
     psi substitutes x_n -> (x_n - sum_{i<n} h_i x_i) / h_n (see
-    ``ring.last_image``), so h needs a nonzero coefficient on x_n.  Every
-    colon of I by a power of h, and every section of one by h, is read off
-    this one basis.  ``target``, the numerator of I's Hilbert series when
-    known, stops its Buchberger run early: psi keeps the series.
+    ``ring.last_image``), so h needs a nonzero coefficient on x_n, and the
+    ring must be graded: both facts of the module docstring are facts of
+    grevlex.  Every colon of I by a power of h, and every section of one by
+    h, is read off this one basis.  ``target``, the numerator of I's
+    Hilbert series when known, stops its Buchberger run early: psi keeps
+    the series.
     """
 
     def __init__(self, I: Ideal, h: Poly, target=None):
+        if not I.ring.graded:
+            raise ValueError("a colon by a linear form needs a graded "
+                             "ring: in(J : x_n) = in(J) : x_n is a fact of "
+                             "grevlex")
         self.ring = I.ring
         self.h = h
         image = last_image(h)
@@ -507,9 +464,17 @@ class _SliceBasis:
 def _linear_quotient(I: Ideal, h: Poly, power) -> Ideal:
     """(I : h^power) for a linear form h; ``None`` saturates.
 
-    A form without x_n first trades places with the last variable it
-    involves, which keeps psi a substitution of x_n alone.
+    A nonzero constant h gives I.  Any other h that is not a linear form,
+    the zero polynomial among them, raises ``ValueError``.  A form without
+    x_n first trades places with the last variable it involves, which keeps
+    psi a substitution of x_n alone.
     """
+    if h.degree == 0:
+        return I
+    if h.degree != 1 or not h.is_homogeneous():
+        raise ValueError(f"quotients are by linear forms only, not by {h}")
+    if power == 0:
+        return I
     k = max(m.index(1) for m, _ in h.terms)
     if k == I.ring.nvars - 1:
         return _SliceBasis(I, h).quotient(power)

@@ -223,7 +223,13 @@ class PolyRing:
                 return self.linear_form(coeffs)
 
     def restricted(self):
-        """The ring in one fewer variable."""
+        """The grevlex ring in one fewer variable, built once per ring."""
+        return self._restricted
+
+    @cached_property
+    def _restricted(self):
+        if not self.graded:  # dropping x_n keeps the order of grevlex terms only
+            raise ValueError("restriction needs a graded ring")
         if self.nvars == 1:
             raise ValueError("cannot drop the last remaining variable")
         return PolyRing(self.nvars - 1, self.prime)

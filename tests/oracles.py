@@ -280,12 +280,3 @@ def block_elimination_meet(gens_i, gens_j, ring):
             for g in buchberger(gens, big) if g.lead_monomial[-1] == 0]
     return buchberger(kept, ring)
 
-
-def block_elimination_quotient(gens, f, ring):
-    """The reduced basis of (I : f): the block-order meet of I and (f),
-    each element divided by f with the scan division above."""
-    from gintools.groebner import buchberger
-
-    return buchberger([ring.from_dict(dict(scan_exact_divide(
-        g.terms, f.terms, ring.prime, grevlex_order)))
-        for g in block_elimination_meet(gens, [f], ring)], ring)

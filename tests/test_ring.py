@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 import oracles
 from gintools.ring import (LinearChange, PolyRing, mono_div, mono_divides,
                            mono_gcd, mono_lcm, mono_mul, monomials_of_degree,
-                           restrict, revlex_key, substitute_last)
+                           drop_last, restrict, revlex_key, substitute_last)
 from gintools.staircase import MonomialIdeal
 
 R3 = PolyRing(3)
@@ -275,6 +275,25 @@ def test_only_grevlex_rings_are_graded():
     assert R3.graded and R3.restricted() == PolyRing(2)
     elimination = PolyRing(3, sort_key=lambda m: m)
     assert not elimination.graded and elimination != R3
+
+
+def test_restricted_ring_is_built_once_per_ring():
+    assert R4.restricted() is R4.restricted()
+    assert R4.restricted().restricted() is R4.restricted().restricted()
+
+
+def test_restriction_refuses_a_ring_that_is_not_graded():
+    """Dropping x_n keeps the order of grevlex terms only: in lex x0*x2^2
+    leads f, but in grevlex x1^3 does."""
+    lex = PolyRing(4, sort_key=lambda m: tuple(-a for a in m))
+    f = poly(lex, "x0*x2^2 + x1^3 + x1*x3^2")
+    assert f.lead_monomial == (1, 0, 2, 0)
+    with pytest.raises(ValueError, match="graded"):
+        lex.restricted()
+    with pytest.raises(ValueError, match="graded"):
+        drop_last(f)
+    with pytest.raises(ValueError, match="graded"):
+        restrict(f, lex.variable(3))
 
 
 # ---------------------------------------------------------------------------
