@@ -1,17 +1,24 @@
-"""Generic initial ideals via randomized coordinates, with verification.
+"""Generic initial ideals by depth and by sampling, with verification.
 
-A gin is computed by sampling independent invertible coordinate changes.
-For every change g, in(gI) lies at or below gin(I) in each degree (Bayer
-and Stillman), so the gin is the largest sample: equal Borel-fixed samples
+``gin`` first restricts I by a chain of hyperplanes, each certified
+regular by the Hilbert series of I.  A chain down to K[x0, x1] proves
+depth(R/I) >= n - 1, and in revlex depth(R/gin(I)) = depth(R/I) (Bayer
+and Stillman), so the gin is generated in K[x0, x1], where a strongly stable
+ideal is fixed by its Hilbert function: a codimension-2 arithmetically
+Cohen-Macaulay ideal needs no coordinate change at all.  Otherwise I
+itself is sampled, not a certified section, since gin(I)|_{x_n=0} =
+gin(I|_H) (Green) needs a generic H.  For every invertible coordinate
+change g, in(gI) lies at or below gin(I) in each degree (Bayer and
+Stillman), so the gin is the largest sample: equal Borel-fixed samples
 are returned at once, anything else escalates the sample count and keeps
 the sample that is greatest in every degree, which must be Borel-fixed in
 the characteristic of the field.  Every sample has the Hilbert series of
-I, so each Buchberger run after the first stops once its lead monomials
-reach it.
+I, so its Buchberger run stops once its lead monomials reach it.
 On top of that sit the harnesses that check the slicing identity, gap
 truncation, the connectedness of invariant tables, and the
 quotient-restriction trace whose gcd certificate reproduces the computable
-steps behind the connectedness statement.
+steps behind the connectedness statement.  They sample the gins they
+compare with gin(I), so they do not rest on the chain.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ def child_rng(seed, *labels) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# the gin as the largest sample
+# the gin by depth, and as the largest sample
 
 @dataclass(frozen=True)
 class GinResult:
@@ -94,8 +101,71 @@ def _sample_initial_ideal(I: Ideal, change: LinearChange, target):
 
 
 def gin(I: Ideal, seed=0, votes=2) -> GinResult:
-    """The generic initial ideal of I, the largest of its sampled initial
-    ideals.
+    """The generic initial ideal of I, read off a chain of certified
+    hyperplane sections when the chain reaches K[x0, x1], and sampled
+    otherwise.
+
+    N, the numerator of the Hilbert series of I, comes from I's reduced
+    basis, which stays cached on I.  Level k + 1 of the chain is level k
+    restricted by a random linear form h (``restrict_ideal``, the form drawn
+    from ``child_rng(seed, "gin-chain", k)``).  The series of a section is
+    at least N / (1 - t)^(n - k) in every degree, with equality exactly
+    when h is a nonzerodivisor on the level above; its Buchberger run takes
+    N as its target, so reaching N certifies the level.  A run that ends
+    short of N raises ``GinUnstableError``, and the chain stops at the level
+    above: an unsaturated I stops at level 0.
+
+    A chain down to K[x0, x1] proves depth(R/I) >= n - 1.  In revlex
+    depth(R/gin(I)) = depth(R/I) (Bayer and Stillman, Invent. Math. 87
+    (1987)), so no generator of gin(I) involves x2, ..., xn, and gin(I) in
+    K[x0, x1] has the series N / (1 - t)^2 of the last level.  With p above
+    the bound on the gin's generator degrees (the greatest x0- plus the
+    greatest x1-exponent of that level's lead ideal, see ``run_trace``),
+    the gin is strongly stable, since a p-Borel-fixed ideal generated below
+    degree p is, and so fixed by that Hilbert function
+    (``_stable_ideal_with_hilbert``): no sample is drawn.
+
+    Otherwise I itself is sampled (``_sampled_gin``), every sample stopping
+    at N.  A section is not sampled in place of I: gin(I)|_{x_n=0} =
+    gin(I|_H) needs a generic hyperplane H (M. Green, Generic initial
+    ideals, in Six Lectures on Commutative Algebra, 1998), and the
+    certificate proves a form regular, not generic: a section by a special
+    regular form has the right Hilbert series, but its gin is only known to
+    follow from that series in K[x0, x1].
+
+    ``samples_used`` counts the coordinate changes drawn, 0 for a gin read
+    off the Hilbert function; ``agreed`` is true when no two samples
+    differed.  ``votes`` must be at least 2 even when no sample is drawn.
+    """
+    if votes < 2:
+        raise ValueError("need at least two votes")
+    target = _hilbert_numerator(
+        [g.lead_monomial for g in I.groebner_basis()], I.ring.nvars)
+    J = I
+    while J.ring.nvars > 2:
+        depth = I.ring.nvars - J.ring.nvars
+        form = J.ring.general_linear_form(child_rng(seed, "gin-chain", depth))
+        section = restrict_ideal(J, form)
+        try:
+            # unreduced: only its lead monomials are read
+            section._gb = _groebner_basis(section.gens, section.ring, target)
+        except GinUnstableError:
+            break  # the form is a zero divisor on R/J
+        J = section
+    if J.ring.nvars == 2:
+        L = MonomialIdeal.from_monomials(
+            2, (g.lead_monomial for g in J.groebner_basis()))
+        bound = L.max_exponent(0) + L.max_exponent(1)
+        if J.ring.prime > bound:
+            pad = (0,) * (I.ring.nvars - 2)
+            M = _stable_ideal_with_hilbert(hilbert_function(L, bound))
+            return GinResult(MonomialIdeal.from_monomials(
+                I.ring.nvars, (g + pad for g in M.gens)), 0, True)
+    return _sampled_gin(I, seed, votes)
+
+
+def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
+    """The gin of I as the largest of its sampled initial ideals.
 
     ``votes`` independent coordinate changes are drawn; if their initial
     ideals are equal and Borel-fixed in characteristic p
@@ -105,14 +175,14 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     with ``agreed=False`` if it is Borel-fixed, and ``GinUnstableError`` is
     raised if it is not.
 
-    Every sample has the Hilbert series of I.  Sample 0 runs Buchberger to
-    the end and its series becomes the target of the others, whose runs
-    stop as soon as their lead monomials reach it; a run that ends short
-    of it raises ``GinUnstableError``.  An I that already holds its basis
-    (a section from a slice basis, or an intersection) gives the target
-    itself, so every sample stops early.  No sample's basis is reduced.
-    Nothing is cached: a caller that needs the same gin twice passes the
-    result on (the ``gin_result`` arguments below).
+    Every sample has the Hilbert series of I.  An I that holds its basis
+    (I itself under ``gin``, a section from a slice basis) gives that
+    series, and every sample's Buchberger run stops as soon as its lead
+    monomials reach it; otherwise sample 0 runs to the end
+    and its series becomes the target of the others.  A run that ends
+    short of the target raises ``GinUnstableError``.  No sample's basis is
+    reduced.  The harnesses call this path directly, so the gins they
+    compare with gin(I) are independent of the section chain.
     """
     if votes < 2:
         raise ValueError("need at least two votes")
@@ -283,7 +353,7 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
             section = slices.section(p)
             key = tuple(g.terms for g in section.groebner_basis())
             if key not in section_gins:
-                section_gins[key] = gin(section, seed=seed, votes=votes).gin
+                section_gins[key] = _sampled_gin(section, seed, votes).gin
             lhs = section_gins[key]
             rhs = restrict_last(colon_by_monomial(M, xn_power(p)))
             cases.append(SliceCase(trial, p, lhs == rhs, lhs, rhs))
@@ -316,7 +386,7 @@ def verify_gap_truncation(I: Ideal, seed=0, votes=2,
         truncated = truncate(I, delta)
         key = tuple(g.terms for g in truncated.gens)
         if key not in truncation_gins:
-            truncation_gins[key] = gin(truncated, seed=seed, votes=votes).gin
+            truncation_gins[key] = _sampled_gin(truncated, seed, votes).gin
         lhs = truncation_gins[key]
         rhs = truncate_monomial(M, delta)
         cases.append((delta, lhs == rhs, lhs, rhs))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .ring import Poly, PolyRing, DEFAULT_PRIME
+from .ring import Poly, PolyRing, DEFAULT_PRIME, add_into
 
 
 class ParseError(ValueError):
@@ -111,15 +111,16 @@ class _Parser:
                 return gens
 
     def expression(self):
-        sign = -1 if self.accept("+-") == "-" else 1
-        f = self.term().scale(sign)
-        while op := self.accept("+-"):
+        acc = {}   # the sum's terms, sorted once at the end
+        op = self.accept("+-") or "+"
+        while op:
             g = self.term()
             try:
-                f = f - g if op == "-" else f + g
+                add_into(acc, g, -1 if op == "-" else 1)
             except ValueError as exc:
                 self.error(str(exc))
-        return f
+            op = self.accept("+-")
+        return self.ring.from_dict(acc)
 
     def term(self):
         f = self.factor()

@@ -299,15 +299,8 @@ class Poly:
 
     def __add__(self, other):
         self._check_ring(other)
-        # in a graded ring the lead term has the greatest degree
-        if self.ring.graded and self.terms and other.terms \
-                and sum(self.terms[0][0]) != sum(other.terms[0][0]):
-            raise ValueError(
-                f"inhomogeneous sum: degrees {self.degree} and {other.degree}")
         acc = dict(self.terms)
-        p = self.ring.prime
-        for m, c in other.terms:
-            acc[m] = (acc.get(m, 0) + c) % p
+        add_into(acc, other)
         return self.ring.from_dict(acc)
 
     def __neg__(self):
@@ -362,6 +355,25 @@ def _expand(a, b, acc):
             m = tuple(map(add, m1, m2))
             acc[m] = acc.get(m, 0) + c1 * c2
     return acc
+
+
+def add_into(acc, f: Poly, sign=1):
+    """Add sign * f into acc, the dict of the nonzero coefficients of a sum.
+
+    In a graded ring a nonzero sum and a nonzero f of another degree raise
+    ``ValueError``; a sum that has cancelled to zero takes any f.
+    """
+    # in a graded ring sums are homogeneous: one term gives the degree
+    if f.ring.graded and acc and f.terms \
+            and sum(first := next(iter(acc))) != sum(f.terms[0][0]):
+        raise ValueError(
+            f"inhomogeneous sum: degrees {sum(first)} and {f.degree}")
+    p = f.ring.prime
+    for m, c in f.terms:
+        if v := (acc.get(m, 0) + sign * c) % p:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
 
 
 def _reduced(acc, p):

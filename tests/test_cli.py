@@ -397,22 +397,25 @@ def test_corpus_run_passes_at_seeds_with_special_trace_forms(capsys, seed,
 
 
 def test_corpus_run_keeps_the_largest_sample_past_a_special_one(capsys):
-    """At gin seed 196 one of five samples of the elliptic quartic is
-    (x0^2, x1^2), below the gin in degree 2."""
-    code, out = run(capsys, "corpus-run", "--seed", "196", "--entries",
-                    "elliptic-quartic", "--json")
+    """The rational quartic is not Cohen-Macaulay, so its gin is sampled.
+    At gin seed 1200 the first of five samples has x0*x1 where the gin has
+    x0^2, below it in degree 2."""
+    code, out = run(capsys, "corpus-run", "--seed", "1200", "--entries",
+                    "rational-quartic", "--json")
     assert code == 0
     entry = json.loads(out)["entries"][0]
     assert (entry["agreed"], entry["samples"]) == (False, 5)
-    assert entry["gin"] == ["x0^2", "x0*x1", "x1^3"]
+    assert entry["gin"] == ["x0^2", "x0*x1^2", "x1^3", "x0*x1*x2"]
 
 
 def test_gin_redraws_when_both_draws_are_special(capsys):
-    """Both first draws send 3*x0 - x1 to a multiple of x1 over F_7."""
-    code, out = run(capsys, "gin", "--gens", "3*x0 - x1", "--n", "1",
+    """Both first draws send 3*x0^7 - x1^7 to a multiple of x1^7 over F_7,
+    where it is (3*x0 - x1)^7.  Its degree is not below p, so the gin is
+    sampled, not read off the Hilbert function."""
+    code, out = run(capsys, "gin", "--gens", "3*x0^7 - x1^7", "--n", "1",
                     "--prime", "7", "--seed", "0")
     assert code == 0
-    assert out.splitlines()[:3] == ["gin: x0", "agreed: false", "samples: 5"]
+    assert out.splitlines()[:3] == ["gin: x0^7", "agreed: false", "samples: 5"]
 
 
 P_BOREL_GINS = {

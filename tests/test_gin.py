@@ -11,7 +11,7 @@ from gintools.groebner import (Ideal, _SliceBasis, _hilbert_numerator,
                                hilbert_function, initial_ideal,
                                restrict_ideal)
 from gintools.cli import main
-from gintools.gin import (ComputationError, GinUnstableError,
+from gintools.gin import (ComputationError, GinUnstableError, _sampled_gin,
                           check_connectedness, child_rng,
                           connectedness_from_table, gcd_two_vars, gin,
                           run_trace, variety_invariants,
@@ -20,7 +20,7 @@ from gintools.parsing import parse_ideal, parse_polynomial
 from gintools.staircase import (InvariantProfile, InvariantTable,
                                 MonomialIdeal, UnsaturatedIdealError,
                                 elementary_move, is_borel_fixed,
-                                is_connected, profile_at)
+                                is_connected, profile_at, restrict_last)
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -101,7 +101,7 @@ def test_small_field_escalates_or_fails():
     saw_escalation = False
     for seed in range(60):
         try:
-            result = gin(I, seed=seed, votes=2)
+            result = _sampled_gin(I, seed=seed, votes=2)
         except GinUnstableError:
             saw_escalation = True
             continue
@@ -362,23 +362,26 @@ def test_slice_identity_level_zero_drops_last_variable():
                                    gin_result=result)
     (case,) = report.cases
     assert case.equal
-    from gintools.staircase import restrict_last
     assert case.rhs == restrict_last(result.gin)
 
 
 def test_slice_identity_computes_one_gin_per_distinct_section(monkeypatch):
     """A saturated ideal has (I : h^p) = I, so every level of a form shares
-    one section and one gin."""
+    one section and one gin.  The sections' gins are sampled."""
     import importlib
     # the attribute gintools.gin is the function the package re-exports
     gin_module = importlib.import_module("gintools.gin")
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return gin(*args, **kwargs)
+    def counted(compute):
+        def call(*args, **kwargs):
+            calls.append(args[0])
+            return compute(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(gin_module, "gin", counted)
+    monkeypatch.setattr(gin_module, "gin", counted(gin))
+    monkeypatch.setattr(gin_module, "_sampled_gin",
+                        counted(gin_module._sampled_gin))
     report = verify_slice_identity(twisted_cubic(), p_max=3, forms=2, seed=0)
     assert report.passed
     assert len(report.cases) == 8
@@ -441,12 +444,13 @@ def test_gap_truncation_computes_one_gin_per_distinct_truncation(
     I = corpus_entries["points-4-collinear"].ideal()
     result = gin(I, seed=0)
     calls = []
+    sampled = gin_module._sampled_gin
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return gin(*args, **kwargs)
+        return sampled(*args, **kwargs)
 
-    monkeypatch.setattr(gin_module, "gin", counted)
+    monkeypatch.setattr(gin_module, "_sampled_gin", counted)
     report = verify_gap_truncation(I, seed=0, gin_result=result)
     assert report.gaps == (2, 3) and report.passed
     assert len(calls) == 1
@@ -598,23 +602,26 @@ def test_trace_takes_the_first_generic_draw(monkeypatch):
     """Step 1 reads the gin of draw 1 off its Hilbert function, with no gin.
 
     Draw 0 is special, (1, 2, 1, 0, ...); its gin would be x0^2, x0*x1, x1^3.
+    The gins to compare with are sampled, which builds no ideal from a
+    Hilbert function.
     """
     drawn = _record_draws(
         monkeypatch, lambda label, J: _first(J, 2) if label == 0 else J)
     module = importlib.import_module("gintools.gin")
     seen, built = [], []
-    original_gin = module.gin
+    original_gin = module._sampled_gin
     original_build = module._stable_ideal_with_hilbert
 
-    def recording_gin(I, **kwargs):
+    def recording_gin(I, *args, **kwargs):
         seen.append(I)
-        return original_gin(I, **kwargs)
+        return original_gin(I, *args, **kwargs)
 
     def recording_build(values):
         built.append(values)
         return original_build(values)
 
     monkeypatch.setattr(module, "gin", recording_gin)
+    monkeypatch.setattr(module, "_sampled_gin", recording_gin)
     monkeypatch.setattr(module, "_stable_ideal_with_hilbert", recording_build)
     I = twisted_cubic()
     result = run_trace(I, (0,), seed=0, gin_result=original_gin(I, seed=0))
@@ -739,7 +746,7 @@ def test_every_sample_is_at_most_the_kept_one(seed, count, p):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "_sample_initial_ideal", recording)
         try:
-            kept = gin(I, seed=seed).gin
+            kept = _sampled_gin(I, seed=seed).gin
         except GinUnstableError:
             return
     top = max(M.max_degree() for M in samples)
@@ -751,7 +758,8 @@ def test_every_sample_is_at_most_the_kept_one(seed, count, p):
 # samples stopped by the Hilbert series
 
 def recorded_targets(I, monkeypatch):
-    """The target series each sample's Buchberger run of gin(I) gets."""
+    """The target series each sample's Buchberger run of the sampled gin
+    of I gets."""
     module = importlib.import_module("gintools.gin")
     run = module._groebner_basis
     targets = []
@@ -761,7 +769,7 @@ def recorded_targets(I, monkeypatch):
         return run(gens, ring, target)
 
     monkeypatch.setattr(module, "_groebner_basis", recording)
-    gin(I, seed=3)
+    _sampled_gin(I, seed=3)
     return targets
 
 
@@ -801,3 +809,139 @@ def test_slice_and_gap_refuse_a_gin_that_is_only_p_borel():
         with pytest.raises(ComputationError,
                            match="not strongly stable.*p=2"):
             check(I)
+
+
+# ---------------------------------------------------------------------------
+# the gin read off a chain of certified sections
+
+@st.composite
+def small_ideals(draw):
+    """Random ideals in 2-5 variables; half of them times (x0, ..., xn),
+    which is not saturated."""
+    nvars = draw(st.integers(2, 5))
+    prime = draw(st.sampled_from([7, 11, 101, 32003]))
+    ring = PolyRing(nvars, prime)
+    rng = random.Random(draw(st.integers(0, 10 ** 9)))
+    gens = [ring.random_form(rng.randint(1, 2), rng)
+            for _ in range(rng.randint(1, 3))]
+    if draw(st.booleans()):
+        gens = [g * ring.variable(i) for g in gens for i in range(nvars)]
+    return Ideal(ring, gens), draw(st.integers(0, 10 ** 6))
+
+
+def _gin_or_refusal(I, seed, compute):
+    try:
+        return compute(I, seed=seed).gin
+    except GinUnstableError:
+        return None
+
+
+@settings(max_examples=60, derandomize=True)
+@given(small_ideals())
+def test_the_chain_gives_the_sampled_gin(case):
+    """Equal gins at p = 101 and 32003.  At p = 7 and 11 a special draw
+    can make one side refuse, but the two never give different gins."""
+    I, seed = case
+    chained = _gin_or_refusal(I, seed, gin)
+    sampled = _gin_or_refusal(Ideal(I.ring, I.gens), seed, _sampled_gin)
+    if I.ring.prime > 100:
+        assert chained is not None and chained == sampled
+    elif chained is not None and sampled is not None:
+        assert chained == sampled
+
+
+def _sampled_levels(monkeypatch):
+    """The number of variables of each ideal that gin() samples."""
+    module = importlib.import_module("gintools.gin")
+    sampled = module._sampled_gin
+    levels = []
+
+    def recording(J, *args, **kwargs):
+        levels.append(J.ring.nvars)
+        return sampled(J, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_sampled_gin", recording)
+    return levels
+
+
+def test_cohen_macaulay_entries_draw_no_sample(corpus_gins):
+    """Only the rational quartic, of depth 1, is sampled."""
+    sampled = {name for name, r in corpus_gins.items() if r.samples_used}
+    assert sampled == {"rational-quartic"}
+    assert all(r.agreed for r in corpus_gins.values())
+
+
+def test_a_chain_without_its_certificate_loses_a_generator(corpus_entries,
+                                                         monkeypatch):
+    """Without the target, the rational quartic's second section is taken
+    although its form is a zero divisor, and the gin read off K[x0, x1]
+    misses x0*x1*x2."""
+    I = corpus_entries["rational-quartic"].ideal()
+    assert gin(I, seed=0).gin.contains((1, 1, 1, 0))
+    module = importlib.import_module("gintools.gin")
+    run = module._groebner_basis
+    monkeypatch.setattr(module, "_groebner_basis",
+                        lambda gens, ring, target=None: run(gens, ring))
+    uncertified = gin(I, seed=0)
+    assert uncertified.samples_used == 0
+    assert not uncertified.gin.contains((1, 1, 1, 0))
+
+
+def test_a_regular_but_special_first_section_is_not_sampled(corpus_entries,
+                                                           monkeypatch):
+    """x3 = 0 is the tangent plane at (1:0:0:0) of the quadric
+    x1*x2 - x0*x3 through the rational quartic, and meets the quartic only
+    there.  It is regular, so the chain certifies it, but it is not
+    generic.  The chain stops at depth 1, and I, not that section, is
+    sampled."""
+    module = importlib.import_module("gintools.gin")
+    restrict = module.restrict_ideal
+    forms = []
+
+    def tangent_first(J, form):
+        if J.ring.nvars == 4:
+            form = J.ring.variable(3)
+        forms.append(form)
+        return restrict(J, form)
+
+    monkeypatch.setattr(module, "restrict_ideal", tangent_first)
+    levels = _sampled_levels(monkeypatch)
+    result = gin(corpus_entries["rational-quartic"].ideal(), seed=0)
+    assert len(forms) == 2 and levels == [4]
+    assert result.gin == staircase(4, (2, 0, 0, 0), (1, 2, 0, 0),
+                                   (0, 3, 0, 0), (1, 1, 1, 0))
+
+
+def test_an_unsaturated_ideal_is_sampled_at_level_zero(monkeypatch):
+    I = ideal(R3, "x0^2, x0*x1, x0*x2")
+    levels = _sampled_levels(monkeypatch)
+    result = gin(I, seed=0)
+    assert levels == [3]
+    assert result == _sampled_gin(ideal(R3, "x0^2, x0*x1, x0*x2"), seed=0)
+
+
+def test_two_skew_lines_stop_the_chain_at_depth_one(monkeypatch):
+    """(x0, x1) meet (x2, x3): R/I has depth 1, so one section is certified,
+    the second form is a zero divisor, and I is sampled."""
+    I = ideal(R4, "x0*x2, x0*x3, x1*x2, x1*x3")
+    levels = _sampled_levels(monkeypatch)
+    result = gin(I, seed=0)
+    assert levels == [4]
+    assert result.samples_used >= 2
+    assert result.gin == _sampled_gin(
+        ideal(R4, "x0*x2, x0*x3, x1*x2, x1*x3"), seed=0).gin
+
+
+def test_a_prime_below_the_degree_bound_is_sampled(monkeypatch):
+    """At p = 11 the gin of (x0^7, x1^7) is 11-Borel but not strongly
+    stable.  The chain reaches K[x0, x1], but the ideal its Hilbert
+    function gives would be wrong, so I is sampled."""
+    ring = PolyRing(3, 11)
+    levels = _sampled_levels(monkeypatch)
+    result = gin(ideal(ring, "x0^7, x1^7"), seed=0)
+    assert levels == [3]
+    assert result.gin == staircase(3, (7, 0, 0), (6, 1, 0), (5, 3, 0),
+                                   (4, 5, 0), (3, 7, 0), (0, 11, 0))
+    build = importlib.import_module("gintools.gin")._stable_ideal_with_hilbert
+    read_off = build(hilbert_function(restrict_last(result.gin), 14))
+    assert read_off != restrict_last(result.gin)

@@ -134,6 +134,41 @@ def test_roundtrip_property(seed, degree):
     assert parse_polynomial(render_poly(f), R3) == f
 
 
+@st.composite
+def signed_terms(draw):
+    """Signed terms c*x0^a*x1^b*x2^e of degree 1 or 2, some of them zero at
+    p = 7, so that sums cancel, mix degrees, or both."""
+    degree = draw(st.integers(1, 2))
+    a = draw(st.integers(0, degree))
+    b = draw(st.integers(0, degree - a))
+    return (draw(st.sampled_from("+-")), draw(st.integers(0, 15)),
+            (a, b, degree - a - b))
+
+
+@given(st.lists(signed_terms(), min_size=1, max_size=8),
+       st.sampled_from([7, 32003]))
+def test_one_sort_parse_equals_the_sum_chain(terms, prime):
+    """The parser adds a sum's terms into one dict; the chain of ``+`` and
+    ``-`` on polynomials gives the same polynomial, or the same refusal,
+    placed at the token after the term refused."""
+    ring = PolyRing(3, prime)
+    pieces = [f"{op} {c}*x0^{a}*x1^{b}*x2^{e}" for op, c, (a, b, e) in terms]
+    text = " ".join(pieces)
+    chain = ring.zero()
+    try:
+        for k, (op, c, m) in enumerate(terms):
+            term = ring.monomial(m, c)
+            chain = chain - term if op == "-" else chain + term
+    except ValueError as exc:
+        with pytest.raises(ParseError, match=f"^{exc}") as info:
+            parse_polynomial(text, ring)
+        # the next operator, or the end of input just past the term
+        end = len(" ".join(pieces[:k + 1]))
+        assert info.value.column == end + (2 if k + 1 < len(terms) else 1)
+    else:
+        assert parse_polynomial(text, ring) == chain
+
+
 # ---------------------------------------------------------------------------
 # generator lists: separators, whitespace and comments
 
