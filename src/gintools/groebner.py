@@ -31,7 +31,12 @@ pending terms in a dict of coefficients and a heap of (key, monomial)
 entries, each key computed once when its monomial first appears (Monagan
 and Pearce, Sparse polynomial division using a heap, J. Symbolic Comput.
 46 (2011)); a term that cancels stays in the heap and is skipped when
-popped.  Buchberger keys each pair's lcm once, when the pair is made.
+popped.  Its divisors come as a table of (lead, inverse lead coefficient,
+tail) rows.  Buchberger builds no intermediate polynomial: it keeps that
+table with its basis, one row added as each monic element joins, and
+writes each S-pair u*tail(f) - v*tail(g) straight into the division's
+dict, where the leads would cancel.  It keys each pair's lcm once, when
+the pair is made.
 
 Hilbert series come from the numerator N(t) of HS(R/M) = N(t)/(1-t)^n
 for a monomial ideal M, by the Bayer-Stillman recursion on a Bigatti
@@ -53,9 +58,8 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add, le, sub
 
-from .ring import (Poly, PolyRing, drop_last, last_image, mono_div,
-                   mono_divides, mono_lcm, restrict, revlex_key,
-                   substitute_last)
+from .ring import (Poly, PolyRing, drop_last, last_image, mono_divides,
+                   restrict, revlex_key, substitute_last)
 from .staircase import GinUnstableError, MonomialIdeal, minimal_monomials
 
 
@@ -111,16 +115,28 @@ def normal_form(f: Poly, basis) -> Poly:
     if f.is_zero() or not basis:
         return f
     ring = f.ring
-    for g in basis:  # the loop below adds exponent tuples unchecked
+    for g in basis:  # the division adds exponent tuples unchecked
         if g.ring.nvars != ring.nvars:
             raise ValueError("exponent vectors of different lengths: "
                              f"{ring.nvars} vs {g.ring.nvars}")
-    key = ring.sort_key
-    p = ring.prime
+    return Poly(ring, _divide(dict(f.terms), [_reducer(g) for g in basis],
+                              ring.sort_key, ring.prime))
+
+
+def _reducer(g: Poly) -> tuple:
+    """The row of g in a division's reducer table: lead, inverse of the
+    lead coefficient, tail."""
     # Buchberger's basis elements are monic, and inverting 1 is not free
-    leads = [(g.lead_monomial, 1 if g.lead_coeff == 1 else ring.inv(g.lead_coeff),
-              g.terms[1:]) for g in basis]
-    work = dict(f.terms)
+    lc = g.lead_coeff
+    return g.lead_monomial, 1 if lc == 1 else g.ring.inv(lc), g.terms[1:]
+
+
+def _divide(work, reducers, key, p) -> tuple:
+    """The remainder, in term order, of the polynomial whose nonzero
+    coefficients ``work`` holds, by the rows of ``reducers``.
+
+    ``work`` is consumed.  ``key`` is the ring's ascending sort key.
+    """
     get = work.get
     heap = [(key(m), m) for m in work]
     heapify(heap)
@@ -130,7 +146,7 @@ def normal_form(f: Poly, basis) -> Poly:
         c = work.pop(m)
         if not c:
             continue  # cancelled after it was pushed
-        for lm, lc_inv, tail in leads:
+        for lm, lc_inv, tail in reducers:
             if all(map(le, lm, m)):
                 shift = tuple(map(sub, m, lm))
                 factor = p - c * lc_inv % p
@@ -145,23 +161,46 @@ def normal_form(f: Poly, basis) -> Poly:
                 break
         else:
             out.append((m, c))
-    return Poly(ring, tuple(out))
+    return tuple(out)
+
+
+def _s_pair(f: Poly, g: Poly, p) -> dict:
+    """The nonzero coefficients of the S-polynomial u*f - v*g of monic f
+    and g, where u*lm(f) = v*lm(g) = lcm: u*tail(f) - v*tail(g).  The
+    leads cancel and are never written."""
+    lf, lg = f.lead_monomial, g.lead_monomial
+    lcm = tuple(map(max, lf, lg))
+    u = tuple(map(sub, lcm, lf))
+    v = tuple(map(sub, lcm, lg))
+    work = {tuple(map(add, m, u)): c for m, c in f.terms[1:]}
+    get = work.get
+    for m, c in g.terms[1:]:
+        mm = tuple(map(add, m, v))
+        w = get(mm)
+        if w is None:
+            work[mm] = p - c
+        elif w == c:
+            del work[mm]
+        else:
+            work[mm] = (w - c) % p
+    return work
 
 
 def spoly(f: Poly, g: Poly) -> Poly:
-    lcm = mono_lcm(f.lead_monomial, g.lead_monomial)
-    ring = f.ring
-    s1 = f.mul_term(mono_div(lcm, f.lead_monomial), ring.inv(f.lead_coeff))
-    s2 = g.mul_term(mono_div(lcm, g.lead_monomial), ring.inv(g.lead_coeff))
-    return s1 - s2
+    """The S-polynomial of f and g, made monic first."""
+    f._check_ring(g)
+    f, g = f.monic(), g.monic()
+    return f.ring.from_dict(_s_pair(f, g, f.ring.prime))
 
 
-def _update(G, P, f, lead, pair_lcm):
-    """Add f to the basis, pruning pairs by the Gebauer-Moeller criteria.
+def _update(G, P, f, lead, reducers, pair_lcm):
+    """Add the monic f to the basis, pruning pairs by the Gebauer-Moeller
+    criteria.
 
-    ``pair_lcm`` maps each pair in P to its lcm's sort key and the lcm;
-    the entries of pruned pairs are removed here, and those of new pairs
-    added.
+    ``lead`` and ``reducers`` hold each element's lead and its row of the
+    division's reducer table.  ``pair_lcm`` maps each pair in P to its
+    lcm's sort key and the lcm; the entries of pruned pairs are removed
+    here, and those of new pairs added.
     """
     lmf = f.lead_monomial
     kept = set()
@@ -189,6 +228,7 @@ def _update(G, P, f, lead, pair_lcm):
             kept.add(pair)
     G.append(f)
     lead.append(lmf)
+    reducers.append(_reducer(f))
     return kept
 
 
@@ -212,13 +252,14 @@ def _groebner_basis(gens, ring, target=None) -> list:
     before they do raise ``GinUnstableError``: the series was wrong, so a
     coordinate change or this kernel is.
     """
-    G, lead, P, pair_lcm = [], [], set(), {}
+    G, lead, reducers, P, pair_lcm = [], [], [], set(), {}
+    key, p = ring.sort_key, ring.prime
     for f in gens:
         if f.is_zero():
             continue
         r = normal_form(f, G)
         if not r.is_zero():
-            P = _update(G, P, r.monic(), lead, pair_lcm)
+            P = _update(G, P, r.monic(), lead, reducers, pair_lcm)
     degree = checked = -1
     while P:
         pair = max(P, key=pair_lcm.__getitem__)
@@ -230,9 +271,9 @@ def _groebner_basis(gens, ring, target=None) -> list:
                     return G
         P.discard(pair)
         del pair_lcm[pair]
-        r = normal_form(spoly(G[pair[0]], G[pair[1]]), G)
-        if not r.is_zero():
-            P = _update(G, P, r.monic(), lead, pair_lcm)
+        r = _divide(_s_pair(G[pair[0]], G[pair[1]], p), reducers, key, p)
+        if r:
+            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
     if target is not None and _hilbert_numerator(lead, ring.nvars) != target:
         raise GinUnstableError(
             "the Groebner basis is complete but its Hilbert series is not "

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gintools.ring import (LinearChange, PolyRing, mono_lcm,
+from gintools.ring import (LinearChange, PolyRing, mono_div, mono_lcm,
                            monomials_of_degree, restrict)
-from gintools.groebner import (Ideal, _SliceBasis, _elimination_ring,
-                               _groebner_basis, _hilbert_numerator,
+from gintools.groebner import (Ideal, _SliceBasis, _divide,
+                               _elimination_ring, _groebner_basis,
+                               _hilbert_numerator, _reducer, _s_pair,
                                buchberger, hilbert_function,
                                ideal_quotient, initial_ideal, intersect,
                                normal_form, quotient_by_power, restrict_ideal,
@@ -137,6 +138,64 @@ def test_division_rejects_a_ring_with_other_nvars():
         normal_form(f, [poly(R3, "x1"), poly(R4, "x0 + x3")])
 
 
+def s_polynomial_terms(f, g, p):
+    """u*f - v*g for monic f and g, u*lm(f) = v*lm(g) their lcm, as
+    (monomial, coefficient) pairs with the zero coefficients dropped."""
+    lcm = mono_lcm(f.lead_monomial, g.lead_monomial)
+    coeffs = {}
+    for h, sign in ((f, 1), (g, -1)):
+        u = mono_div(lcm, h.lead_monomial)
+        for m, c in h.terms:
+            mm = tuple(a + b for a, b in zip(m, u))
+            coeffs[mm] = (coeffs.get(mm, 0) + sign * c) % p
+    return [(m, c) for m, c in coeffs.items() if c]
+
+
+def check_s_pair_remainder(ring, order, rng, homogeneous):
+    """The S-pair that Buchberger forms in the division's dict, divided by
+    a reducer table, against the scan division of an S-polynomial built
+    here; the public ``spoly`` against the same S-polynomial.  Over F_7,
+    where cancellations are frequent."""
+    p = ring.prime
+
+    def monic_poly():
+        degrees = [rng.randint(1, 3)] if homogeneous else [1, 2]
+        return sparse_poly(ring, rng, degrees, max_terms=4).monic()
+
+    f, g = monic_poly(), monic_poly()
+    basis = [monic_poly() for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        basis = list(buchberger(basis + [f, g], ring))
+    s = s_polynomial_terms(f, g, p)
+    expected = oracles.scan_normal_form(s, [b.terms for b in basis], p, order)
+    table = [_reducer(b) for b in basis]
+    assert _divide(_s_pair(f, g, p), table, ring.sort_key, p) == expected
+    sorted_s = oracles.scan_normal_form(s, [], p, order)
+    assert spoly(f, g).terms == sorted_s
+    assert spoly(f.scale(3), g.scale(5)).terms == sorted_s
+
+
+def test_spoly_rejects_polynomials_from_different_rings():
+    with pytest.raises(ValueError, match="different rings"):
+        spoly(poly(R3, "x0^2 + x1*x2"), poly(R4, "x0*x1 + x3^2"))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]))
+@settings(max_examples=40)
+def test_s_pair_remainder_matches_scan_division_in_grevlex(seed, nvars):
+    check_s_pair_remainder(PolyRing(nvars, 7), oracles.grevlex_order,
+                           random.Random(seed), homogeneous=True)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+@settings(max_examples=40)
+def test_s_pair_remainder_matches_scan_division_in_elimination_order(seed,
+                                                                     nvars):
+    rng = random.Random(seed)
+    for big, order in elimination_rings(nvars):
+        check_s_pair_remainder(big, order, rng, homogeneous=False)
+
+
 # ---------------------------------------------------------------------------
 # buchberger
 
@@ -189,11 +248,11 @@ def test_buchberger_takes_pairs_by_increasing_lcm(seed, monkeypatch):
     import gintools.groebner as gb
     degrees = []
 
-    def recorded(f, g):
+    def recorded(f, g, p):
         degrees.append(sum(mono_lcm(f.lead_monomial, g.lead_monomial)))
-        return spoly(f, g)
+        return _s_pair(f, g, p)
 
-    monkeypatch.setattr(gb, "spoly", recorded)
+    monkeypatch.setattr(gb, "_s_pair", recorded)
     rng = random.Random(seed)
     buchberger([R4.random_form(d, rng) for d in (2, 2, 3)], R4)
     assert len(set(degrees)) > 1
@@ -327,9 +386,17 @@ def test_a_basis_with_its_series_processes_no_pair(monkeypatch):
     I = twisted_cubic()
     target = series(initial_ideal(I))
     calls = []
-    monkeypatch.setattr(gb, "spoly", lambda f, g: calls.append(1))
+
+    def recorded(f, g, p):
+        calls.append((f, g))
+        return _s_pair(f, g, p)
+
+    monkeypatch.setattr(gb, "_s_pair", recorded)
     assert len(_groebner_basis(I.groebner_basis(), R4, target)) == 3
     assert calls == []
+    # the hook sees the pairs of the same basis run without its series
+    assert len(_groebner_basis(I.groebner_basis(), R4)) == 3
+    assert calls
 
 
 def test_a_series_never_reached_raises_naming_the_prime():
