@@ -7,18 +7,20 @@ and Stillman), so the gin is generated in K[x0, x1], where a strongly stable
 ideal is fixed by its Hilbert function: a codimension-2 arithmetically
 Cohen-Macaulay ideal needs no coordinate change at all.  Otherwise I
 itself is sampled, not a certified section, since gin(I)|_{x_n=0} =
-gin(I|_H) (Green) needs a generic H.  For every invertible coordinate
-change g, in(gI) lies at or below gin(I) in each degree (Bayer and
-Stillman), so the gin is the largest sample: equal Borel-fixed samples
-are returned at once, anything else escalates the sample count and keeps
-the sample that is greatest in every degree, which must be Borel-fixed in
-the characteristic of the field.  Every sample has the Hilbert series of
-I, so its Buchberger run stops once its lead monomials reach it.
-On top of that sit the harnesses that check the slicing identity, gap
-truncation, the connectedness of invariant tables, and the
-quotient-restriction trace whose gcd certificate reproduces the computable
-steps behind the connectedness statement.  They sample the gins they
-compare with gin(I), so they do not rest on the chain.
+gin(I|_H) (Green) needs a generic H.  The samples are random changes
+x_i -> x_i + sum_{j<i} c_ij x_j of the unipotent group, which meets the
+open set of changes that give the gin (``LinearChange.random``).  For
+every invertible coordinate change g, in(gI) lies at or below gin(I) in
+each degree (Bayer and Stillman), so the gin is the largest sample: equal
+Borel-fixed samples are returned at once, anything else escalates the
+sample count and keeps the sample that is greatest in every degree, which
+must be Borel-fixed in the characteristic of the field.  Every sample has
+the Hilbert series of I, so its Buchberger run stops once its lead
+monomials reach it.  On top of that sit the harnesses that check the
+slicing identity, gap truncation, the connectedness of invariant tables,
+and the quotient-restriction trace whose gcd certificate reproduces the
+computable steps behind the connectedness statement.  They sample the
+gins they compare with gin(I), so they do not rest on the chain.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
 def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
     """The gin of I as the largest of its sampled initial ideals.
 
-    ``votes`` independent coordinate changes are drawn; if their initial
+    ``votes`` independent coordinate changes are drawn from the unipotent
+    group x_i -> x_i + sum_{j<i} c_ij x_j (``LinearChange.random``: it
+    meets the open set of changes that give the gin); if their initial
     ideals are equal and Borel-fixed in characteristic p
     (``is_p_borel_fixed``), that ideal is returned with ``agreed=True``.
     Otherwise the sample count escalates to ``_MAX_SAMPLES`` and the sample

@@ -257,9 +257,13 @@ def _groebner_basis(gens, ring, target=None) -> list:
     for f in gens:
         if f.is_zero():
             continue
-        r = normal_form(f, G)
-        if not r.is_zero():
-            P = _update(G, P, r.monic(), lead, reducers, pair_lcm)
+        # the division adds exponent tuples unchecked
+        if f.ring.nvars != ring.nvars:
+            raise ValueError("exponent vectors of different lengths: "
+                             f"{f.ring.nvars} vs {ring.nvars}")
+        r = _divide(dict(f.terms), reducers, key, p)
+        if r:
+            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
     degree = checked = -1
     while P:
         pair = max(P, key=pair_lcm.__getitem__)

@@ -400,14 +400,28 @@ class LinearChange:
 
     @classmethod
     def random(cls, ring, rng):
-        """Uniform invertible matrix, sampled by rejection."""
+        """A random unipotent change x_i -> x_i + sum_{j<i} c_ij * x_j.
+
+        Row i holds i entries drawn uniformly from F_p, row by row, then 1
+        on the diagonal and zeros after it, so the draw is never singular.
+        This suffices for the gin.  An upper-triangular b, which sends each
+        variable to a multiple of itself plus later, smaller variables, keeps
+        every lead monomial, so in(gI) depends only on the coset gB of the
+        matrix g in the Borel group B of upper-triangular matrices.  The
+        changes with in(gI) = gin(I) therefore form a nonempty Zariski-open
+        set stable under B.  The big Bruhat cell, the products u*b of a
+        lower unipotent u and a b in B, is dense, so that set contains some
+        u*b, hence u: it meets the unipotent group in a nonempty open set of
+        its n(n-1)/2 entries (Galligo; Bayer and Stillman; Eisenbud,
+        Commutative Algebra, Thms 15.18-15.20 and sec. 15.9).  The triangle
+        matters: this one sends x_n to a generic form, and the transposed
+        one fixes x_n.  Image i has i + 1 terms, so a change expands far
+        fewer products than a dense one.
+        """
         n, p = ring.nvars, ring.prime
-        while True:
-            rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-            try:
-                return cls(ring, rows)
-            except ValueError:  # __post_init__ rejects a singular draw
-                pass
+        return cls(ring, tuple(
+            tuple(rng.randrange(p) for _ in range(i)) + (1,) + (0,) * (n - 1 - i)
+            for i in range(n)))
 
     @cached_property
     def _powers(self):
@@ -506,16 +520,22 @@ def substitute_last(f: Poly, image: Poly) -> Poly:
     Like ``LinearChange.apply``, it expands into one dict and sorts once.
     """
     f._check_ring(image)
-    ring = f.ring
-    n = ring.nvars - 1
+    return _substitute_last(f, image)
+
+
+def _substitute_last(f: Poly, image: Poly) -> Poly:
+    """f with x_n replaced by image, a linear form in f's ring or in its
+    restriction; in the restriction every monomial of f loses its x_n."""
+    ring = image.ring
+    pad = (0,) * (ring.nvars - f.ring.nvars + 1)  # (0,) keeps x_n, () drops it
     p = ring.prime
     powers = [ring.one().terms]
     acc = {}
     for mono, coeff in f.terms:
-        e = mono[n]
+        e = mono[-1]
         while len(powers) <= e:
             powers.append(_reduced(_expand(powers[-1], image.terms, {}), p))
-        _expand(((mono[:n] + (0,), coeff),), powers[e], acc)
+        _expand(((mono[:-1] + pad, coeff),), powers[e], acc)
     return ring.from_dict(acc)
 
 
@@ -533,9 +553,10 @@ def restrict(f: Poly, h: Poly) -> Poly:
 
     h must have a nonzero coefficient on the last variable x_n (otherwise
     pre-compose with a variable permutation).  The result is psi(f) with its
-    x_n terms dropped, for the change psi of ``last_image``: at x_n = 0 it
-    substitutes x_n = -(1/h_n) * sum_{i<n} h_i x_i.
+    x_n terms dropped, for the change psi of ``last_image``: it substitutes
+    x_n = -(1/h_n) * sum_{i<n} h_i x_i, expanded in the restricted ring, so
+    no term with x_n is ever formed.  For h = c * x_n that form is 0.
     """
     if h.ring != f.ring:
         raise ValueError("form from a different ring")
-    return drop_last(substitute_last(f, last_image(h)))
+    return _substitute_last(f, drop_last(last_image(h)))

@@ -10,7 +10,9 @@ import pytest
 from gintools import corpus
 from gintools.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTE, EXIT_CONFIG,
                           EXIT_PARSE, main)
+from gintools.gin import child_rng
 from gintools.parsing import max_coefficient
+from gintools.ring import LinearChange, PolyRing
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "gintools" / "data"
@@ -398,9 +400,9 @@ def test_corpus_run_passes_at_seeds_with_special_trace_forms(capsys, seed,
 
 def test_corpus_run_keeps_the_largest_sample_past_a_special_one(capsys):
     """The rational quartic is not Cohen-Macaulay, so its gin is sampled.
-    At gin seed 1200 the first of five samples has x0*x1 where the gin has
-    x0^2, below it in degree 2."""
-    code, out = run(capsys, "corpus-run", "--seed", "1200", "--entries",
+    At gin seed 948 the second of five samples has x1^2*x2 where the gin
+    has x1^3, below it in degree 3."""
+    code, out = run(capsys, "corpus-run", "--seed", "948", "--entries",
                     "rational-quartic", "--json")
     assert code == 0
     entry = json.loads(out)["entries"][0]
@@ -409,11 +411,16 @@ def test_corpus_run_keeps_the_largest_sample_past_a_special_one(capsys):
 
 
 def test_gin_redraws_when_both_draws_are_special(capsys):
-    """Both first draws send 3*x0^7 - x1^7 to a multiple of x1^7 over F_7,
-    where it is (3*x0 - x1)^7.  Its degree is not below p, so the gin is
+    """A draw x1 -> x1 + c*x0 sends 3*x0^7 - x1^7 to (3 - c)*x0^7 - x1^7
+    over F_7, since c^7 = c, which is special exactly when c = 3.  Both
+    draws at seed 200 have c = 3, and their agreed (x1^7) is not Borel-fixed,
+    so the sample count escalates.  Its degree is not below p, so the gin is
     sampled, not read off the Hilbert function."""
+    ring = PolyRing(2, 7)
+    assert [LinearChange.random(ring, child_rng(200, "gin-sample", k)).matrix
+            for k in range(2)] == [((1, 0), (3, 1))] * 2
     code, out = run(capsys, "gin", "--gens", "3*x0^7 - x1^7", "--n", "1",
-                    "--prime", "7", "--seed", "0")
+                    "--prime", "7", "--seed", "200")
     assert code == 0
     assert out.splitlines()[:3] == ["gin: x0^7", "agreed: false", "samples: 5"]
 

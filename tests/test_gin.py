@@ -11,6 +11,8 @@ from gintools.groebner import (Ideal, _SliceBasis, _hilbert_numerator,
                                hilbert_function, initial_ideal,
                                restrict_ideal)
 from gintools.cli import main
+from gintools.corpus import (complete_intersection, determinantal,
+                             determinantal_from_matrix)
 from gintools.gin import (ComputationError, GinUnstableError, _sampled_gin,
                           check_connectedness, child_rng,
                           connectedness_from_table, gcd_two_vars, gin,
@@ -119,6 +121,63 @@ def test_small_field_escalates_or_fails():
 def test_votes_below_two_rejected():
     with pytest.raises(ValueError):
         gin(twisted_cubic(), votes=1)
+
+
+def _dense_change(ring, rng):
+    """A uniform invertible matrix, drawn by rejection."""
+    while True:
+        rows = tuple(tuple(rng.randrange(ring.prime) for _ in range(ring.nvars))
+                     for _ in range(ring.nvars))
+        try:
+            return LinearChange(ring, rows)
+        except ValueError:
+            continue
+
+
+def _special_complete_intersection(a, b, n):
+    """x_n^a, x_{n-1}^b: in these coordinates the transposed triangle,
+    which fixes x_n, keeps it in K[x_{n-1}, x_n]."""
+    ring = PolyRing(n + 1)
+    return Ideal(ring, [ring.variable(n) ** a, ring.variable(n - 1) ** b])
+
+
+def _special_determinantal(n):
+    """The minors of a 2x3 Hankel matrix in the last four variables, taken
+    from x_n down: a twisted cubic, or a cone over one, in special
+    coordinates."""
+    ring = PolyRing(n + 1)
+    x = [ring.variable(n - i) for i in range(4)]
+    return determinantal_from_matrix([x[:3], x[1:]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: complete_intersection(2, 2, 3, seed=s),
+    lambda s: complete_intersection(2, 3, 3, seed=s),
+    lambda s: complete_intersection(3, 3, 4, seed=s),
+    lambda s: complete_intersection(2, 3, 5, seed=s),
+    lambda s: determinantal(3, seed=s),
+    lambda s: determinantal(4, seed=s),
+    lambda s: determinantal(5, seed=s),
+    lambda s: _special_complete_intersection(2, 3, 3),
+    lambda s: _special_complete_intersection(3, 3, 5),
+    lambda s: _special_determinantal(3),
+    lambda s: _special_determinantal(5),
+], ids=["ci-223", "ci-233", "ci-334", "ci-235", "det-3", "det-4", "det-5",
+        "special-ci-233", "special-ci-335", "special-det-3", "special-det-5"])
+def test_unipotent_samples_give_the_gin_of_dense_ones(build):
+    """The unipotent draws of ``LinearChange.random`` find the same gin as
+    the largest initial ideal under three dense invertible changes, on the
+    random ideals of ``corpus`` in P^3 to P^5 and on ideals in special
+    coordinates, whose own initial ideal is not the gin."""
+    module = importlib.import_module("gintools.gin")
+    for seed in range(3):
+        I = build(seed)
+        target = hilbert_numerator(initial_ideal(I))
+        rng = random.Random(seed)
+        dense = [module._sample_initial_ideal(I, _dense_change(I.ring, rng),
+                                              target) for _ in range(3)]
+        expected = module._largest_sample(dense, I.ring)
+        assert _sampled_gin(Ideal(I.ring, I.gens), seed=seed).gin == expected
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,16 @@ def test_division_rejects_a_ring_with_other_nvars():
         normal_form(f, [poly(R3, "x1"), poly(R4, "x0 + x3")])
 
 
+def test_buchberger_rejects_a_generator_with_other_nvars():
+    """Every generator is checked, the first one too, before the division
+    adds its exponent tuples unchecked."""
+    for gens in ([poly(R3, "x0^2 + x1*x2"), poly(R4, "x0 + x3")],
+                 [poly(R4, "x0 + x3"), poly(R3, "x0^2 + x1*x2")],
+                 [poly(R4, "x0 + x3")]):
+        with pytest.raises(ValueError, match="different lengths: 4 vs 3"):
+            buchberger(gens, R3)
+
+
 def s_polynomial_terms(f, g, p):
     """u*f - v*g for monic f and g, u*lm(f) = v*lm(g) their lcm, as
     (monomial, coefficient) pairs with the zero coefficients dropped."""

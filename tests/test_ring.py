@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from gintools.ring import (LinearChange, PolyRing, mono_div, mono_divides,
-                           mono_gcd, mono_lcm, mono_mul, monomials_of_degree,
-                           drop_last, restrict, revlex_key, substitute_last)
+from gintools.ring import (LinearChange, PolyRing, _det_mod, drop_last,
+                           last_image, mono_div, mono_divides, mono_gcd,
+                           mono_lcm, mono_mul, monomials_of_degree, restrict,
+                           revlex_key, substitute_last)
 from gintools.staircase import MonomialIdeal
 
 R3 = PolyRing(3)
@@ -187,7 +189,6 @@ def test_scalar_arithmetic_matches_field(k):
 
 
 def random_homogeneous(ring, degree, rng_seed):
-    import random
     rng = random.Random(rng_seed)
     return ring.random_form(degree, rng)
 
@@ -237,7 +238,6 @@ def test_singular_matrix_rejected():
 def test_change_matches_term_by_term_expansion(seed, nvars, degree):
     """Over F_7, with sparse matrices and sparse inputs, so that terms
     cancel and some variables are absent."""
-    import random
     rng = random.Random(seed)
     ring = PolyRing(nvars, 7)
     while True:
@@ -256,19 +256,33 @@ def test_change_matches_term_by_term_expansion(seed, nvars, degree):
     assert change.apply(f).terms == expected  # again, from its cached powers
 
 
-def test_random_change_redraws_singular_matrices():
-    """Over F_2 most 2x2 matrices are singular; the draw rejects them with
-    the same rng calls as a plain rejection loop."""
-    import random
-    ring = PolyRing(2, 2)
-    for seed in range(20):
-        rng = random.Random(seed)
-        while True:
-            rows = tuple(tuple(rng.randrange(2) for _ in range(2))
-                         for _ in range(2))
-            if (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % 2:
-                break
-        assert LinearChange.random(ring, random.Random(seed)).matrix == rows
+class _RecordingRandom(random.Random):
+    """A seeded stream that records its ``randrange`` calls and values."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.calls.append((args, value))
+        return value
+
+
+def test_random_change_is_unipotent():
+    """Row i is i draws from F_p, then 1 on the diagonal, then zeros: the
+    n(n-1)/2 draws come in row order, and the determinant is 1."""
+    for (nvars, p), seed in itertools.product(
+            [(1, 7), (2, 2), (4, 7), (6, 32003)], range(5)):
+        rng = _RecordingRandom(seed)
+        matrix = LinearChange.random(PolyRing(nvars, p), rng).matrix
+        assert len(rng.calls) == nvars * (nvars - 1) // 2
+        assert all(args == (p,) for args, _ in rng.calls)
+        drawn = iter(value for _, value in rng.calls)
+        assert matrix == tuple(
+            tuple(next(drawn) for _ in range(i)) + (1,) + (0,) * (nvars - 1 - i)
+            for i in range(nvars))
+        assert _det_mod(matrix, p) == 1
 
 
 def test_only_grevlex_rings_are_graded():
@@ -329,9 +343,28 @@ def test_restrict_rejects_zero_and_nonlinear():
         restrict(poly(R3, "x0"), poly(R3, "x2^2"))
 
 
+@given(st.integers(0, 10 ** 6), st.integers(2, 5),
+       st.sampled_from((2, 7, 32003)), st.integers(0, 4), st.booleans())
+def test_restrict_matches_substituting_then_dropping(seed, nvars, p, degree,
+                                                    only_last):
+    """Substituting in the restricted ring gives the terms, in order, of the
+    full substitution with its x_n terms dropped.  Coefficients are often
+    0, in f and in h; with ``only_last``, h = c*x_n, whose image is 0."""
+    rng = random.Random(seed)
+    ring = PolyRing(nvars, p)
+    f = ring.from_dict({m: rng.choice((0, 1, rng.randrange(p)))
+                        for m in monomials_of_degree(nvars, degree)})
+    head = [0 if only_last else rng.choice((0, 1, rng.randrange(p)))
+            for _ in range(nvars - 1)]
+    h = ring.linear_form(head + [rng.randrange(1, p)])
+    expected = drop_last(substitute_last(f, last_image(h)))
+    got = restrict(f, h)
+    assert got.ring == expected.ring == ring.restricted()
+    assert got.terms == expected.terms
+
+
 @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 2))
 def test_restrict_is_a_ring_map(seed, d1, d2):
-    import random
     rng = random.Random(seed)
     f = R3.random_form(d1, rng)
     g = R3.random_form(d2, rng)
