@@ -73,7 +73,7 @@ def _load_input(args):
 def _monomial_ideal_from(ideal) -> MonomialIdeal:
     monos = []
     for g in ideal.gens:
-        if len(g.terms) != 1:
+        if len(g.packed) != 1:
             raise ConfigError(
                 f"{render_poly(g)} is not a monomial; compute gin first")
         monos.append(g.lead_monomial)

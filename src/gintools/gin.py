@@ -355,7 +355,7 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
         slices = _SliceBasis(I, I.ring.general_linear_form(rng), series)
         for p in range(p_max + 1):
             section = slices.section(p)
-            key = tuple(g.terms for g in section.groebner_basis())
+            key = tuple(g.packed for g in section.groebner_basis())
             if key not in section_gins:
                 section_gins[key] = _sampled_gin(section, seed, votes).gin
             lhs = section_gins[key]
@@ -388,7 +388,7 @@ def verify_gap_truncation(I: Ideal, seed=0, votes=2,
     cases = []
     for delta in gaps:
         truncated = truncate(I, delta)
-        key = tuple(g.terms for g in truncated.gens)
+        key = tuple(g.packed for g in truncated.gens)
         if key not in truncation_gins:
             truncation_gins[key] = _sampled_gin(truncated, seed, votes).gin
         lhs = truncation_gins[key]

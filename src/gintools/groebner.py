@@ -25,18 +25,25 @@ Mora, Niesi, Robbiano and Traverso, One sugar cube, please, ISSAC 1991),
 and only the t-free elements are reduced.  That order lives here and
 nowhere else.
 
-Every comparison uses the ring's ascending sort key (see ``ring``), in
-which the smallest key is the greatest monomial.  Division keeps its
-pending terms in a dict of coefficients and a heap of (key, monomial)
-entries, each key computed once when its monomial first appears (Monagan
-and Pearce, Sparse polynomial division using a heap, J. Symbolic Comput.
-46 (2011)); a term that cancels stays in the heap and is skipped when
-popped.  Its divisors come as a table of (lead, inverse lead coefficient,
-tail) rows.  Buchberger builds no intermediate polynomial: it keeps that
-table with its basis, one row added as each monic element joins, and
-writes each S-pair u*tail(f) - v*tail(g) straight into the division's
-dict, where the leads would cancel.  It keys each pair's lcm once, when
-the pair is made.
+The kernel works on packed monomials (see ``ring``): one int per
+monomial is its exponents and its sort key, the smallest key the greatest
+monomial, and a product is a sum of keys.  Division keeps its pending
+terms in a dict of coefficients keyed by packed monomials and a heap of
+the same ints (Monagan and Pearce, Sparse polynomial division using a
+heap, J. Symbolic Comput. 46 (2011), who pack exponent vectors into words
+the same way); a term that cancels stays in the heap and is skipped when
+popped.  A lead divides a term when the guard bits of their difference
+say so.  Its divisors come as a table of (lead, inverse lead coefficient,
+tail, rise) rows; rise, the excess of the tail's degree over the lead's,
+is 0 in grevlex, and otherwise lets a reduction refuse to cross the
+degree bound.  Buchberger builds no intermediate polynomial: it keeps
+that table with its basis, one row added as each monic element joins,
+and writes each S-pair u*tail(f) - v*tail(g) straight into the division's
+dict, where the leads would cancel.  Each pair's packed lcm is formed once,
+when the pair is made; it orders the pairs, and u and v are the lcm minus
+each lead.  A pair whose lcm reaches the degree bound raises
+``ValueError``.  Polynomials are read out as exponent tuples only at the
+edges: lead monomials for Hilbert series and initial ideals.
 
 Hilbert series come from the numerator N(t) of HS(R/M) = N(t)/(1-t)^n
 for a monomial ideal M, by the Bayer-Stillman recursion on a Bigatti
@@ -56,10 +63,9 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from operator import add, le, sub
 
-from .ring import (Poly, PolyRing, drop_last, last_image, mono_divides,
-                   restrict, revlex_key, substitute_last)
+from .ring import (DEGREE_BOUND, DEGREE_MASK, Poly, drop_last, key_offset,
+                   last_image, restrict, revlex_key, substitute_last)
 from .staircase import GinUnstableError, MonomialIdeal, minimal_monomials
 
 
@@ -115,47 +121,73 @@ def normal_form(f: Poly, basis) -> Poly:
     if f.is_zero() or not basis:
         return f
     ring = f.ring
-    for g in basis:  # the division adds exponent tuples unchecked
-        if g.ring.nvars != ring.nvars:
-            raise ValueError("exponent vectors of different lengths: "
-                             f"{ring.nvars} vs {g.ring.nvars}")
-    return Poly(ring, _divide(dict(f.terms), [_reducer(g) for g in basis],
-                              ring.sort_key, ring.prime))
+    for g in basis:  # the division adds the packed monomials of one ring
+        _check_packing(g.ring, ring)
+    return Poly(ring, _divide(dict(f.packed), [_reducer(g) for g in basis],
+                              ring))
+
+
+def _check_packing(ring, other):
+    """Refuse to mix the packed monomials of two rings."""
+    if ring.nvars != other.nvars:
+        raise ValueError("exponent vectors of different lengths: "
+                         f"{ring.nvars} vs {other.nvars}")
+    if ring != other:
+        raise ValueError("polynomials from different rings")
 
 
 def _reducer(g: Poly) -> tuple:
     """The row of g in a division's reducer table: lead, inverse of the
-    lead coefficient, tail."""
+    lead coefficient, tail, and rise, by how much the greatest degree in
+    the tail exceeds the lead's."""
+    lead, lc = g.packed[0]
+    tail = g.packed[1:]
+    rise = 0  # in grevlex the lead has the greatest degree
+    if tail and not g.ring.graded:
+        top = max(m & DEGREE_MASK for m, _ in tail)
+        rise = max(0, top - (lead & DEGREE_MASK))
     # Buchberger's basis elements are monic, and inverting 1 is not free
-    lc = g.lead_coeff
-    return g.lead_monomial, 1 if lc == 1 else g.ring.inv(lc), g.terms[1:]
+    return lead, 1 if lc == 1 else g.ring.inv(lc), tail, rise
 
 
-def _divide(work, reducers, key, p) -> tuple:
-    """The remainder, in term order, of the polynomial whose nonzero
-    coefficients ``work`` holds, by the rows of ``reducers``.
+def _check_rise(m, rise):
+    """Refuse to reduce the packed m by a row whose tail would cross the
+    degree bound."""
+    if (d := (m & DEGREE_MASK) + rise) >= DEGREE_BOUND:
+        raise ValueError(f"a reduction reaches degree {d}: degrees must "
+                         f"stay below {DEGREE_BOUND}")
 
-    ``work`` is consumed.  ``key`` is the ring's ascending sort key.
+
+def _divide(work, reducers, ring) -> tuple:
+    """The remainder, packed and in term order, of the polynomial whose
+    nonzero coefficients ``work`` holds, keyed by packed monomials of
+    ``ring``, by the rows of ``reducers``.
+
+    ``work`` is consumed.
     """
+    p, guards = ring.prime, ring.guards
     get = work.get
-    heap = [(key(m), m) for m in work]
+    heap = list(work)
     heapify(heap)
     out = []
     while heap:
-        m = heappop(heap)[1]
+        m = heappop(heap)
         c = work.pop(m)
         if not c:
             continue  # cancelled after it was pushed
-        for lm, lc_inv, tail in reducers:
-            if all(map(le, lm, m)):
-                shift = tuple(map(sub, m, lm))
+        mg = m | guards
+        for lm, lc_inv, tail, rise in reducers:
+            if (mg - lm) & guards == guards:
+                if rise:
+                    _check_rise(m, rise)
+                shift = m - lm
                 factor = p - c * lc_inv % p
                 for gm, gc in tail:
-                    mm = tuple(map(add, gm, shift))
+                    mm = gm + shift
                     v = get(mm)
                     if v is None:
                         work[mm] = factor * gc % p
-                        heappush(heap, (key(mm), mm))
+                        heappush(heap, mm)
                     else:
                         work[mm] = (v + factor * gc) % p
                 break
@@ -164,18 +196,27 @@ def _divide(work, reducers, key, p) -> tuple:
     return tuple(out)
 
 
-def _s_pair(f: Poly, g: Poly, p) -> dict:
-    """The nonzero coefficients of the S-polynomial u*f - v*g of monic f
-    and g, where u*lm(f) = v*lm(g) = lcm: u*tail(f) - v*tail(g).  The
-    leads cancel and are never written."""
-    lf, lg = f.lead_monomial, g.lead_monomial
-    lcm = tuple(map(max, lf, lg))
-    u = tuple(map(sub, lcm, lf))
-    v = tuple(map(sub, lcm, lg))
-    work = {tuple(map(add, m, u)): c for m, c in f.terms[1:]}
+def _check_lcm(lcm):
+    """Refuse an S-pair whose packed lcm crosses the degree bound."""
+    if lcm & DEGREE_BOUND:  # two leads in bounds cannot carry past the field
+        raise ValueError(f"an S-pair lcm of degree {lcm & DEGREE_MASK}: "
+                         f"degrees must stay below {DEGREE_BOUND}")
+
+
+def _s_pair(f, g, lcm, p) -> dict:
+    """The nonzero coefficients of the S-polynomial u*f - v*g of the monic
+    f and g, given by their reducer rows, where u*lm(f) = v*lm(g) = lcm,
+    all packed: u*tail(f) - v*tail(g).  The leads cancel and are never
+    written."""
+    lf, _, tail_f, rise_f = f
+    lg, _, tail_g, rise_g = g
+    if rise_f or rise_g:
+        _check_rise(lcm, max(rise_f, rise_g))
+    u, v = lcm - lf, lcm - lg
+    work = {m + u: c for m, c in tail_f}
     get = work.get
-    for m, c in g.terms[1:]:
-        mm = tuple(map(add, m, v))
+    for m, c in tail_g:
+        mm = m + v
         w = get(mm)
         if w is None:
             work[mm] = p - c
@@ -189,46 +230,55 @@ def _s_pair(f: Poly, g: Poly, p) -> dict:
 def spoly(f: Poly, g: Poly) -> Poly:
     """The S-polynomial of f and g, made monic first."""
     f._check_ring(g)
+    ring = f.ring
     f, g = f.monic(), g.monic()
-    return f.ring.from_dict(_s_pair(f, g, f.ring.prime))
+    lcm = ring.sort_key(tuple(map(max, f.lead_monomial, g.lead_monomial)))
+    _check_lcm(lcm)
+    return ring.from_packed(_s_pair(_reducer(f), _reducer(g), lcm, ring.prime))
 
 
 def _update(G, P, f, lead, reducers, pair_lcm):
     """Add the monic f to the basis, pruning pairs by the Gebauer-Moeller
     criteria.
 
-    ``lead`` and ``reducers`` hold each element's lead and its row of the
-    division's reducer table.  ``pair_lcm`` maps each pair in P to its
-    lcm's sort key and the lcm; the entries of pruned pairs are removed
-    here, and those of new pairs added.
+    ``lead`` and ``reducers`` hold each element's lead as an exponent tuple
+    and its row of the division's reducer table.  ``pair_lcm`` maps each
+    pair in P to its packed lcm, which orders the pairs and shifts the
+    S-pair's tails; the entries of pruned pairs are removed here, and those
+    of new pairs added.
     """
-    lmf = f.lead_monomial
+    ring = f.ring
+    guards = ring.guards
+    row = _reducer(f)
+    lmf, lmf_exps = row[0], f.lead_monomial
+    # beyond the bound a packed lcm stays exact, as its degree is below
+    # 2^16; only the pairs that are formed must stay within it
+    lcms = [ring.sort_key(map(max, a, lmf_exps)) for a in lead]
     kept = set()
     for ij in P:
-        lij = pair_lcm[ij][1]
-        if (not all(map(le, lmf, lij))
-                or lij == tuple(map(max, lead[ij[0]], lmf))
-                or lij == tuple(map(max, lead[ij[1]], lmf))):
+        lij = pair_lcm[ij]
+        if (((lij | guards) - lmf) & guards != guards
+                or lij == lcms[ij[0]] or lij == lcms[ij[1]]):
             kept.add(ij)
         else:
             del pair_lcm[ij]
     new_index = len(G)
     by_lcm = {}
-    for i in range(new_index):
-        by_lcm.setdefault(tuple(map(max, lead[i], lmf)), []).append(i)
-    keys = {lcm: f.ring.sort_key(lcm) for lcm in by_lcm}
+    for i, lcm in enumerate(lcms):
+        by_lcm.setdefault(lcm, []).append(i)
     minimal = []
-    for lcm in sorted(by_lcm, key=keys.__getitem__, reverse=True):
-        if not any(all(map(le, seen, lcm)) for seen in minimal):
+    for lcm in sorted(by_lcm, reverse=True):
+        if not any(((lcm | guards) - seen) & guards == guards for seen in minimal):
             minimal.append(lcm)
     for lcm in minimal:
-        if not any(lcm == tuple(map(add, lead[i], lmf)) for i in by_lcm[lcm]):
+        if not any(lcm == reducers[i][0] + lmf for i in by_lcm[lcm]):
+            _check_lcm(lcm)
             pair = (min(by_lcm[lcm]), new_index)
-            pair_lcm[pair] = (keys[lcm], lcm)
+            pair_lcm[pair] = lcm
             kept.add(pair)
     G.append(f)
-    lead.append(lmf)
-    reducers.append(_reducer(f))
+    lead.append(lmf_exps)
+    reducers.append(row)
     return kept
 
 
@@ -253,29 +303,26 @@ def _groebner_basis(gens, ring, target=None) -> list:
     coordinate change or this kernel is.
     """
     G, lead, reducers, P, pair_lcm = [], [], [], set(), {}
-    key, p = ring.sort_key, ring.prime
     for f in gens:
         if f.is_zero():
             continue
-        # the division adds exponent tuples unchecked
-        if f.ring.nvars != ring.nvars:
-            raise ValueError("exponent vectors of different lengths: "
-                             f"{f.ring.nvars} vs {ring.nvars}")
-        r = _divide(dict(f.terms), reducers, key, p)
+        _check_packing(f.ring, ring)
+        r = _divide(dict(f.packed), reducers, ring)
         if r:
             P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
     degree = checked = -1
     while P:
         pair = max(P, key=pair_lcm.__getitem__)
-        if target is not None and (d := sum(pair_lcm[pair][1])) > degree:
+        lcm = pair_lcm.pop(pair)
+        if target is not None and (d := lcm & DEGREE_MASK) > degree:
             degree = d
             if len(G) > checked:
                 checked = len(G)
                 if _hilbert_numerator(lead, ring.nvars) == target:
                     return G
         P.discard(pair)
-        del pair_lcm[pair]
-        r = _divide(_s_pair(G[pair[0]], G[pair[1]], p), reducers, key, p)
+        r = _divide(_s_pair(reducers[pair[0]], reducers[pair[1]], lcm,
+                            ring.prime), reducers, ring)
         if r:
             P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
     if target is not None and _hilbert_numerator(lead, ring.nvars) != target:
@@ -287,9 +334,12 @@ def _groebner_basis(gens, ring, target=None) -> list:
 
 
 def _reduce_basis(G, ring):
+    guards = ring.guards
     minimal = []
-    for g in sorted(G, key=lambda h: ring.sort_key(h.lead_monomial), reverse=True):
-        if not any(mono_divides(h.lead_monomial, g.lead_monomial) for h in minimal):
+    for g in sorted(G, key=lambda h: h.packed[0][0], reverse=True):
+        lg = g.packed[0][0]
+        if not any(((lg | guards) - h.packed[0][0]) & guards == guards
+                   for h in minimal):
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
@@ -390,25 +440,27 @@ def _numerator(gens, nvars) -> list:
 # ---------------------------------------------------------------------------
 # intersection, quotient, saturation
 
-def _elim_sort_key(m):
-    """Ascending key of the elimination order, t the last exponent.
+def _elimination_ring(ring):
+    """K[x, t] for the graded ``ring`` K[x], t last, in the elimination
+    order: x-degree first, then the power of t, then grevlex on x.
 
-    x-degree first, then the power of t, then grevlex on x.  On a
-    polynomial homogeneous in x all terms share one x-degree, so the power
-    of t decides first, as in the block order with t greatest; the
+    On a polynomial homogeneous in x all terms share one x-degree, so the
+    power of t decides first, as in the block order with t greatest; the
     generators of t*I + (1-t)*J are such polynomials, and S-polynomials and
     reductions of them stay so.  Hence t is eliminated, though the order is
-    not a block order.
+    not a block order.  Built once per ring.
     """
-    return (-sum(m[:-1]), -m[-1], m[-2::-1])
-
-
-def _elimination_ring(ring):
-    return PolyRing(ring.nvars + 1, ring.prime, sort_key=_elim_sort_key)
+    n = ring.nvars
+    return ring.adjoined(((-1,) * n + (0,), (0,) * n + (-1,)))
 
 
 def _lift(f, big, extra=0):
-    return Poly(big, tuple((m + (extra,), c) for m, c in f.terms))
+    """f in ``big``, times t^extra; with t's power fixed the order is
+    grevlex on x, so the terms keep their order."""
+    offset = key_offset(f.ring, big)
+    t = extra * big.variable(big.nvars - 1).packed[0][0]
+    return Poly(big, tuple((m + (m & DEGREE_MASK) * offset + t, c)
+                           for m, c in f.packed))
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -430,7 +482,9 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     for g in J.gens:
         gens.append(_lift(g, big) - _lift(g, big, extra=1))
     # each kept element at t = 0: itself, written without t
-    kept = [Poly(ring, tuple((m[:-1], c) for m, c in g.terms if not m[-1]))
+    offset = key_offset(big, ring)
+    kept = [Poly(ring, tuple((m + (m & DEGREE_MASK) * offset, c)
+                             for m, c in g.packed if not big.exponent(m, -1)))
             for g in _groebner_basis(gens, big) if g.lead_monomial[-1] == 0]
     reduced = _reduce_basis(kept, ring)
     result = Ideal(ring, reduced)
@@ -484,12 +538,13 @@ class _SliceBasis:
         if power == 0:
             return self.basis
         divided = []
+        last = self.ring.variable(self.ring.nvars - 1).packed[0][0]
         for g in self.basis:
             k = g.lead_monomial[-1]  # in grevlex x_n^k divides all of g
             if power is not None:
                 k = min(k, power)
             divided.append(g if k == 0 else Poly(self.ring, tuple(
-                (m[:-1] + (m[-1] - k,), c) for m, c in g.terms)))
+                (m - k * last, c) for m, c in g.packed)))
         return _reduce_basis(divided, self.ring)
 
     def quotient(self, power) -> Ideal:
@@ -520,7 +575,7 @@ def _linear_quotient(I: Ideal, h: Poly, power) -> Ideal:
         raise ValueError(f"quotients are by linear forms only, not by {h}")
     if power == 0:
         return I
-    k = max(m.index(1) for m, _ in h.terms)
+    k = max(I.ring.unpack(m).index(1) for m, _ in h.packed)
     if k == I.ring.nvars - 1:
         return _SliceBasis(I, h).quotient(power)
     swapped = Ideal(I.ring, [_swap_last(g, k) for g in I.gens])
@@ -530,9 +585,12 @@ def _linear_quotient(I: Ideal, h: Poly, power) -> Ideal:
 
 def _swap_last(f: Poly, k: int) -> Poly:
     """f with the variables x_k and x_n exchanged."""
+    ring = f.ring
+
     def swap(m):
-        return m[:k] + (m[-1],) + m[k + 1:-1] + (m[k],)
-    return f.ring.from_dict({swap(m): c for m, c in f.terms})
+        m = ring.unpack(m)
+        return ring.sort_key(m[:k] + (m[-1],) + m[k + 1:-1] + (m[k],))
+    return ring.from_packed({swap(m): c for m, c in f.packed})
 
 
 def restrict_ideal(I: Ideal, h: Poly) -> Ideal:

@@ -120,7 +120,7 @@ class _Parser:
             except ValueError as exc:
                 self.error(str(exc))
             op = self.accept("+-")
-        return self.ring.from_dict(acc)
+        return self.ring.from_packed(acc)
 
     def term(self):
         f = self.factor()

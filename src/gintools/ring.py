@@ -7,25 +7,56 @@ where the exponents differ: the monomial with the smaller exponent there
 is the greater one.  All coefficients live in F_p for a configurable
 prime p.
 
-Each ring carries one ascending sort key for its computational order: the
-smallest key belongs to the greatest monomial, so a polynomial's terms are
-its monomials sorted by key, lead first, and a heap of keys pops the
-greatest pending monomial.  The default is grevlex, (-deg, m[::-1]), which
-agrees with the public order within each degree.  Products and coordinate
-changes gather every term in one dict and sort it once; their inner loops
-add exponent tuples directly, after one check per call that the operands
-come from the same ring.
+Each ring fixes its computational order by integer weight rows: of two
+monomials the greater is the one with the smaller value row . m at the
+first row where they differ, and past the rows the smaller m[::-1], the
+smaller exponent at the rightmost index where they differ.  No rows means
+grevlex, the single row (-1, ..., -1): higher degree first, which agrees
+with the public order within each degree.  Only a grevlex ring is graded.
+
+Packed monomials.  Inside the kernel a monomial is one int, its key
+``ring.sort_key(m)``: the sum of e_i * W_i for a fixed weight W_i per
+variable.  From the low bits up the key holds 16-bit fields, the total
+degree and then e_0, ..., e_n, and above them each row's value in a signed
+field wide enough for it, the first row highest.  So:
+
+* integer order is the term order, the smallest key the greatest
+  monomial: a polynomial's terms are its keys in ascending order, lead
+  first, and a heap of keys pops the greatest pending monomial;
+* the key is linear in m: the key of a product is the sum of the keys;
+* with G the top bit of every exponent field, l divides m exactly when
+  ((m | G) - l) & G == G, as no exponent field borrows from the next: the
+  degree field below them borrows only when deg l > deg m;
+* k & DEGREE_MASK is the total degree.
+
+The degree field never decides a comparison, since the exponent fields
+above it break every tie.  A monomial's total degree must stay below
+DEGREE_BOUND = 2^15, which keeps every guard bit clear.  One past it is
+refused with ``ValueError`` where its Poly is built, and so is a product
+that would cross it: two keys within the bound add without a carry out of
+any field, so a crossing shows in the degree field's guard bit.
+
+A Poly keeps its terms packed, as (key, coefficient) pairs lead first.
+``Poly.terms``, the same pairs with exponent tuples, stays the public view
+because callers read exponents; it is derived when first read, so a Poly
+that the kernel builds and nobody reads holds one form only.  Products and
+coordinate changes gather every term in one dict and sort it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, mul
 
 DEFAULT_PRIME = 32003
 
 Monomial = tuple  # exponent vector, one entry per variable
+
+_FIELD = 16                          # bits per degree or exponent field
+_GUARD = 1 << (_FIELD - 1)           # the top bit of a field
+DEGREE_MASK = (1 << _FIELD) - 1      # key & DEGREE_MASK is the total degree
+DEGREE_BOUND = _GUARD                # total degrees stay below this
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +109,6 @@ def revlex_key(m: Monomial):
     return (-sum(m), tuple(-e for e in reversed(m)))
 
 
-def _grevlex_sort_key(m: Monomial):
-    """Ascending sort key of grevlex; the smallest key is the greatest monomial.
-
-    Higher degree comes first, then the smaller exponent at the rightmost
-    differing index.  Agrees with revlex_key within each degree, which is
-    the only case that matters for homogeneous polynomials; a well-order,
-    so division terminates.
-    """
-    return (-sum(m), m[::-1])
-
-
 def monomials_of_degree(nvars: int, d: int):
     """Iterate all exponent tuples of total degree d in lex order, x0^d
     first; not grevlex, which puts x1^2 before x0*x2."""
@@ -136,13 +156,15 @@ def _is_prime(p):
 class PolyRing:
     """K[x0..xn] over F_p, with a fixed computational monomial order.
 
-    A ring in grevlex, the default, is graded: it enforces the
-    homogeneous-only contract, so sums of nonzero polynomials of different
-    degrees are rejected.  The elimination ring that ideal intersection
-    builds with its own ``sort_key`` relaxes this.
+    ``order`` is a sequence of integer weight rows, one weight per
+    variable, ties broken by m[::-1] (see the module docstring); ``None``,
+    the default, is grevlex.  Rings with equal rows are equal.  A grevlex
+    ring is graded: it enforces the homogeneous-only contract, so sums of
+    nonzero polynomials of different degrees are rejected.  The elimination
+    ring that ideal intersection builds with its own rows relaxes this.
     """
 
-    def __init__(self, nvars, prime=DEFAULT_PRIME, sort_key=_grevlex_sort_key):
+    def __init__(self, nvars, prime=DEFAULT_PRIME, order=None):
         if nvars < 1:
             raise ValueError("need at least one variable")
         if prime >= _PRIME_LIMIT:
@@ -150,23 +172,70 @@ class PolyRing:
                              f"limit: need p < {_PRIME_LIMIT}")
         if not _is_prime(prime):
             raise ValueError(f"modulus {prime} is not prime")
+        grevlex = ((-1,) * nvars,)
+        if order is not None:
+            order = tuple(tuple(int(w) for w in row) for row in order)
+            if any(len(row) != nvars for row in order):
+                raise ValueError(f"every order row needs {nvars} weights")
+            if order == grevlex:
+                order = None
         self.nvars = nvars
         self.prime = prime
-        self.sort_key = sort_key
-        self.graded = sort_key is _grevlex_sort_key
+        self.order = order
+        self.graded = order is None
+        rows = grevlex if order is None else order
+        # a row's field holds its values for degrees below 2^16, with sign
+        shift, shifts = _FIELD * (nvars + 1), []
+        for row in reversed(rows):
+            shifts.append(shift)
+            shift += max(map(abs, row)).bit_length() + _FIELD + 2
+        shifts.reverse()
+        self._shifts = tuple(_FIELD * (i + 1) for i in range(nvars))
+        self._weights = tuple(
+            1 + (1 << s) + sum(row[i] << r for row, r in zip(rows, shifts))
+            for i, s in enumerate(self._shifts))
+        self.guards = sum(_GUARD << s for s in self._shifts)
+        self._adjoined = {}
         self._zero = Poly(self, ())
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing)
-                and self.nvars == other.nvars
-                and self.prime == other.prime
-                and self.sort_key is other.sort_key)
+        return self is other or (isinstance(other, PolyRing)
+                                 and self.nvars == other.nvars
+                                 and self.prime == other.prime
+                                 and self.order == other.order)
 
     def __hash__(self):
-        return hash((self.nvars, self.prime, id(self.sort_key)))
+        return hash((self.nvars, self.prime, self.order))
 
     def __repr__(self):
         return f"PolyRing(nvars={self.nvars}, prime={self.prime})"
+
+    # -- packed monomials
+
+    def sort_key(self, m) -> int:
+        """The packed form of the exponent tuple m, unchecked: ascending
+        keys are descending monomials."""
+        return sum(map(mul, m, self._weights))
+
+    def unpack(self, key) -> Monomial:
+        """The exponent tuple of a packed monomial."""
+        return tuple((key >> s) & DEGREE_MASK for s in self._shifts)
+
+    def exponent(self, key, i) -> int:
+        """The exponent of x_i in a packed monomial; i = -1 is the last."""
+        return (key >> self._shifts[i]) & DEGREE_MASK
+
+    def _checked_key(self, m) -> int:
+        """The packed form of m, refusing what cannot be packed."""
+        if len(m) != self.nvars:
+            raise ValueError("exponent vectors of different lengths: "
+                             f"{len(m)} vs {self.nvars}")
+        if min(m) < 0:
+            raise ValueError(f"negative exponent in {tuple(m)}")
+        if sum(m) >= DEGREE_BOUND:
+            raise ValueError(f"monomial of degree {sum(m)}: degrees must "
+                             f"stay below {DEGREE_BOUND}")
+        return self.sort_key(m)
 
     # -- element constructors
 
@@ -174,35 +243,37 @@ class PolyRing:
         return self._zero
 
     def one(self):
-        return self.monomial((0,) * self.nvars)
+        return Poly(self, ((0, 1),))
 
     def variable(self, i):
         if not 0 <= i < self.nvars:
             raise ValueError(f"no variable x{i} in a ring with {self.nvars} variables")
-        e = [0] * self.nvars
-        e[i] = 1
-        return self.monomial(tuple(e))
+        return Poly(self, ((self._weights[i], 1),))
 
     def monomial(self, mono, coeff=1):
-        if len(mono) != self.nvars:
-            raise ValueError("exponent vector has wrong length")
+        key = self._checked_key(mono)
         c = coeff % self.prime
         if c == 0:
             return self._zero
-        return Poly(self, ((tuple(mono), c),))
+        return Poly(self, ((key, c),))
 
     def from_dict(self, coeffs):
-        """The polynomial with these coefficients, reduced mod p, in one sort."""
+        """The polynomial with these coefficients, keyed by exponent
+        tuples, reduced mod p, in one sort."""
+        return self.from_packed({self._checked_key(m): c
+                                 for m, c in coeffs.items()})
+
+    def from_packed(self, coeffs):
+        """The same for a dict keyed by packed monomials of this ring."""
         p = self.prime
-        return Poly(self, tuple((m, c) for m in sorted(coeffs, key=self.sort_key)
+        return Poly(self, tuple((m, c) for m in sorted(coeffs)
                                 if (c := coeffs[m] % p)))
 
     def linear_form(self, coeffs):
         """The form sum(coeffs[i] * x_i); rejects the zero vector."""
         if len(coeffs) != self.nvars:
             raise ValueError("coefficient vector has wrong length")
-        f = self.from_dict({tuple(1 if j == i else 0 for j in range(self.nvars)): c
-                            for i, c in enumerate(coeffs)})
+        f = self.from_packed(dict(zip(self._weights, coeffs)))
         if f.is_zero():
             raise ValueError("linear form must be nonzero")
         return f
@@ -234,6 +305,16 @@ class PolyRing:
             raise ValueError("cannot drop the last remaining variable")
         return PolyRing(self.nvars - 1, self.prime)
 
+    def adjoined(self, order):
+        """The ring with one more variable, last, in the given order;
+        built once per ring and order."""
+        order = tuple(map(tuple, order))
+        ring = self._adjoined.get(order)
+        if ring is None:
+            ring = self._adjoined[order] = PolyRing(self.nvars + 1,
+                                                    self.prime, order)
+        return ring
+
     def inv(self, c):
         c %= self.prime
         if c == 0:
@@ -242,47 +323,57 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable polynomial; terms are (monomial, coeff) pairs, lead first."""
+    """Immutable polynomial; ``packed`` holds its (packed monomial, coeff)
+    pairs, lead first, and ``terms`` the same with exponent tuples."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "packed", "_terms")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, packed):
         self.ring = ring
-        self.terms = terms
+        self.packed = packed
+        self._terms = None
+
+    @property
+    def terms(self):
+        """(monomial, coeff) pairs, lead first, derived when first read."""
+        if self._terms is None:
+            unpack = self.ring.unpack
+            self._terms = tuple((unpack(m), c) for m, c in self.packed)
+        return self._terms
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     @property
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(mono_degree(m) for m, _ in self.terms)
+        return max(m & DEGREE_MASK for m, _ in self.packed)
 
     def is_homogeneous(self):
-        return len({mono_degree(m) for m, _ in self.terms}) <= 1
+        return len({m & DEGREE_MASK for m, _ in self.packed}) <= 1
 
     @property
     def lead_monomial(self):
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no initial monomial")
-        return self.terms[0][0]
+        return self.ring.unpack(self.packed[0][0])
 
     @property
     def lead_coeff(self):
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no lead coefficient")
-        return self.terms[0][1]
+        return self.packed[0][1]
 
     def monic(self):
-        if not self.terms:
+        if not self.packed:
             return self
-        inv = self.ring.inv(self.terms[0][1])
+        inv = self.ring.inv(self.packed[0][1])
         if inv == 1:
             return self
         p = self.ring.prime
-        return Poly(self.ring, tuple((m, (c * inv) % p) for m, c in self.terms))
+        return Poly(self.ring, tuple((m, (c * inv) % p) for m, c in self.packed))
 
     def scale(self, c):
         p = self.ring.prime
@@ -291,41 +382,54 @@ class Poly:
             return self.ring.zero()
         if c == 1:
             return self
-        return Poly(self.ring, tuple((m, (t * c) % p) for m, t in self.terms))
+        return Poly(self.ring, tuple((m, (t * c) % p) for m, t in self.packed))
 
     def _check_ring(self, other):
         if self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
+    def _check_product_degree(self, degree):
+        if self.packed and (d := self.degree + degree) >= DEGREE_BOUND:
+            raise ValueError(f"product of degree {d}: degrees must stay "
+                             f"below {DEGREE_BOUND}")
+
     def __add__(self, other):
         self._check_ring(other)
-        acc = dict(self.terms)
+        acc = dict(self.packed)
         add_into(acc, other)
-        return self.ring.from_dict(acc)
+        return self.ring.from_packed(acc)
 
     def __neg__(self):
         p = self.ring.prime
-        return Poly(self.ring, tuple((m, p - c) for m, c in self.terms))
+        return Poly(self.ring, tuple((m, p - c) for m, c in self.packed))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_ring(other)
-        return self.ring.from_dict(_expand(self.terms, other.terms, {}))
+        if not other.packed:
+            return self.ring.zero()
+        self._check_product_degree(other.degree)
+        return self.ring.from_packed(_expand(self.packed, other.packed, {}))
 
     def mul_term(self, mono, coeff):
         p = self.ring.prime
         coeff %= p
-        if coeff == 0 or not self.terms:
+        key = self.ring._checked_key(mono)
+        if coeff == 0 or not self.packed:
             return self.ring.zero()
-        _check_same_length(mono, self.terms[0][0])
-        return Poly(self.ring, tuple((tuple(map(add, m, mono)), (c * coeff) % p)
-                                     for m, c in self.terms))
+        self._check_product_degree(key & DEGREE_MASK)
+        # adding one key to every key keeps their order
+        return Poly(self.ring, tuple((m + key, (c * coeff) % p)
+                                     for m, c in self.packed))
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
+        if k and self.packed and self.degree * k >= DEGREE_BOUND:
+            raise ValueError(f"power of degree {self.degree * k}: degrees "
+                             f"must stay below {DEGREE_BOUND}")
         result = self.ring.one()
         for _ in range(k):
             result = result * self
@@ -333,10 +437,10 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.ring.nvars, self.ring.prime, self.terms))
+        return hash((self.ring.nvars, self.ring.prime, self.packed))
 
     def __repr__(self):
         from .parsing import render_poly
@@ -344,32 +448,35 @@ class Poly:
 
 
 def _expand(a, b, acc):
-    """Add the product of the term sequences a and b into the dict acc.
+    """Add the product of the packed term sequences a and b into the dict
+    acc.
 
-    Exponent tuples are added inline, so the caller checks once that both
-    sides have the same number of variables.  Coefficients are left
-    unreduced; ``from_dict`` or ``_reduced`` reduces them.
+    A product of monomials is the sum of their keys; the caller checks
+    that both sides come from one ring and that the degrees stay in bounds.
+    Coefficients are left unreduced; ``from_packed`` or ``_reduced``
+    reduces them.
     """
+    get = acc.get
     for m1, c1 in a:
         for m2, c2 in b:
-            m = tuple(map(add, m1, m2))
-            acc[m] = acc.get(m, 0) + c1 * c2
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
     return acc
 
 
 def add_into(acc, f: Poly, sign=1):
-    """Add sign * f into acc, the dict of the nonzero coefficients of a sum.
+    """Add sign * f into acc, the dict of the nonzero coefficients of a
+    sum, keyed by packed monomials.
 
     In a graded ring a nonzero sum and a nonzero f of another degree raise
     ``ValueError``; a sum that has cancelled to zero takes any f.
     """
     # in a graded ring sums are homogeneous: one term gives the degree
-    if f.ring.graded and acc and f.terms \
-            and sum(first := next(iter(acc))) != sum(f.terms[0][0]):
-        raise ValueError(
-            f"inhomogeneous sum: degrees {sum(first)} and {f.degree}")
+    if f.ring.graded and acc and f.packed and (
+            (first := next(iter(acc)) & DEGREE_MASK) != f.packed[0][0] & DEGREE_MASK):
+        raise ValueError(f"inhomogeneous sum: degrees {first} and {f.degree}")
     p = f.ring.prime
-    for m, c in f.terms:
+    for m, c in f.packed:
         if v := (acc.get(m, 0) + sign * c) % p:
             acc[m] = v
         else:
@@ -425,19 +532,19 @@ class LinearChange:
 
     @cached_property
     def _powers(self):
-        """Per variable, {e: the terms of image^e}, filled on demand.
+        """Per variable, {e: the packed terms of image^e}, filled on demand.
 
-        Shared by every ``apply`` of this change.  Filling a power is
-        idempotent, so concurrent callers at worst compute it twice.
+        Shared by every ``apply`` of this change.  Powers are filled in
+        increasing order and filling one is idempotent, so concurrent
+        callers at worst compute one twice.
         """
-        one = (0,) * self.ring.nvars
-        return [{0: ((one, 1),), 1: self.ring.linear_form(row).terms}
+        return [{0: ((0, 1),), 1: self.ring.linear_form(row).packed}
                 for row in self.matrix]
 
     def _power(self, i, e):
         cache = self._powers[i]
-        if e not in cache:
-            cache[e] = _reduced(_expand(self._power(i, e - 1), cache[1], {}),
+        for k in range(len(cache), e + 1):
+            cache[k] = _reduced(_expand(cache[k - 1], cache[1], {}),
                                 self.ring.prime)
         return cache[e]
 
@@ -447,23 +554,24 @@ class LinearChange:
         Horner's scheme, one variable at a time: the terms of f are grouped
         by their exponent e of x_i, each group's image in the later
         variables is expanded once and multiplied by image_i^e.  Every
-        product is added into one dict, sorted once at the end.
+        product is added into one dict, sorted once at the end.  The change
+        keeps degrees, so no product leaves the bound.
         """
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return self.ring.from_dict(self._expand_from(f.terms, 0, {}))
+        return self.ring.from_packed(self._expand_from(f.packed, 0, {}))
 
     def _expand_from(self, terms, i, acc):
-        """Add the image of the terms, read from x_i on, into acc."""
-        n = self.ring.nvars
-        if i == n - 1:
-            one = (0,) * n
+        """Add the image of the packed terms, read from x_i on, into acc."""
+        shift = self.ring._shifts[i]
+        if i == self.ring.nvars - 1:
             for m, c in terms:
-                _expand(((one, c),), self._power(i, m[i]), acc)
+                power = self._power(i, (m >> shift) & DEGREE_MASK)
+                _expand(((0, c),), power, acc)
             return acc
         groups = {}
         for t in terms:
-            groups.setdefault(t[0][i], []).append(t)
+            groups.setdefault((t[0] >> shift) & DEGREE_MASK, []).append(t)
         for e, group in groups.items():
             if e == 0:
                 self._expand_from(group, i + 1, acc)
@@ -506,8 +614,8 @@ def last_image(h: Poly) -> Poly:
         raise ValueError("restriction requires a linear form")
     ring = h.ring
     coeffs = [0] * ring.nvars
-    for m, c in h.terms:
-        coeffs[m.index(1)] = c
+    for m, c in h.packed:
+        coeffs[ring._weights.index(m)] = c
     if coeffs[-1] == 0:
         raise ValueError("form has no x_n component; permute variables first")
     inv = ring.inv(coeffs[-1])
@@ -523,20 +631,35 @@ def substitute_last(f: Poly, image: Poly) -> Poly:
     return _substitute_last(f, image)
 
 
+def key_offset(src, dst) -> int:
+    """The int C for which a key k of ``src``, of a monomial in the
+    variables the two rings share, is k + (k & DEGREE_MASK) * C in ``dst``.
+
+    It exists when the weights of those variables differ by one constant,
+    as between a grevlex ring, its restriction and its elimination ring,
+    whose rows weigh those variables alike.
+    """
+    offsets = {b - a for a, b in zip(src._weights, dst._weights)}
+    if len(offsets) != 1:
+        raise ValueError("the rings order their shared variables differently")
+    return offsets.pop()
+
+
 def _substitute_last(f: Poly, image: Poly) -> Poly:
     """f with x_n replaced by image, a linear form in f's ring or in its
     restriction; in the restriction every monomial of f loses its x_n."""
-    ring = image.ring
-    pad = (0,) * (ring.nvars - f.ring.nvars + 1)  # (0,) keeps x_n, () drops it
-    p = ring.prime
-    powers = [ring.one().terms]
+    ring, src = image.ring, f.ring
+    shift, last, p = src._shifts[-1], src._weights[-1], ring.prime
+    offset = key_offset(src, ring)
+    powers = [((0, 1),)]
     acc = {}
-    for mono, coeff in f.terms:
-        e = mono[-1]
+    for m, c in f.packed:
+        e = (m >> shift) & DEGREE_MASK
         while len(powers) <= e:
-            powers.append(_reduced(_expand(powers[-1], image.terms, {}), p))
-        _expand(((mono[:-1] + pad, coeff),), powers[e], acc)
-    return ring.from_dict(acc)
+            powers.append(_reduced(_expand(powers[-1], image.packed, {}), p))
+        head = m - e * last
+        _expand(((head + (head & DEGREE_MASK) * offset, c),), powers[e], acc)
+    return ring.from_packed(acc)
 
 
 def drop_last(f: Poly) -> Poly:
@@ -544,8 +667,11 @@ def drop_last(f: Poly) -> Poly:
 
     Deleting a zero last exponent keeps the order of the remaining terms.
     """
-    return Poly(f.ring.restricted(),
-                tuple((m[:-1], c) for m, c in f.terms if m[-1] == 0))
+    ring = f.ring.restricted()
+    shift, offset = f.ring._shifts[-1], key_offset(f.ring, ring)
+    return Poly(ring, tuple((m + (m & DEGREE_MASK) * offset, c)
+                            for m, c in f.packed
+                            if not (m >> shift) & DEGREE_MASK))
 
 
 def restrict(f: Poly, h: Poly) -> Poly:

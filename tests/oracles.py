@@ -257,10 +257,12 @@ def expand_change(f_terms, matrix, p):
 # It runs the kernel's Buchberger, so it checks the order and the elements
 # an intersection keeps, not Buchberger itself.
 
-def block_sort_key(m):
-    """Ascending sort key of ``elimination_order``, the kernel's convention:
-    the smallest key is the greatest monomial."""
-    return (-m[-1], -sum(m[:-1]), m[-2::-1])
+def block_order(nvars):
+    """The weight rows of ``elimination_order`` in ``nvars`` variables, t
+    last, in the kernel's convention: the smaller row value is the greater
+    monomial, and m[::-1] breaks ties, which past the rows is grevlex on
+    the others."""
+    return ((0,) * (nvars - 1) + (-1,), (-1,) * (nvars - 1) + (0,))
 
 
 def block_elimination_meet(gens_i, gens_j, ring):
@@ -269,7 +271,7 @@ def block_elimination_meet(gens_i, gens_j, ring):
     from gintools.groebner import buchberger
     from gintools.ring import PolyRing
 
-    big = PolyRing(ring.nvars + 1, ring.prime, sort_key=block_sort_key)
+    big = PolyRing(ring.nvars + 1, ring.prime, order=block_order(ring.nvars + 1))
 
     def lift(f, t):
         return big.from_dict({m + (t,): c for m, c in f.terms})

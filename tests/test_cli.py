@@ -189,6 +189,22 @@ def test_config_error_small_prime_for_coefficients(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_gin_of_a_large_power_succeeds(capsys):
+    """The unsaturated input forces the sampled gin, whose coordinate
+    changes expand the 1200th power of a linear form."""
+    code, out = run(capsys, "gin", "--gens", "x0^1200, x0*x1, x0*x2",
+                    "--n", "2")
+    assert code == 0
+    assert "gin: x0^2, x0*x1, x0*x2^1199" in out
+
+
+def test_a_degree_past_the_packing_bound_is_config_error(capsys):
+    code, _, err = run_with_err(capsys, "gin", "--gens",
+                                "x0^32768, x0*x1, x0*x2", "--n", "2")
+    assert code == EXIT_CONFIG
+    assert "below 32768" in err
+
+
 def test_config_error_votes(capsys):
     for command in ("gin", "invariants", "check", "trace"):
         code, _ = run(capsys, command, "--gens", "x0", "--votes", "1")

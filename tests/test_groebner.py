@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gintools.ring import (LinearChange, PolyRing, mono_div, mono_lcm,
+from gintools.ring import (LinearChange, Poly, PolyRing, mono_div, mono_lcm,
                            monomials_of_degree, restrict)
 from gintools.groebner import (Ideal, _SliceBasis, _divide,
                                _elimination_ring, _groebner_basis,
@@ -95,7 +95,7 @@ def elimination_rings(nvars):
     """The elimination ring over F_7, x-degree first, and a ring in the
     block order it replaced, each with its larger-is-greater oracle order."""
     return [(_elimination_ring(PolyRing(nvars, 7)), oracles.x_degree_first_order),
-            (PolyRing(nvars + 1, 7, sort_key=oracles.block_sort_key),
+            (PolyRing(nvars + 1, 7, order=oracles.block_order(nvars + 1)),
              oracles.elimination_order)]
 
 
@@ -179,7 +179,9 @@ def check_s_pair_remainder(ring, order, rng, homogeneous):
     s = s_polynomial_terms(f, g, p)
     expected = oracles.scan_normal_form(s, [b.terms for b in basis], p, order)
     table = [_reducer(b) for b in basis]
-    assert _divide(_s_pair(f, g, p), table, ring.sort_key, p) == expected
+    lcm = ring.sort_key(mono_lcm(f.lead_monomial, g.lead_monomial))
+    remainder = _divide(_s_pair(_reducer(f), _reducer(g), lcm, p), table, ring)
+    assert Poly(ring, remainder).terms == expected
     sorted_s = oracles.scan_normal_form(s, [], p, order)
     assert spoly(f, g).terms == sorted_s
     assert spoly(f.scale(3), g.scale(5)).terms == sorted_s
@@ -258,9 +260,10 @@ def test_buchberger_takes_pairs_by_increasing_lcm(seed, monkeypatch):
     import gintools.groebner as gb
     degrees = []
 
-    def recorded(f, g, p):
-        degrees.append(sum(mono_lcm(f.lead_monomial, g.lead_monomial)))
-        return _s_pair(f, g, p)
+    def recorded(f, g, lcm, p):
+        assert R4.unpack(lcm) == mono_lcm(R4.unpack(f[0]), R4.unpack(g[0]))
+        degrees.append(sum(R4.unpack(lcm)))
+        return _s_pair(f, g, lcm, p)
 
     monkeypatch.setattr(gb, "_s_pair", recorded)
     rng = random.Random(seed)
@@ -397,9 +400,9 @@ def test_a_basis_with_its_series_processes_no_pair(monkeypatch):
     target = series(initial_ideal(I))
     calls = []
 
-    def recorded(f, g, p):
+    def recorded(f, g, lcm, p):
         calls.append((f, g))
-        return _s_pair(f, g, p)
+        return _s_pair(f, g, lcm, p)
 
     monkeypatch.setattr(gb, "_s_pair", recorded)
     assert len(_groebner_basis(I.groebner_basis(), R4, target)) == 3
@@ -558,10 +561,25 @@ def test_intersect_matches_block_order_elimination_and_ranks(seed, key):
                                         ring.prime)
 
 
+def test_elimination_ring_is_built_once_per_ring(monkeypatch):
+    """Intersections share one elimination ring, so its modulus is tested
+    for primality once."""
+    import gintools.ring as ring_module
+    I, J = ideal(PolyRing(3, 7), "x0, x1"), ideal(PolyRing(3, 7), "x1, x2")
+    ring = I.ring
+    tested = []
+    monkeypatch.setattr(ring_module, "_is_prime",
+                        lambda p: tested.append(p) or True)
+    assert _elimination_ring(ring) is _elimination_ring(ring)
+    for _ in range(3):
+        intersect(I, J)
+    assert tested == [7]
+
+
 def test_intersect_refuses_a_ring_that_is_not_graded():
     """The elimination order eliminates t only on homogeneous generators,
     and in(J : x_n) = in(J) : x_n is a fact of grevlex."""
-    ring = PolyRing(3, 7, sort_key=lambda m: m)
+    ring = PolyRing(3, 7, order=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     x0, x2 = ring.variable(0), ring.variable(2)
     I = Ideal(ring, [x0 * ring.variable(1) + x2 * x2])
     with pytest.raises(ValueError, match="graded"):
@@ -573,7 +591,7 @@ def test_intersect_refuses_a_ring_that_is_not_graded():
 def test_quotients_and_sections_refuse_a_ring_that_is_not_graded():
     """In lex, (x0*x2 + x1^2, x1*x2) : x2 came out as (x0 + x1^2, x1),
     which is inhomogeneous, and x0 + x1^2 is not in the colon."""
-    lex = PolyRing(3, sort_key=lambda m: tuple(-a for a in m))
+    lex = PolyRing(3, order=((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
     x0, x1, x2 = (lex.variable(i) for i in range(3))
     I = Ideal(lex, [x0 * x2 + x1 * x1, x1 * x2])
     for h in (x2, x0):  # with x_n, and without it, which swaps variables

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from gintools.ring import (LinearChange, PolyRing, _det_mod, drop_last,
-                           last_image, mono_div, mono_divides, mono_gcd,
-                           mono_lcm, mono_mul, monomials_of_degree, restrict,
-                           revlex_key, substitute_last)
+from gintools.groebner import _elimination_ring, normal_form, spoly
+from gintools.ring import (DEGREE_BOUND, LinearChange, PolyRing, _det_mod,
+                           drop_last, last_image, mono_div, mono_divides,
+                           mono_gcd, mono_lcm, mono_mul, monomials_of_degree,
+                           restrict, revlex_key, substitute_last)
 from gintools.staircase import MonomialIdeal
 
 R3 = PolyRing(3)
@@ -287,8 +288,21 @@ def test_random_change_is_unipotent():
 
 def test_only_grevlex_rings_are_graded():
     assert R3.graded and R3.restricted() == PolyRing(2)
-    elimination = PolyRing(3, sort_key=lambda m: m)
+    elimination = PolyRing(3, order=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert not elimination.graded and elimination != R3
+
+
+def test_rings_with_equal_rows_are_equal():
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    a, b = PolyRing(3, order=rows), PolyRing(3, order=[list(r) for r in rows])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != PolyRing(3, order=rows[::-1])
+    assert a != PolyRing(3, 7, order=rows)
+    # grevlex given by its row is the default ring, graded
+    spelled = PolyRing(3, order=((-1, -1, -1),))
+    assert spelled == R3 and spelled.graded and spelled.order is None
+    with pytest.raises(ValueError, match="3 weights"):
+        PolyRing(3, order=((1, 0),))
 
 
 def test_restricted_ring_is_built_once_per_ring():
@@ -299,7 +313,8 @@ def test_restricted_ring_is_built_once_per_ring():
 def test_restriction_refuses_a_ring_that_is_not_graded():
     """Dropping x_n keeps the order of grevlex terms only: in lex x0*x2^2
     leads f, but in grevlex x1^3 does."""
-    lex = PolyRing(4, sort_key=lambda m: tuple(-a for a in m))
+    lex = PolyRing(4, order=((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0),
+                             (0, 0, 0, -1)))
     f = poly(lex, "x0*x2^2 + x1^3 + x1*x3^2")
     assert f.lead_monomial == (1, 0, 2, 0)
     with pytest.raises(ValueError, match="graded"):
@@ -372,3 +387,106 @@ def test_restrict_is_a_ring_map(seed, d1, d2):
     assert restrict(f * g, h) == restrict(f, h) * restrict(g, h)
     if d1 == d2:
         assert restrict(f + g, h) == restrict(f, h) + restrict(g, h)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+def packing_rings(nvars):
+    """A ring for each independent order oracle, with that oracle: grevlex,
+    the block elimination order, and intersection's x-degree-first order."""
+    return [(PolyRing(nvars), oracles.grevlex_order),
+            (PolyRing(nvars, order=oracles.block_order(nvars)),
+             oracles.elimination_order),
+            (_elimination_ring(PolyRing(nvars - 1)),
+             oracles.x_degree_first_order)]
+
+
+# small exponents tie often; large ones fill the 16-bit fields, and five of
+# them, or the sum of two, stay below the degree bound
+exponents = st.one_of(st.integers(0, 3), st.integers(0, 3000))
+
+
+def monomial_lists(nvars, **kwargs):
+    return st.lists(st.tuples(*[exponents] * nvars), **kwargs)
+
+
+@given(st.data(), st.sampled_from([2, 3, 4, 5]))
+def test_packed_keys_sort_as_the_oracle_orders(data, nvars):
+    monos = data.draw(monomial_lists(nvars, min_size=2, max_size=12,
+                                     unique=True))
+    for ring, order in packing_rings(nvars):
+        assert sorted(monos, key=ring.sort_key) == \
+            sorted(monos, key=order, reverse=True)
+
+
+@given(st.data(), st.sampled_from([2, 3, 4, 5]))
+def test_packed_keys_unpack_add_and_divide_as_monomials(data, nvars):
+    """A key unpacks to its monomial, the sum of two keys is the key of the
+    product, and the guard test on keys agrees with ``mono_divides``."""
+    a, b, c = data.draw(monomial_lists(nvars, min_size=3, max_size=3))
+    for ring, _ in packing_rings(nvars):
+        key, G = ring.sort_key, ring.guards
+        for m in (a, b, mono_mul(a, b)):
+            assert ring.unpack(key(m)) == m
+            assert key(m) == ring.monomial(m).packed[0][0]
+        assert key(a) + key(b) == key(mono_mul(a, b))
+        for l, m in ((a, b), (b, a), (a, mono_mul(a, c)), (c, mono_mul(a, c))):
+            assert (((key(m) | G) - key(l)) & G == G) == mono_divides(l, m)
+
+
+def test_degrees_stay_below_the_packing_bound():
+    top = DEGREE_BOUND - 1
+    assert DEGREE_BOUND == 2 ** 15
+    x0, x1 = R3.variable(0), R3.variable(1)
+    power = R3.monomial((top, 0, 0))
+    assert power == x0 ** top and power.degree == top
+    assert power.lead_monomial == (top, 0, 0)
+    assert R3.from_dict({(0, top, 0): 1, (top, 0, 0): 2}).terms == \
+        (((top, 0, 0), 2), ((0, top, 0), 1))
+    assert R3.monomial((1, top - 1, 0)) == x1.mul_term((1, top - 2, 0), 1)
+    for build in (lambda: R3.monomial((DEGREE_BOUND, 0, 0)),
+                  lambda: R3.from_dict({(1, top, 0): 1}),
+                  lambda: x0 ** DEGREE_BOUND,
+                  lambda: power * x1,
+                  lambda: power.mul_term((0, 0, 1), 1)):
+        with pytest.raises(ValueError, match=f"below {DEGREE_BOUND}"):
+            build()
+    with pytest.raises(ValueError, match="negative"):
+        R3.monomial((-1, 2, 0))
+
+
+def test_an_s_pair_lcm_past_the_bound_is_refused():
+    half = DEGREE_BOUND // 2
+    a = R3.monomial((half, 0, 0))
+    assert spoly(a, R3.monomial((0, half - 1, 0))).is_zero()
+    with pytest.raises(ValueError, match="S-pair lcm of degree 32768"):
+        spoly(a, R3.monomial((0, half, 0)))
+    from gintools.groebner import buchberger
+    top = R3.monomial((DEGREE_BOUND - 1, 0, 0))
+    # coprime leads form no pair, so nothing crosses the bound
+    assert len(buchberger([top, R3.monomial((0, 0, 1))], R3)) == 2
+    with pytest.raises(ValueError, match="S-pair lcm of degree 32768"):
+        buchberger([top, R3.monomial((1, 1, 0)) + R3.monomial((0, 0, 2))], R3)
+
+
+def test_a_reduction_past_the_bound_is_refused():
+    """In lex a tail can outgrow its lead: reducing x0^2 by x0 - x1^top
+    would write x0*x1^top, of degree 2^15."""
+    top = DEGREE_BOUND - 1
+    lex = PolyRing(2, order=((-1, 0), (0, -1)))
+    g = lex.from_dict({(1, 0): 1, (0, top): 1})
+    assert normal_form(lex.monomial((1, 0)), [g]) == lex.monomial((0, top), -1)
+    with pytest.raises(ValueError, match="reduction reaches degree 32768"):
+        normal_form(lex.monomial((2, 0)), [g])
+
+
+def test_kernel_results_hold_the_packed_form_only():
+    """``terms`` is derived when read, so sections and products that nobody
+    reads keep one form."""
+    f = poly(R4, "x0^2 - x1*x3 + x2^2")
+    g = f * poly(R4, "x0 + x3")
+    section = restrict(g, poly(R4, "x0 + 2*x3"))
+    assert g._terms is None and section._terms is None
+    assert section.terms[0] == (section.lead_monomial, section.lead_coeff)
+    assert section._terms is not None
