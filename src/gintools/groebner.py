@@ -14,16 +14,19 @@ reduced basis G:
 One basis of psi(I) therefore gives every (I : h^p) and every section
 (I : h^p)|_h; a form of higher degree is refused.  Intersections go
 through the one-auxiliary-variable elimination construction: adjoin t,
-form t*I + (1-t)*J, and eliminate t.  The order gives t weight 0: x-degree
+form t*A + (1-t)*B, and eliminate t.  The order gives t weight 0: x-degree
 first, then the power of t, then grevlex on x.  Every polynomial the
 construction meets is homogeneous in x, and there the order picks the
 same leads as the block order with t greatest, so the t-free elements of
-a Groebner basis form one of I meet J (Cox, Little and O'Shea, Ideals,
-Varieties, and Algorithms, ch. 3 sec. 3 and ch. 8 sec. 3).  The normal
-strategy takes pairs by x-degree, which is their sugar degree (Giovini,
-Mora, Niesi, Robbiano and Traverso, One sugar cube, please, ISSAC 1991),
-and only the t-free elements are reduced.  That order lives here and
-nowhere else.
+a Groebner basis form one of A meet B (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, ch. 3 sec. 3 and ch. 8 sec. 3).  Such an
+element has no t in any term, since its t-free lead is its greatest
+power of t.  The normal strategy takes pairs by x-degree, which is their
+sugar degree (Giovini, Mora, Niesi, Robbiano and Traverso, One sugar
+cube, please, ISSAC 1991), and only the t-free elements are reduced.
+That order lives here and nowhere else.  Either ideal may carry t, and
+A, the one whose generators have the lower top degree, does: the t-parts
+a run carries live in R/A (see ``intersect``).
 
 The kernel works on packed monomials (see ``ring``): one int per
 monomial is its exponents and its sort key, the smallest key the greatest
@@ -42,8 +45,10 @@ and writes each S-pair u*tail(f) - v*tail(g) straight into the division's
 dict, where the leads would cancel.  Each pair's packed lcm is formed once,
 when the pair is made; it orders the pairs, and u and v are the lcm minus
 each lead.  A pair whose lcm reaches the degree bound raises
-``ValueError``.  Polynomials are read out as exponent tuples only at the
-edges: lead monomials for Hilbert series and initial ideals.
+``ValueError``.  Reducing a basis builds the table once, and each element
+divides by it without its own row.  Polynomials are read out as exponent
+tuples only at the edges: lead monomials for Hilbert series and initial
+ideals.
 
 Hilbert series come from the numerator N(t) of HS(R/M) = N(t)/(1-t)^n
 for a monomial ideal M, by the Bayer-Stillman recursion on a Bigatti
@@ -334,6 +339,12 @@ def _groebner_basis(gens, ring, target=None) -> list:
 
 
 def _reduce_basis(G, ring):
+    """The reduced basis, lowest-degree leads first, of the monic
+    Groebner basis G: the minimal elements, each divided by the others.
+
+    The reducer table is built once; each element divides by it without
+    its own row.
+    """
     guards = ring.guards
     minimal = []
     for g in sorted(G, key=lambda h: h.packed[0][0], reverse=True):
@@ -341,10 +352,10 @@ def _reduce_basis(G, ring):
         if not any(((lg | guards) - h.packed[0][0]) & guards == guards
                    for h in minimal):
             minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced.append(normal_form(g, others).monic())
+    rows = [_reducer(g) for g in minimal]
+    reduced = [Poly(ring, _divide(dict(g.packed), rows[:i] + rows[i + 1:],
+                                  ring)).monic()
+               for i, g in enumerate(minimal)]
     reduced.sort(key=lambda h: revlex_key(h.lead_monomial), reverse=True)
     return tuple(reduced)
 
@@ -463,13 +474,35 @@ def _lift(f, big, extra=0):
                            for m, c in f.packed))
 
 
+def _one_minus_t(g, big):
+    """(1 - t)*g in ``big`` for a form g, without a sort: every t-term has
+    g's x-degree and one more power of t than every plain term, so it is
+    the greater, and the terms are -t*g followed by g."""
+    plain = _lift(g, big).packed
+    t, p = big.variable(big.nvars - 1).packed[0][0], big.prime
+    return Poly(big, tuple((m + t, p - c) for m, c in plain) + plain)
+
+
+def _top_degree(I: Ideal) -> int:
+    return max((g.degree for g in I.gens), default=-1)
+
+
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I meet J via elimination of t from t*I + (1-t)*J.
+    """I meet J via elimination of t from t*A + (1-t)*B.
+
+    A is the argument whose generators have the lower top degree, I on a
+    tie.  Each (1-t)*b reduces against the t-rows to b - t*NF_A(b), so the
+    t-parts the run carries live in R/A.  The top degree stands in, for
+    free, for the smaller quotient (a point has one standard monomial in
+    every degree); a rule that compares Groebner bases costs more than it
+    saves.  The reduced basis of the meet is unique, so the choice changes
+    only the work.
 
     The ring must be graded: the elimination order eliminates t only on
     generators homogeneous in x.  The t-free elements of any Groebner basis
     in that order form a basis of the intersection, so only they are
-    reduced.
+    reduced.  Every element is homogeneous in x, so one with a t-free lead
+    has no t at all.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
@@ -477,15 +510,16 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     if not ring.graded:
         raise ValueError("intersection needs a graded ring: elimination "
                          "by x-degree first needs homogeneous generators")
+    A, B = (J, I) if _top_degree(J) < _top_degree(I) else (I, J)
     big = _elimination_ring(ring)
-    gens = [_lift(f, big, extra=1) for f in I.gens]
-    for g in J.gens:
-        gens.append(_lift(g, big) - _lift(g, big, extra=1))
-    # each kept element at t = 0: itself, written without t
+    gens = [_lift(f, big, extra=1) for f in A.gens]
+    gens += [_one_minus_t(g, big) for g in B.gens]
+    # each kept element written without t
     offset = key_offset(big, ring)
     kept = [Poly(ring, tuple((m + (m & DEGREE_MASK) * offset, c)
-                             for m, c in g.packed if not big.exponent(m, -1)))
-            for g in _groebner_basis(gens, big) if g.lead_monomial[-1] == 0]
+                             for m, c in g.packed))
+            for g in _groebner_basis(gens, big)
+            if not big.exponent(g.packed[0][0], -1)]
     reduced = _reduce_basis(kept, ring)
     result = Ideal(ring, reduced)
     result._gb = reduced  # elimination returns a basis of the intersection

@@ -369,10 +369,10 @@ class Poly:
     def monic(self):
         if not self.packed:
             return self
-        inv = self.ring.inv(self.packed[0][1])
-        if inv == 1:
+        lc = self.packed[0][1]
+        if lc == 1:  # inverting 1 is not free
             return self
-        p = self.ring.prime
+        inv, p = self.ring.inv(lc), self.ring.prime
         return Poly(self.ring, tuple((m, (c * inv) % p) for m, c in self.packed))
 
     def scale(self, c):

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gintools.ring import (LinearChange, Poly, PolyRing, mono_div, mono_lcm,
-                           monomials_of_degree, restrict)
+from gintools.ring import (LinearChange, Poly, PolyRing, mono_div,
+                           mono_divides, mono_lcm, monomials_of_degree,
+                           restrict, revlex_key)
+from gintools.corpus import general_points, point_ideal
 from gintools.groebner import (Ideal, _SliceBasis, _divide,
                                _elimination_ring, _groebner_basis,
-                               _hilbert_numerator, _reducer, _s_pair,
+                               _hilbert_numerator, _lift, _one_minus_t,
+                               _reduce_basis, _reducer, _s_pair,
                                buchberger, hilbert_function,
                                ideal_quotient, initial_ideal, intersect,
                                normal_form, quotient_by_power, restrict_ideal,
@@ -545,20 +548,96 @@ def random_forms(rng, ring):
             for _ in range(rng.randint(1, 3))]
 
 
-@given(*MEET_CASES)
+def random_point(rng, ring):
+    while True:
+        pt = tuple(rng.randrange(ring.prime) for _ in range(ring.nvars))
+        if any(pt):
+            return pt
+
+
+@given(*MEET_CASES, st.booleans())
 @settings(max_examples=25)
-def test_intersect_matches_block_order_elimination_and_ranks(seed, key):
-    """The x-degree-first elimination against the block order it replaced."""
+def test_intersect_matches_block_order_elimination_and_ranks(seed, key,
+                                                             points):
+    """The x-degree-first elimination against the block order it replaced,
+    on random forms, whose top degrees come out lower, higher or tied, or
+    on a set of one to four points against one more point.  t goes on
+    either side, and the reduced basis is the same."""
     ring = MEET_RINGS[key]
     rng = random.Random(seed)
-    gens_i, gens_j = random_forms(rng, ring), random_forms(rng, ring)
-    meet = intersect(Ideal(ring, gens_i), Ideal(ring, gens_j))
+    if points:
+        pts = [random_point(rng, ring) for _ in range(rng.randint(2, 5))]
+        I = point_ideal(ring, pts[0])
+        for pt in pts[1:-1]:
+            I = intersect(I, point_ideal(ring, pt))
+        J = point_ideal(ring, pts[-1])
+    else:
+        I = Ideal(ring, random_forms(rng, ring))
+        J = Ideal(ring, random_forms(rng, ring))
+    meet = intersect(I, J)
+    assert meet.gens == intersect(J, I).gens
     assert meet.groebner_basis() == oracles.block_elimination_meet(
-        gens_i, gens_j, ring)
+        I.gens, J.gens, ring)
     for d in range(6):
         assert oracles.ideal_dim(list(meet.gens), d, ring.nvars, ring.prime) \
-            == oracles.intersection_dim(gens_i, gens_j, d, ring.nvars,
-                                        ring.prime)
+            == oracles.intersection_dim(list(I.gens), list(J.gens), d,
+                                        ring.nvars, ring.prime)
+
+
+def test_intersect_puts_t_on_the_ideal_of_lower_top_degree(monkeypatch):
+    """The generators intersect hands to Buchberger are t*a for a in the
+    ideal of lower top degree, I on a tie, and (1-t)*b for the other's."""
+    import gintools.groebner as groebner_module
+    received = []
+    real = groebner_module._groebner_basis
+    monkeypatch.setattr(groebner_module, "_groebner_basis",
+                        lambda gens, ring, target=None:
+                        received.append(gens) or real(gens, ring, target))
+    six = general_points(6, seed=3)
+    ring = six.ring
+    big = _elimination_ring(ring)
+    a, b = point_ideal(ring, (1, 2, 3)), point_ideal(ring, (4, 5, 6))
+    assert max(g.degree for g in six.gens) == 3
+
+    def lifted(with_t, without_t):
+        return ([_lift(f, big, extra=1) for f in with_t.gens]
+                + [_one_minus_t(g, big) for g in without_t.gens])
+    for I, J, carrier, other in ((six, a, a, six), (a, six, a, six),
+                                 (a, b, a, b), (b, a, b, a)):
+        received.clear()
+        intersect(I, J)
+        assert received == [lifted(carrier, other)]
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 5),
+       st.sampled_from([2, 7, 32003]))
+@settings(max_examples=40)
+def test_one_minus_t_matches_the_subtraction(seed, nvars, p):
+    """(1-t)*g built term by term is the Poly difference g - t*g."""
+    rng = random.Random(seed)
+    ring = PolyRing(nvars, p)
+    big = _elimination_ring(ring)
+    g = sparse_poly(ring, rng, [rng.randint(0, 4)])
+    assert _one_minus_t(g, big) == _lift(g, big) - _lift(g, big, extra=1)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]))
+@settings(max_examples=25)
+def test_reduce_basis_divides_each_element_by_the_others(seed, nvars):
+    """One reducer table gives what a normal form by the other minimal
+    elements gives, element by element, in the same output order."""
+    ring = PolyRing(nvars, 7)
+    G = _groebner_basis(random_forms(random.Random(seed), ring), ring)
+    # each element joins reduced by the ones before it, so leads differ
+    minimal = [g for g in G if not any(
+        h is not g and mono_divides(h.lead_monomial, g.lead_monomial)
+        for h in G)]
+    minimal.sort(key=lambda h: h.packed[0][0], reverse=True)
+    expected = sorted(
+        (normal_form(g, minimal[:i] + minimal[i + 1:]).monic()
+         for i, g in enumerate(minimal)),
+        key=lambda h: revlex_key(h.lead_monomial), reverse=True)
+    assert _reduce_basis(G, ring) == tuple(expected)
 
 
 def test_elimination_ring_is_built_once_per_ring(monkeypatch):
