@@ -4,8 +4,8 @@ from .ring import (DEFAULT_PRIME, LinearChange, Poly, PolyRing, mono_div,
                    mono_divides, mono_gcd, mono_lcm, mono_mul, restrict,
                    revlex_key)
 from .groebner import (Ideal, buchberger, hilbert_function, ideal_quotient,
-                       initial_ideal, intersect, normal_form, quotient_by_power,
-                       restrict_ideal, saturate, truncate)
+                       initial_ideal, intersect, normal_form, restrict_ideal,
+                       saturate, truncate)
 from .staircase import (InvariantProfile, InvariantTable, MonomialIdeal,
                         colon_by_monomial, elementary_move, gap_degrees,
                         invariant_table, invariants, is_borel_fixed,

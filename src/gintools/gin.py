@@ -380,7 +380,7 @@ def verify_gap_truncation(I: Ideal, seed=0, votes=2,
     """At every internal gap degree, gin of the truncation must equal the
     truncated gin.
 
-    Gaps whose truncations keep the same basis elements share one gin.
+    Gaps whose truncations keep the same generators share one gin.
     """
     M = _stable_gin(I, seed, votes, gin_result).gin
     gaps = gap_degrees(M)

@@ -12,16 +12,20 @@ reduced basis G:
 * G|_{x_n=0} is a basis of J|_{x_n=0}.
 
 One basis of psi(I) therefore gives every (I : h^p) and every section
-(I : h^p)|_h; a form of higher degree is refused.  Intersections go
-through the one-auxiliary-variable elimination construction: adjoin t,
-form t*A + (1-t)*B, and eliminate t.  The order gives t weight 0: x-degree
-first, then the power of t, then grevlex on x.  Every polynomial the
-construction meets is homogeneous in x, and there the order picks the
-same leads as the block order with t greatest, so the t-free elements of
-a Groebner basis form one of A meet B (Cox, Little and O'Shea, Ideals,
-Varieties, and Algorithms, ch. 3 sec. 3 and ch. 8 sec. 3).  Such an
-element has no t in any term, since its t-free lead is its greatest
-power of t.  The normal strategy takes pairs by x-degree, which is their
+(I : h^p)|_h, ``ideal_quotient`` and ``saturate`` among them.
+``ring.last_image``, which builds psi, is the one check on h: it takes a
+linear form with a nonzero x_n coefficient, as
+``PolyRing.general_linear_form`` draws, and refuses anything else.
+
+Intersections go through the one-auxiliary-variable elimination
+construction: adjoin t, form t*A + (1-t)*B, and eliminate t.  The order
+gives t weight 0: x-degree first, then the power of t, then grevlex on x.
+Every polynomial the construction meets is homogeneous in x, and there
+the order picks the same leads as the block order with t greatest, so the
+t-free elements of a Groebner basis form one of A meet B (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 3 and ch. 8 sec. 3).
+Such an element has no t in any term, since its t-free lead is its
+greatest power of t.  The normal strategy takes pairs by x-degree, which is their
 sugar degree (Giovini, Mora, Niesi, Robbiano and Traverso, One sugar
 cube, please, ISSAC 1991), and only the t-free elements are reduced.
 That order lives here and nowhere else.  Either ideal may carry t, and
@@ -527,42 +531,32 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_quotient(I: Ideal, f: Poly) -> Ideal:
-    """(I : f) for a linear form f (see ``_linear_quotient``)."""
-    return _linear_quotient(I, f, 1)
-
-
-def quotient_by_power(I: Ideal, f: Poly, power: int) -> Ideal:
-    """(I : f^power) for a linear form f; power 0 returns I itself."""
-    if power < 0:
-        raise ValueError("negative power")
-    return _linear_quotient(I, f, power)
+    """(I : f) for a linear form f with a nonzero x_n coefficient (see
+    ``ring.last_image``)."""
+    return _SliceBasis(I, f).quotient(1)
 
 
 def saturate(I: Ideal, f: Poly) -> Ideal:
-    """(I : f^infinity) for a linear form f."""
-    return _linear_quotient(I, f, None)
+    """(I : f^infinity) for a linear form f with a nonzero x_n coefficient."""
+    return _SliceBasis(I, f).quotient(None)
 
 
 class _SliceBasis:
     """The reduced basis of psi(I), for the change psi that sends h to x_n.
 
-    psi substitutes x_n -> (x_n - sum_{i<n} h_i x_i) / h_n (see
-    ``ring.last_image``), so h needs a nonzero coefficient on x_n, and the
-    ring must be graded: both facts of the module docstring are facts of
-    grevlex.  Every colon of I by a power of h, and every section of one by
-    h, is read off this one basis.  ``target``, the numerator of I's
-    Hilbert series when known, stops its Buchberger run early: psi keeps
-    the series.
+    psi substitutes x_n -> (x_n - sum_{i<n} h_i x_i) / h_n, and
+    ``ring.last_image``, which builds it, refuses any h that is not a
+    linear form with a nonzero coefficient on x_n, and any ring that is not
+    graded: both facts of the module docstring are facts of grevlex.  Every
+    colon of I by a power of h, and every section of one by h, is read off
+    this one basis.  ``target``, the numerator of I's Hilbert series when
+    known, stops its Buchberger run early: psi keeps the series.
     """
 
     def __init__(self, I: Ideal, h: Poly, target=None):
-        if not I.ring.graded:
-            raise ValueError("a colon by a linear form needs a graded "
-                             "ring: in(J : x_n) = in(J) : x_n is a fact of "
-                             "grevlex")
+        image = last_image(h)
         self.ring = I.ring
         self.h = h
-        image = last_image(h)
         self.basis = _reduce_basis(_groebner_basis(
             [substitute_last(g, image) for g in I.gens], self.ring, target),
             self.ring)
@@ -595,38 +589,6 @@ class _SliceBasis:
         return result
 
 
-def _linear_quotient(I: Ideal, h: Poly, power) -> Ideal:
-    """(I : h^power) for a linear form h; ``None`` saturates.
-
-    A nonzero constant h gives I.  Any other h that is not a linear form,
-    the zero polynomial among them, raises ``ValueError``.  A form without
-    x_n first trades places with the last variable it involves, which keeps
-    psi a substitution of x_n alone.
-    """
-    if h.degree == 0:
-        return I
-    if h.degree != 1 or not h.is_homogeneous():
-        raise ValueError(f"quotients are by linear forms only, not by {h}")
-    if power == 0:
-        return I
-    k = max(I.ring.unpack(m).index(1) for m, _ in h.packed)
-    if k == I.ring.nvars - 1:
-        return _SliceBasis(I, h).quotient(power)
-    swapped = Ideal(I.ring, [_swap_last(g, k) for g in I.gens])
-    moved = _SliceBasis(swapped, _swap_last(h, k)).quotient(power)
-    return Ideal(I.ring, [_swap_last(g, k) for g in moved.gens])
-
-
-def _swap_last(f: Poly, k: int) -> Poly:
-    """f with the variables x_k and x_n exchanged."""
-    ring = f.ring
-
-    def swap(m):
-        m = ring.unpack(m)
-        return ring.sort_key(m[:k] + (m[-1],) + m[k + 1:-1] + (m[k],))
-    return ring.from_packed({swap(m): c for m, c in f.packed})
-
-
 def restrict_ideal(I: Ideal, h: Poly) -> Ideal:
     """The ideal generated by the restrictions of I's generators modulo h.
 
@@ -640,10 +602,10 @@ def restrict_ideal(I: Ideal, h: Poly) -> Ideal:
 def truncate(I: Ideal, delta: int) -> Ideal:
     """The ideal generated by the elements of I of degree <= delta.
 
-    Generated by the reduced-basis elements up to the cutoff: homogeneous
-    reduction never raises degree, so those span every graded piece up to
-    it.
+    Generated by I's generators up to the cutoff: an element of I_d is a
+    sum of a_i * g_i with deg a_i = d - deg g_i, so only generators of
+    degree <= d take part.  No Groebner basis is needed.
     """
     if delta < 0:
         raise ValueError("negative truncation degree")
-    return Ideal(I.ring, [g for g in I.groebner_basis() if g.degree <= delta])
+    return Ideal(I.ring, [g for g in I.gens if g.degree <= delta])

@@ -430,6 +430,9 @@ class Poly:
         if k and self.packed and self.degree * k >= DEGREE_BOUND:
             raise ValueError(f"power of degree {self.degree * k}: degrees "
                              f"must stay below {DEGREE_BOUND}")
+        if self.degree <= 0:  # a constant: no degree bound stops the loop
+            c = self.packed[0][1] if self.packed else 0
+            return self.ring.one().scale(pow(c, k, self.ring.prime))
         result = self.ring.one()
         for _ in range(k):
             result = result * self
@@ -605,19 +608,26 @@ def last_image(h: Poly) -> Poly:
     """psi(x_n) for the change psi that sends the linear form h to x_n.
 
     psi fixes x0..x_{n-1} and substitutes
-    x_n -> (x_n - sum_{i<n} h_i x_i) / h_n, so h needs a nonzero coefficient
-    on x_n.  Its inverse substitutes x_n -> h.
+    x_n -> (x_n - sum_{i<n} h_i x_i) / h_n; its inverse substitutes
+    x_n -> h.  Every restriction, colon and section by h goes through here,
+    and this is the one check on h.  ``ValueError`` refuses a ring that is
+    not graded, an h that is not homogeneous of degree 1 (zero and the
+    constants among them), and an h with no x_n term, each with its own
+    message.
     """
-    if h.is_zero():
-        raise ValueError("cannot restrict by the zero form")
-    if h.degree != 1:
-        raise ValueError("restriction requires a linear form")
     ring = h.ring
+    if not ring.graded:
+        raise ValueError("colons, sections and restrictions by a linear "
+                         "form need a graded ring: in(J : x_n) = "
+                         "in(J) : x_n and dropping x_n are facts of grevlex")
+    if h.degree != 1 or not h.is_homogeneous():
+        raise ValueError(f"colons, sections and restrictions are by linear "
+                         f"forms only, not by {h}")
     coeffs = [0] * ring.nvars
     for m, c in h.packed:
         coeffs[ring._weights.index(m)] = c
     if coeffs[-1] == 0:
-        raise ValueError("form has no x_n component; permute variables first")
+        raise ValueError(f"the form {h} has no x_n term")
     inv = ring.inv(coeffs[-1])
     return ring.linear_form([-c * inv for c in coeffs[:-1]] + [inv])
 
@@ -677,9 +687,9 @@ def drop_last(f: Poly) -> Poly:
 def restrict(f: Poly, h: Poly) -> Poly:
     """f modulo the linear form h, written in one fewer variable.
 
-    h must have a nonzero coefficient on the last variable x_n (otherwise
-    pre-compose with a variable permutation).  The result is psi(f) with its
-    x_n terms dropped, for the change psi of ``last_image``: it substitutes
+    h must be a linear form with a nonzero coefficient on the last variable
+    x_n.  The result is psi(f) with its x_n terms dropped, for the change
+    psi of ``last_image``, which checks h: it substitutes
     x_n = -(1/h_n) * sum_{i<n} h_i x_i, expanded in the restricted ring, so
     no term with x_n is ever formed.  For h = c * x_n that form is 0.
     """

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gintools.ring import (LinearChange, Poly, PolyRing, mono_div,
-                           mono_divides, mono_lcm, monomials_of_degree,
-                           restrict, revlex_key)
+from gintools.ring import (LinearChange, Poly, PolyRing, last_image,
+                           mono_div, mono_divides, mono_lcm,
+                           monomials_of_degree, restrict, revlex_key)
 from gintools.corpus import general_points, point_ideal
 from gintools.groebner import (Ideal, _SliceBasis, _divide,
                                _elimination_ring, _groebner_basis,
@@ -14,8 +14,8 @@ from gintools.groebner import (Ideal, _SliceBasis, _divide,
                                _reduce_basis, _reducer, _s_pair,
                                buchberger, hilbert_function,
                                ideal_quotient, initial_ideal, intersect,
-                               normal_form, quotient_by_power, restrict_ideal,
-                               saturate, spoly, truncate)
+                               normal_form, restrict_ideal, saturate, spoly,
+                               truncate)
 from gintools.parsing import parse_ideal, parse_polynomial
 from gintools.staircase import GinUnstableError, MonomialIdeal
 
@@ -427,19 +427,20 @@ def test_a_series_never_reached_raises_naming_the_prime():
 # quotients, saturation, intersection
 
 def test_quotient_by_unit():
-    I = twisted_cubic()
-    assert ideal_quotient(I, R4.one().scale(5)).same_ideal(I)
+    """A nonzero constant is not a linear form, so it is refused."""
+    with pytest.raises(ValueError, match="linear forms only"):
+        ideal_quotient(twisted_cubic(), R4.one().scale(5))
 
 
 def test_quotient_principal_monomials():
-    I = ideal(R3, "x0*x1")
-    assert ideal_quotient(I, poly(R3, "x0")).same_ideal(ideal(R3, "x1"))
+    I = ideal(R3, "x1*x2")
+    assert ideal_quotient(I, poly(R3, "x2")).same_ideal(ideal(R3, "x1"))
 
 
 def test_quotient_example():
-    I = ideal(R3, "x0^2, x0*x1^2")
-    Q = ideal_quotient(I, poly(R3, "x0"))
-    assert Q.same_ideal(ideal(R3, "x0, x1^2"))
+    I = ideal(R3, "x2^2, x1^2*x2")
+    Q = ideal_quotient(I, poly(R3, "x2"))
+    assert Q.same_ideal(ideal(R3, "x2, x1^2"))
 
 
 def test_quotient_by_zero_raises():
@@ -448,13 +449,14 @@ def test_quotient_by_zero_raises():
 
 
 def test_quotient_by_power_zero_is_identity():
-    I = ideal(R3, "x0^2, x1^3")
-    assert quotient_by_power(I, poly(R3, "x1"), 0) is I
+    I = ideal(R3, "x0^2, x2^3")
+    assert _SliceBasis(I, poly(R3, "x2")).quotient(0).same_ideal(I)
 
 
 def test_quotient_by_power_principal():
-    I = ideal(R3, "x1^3")
-    assert quotient_by_power(I, poly(R3, "x1"), 2).same_ideal(ideal(R3, "x1"))
+    I = ideal(R3, "x2^3")
+    Q = _SliceBasis(I, poly(R3, "x2")).quotient(2)
+    assert Q.same_ideal(ideal(R3, "x2"))
 
 
 @given(st.integers(0, 1000))
@@ -464,7 +466,7 @@ def test_iterated_quotient_matches_square(seed):
     rng = random.Random(seed + 77)
     h = R3.general_linear_form(rng)
     double = ideal_quotient(ideal_quotient(I, h), h)
-    assert quotient_by_power(I, h, 2).same_ideal(double)
+    assert _SliceBasis(I, h).quotient(2).same_ideal(double)
 
 
 @given(st.integers(0, 1000))
@@ -488,8 +490,8 @@ def test_saturate_fixed_point():
 
 
 def test_saturate_example():
-    I = ideal(R3, "x0*x2, x0*x1")
-    assert saturate(I, poly(R3, "x0")).same_ideal(ideal(R3, "x1, x2"))
+    I = ideal(R3, "x0*x2, x1*x2")
+    assert saturate(I, poly(R3, "x2")).same_ideal(ideal(R3, "x0, x1"))
 
 
 def test_quotients_refuse_a_quadric_and_the_zero_form():
@@ -498,9 +500,46 @@ def test_quotients_refuse_a_quadric_and_the_zero_form():
         with pytest.raises(ValueError, match="linear forms only"):
             ideal_quotient(I, f)
         with pytest.raises(ValueError, match="linear forms only"):
-            quotient_by_power(I, f, 2)
+            _SliceBasis(I, f).quotient(2)
         with pytest.raises(ValueError, match="linear forms only"):
             saturate(I, f)
+
+
+LEX3 = PolyRing(3, order=((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
+QUADRIC = poly(R3, "x0^2 + x1*x2")
+# kind -> (a generator, h, the words of h's refusal) for every kind of form
+# that ``last_image`` refuses
+CONTRACT_FORMS = {
+    "zero": (QUADRIC, R3.zero(), "linear forms only"),
+    "constant": (QUADRIC, R3.one().scale(5), "linear forms only"),
+    "quadric": (QUADRIC, QUADRIC, "linear forms only"),
+    "inhomogeneous": (QUADRIC, R3.from_dict({(1, 0, 0): 1, (0, 0, 1): 2,
+                                             (0, 0, 0): 1}),
+                      "linear forms only"),
+    "no_xn": (QUADRIC, poly(R3, "x0"), "no x_n term"),
+    "lex": (poly(LEX3, "x0*x2 + x1^2"), LEX3.variable(2), "graded"),
+}
+CONTRACT_ENTRY_POINTS = {
+    "last_image": lambda f, h: last_image(h),
+    "restrict": restrict,
+    "restrict_ideal": lambda f, h: restrict_ideal(Ideal(f.ring, [f]), h),
+    "_SliceBasis": lambda f, h: _SliceBasis(Ideal(f.ring, [f]), h),
+    "ideal_quotient": lambda f, h: ideal_quotient(Ideal(f.ring, [f]), h),
+    "saturate": lambda f, h: saturate(Ideal(f.ring, [f]), h),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CONTRACT_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", sorted(CONTRACT_FORMS))
+def test_every_entry_point_refuses_a_form_as_last_image_does(entry, kind):
+    """``last_image`` is the one check on a linear form: every entry point
+    that takes one refuses the same forms with the same message."""
+    f, h, words = CONTRACT_FORMS[kind]
+    with pytest.raises(ValueError, match=words) as expected:
+        last_image(h)
+    with pytest.raises(ValueError) as got:
+        CONTRACT_ENTRY_POINTS[entry](f, h)
+    assert str(got.value) == str(expected.value)
 
 
 def test_intersect_idempotent():
@@ -673,11 +712,11 @@ def test_quotients_and_sections_refuse_a_ring_that_is_not_graded():
     lex = PolyRing(3, order=((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
     x0, x1, x2 = (lex.variable(i) for i in range(3))
     I = Ideal(lex, [x0 * x2 + x1 * x1, x1 * x2])
-    for h in (x2, x0):  # with x_n, and without it, which swaps variables
+    for h in (x2, x0):  # the ring is refused before the form is read
         with pytest.raises(ValueError, match="graded"):
             ideal_quotient(I, h)
         with pytest.raises(ValueError, match="graded"):
-            quotient_by_power(I, h, 2)
+            _SliceBasis(I, h).quotient(2)
         with pytest.raises(ValueError, match="graded"):
             saturate(I, h)
     with pytest.raises(ValueError, match="graded"):
@@ -702,15 +741,13 @@ def test_restrict_ideal_sets_variable_to_zero():
 
 
 def test_restricted_curve_section_has_degree_many_points():
-    """Saturating the restricted twisted cubic gives deg C = 3 points."""
+    """Saturating the restricted twisted cubic by a general form, which
+    misses its points, gives deg C = 3 points."""
     I = twisted_cubic()
     rng = random.Random(5)
     h = R4.general_linear_form(rng)
     J = restrict_ideal(I, h)
-    small = J.ring
-    sat = J
-    for i in range(small.nvars):
-        sat = saturate(sat, small.variable(i))
+    sat = saturate(J, J.ring.general_linear_form(rng))
     values = hilbert_function(initial_ideal(sat), 6)
     assert values[5] == values[6] == 3
 
@@ -731,12 +768,15 @@ def test_truncate_below_everything_is_zero():
 
 
 def test_truncation_generates_from_basis_elements_below_cutoff():
-    """Presentation choice: spanned by reduced-basis elements under the cutoff."""
+    """Presentation choice: generated by I's generators under the cutoff."""
     I = twisted_cubic()
     T = truncate(I, 2)
     assert all(g.degree <= 2 for g in T.gens)
     for g in T.gens:
         assert oracles.is_member(g, list(I.gens), 4, R4.prime)
+    # generators that are not a basis are kept, and no basis is computed
+    J = ideal(R3, "x0^2 + x1^2, x0^2, x2^3")
+    assert truncate(J, 2).gens == J.gens[:2] and J._gb is None
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +787,7 @@ def test_truncation_generates_from_basis_elements_below_cutoff():
 def test_quotient_matches_bruteforce(seed):
     I = random_ideal(seed)
     rng = random.Random(seed ^ 0xbeef)
-    f = R3.random_form(1, rng)
+    f = R3.general_linear_form(rng)
     Q = ideal_quotient(I, f)
     for g in Q.gens:
         assert oracles.is_member(g * f, list(I.gens), 3, R3.prime)
@@ -803,7 +843,13 @@ def random_case(seed, nvars, kind):
 @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), FORM_KINDS)
 @settings(max_examples=20)
 def test_linear_colon_matches_elimination_and_ranks(seed, nvars, kind):
+    """A general form's colon matches elimination and the ranks; a form
+    without x_n is refused."""
     I, h = random_case(seed, nvars, kind)
+    if kind != "general":
+        with pytest.raises(ValueError, match="no x_n term"):
+            ideal_quotient(I, h)
+        return
     Q = ideal_quotient(I, h)
     assert Q.same_ideal(eliminated_quotient(I, h))
     for d in range(4):
@@ -816,12 +862,19 @@ def test_linear_colon_matches_elimination_and_ranks(seed, nvars, kind):
 def test_linear_power_quotient_and_saturation_match_iterates(seed, nvars,
                                                              kind):
     I, h = random_case(seed, nvars, kind)
-    assert quotient_by_power(I, h, 0) is I
+    if kind != "general":
+        with pytest.raises(ValueError, match="no x_n term"):
+            _SliceBasis(I, h)
+        with pytest.raises(ValueError, match="no x_n term"):
+            saturate(I, h)
+        return
+    slices = _SliceBasis(I, h)
+    assert slices.quotient(0).same_ideal(I)
     iterated, eliminated = I, I
     for p in range(1, 4):
         iterated = ideal_quotient(iterated, h)
         eliminated = eliminated_quotient(eliminated, h)
-        Q = quotient_by_power(I, h, p)
+        Q = slices.quotient(p)
         assert Q.same_ideal(iterated)
         assert Q.same_ideal(eliminated)
     while True:
@@ -838,7 +891,7 @@ def test_sections_are_reduced_bases_of_restricted_quotients(seed, nvars):
     I, h = random_case(seed, nvars, "general")
     slices = _SliceBasis(I, h)
     for p in range(4):
-        expected = restrict_ideal(quotient_by_power(I, h, p), h)
+        expected = restrict_ideal(slices.quotient(p), h)
         section = slices.section(p)
         assert section.groebner_basis() == \
             buchberger(expected.gens, expected.ring)

@@ -6,10 +6,11 @@ from hypothesis import given, strategies as st
 
 import oracles
 from gintools.groebner import _elimination_ring, normal_form, spoly
-from gintools.ring import (DEGREE_BOUND, LinearChange, PolyRing, _det_mod,
-                           drop_last, last_image, mono_div, mono_divides,
-                           mono_gcd, mono_lcm, mono_mul, monomials_of_degree,
-                           restrict, revlex_key, substitute_last)
+from gintools.ring import (DEGREE_BOUND, LinearChange, Poly, PolyRing,
+                           _det_mod, drop_last, last_image, mono_div,
+                           mono_divides, mono_gcd, mono_lcm, mono_mul,
+                           monomials_of_degree, restrict, revlex_key,
+                           substitute_last)
 from gintools.staircase import MonomialIdeal
 
 R3 = PolyRing(3)
@@ -454,6 +455,24 @@ def test_degrees_stay_below_the_packing_bound():
             build()
     with pytest.raises(ValueError, match="negative"):
         R3.monomial((-1, 2, 0))
+
+
+def test_a_power_of_a_constant_is_taken_at_once(monkeypatch):
+    """No degree bound stops a constant's power, so it is not a loop of
+    products: 2^k is pow(2, k, p), the zero polynomial stays zero for
+    k >= 1, and k = 0 gives 1."""
+    k, p = 10 ** 9, R3.prime
+
+    def no_product(self, other):
+        raise AssertionError("a constant's power multiplied")
+    monkeypatch.setattr(Poly, "__mul__", no_product)
+    assert R3.one().scale(2) ** k == R3.one().scale(pow(2, k, p))
+    assert R3.zero() ** k == R3.zero()
+    assert R3.zero() ** 0 == R3.one() == R3.one().scale(3) ** 0
+    monkeypatch.undo()
+    x0 = R3.variable(0)
+    assert poly(R3, "2^1000000000*x0") == x0.scale(pow(2, k, p))
+    assert poly(R3, "(x0 - x0)^1000000000 + x0") == x0
 
 
 def test_an_s_pair_lcm_past_the_bound_is_refused():
