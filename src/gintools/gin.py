@@ -37,8 +37,8 @@ from .groebner import (Ideal, _SliceBasis, _groebner_basis,
 from .staircase import (ComputationError, GinUnstableError, InvariantTable,
                         MonomialIdeal, colon_by_monomial, gap_degrees,
                         invariant_table, is_borel_fixed, is_connected,
-                        is_p_borel_fixed, restrict_last, slice_level,
-                        truncate_monomial, UnsaturatedIdealError)
+                        is_p_borel_fixed, restrict_last, truncate_monomial,
+                        two_variable_trace, UnsaturatedIdealError)
 
 
 class DegenerateTraceError(ComputationError):
@@ -141,8 +141,9 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     """
     if votes < 2:
         raise ValueError("need at least two votes")
-    target = _hilbert_numerator(
-        [g.lead_monomial for g in I.groebner_basis()], I.ring.nvars)
+    basis = I.groebner_basis()
+    target = _hilbert_numerator([g.lead_monomial for g in basis],
+                                I.ring.nvars)
     J = I
     while J.ring.nvars > 2:
         depth = I.ring.nvars - J.ring.nvars
@@ -150,13 +151,13 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
         section = restrict_ideal(J, form)
         try:
             # unreduced: only its lead monomials are read
-            section._gb = _groebner_basis(section.gens, section.ring, target)
+            basis = _groebner_basis(section.gens, section.ring, target)
         except GinUnstableError:
             break  # the form is a zero divisor on R/J
         J = section
     if J.ring.nvars == 2:
         L = MonomialIdeal.from_monomials(
-            2, (g.lead_monomial for g in J.groebner_basis()))
+            2, (g.lead_monomial for g in basis))
         bound = L.max_exponent(0) + L.max_exponent(1)
         if J.ring.prime > bound:
             pad = (0,) * (I.ring.nvars - 2)
@@ -179,14 +180,13 @@ def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
     with ``agreed=False`` if it is Borel-fixed, and ``GinUnstableError`` is
     raised if it is not.
 
-    Every sample has the Hilbert series of I.  An I that holds its basis
-    (I itself under ``gin``, a section from a slice basis) gives that
-    series, and every sample's Buchberger run stops as soon as its lead
-    monomials reach it; otherwise sample 0 runs to the end
-    and its series becomes the target of the others.  A run that ends
-    short of the target raises ``GinUnstableError``.  No sample's basis is
-    reduced.  The harnesses call this path directly, so the gins they
-    compare with gin(I) are independent of the section chain.
+    Every sample has the Hilbert series of I, read off I's reduced basis
+    (cached on I: ``gin`` has built it, and a section from a slice basis
+    holds it), and every sample's Buchberger run stops as soon as its lead
+    monomials reach it.  A run that ends short of the series raises
+    ``GinUnstableError``.  No sample's basis is reduced.  The harnesses
+    call this path directly, so the gins they compare with gin(I) are
+    independent of the section chain.
     """
     if votes < 2:
         raise ValueError("need at least two votes")
@@ -195,12 +195,9 @@ def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
         change = LinearChange.random(I.ring, child_rng(seed, "gin-sample", k))
         return _sample_initial_ideal(I, change, target)
 
-    target = None if I._gb is None else _hilbert_numerator(
-        [g.lead_monomial for g in I._gb], I.ring.nvars)
-    results = [sample(0, target)]
-    if target is None:
-        target = _hilbert_numerator(results[0].gens, I.ring.nvars)
-    results += [sample(k, target) for k in range(1, votes)]
+    target = _hilbert_numerator(
+        [g.lead_monomial for g in I.groebner_basis()], I.ring.nvars)
+    results = [sample(k, target) for k in range(votes)]
     prime = I.ring.prime
     if (all(r == results[0] for r in results[1:])
             and is_p_borel_fixed(results[0], prime)[0]):
@@ -529,10 +526,10 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
 
     The ideal is restricted once per ambient axis above x1, with a colon
     at the requested level before each restriction after the first; the
-    result lives in K[x0, x1].  Its gin must equal the same iterated slice
-    of gin(I) (step 1), and the gcd of its generators up to the chosen gap
-    degree must have degree equal to the least x0-exponent on the
-    staircase there (step 2).
+    result lives in K[x0, x1].  Its gin must equal the same slice of
+    gin(I), ``two_variable_trace`` at the levels and 0 on x_n (step 1).
+    The gcd of its generators up to the chosen gap degree must have degree
+    equal to the least x0-exponent on the staircase there (step 2).
 
     The forms are drawn ``_TRACE_SPECIALIZATIONS`` times.  Dimensions of
     restrictions are upper semicontinuous in the forms, so a draw whose
@@ -563,9 +560,7 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
         raise ValueError("levels must be non-negative")
 
     M = _stable_gin(I, seed, votes, gin_result).gin
-    combinatorial = restrict_last(M)
-    for axis in range(n - 1, 1, -1):
-        combinatorial = slice_level(combinatorial, axis, levels[axis - 2])
+    combinatorial = two_variable_trace(M, levels + (0,))
 
     draws = [_iterated_restriction(I, levels, seed, k)
              for k in range(_TRACE_SPECIALIZATIONS)]

@@ -57,8 +57,8 @@ ideals.
 Hilbert series come from the numerator N(t) of HS(R/M) = N(t)/(1-t)^n
 for a monomial ideal M, by the Bayer-Stillman recursion on a Bigatti
 pivot; ``hilbert_function`` reads its values off N.  A Buchberger run
-that knows the series of its ideal in advance (a gin sample after the
-first, or a slice basis, whose coordinate change keeps the series) stops
+that knows the series of its ideal in advance (a gin sample, or a slice
+basis, whose coordinate change keeps the series) stops
 as soon as the lead monomials reach it (Traverso, Hilbert functions and
 the Buchberger algorithm, J. Symbolic Comput. 22 (1996)): pairs come in
 increasing lcm degree, so at each degree boundary where the basis has
@@ -102,9 +102,6 @@ class Ideal:
 
     def is_zero(self):
         return not self.groebner_basis()
-
-    def contains(self, f):
-        return normal_form(f, self.groebner_basis()).is_zero()
 
     def same_ideal(self, other):
         if self.ring != other.ring:
@@ -593,10 +590,13 @@ def restrict_ideal(I: Ideal, h: Poly) -> Ideal:
     """The ideal generated by the restrictions of I's generators modulo h.
 
     No saturation is applied; the result can be strictly smaller than the
-    full ideal of the hyperplane section.
+    full ideal of the hyperplane section.  h is checked by ``last_image``
+    once, so the zero ideal refuses the forms every other ideal refuses.
     """
-    restricted = [restrict(g, h) for g in I.gens]
-    return Ideal(I.ring.restricted(), [g for g in restricted if not g.is_zero()])
+    if h.ring != I.ring:
+        raise ValueError("form from a different ring")
+    last_image(h)
+    return Ideal(I.ring.restricted(), [restrict(g, h) for g in I.gens])
 
 
 def truncate(I: Ideal, delta: int) -> Ideal:

@@ -413,17 +413,6 @@ class Poly:
         self._check_product_degree(other.degree)
         return self.ring.from_packed(_expand(self.packed, other.packed, {}))
 
-    def mul_term(self, mono, coeff):
-        p = self.ring.prime
-        coeff %= p
-        key = self.ring._checked_key(mono)
-        if coeff == 0 or not self.packed:
-            return self.ring.zero()
-        self._check_product_degree(key & DEGREE_MASK)
-        # adding one key to every key keeps their order
-        return Poly(self.ring, tuple((m + key, (c * coeff) % p)
-                                     for m, c in self.packed))
-
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")

@@ -2,9 +2,15 @@
 
 Everything here is exact set arithmetic on exponent tuples: elementary
 moves, the Borel-fixedness tests (strong stability, and its
-characteristic-p form), colons by monomials, axis slices, gap
-degrees, and the profile invariants read off the staircase of the ideal's
-trace in K[x0, x1].
+characteristic-p form), colons by monomials, slices, gap degrees, and the
+profile invariants read off the staircase of the ideal's trace in K[x0, x1].
+
+One rule slices.  (M : x^p) is generated by the g / gcd(g, x^p) for the
+generators g of M.  Setting the sliced variables to zero keeps those with
+g_i <= p_i on every sliced variable i, each with its other exponents, and
+kills every other one, which keeps a sliced variable.  ``slice_level``,
+``two_variable_trace`` and every profile read their slice straight off
+the generators this way, without building the colon.
 """
 
 from __future__ import annotations
@@ -143,6 +149,8 @@ def colon_by_monomial(M: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """(M : m); exact for monomial ideals via u -> u / gcd(u, m)."""
     if len(m) != M.nvars:
         raise ValueError("monomial has wrong number of variables")
+    if any(e < 0 for e in m):
+        raise ValueError(f"negative exponent in {tuple(m)}")
     return MonomialIdeal.from_monomials(
         M.nvars, (mono_div(g, mono_gcd(g, m)) for g in M.gens))
 
@@ -155,20 +163,16 @@ def restrict_last(M: MonomialIdeal) -> MonomialIdeal:
         M.nvars - 1, (g[:-1] for g in M.gens if g[-1] == 0))
 
 
-def _drop_axis(m: Monomial, axis: int) -> Monomial:
-    return m[:axis] + m[axis + 1:]
-
-
 def slice_level(M: MonomialIdeal, axis: int, level: int) -> MonomialIdeal:
-    """The level-p cross-section (M : x_axis^p) with x_axis then set to 0."""
+    """The level-p cross-section (M : x_axis^p) with x_axis then set to 0:
+    the generators with x_axis-exponent at most p, that slot dropped."""
     if not 2 <= axis < M.nvars:
         raise ValueError(f"slice axis {axis} out of range 2..{M.nvars - 1}")
     if level < 0:
         raise ValueError("negative slice level")
-    power = tuple(level if i == axis else 0 for i in range(M.nvars))
-    coloned = colon_by_monomial(M, power)
     return MonomialIdeal.from_monomials(
-        M.nvars - 1, (_drop_axis(g, axis) for g in coloned.gens if g[axis] == 0))
+        M.nvars - 1, (g[:axis] + g[axis + 1:] for g in M.gens
+                      if g[axis] <= level))
 
 
 def gap_degrees(M: MonomialIdeal) -> tuple:
@@ -248,15 +252,20 @@ def profile_from_two_vars(M: MonomialIdeal) -> InvariantProfile:
     return InvariantProfile(s, tuple(lambdas))
 
 
-def two_variable_trace(M: MonomialIdeal) -> MonomialIdeal:
-    """M intersected with K[x0, x1], exact for monomial ideals.
+def two_variable_trace(M: MonomialIdeal, p_tilde) -> MonomialIdeal:
+    """(M : x2^p2 .. xn^pn) intersected with K[x0, x1].
 
-    A two-variable monomial divisible by some generator is divisible by a
-    generator supported on {x0, x1}, so keeping those generators is the
-    honest intersection.
+    ``p_tilde`` lists one non-negative exponent per variable from x2 on.
+    The generators with g_i <= p_i for every i >= 2 survive, on x0 and x1
+    alone: a two-variable monomial lies in the colon exactly when one of
+    them divides it.
     """
-    kept = [g[:2] for g in M.gens if all(e == 0 for e in g[2:])]
-    return MonomialIdeal.from_monomials(2, kept)
+    if len(p_tilde) != M.nvars - 2:
+        raise ValueError("multi-index must cover x2..xn")
+    if any(l < 0 for l in p_tilde):
+        raise ValueError("multi-index entries must be non-negative")
+    return MonomialIdeal.from_monomials(
+        2, (g[:2] for g in M.gens if all(map(le, g[2:], p_tilde))))
 
 
 def profile_at(M: MonomialIdeal, p_tilde) -> InvariantProfile:
@@ -265,14 +274,11 @@ def profile_at(M: MonomialIdeal, p_tilde) -> InvariantProfile:
     ``p_tilde`` lists one exponent per variable from x2 on; no saturation
     assumption is made, so the last axis participates like any other.
     """
-    if len(p_tilde) != M.nvars - 2:
-        raise ValueError("multi-index must cover x2..xn")
-    power = (0, 0) + tuple(p_tilde)
-    return profile_from_two_vars(two_variable_trace(colon_by_monomial(M, power)))
+    return profile_from_two_vars(two_variable_trace(M, p_tilde))
 
 
 def _require_borel_saturated(M: MonomialIdeal):
-    """Reject what ``invariants`` and ``invariant_table`` cannot read."""
+    """Reject what ``invariant_table`` cannot read."""
     if M.nvars < 3:
         raise ValueError(
             "profiles need at least three variables; read two-variable "
@@ -282,21 +288,6 @@ def _require_borel_saturated(M: MonomialIdeal):
     ok, witness = is_borel_fixed(M)
     if not ok:
         raise ValueError(f"ideal is not Borel-fixed: witness {witness}")
-
-
-def invariants(M: MonomialIdeal, p_hat) -> InvariantProfile:
-    """Profile at the multi-index (p_2..p_{n-1}); requires M Borel and saturated.
-
-    The exponent on x_n is pinned to 0: for saturated ideals the result is
-    independent of it, and unsaturated input is rejected rather than
-    silently saturated.
-    """
-    _require_borel_saturated(M)
-    if len(p_hat) != M.nvars - 3:
-        raise ValueError("multi-index must cover x2..x_{n-1}")
-    if any(l < 0 for l in p_hat):
-        raise ValueError("multi-index entries must be non-negative")
-    return profile_at(M, tuple(p_hat) + (0,))
 
 
 @dataclass(frozen=True)
@@ -330,10 +321,11 @@ class InvariantTable:
 def invariant_table(M: MonomialIdeal) -> InvariantTable:
     """Tabulate profiles for all p_hat up to max generator exponent plus one.
 
-    Colons by x_j^p are constant once p passes the largest x_j exponent of
-    any generator, so the extra slot per axis certifies stabilization: a
-    wider bound would only repeat the stable row.  M is checked once, as
-    ``invariants`` checks it.
+    M must be Borel-fixed and saturated.  The entry at p_hat is the profile
+    at (p_hat, 0): for saturated M no generator involves x_n, so its
+    exponent does not matter.  Slices by x_j^p are constant once p passes
+    the largest x_j exponent of any generator, so the extra slot per axis
+    certifies stabilization: a wider bound would only repeat the stable row.
     """
     _require_borel_saturated(M)
     axes = tuple(range(2, M.nvars - 1))

@@ -77,7 +77,7 @@ def _multiples(gens, d, nvars, index):
         if e > d:
             continue
         for m in monomial_basis(nvars, d - e):
-            rows.append(poly_row(g.mul_term(m, 1), d, index))
+            rows.append(poly_row(g * g.ring.monomial(m), d, index))
     return rows
 
 
@@ -112,7 +112,7 @@ def colon_dim(gens, f, d, nvars, p):
     index = {m: i for i, m in enumerate(monomial_basis(nvars, d + e))}
     ideal_rows = _multiples(gens, d + e, nvars, index)
     base = rank_mod_p(ideal_rows, p)
-    mult_rows = [poly_row(f.mul_term(m, 1), d + e, index)
+    mult_rows = [poly_row(f * f.ring.monomial(m), d + e, index)
                  for m in monomial_basis(nvars, d)]
     combined = rank_mod_p(mult_rows + ideal_rows, p)
     return comb(d + nvars - 1, nvars - 1) - (combined - base)

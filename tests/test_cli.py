@@ -566,3 +566,11 @@ def test_readme_lists_every_command():
     commands = {argv[0] for argv, _ in README_EXAMPLES}
     assert commands == {"gin", "check", "invariants", "borel", "slice",
                         "hilbert", "trace", "corpus-run"}
+
+
+def test_readme_library_block_runs(capsys):
+    """The README's Library block runs as printed and ends on ``2 2``."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library\n.*?```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "2 2"

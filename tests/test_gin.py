@@ -832,11 +832,12 @@ def recorded_targets(I, monkeypatch):
     return targets
 
 
-def test_samples_after_the_first_stop_at_its_series(monkeypatch):
+def test_every_sample_stops_at_the_series_of_the_ideal(monkeypatch):
+    """Sample 0 included: the series comes from I's own basis."""
     I = twisted_cubic()
     targets = recorded_targets(I, monkeypatch)
     expected = hilbert_numerator(initial_ideal(I))
-    assert targets == [None, expected]
+    assert targets == [expected, expected]
 
 
 def test_every_sample_of_an_ideal_with_its_basis_stops(monkeypatch):

@@ -523,6 +523,7 @@ CONTRACT_ENTRY_POINTS = {
     "last_image": lambda f, h: last_image(h),
     "restrict": restrict,
     "restrict_ideal": lambda f, h: restrict_ideal(Ideal(f.ring, [f]), h),
+    "restrict_ideal_of_zero": lambda f, h: restrict_ideal(Ideal(f.ring, []), h),
     "_SliceBasis": lambda f, h: _SliceBasis(Ideal(f.ring, [f]), h),
     "ideal_quotient": lambda f, h: ideal_quotient(Ideal(f.ring, [f]), h),
     "saturate": lambda f, h: saturate(Ideal(f.ring, [f]), h),
@@ -738,6 +739,11 @@ def test_restrict_ideal_sets_variable_to_zero():
     I = ideal(R4, "x0*x3 - x1*x2")
     got = restrict_ideal(I, poly(R4, "x3"))
     assert got.same_ideal(ideal(R3, "x1*x2"))
+
+
+def test_restrict_ideal_of_zero_refuses_a_form_from_another_ring():
+    with pytest.raises(ValueError, match="different ring"):
+        restrict_ideal(Ideal(R3, []), poly(R4, "x3"))
 
 
 def test_restricted_curve_section_has_degree_many_points():

@@ -160,7 +160,7 @@ def test_products_reject_a_ring_with_other_nvars():
     with pytest.raises(ValueError):
         poly(R3, "x0 + x1") * poly(R4, "x0 + x3")
     with pytest.raises(ValueError, match="different lengths"):
-        poly(R3, "x0 + x1").mul_term((1, 0, 0, 0), 1)
+        poly(R3, "x0 + x1") * R3.monomial((1, 0, 0, 0))
     with pytest.raises(ValueError, match="different rings"):
         substitute_last(poly(R3, "x2^2"), poly(R4, "x0 + x3"))
 
@@ -445,12 +445,12 @@ def test_degrees_stay_below_the_packing_bound():
     assert power.lead_monomial == (top, 0, 0)
     assert R3.from_dict({(0, top, 0): 1, (top, 0, 0): 2}).terms == \
         (((top, 0, 0), 2), ((0, top, 0), 1))
-    assert R3.monomial((1, top - 1, 0)) == x1.mul_term((1, top - 2, 0), 1)
+    assert R3.monomial((1, top - 1, 0)) == x1 * R3.monomial((1, top - 2, 0))
     for build in (lambda: R3.monomial((DEGREE_BOUND, 0, 0)),
                   lambda: R3.from_dict({(1, top, 0): 1}),
                   lambda: x0 ** DEGREE_BOUND,
                   lambda: power * x1,
-                  lambda: power.mul_term((0, 0, 1), 1)):
+                  lambda: power * R3.monomial((0, 0, 1))):
         with pytest.raises(ValueError, match=f"below {DEGREE_BOUND}"):
             build()
     with pytest.raises(ValueError, match="negative"):

@@ -7,7 +7,7 @@ from gintools.ring import LinearChange, PolyRing, mono_divides, revlex_key
 from gintools.staircase import (DegenerateProfileError, InvariantProfile,
                                 MonomialIdeal, UnsaturatedIdealError,
                                 colon_by_monomial, elementary_move,
-                                gap_degrees, invariant_table, invariants,
+                                gap_degrees, invariant_table,
                                 is_borel_fixed, is_connected, is_p_borel_fixed,
                                 profile_from_two_vars, restrict_last,
                                 slice_level, truncate_monomial,
@@ -169,6 +169,12 @@ def test_colon_to_unit():
     assert colon_by_monomial(M(3, (1, 0, 0)), (1, 0, 0)).gens == ((0, 0, 0),)
 
 
+def test_colon_refuses_a_negative_exponent():
+    """(M : x2^-1) is no colon: u / gcd(u, m) would multiply by x2."""
+    with pytest.raises(ValueError, match=r"negative exponent in \(0, 0, -1, 0\)"):
+        colon_by_monomial(M(4, (1, 0, 0, 0)), (0, 0, -1, 0))
+
+
 @given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
                 min_size=1, max_size=3),
        st.lists(st.integers(0, 2), min_size=4, max_size=4))
@@ -275,18 +281,19 @@ def test_truncate_filters_by_degree():
 # profiles
 
 def test_profile_of_quadric_staircase():
-    prof = invariants(M(4, (2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)), (0,))
+    prof = invariant_table(
+        M(4, (2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0))).profile((0,))
     assert prof == InvariantProfile(2, (2, 1))
 
 
 def test_profile_five_points_staircase():
-    prof = invariants(M(3, (2, 0, 0), (1, 2, 0), (0, 3, 0)), ())
+    prof = invariant_table(M(3, (2, 0, 0), (1, 2, 0), (0, 3, 0))).profile(())
     assert prof == InvariantProfile(2, (3, 2))
 
 
 def test_unsaturated_input_rejected():
     with pytest.raises(UnsaturatedIdealError):
-        invariants(M(3, (2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 2, 0)), ())
+        invariant_table(M(3, (2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 2, 0)))
 
 
 @pytest.mark.parametrize("ideal,error,match", [
@@ -294,16 +301,23 @@ def test_unsaturated_input_rejected():
      "last variable"),
     (M(4, (0, 2, 0, 0), (1, 1, 0, 0)), ValueError, "not Borel-fixed"),
 ])
-def test_invariant_table_rejects_what_invariants_rejects(ideal, error, match):
+def test_invariant_table_rejects_unsaturated_and_non_borel_input(
+        ideal, error, match):
     with pytest.raises(error, match=match):
         invariant_table(ideal)
-    with pytest.raises(error, match=match):
-        invariants(ideal, (0,) * (ideal.nvars - 3))
 
 
 def test_invariants_need_three_variables():
     with pytest.raises(ValueError, match="two-variable"):
-        invariants(M(2, (2, 0), (0, 2)), ())
+        invariant_table(M(2, (2, 0), (0, 2)))
+
+
+def test_two_variable_trace_refuses_a_short_or_negative_multi_index():
+    ideal = M(4, (2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0))
+    with pytest.raises(ValueError, match="cover x2..xn"):
+        two_variable_trace(ideal, (0,))
+    with pytest.raises(ValueError, match="non-negative"):
+        two_variable_trace(ideal, (-1, 0))
 
 
 def test_degenerate_profile_rejected():
@@ -315,7 +329,45 @@ def test_degenerate_profile_rejected():
 
 def test_two_variable_trace_keeps_supported_generators():
     ideal = M(4, (2, 0, 0, 0), (0, 3, 0, 0), (1, 0, 1, 0))
-    assert two_variable_trace(ideal) == M(2, (2, 0), (0, 3))
+    assert two_variable_trace(ideal, (0, 0)) == M(2, (2, 0), (0, 3))
+    assert two_variable_trace(ideal, (1, 0)) == M(2, (1, 0), (0, 3))
+
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+                min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=2, max_size=2))
+def test_two_variable_trace_is_the_colon_met_with_two_variables(gens, p):
+    """m lies in the trace at p exactly when m * x2^p2 x3^p3 lies in M."""
+    from gintools.ring import mono_mul
+    ideal = M(4, *map(tuple, gens))
+    trace = two_variable_trace(ideal, tuple(p))
+    for m in itertools.product(range(5), repeat=2):
+        assert trace.contains(m) == ideal.contains(mono_mul(m + (0, 0),
+                                                            (0, 0) + tuple(p)))
+
+
+def _colon_slice(ideal, axis, level):
+    """The slice by way of the colon ideal: (M : x_axis^level), then x_axis
+    set to zero."""
+    power = tuple(level if i == axis else 0 for i in range(ideal.nvars))
+    coloned = colon_by_monomial(ideal, power)
+    return MonomialIdeal.from_monomials(
+        ideal.nvars - 1, (g[:axis] + g[axis + 1:] for g in coloned.gens
+                          if g[axis] == 0))
+
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5),
+                min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=2, max_size=2))
+def test_two_variable_trace_matches_the_chain_of_colon_slices(gens, levels):
+    """Setting x4 to zero and then slicing x3 and x2 by colons, one axis at a
+    time, gives the trace at (levels, 0)."""
+    ideal = M(5, *map(tuple, gens))
+    chained = restrict_last(ideal)
+    for axis in (3, 2):
+        chained = _colon_slice(chained, axis, levels[axis - 2])
+    assert two_variable_trace(ideal, tuple(levels) + (0,)) == chained
+    assert slice_level(ideal, 3, levels[1]) == _colon_slice(ideal, 3, levels[1])
 
 
 profiles = st.integers(1, 5).flatmap(
@@ -377,7 +429,7 @@ def test_table_monotone_and_stabilized(seeds):
        st.integers(0, 2), st.integers(1, 4))
 def test_profile_ignores_last_exponent_on_saturated_input(seeds, level, pn):
     """With x3-free generators the colon never sees x3, so the profile at
-    (p2, pn) matches the one at (p2, 0); this is what lets invariants()
+    (p2, pn) matches the one at (p2, 0); this is what lets invariant_table
     pin the last exponent to zero."""
     ideal = borel_closure(4, staircase_seeds(seeds) + [[0, 2, 0, 0]])
     from gintools.staircase import profile_at
