@@ -10,8 +10,8 @@ from .staircase import (InvariantProfile, InvariantTable, MonomialIdeal,
                         colon_by_monomial, elementary_move, gap_degrees,
                         invariant_table, is_borel_fixed, is_connected,
                         restrict_last, slice_level, truncate_monomial)
-from .gin import (GinResult, TraceResult, check_connectedness, gcd_two_vars,
-                  gin, run_trace, variety_invariants, verify_gap_truncation,
+from .gin import (GinResult, TraceResult, check_connectedness, gin,
+                  run_trace, variety_invariants, verify_gap_truncation,
                   verify_slice_identity)
 from .parsing import ParseError, parse_ideal, parse_polynomial, render_poly
 

@@ -18,9 +18,10 @@ must be Borel-fixed in the characteristic of the field.  Every sample has
 the Hilbert series of I, so its Buchberger run stops once its lead
 monomials reach it.  On top of that sit the harnesses that check the
 slicing identity, gap truncation, the connectedness of invariant tables,
-and the quotient-restriction trace whose gcd certificate reproduces the
-computable steps behind the connectedness statement.  They sample the
-gins they compare with gin(I), so they do not rest on the chain.
+and the quotient-restriction trace, which reproduces the computable steps
+behind the connectedness statement and reads its gin, its special draws
+and its gcd degree off Hilbert series in K[x0, x1].  The harnesses sample
+the gins they compare with gin(I), so they do not rest on the chain.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .ring import LinearChange, Poly, mono_degree, monomials_of_degree
+from .ring import LinearChange, mono_degree, monomials_of_degree
 # intersect is unused here: bench/tests/test_tracer.py asserts its binding
 from .groebner import (Ideal, _SliceBasis, _groebner_basis,
                        _hilbert_numerator, hilbert_function, initial_ideal,
@@ -270,7 +271,6 @@ class ConnectednessReport:
     s_Z: int
     s_Gamma: int
     hypothesis: bool     # s_Z == s_Gamma
-    entries: tuple       # (p_hat, profile, connected, violation_index)
     violations: tuple    # (p_hat, index) pairs
     low_levels_ok: bool  # no entry's first violation is at index 0 or 1
 
@@ -291,14 +291,12 @@ class ConnectednessReport:
 
 
 def connectedness_from_table(table: InvariantTable) -> ConnectednessReport:
-    entries = tuple((p_hat, prof, *is_connected(prof))
-                    for p_hat, prof in table.entries)
-    violations = tuple((p_hat, index)
-                       for p_hat, _, ok, index in entries if not ok)
+    checked = ((p_hat, *is_connected(prof)) for p_hat, prof in table.entries)
+    violations = tuple((p_hat, index) for p_hat, ok, index in checked if not ok)
     low_ok = all(index > 1 for _, index in violations)
     s_z, s_gamma = table.s_at_zero, table.stable_profile.s
     return ConnectednessReport(s_z, s_gamma, s_z == s_gamma,
-                               entries, violations, low_ok)
+                               violations, low_ok)
 
 
 def check_connectedness(I: Ideal, seed=0, votes=2) -> ConnectednessReport:
@@ -339,8 +337,13 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
     the right side is pure staircase combinatorics on gin(I).  Random
     general forms h are drawn per trial.  Levels whose sections have the
     same reduced basis share one gin; for a saturated I that is every level
-    of a form.
+    of a form.  A check with no cases would pass vacuously, so ``p_max``
+    must be non-negative and ``forms`` positive.
     """
+    if p_max < 0:
+        raise ValueError("p_max must be non-negative")
+    if forms < 1:
+        raise ValueError("need at least one form")
     n = I.ring.nvars - 1
     M = _stable_gin(I, seed, votes, gin_result).gin
     series = _hilbert_numerator(M.gens, M.nvars)  # I's, kept by psi
@@ -396,64 +399,20 @@ def verify_gap_truncation(I: Ideal, seed=0, votes=2,
 
 
 # ---------------------------------------------------------------------------
-# two-variable gcd
+# the degree of a gcd in two variables
 
-def gcd_two_vars(polys) -> Poly:
-    """Monic gcd of homogeneous polynomials in K[x0, x1].
+def _gcd_degree(forms, ring) -> int:
+    """The degree of the gcd g of nonzero forms of K[x0, x1].
 
-    The common x0^a x1^b factor is tracked separately; the rest is
-    dehomogenized at x1 = 1, run through the univariate Euclidean
-    algorithm, and rehomogenized.
+    The forms divided by g have no common factor, so they generate an
+    ideal primary to (x0, x1), and the ideal J of the forms saturates to
+    (g): dim (R/J)_d = deg g for large d.  With HS(R/J) = N(t) / (1 - t)^2
+    that multiplicity is -N'(1).  The basis is left unreduced, since only
+    its lead monomials are read.
     """
-    polys = [f for f in polys if not f.is_zero()]
-    if not polys:
-        raise ValueError("gcd of an empty or all-zero family")
-    ring = polys[0].ring
-    if ring.nvars != 2:
-        raise ValueError("gcd_two_vars needs polynomials in two variables")
-    p = ring.prime
-    a = min(min(m[0] for m, _ in f.terms) for f in polys)
-    b = min(min(m[1] for m, _ in f.terms) for f in polys)
-
-    def dehomogenize(f):
-        # coefficient list in x0, lowest degree first; x1 is set to 1
-        e0 = min(m[0] for m, _ in f.terms)
-        coeffs = [0] * (max(m[0] for m, _ in f.terms) - e0 + 1)
-        for m, c in f.terms:
-            coeffs[m[0] - e0] = c
-        return coeffs
-
-    g = dehomogenize(polys[0])
-    for f in polys[1:]:
-        g = _poly_gcd_univariate(g, dehomogenize(f), p)
-        if len(g) == 1:
-            break
-    deg = len(g) - 1
-    inv = pow(g[deg], p - 2, p)
-    acc = {(k + a, deg - k + b): (c * inv) % p for k, c in enumerate(g) if c % p}
-    return ring.from_dict(acc)
-
-
-def _poly_gcd_univariate(f, g, p):
-    """Euclid on coefficient lists over F_p, lowest degree first."""
-    def trim(h):
-        while h and h[-1] % p == 0:
-            h.pop()
-        return h
-
-    f, g = trim(list(f)), trim(list(g))
-    while g:
-        inv = pow(g[-1], p - 2, p)
-        while len(f) >= len(g):
-            factor = (f[-1] * inv) % p
-            shift = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[i + shift] = (f[i + shift] - factor * c) % p
-            trim(f)
-            if not f:
-                break
-        f, g = g, f
-    return f if f else [0]
+    N = _hilbert_numerator(
+        [g.lead_monomial for g in _groebner_basis(forms, ring)], 2)
+    return -sum(k * c for k, c in enumerate(N))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +426,7 @@ class TraceResult:
     step1_ok: bool                # the two sides agree
     delta: int
     delta_is_internal_gap: bool
-    gcd_degree: int
+    gcd_degree: int               # of the <=delta generators: their multiplicity
     expected_gcd_degree: int      # min x0-exponent among <=delta generators
     step2_ok: bool
     specialization_degrees: tuple
@@ -529,7 +488,9 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
     result lives in K[x0, x1].  Its gin must equal the same slice of
     gin(I), ``two_variable_trace`` at the levels and 0 on x_n (step 1).
     The gcd of its generators up to the chosen gap degree must have degree
-    equal to the least x0-exponent on the staircase there (step 2).
+    equal to the least x0-exponent on the staircase there (step 2); that
+    degree is the multiplicity of the ideal the generators span, read off
+    its Hilbert numerator (``_gcd_degree``).
 
     The forms are drawn ``_TRACE_SPECIALIZATIONS`` times.  Dimensions of
     restrictions are upper semicontinuous in the forms, so a draw whose
@@ -596,7 +557,7 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
         gens = truncate(J_spec, delta).gens
         if not gens:
             raise DegenerateTraceError("no generators up to the gap degree")
-        return gcd_two_vars(gens).degree
+        return _gcd_degree(gens, J_spec.ring)
 
     degrees = [gcd_degree_of(D) for D in draws]
     consistent = not special and all(d == degrees[0] for d in degrees)

@@ -101,7 +101,7 @@ class Ideal:
         return self._gb
 
     def is_zero(self):
-        return not self.groebner_basis()
+        return not self.gens  # the constructor drops zero generators
 
     def same_ideal(self, other):
         if self.ring != other.ring:

@@ -367,6 +367,10 @@ def test_in_file_behaves_as_its_generator_lines(capsys, tmp_path, command,
      ("invariants", "--in", str(DATA / "points-5.ideal"), "--seed", "0", "--json")),
     *((f"corpus_run_seed{seed}.json",
        ("corpus-run", "--seed", str(seed), "--json")) for seed in range(5)),
+    # an internal gap at delta 6 and a gcd of degree 2
+    ("trace_disconnected_staircase_seed0.json",
+     ("trace", "--gens", "x0^3, x0^2*x1, x0*x1^6, x1^8", "--n", "3",
+      "--levels", "0", "--seed", "0", "--json")),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)

@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from gintools.ring import LinearChange, PolyRing
 from gintools.groebner import (Ideal, _SliceBasis, _hilbert_numerator,
                                hilbert_function, initial_ideal,
@@ -15,7 +17,7 @@ from gintools.corpus import (complete_intersection, determinantal,
                              determinantal_from_matrix)
 from gintools.gin import (ComputationError, GinUnstableError, _sampled_gin,
                           check_connectedness, child_rng,
-                          connectedness_from_table, gcd_two_vars, gin,
+                          connectedness_from_table, gin,
                           run_trace, variety_invariants,
                           verify_gap_truncation, verify_slice_identity)
 from gintools.parsing import parse_ideal, parse_polynomial
@@ -414,6 +416,20 @@ def test_slice_identity_twisted_cubic():
     assert len(report.cases) == 12
 
 
+@pytest.mark.parametrize("p_max, forms", [(-1, 3), (3, 0), (-5, -3)])
+def test_slice_identity_refuses_a_check_with_no_cases(monkeypatch, p_max,
+                                                      forms):
+    """Refused before the gin is computed, not passed with 0 cases."""
+    gin_module = importlib.import_module("gintools.gin")
+
+    def no_gin(*args):
+        raise AssertionError("the gin was computed")
+
+    monkeypatch.setattr(gin_module, "_stable_gin", no_gin)
+    with pytest.raises(ValueError):
+        verify_slice_identity(twisted_cubic(), p_max=p_max, forms=forms)
+
+
 def test_slice_identity_level_zero_drops_last_variable():
     I = twisted_cubic()
     result = gin(I, seed=0)
@@ -516,40 +532,52 @@ def test_gap_truncation_computes_one_gin_per_distinct_truncation(
 
 
 # ---------------------------------------------------------------------------
-# two-variable gcd
+# the degree of a two-variable gcd
 
 R2 = PolyRing(2)
+_gcd_degree = importlib.import_module("gintools.gin")._gcd_degree
 
 
 def test_gcd_idempotent():
     f = poly(R2, "3*x0^2*x1 - 6*x1^3")
-    assert gcd_two_vars([f, f]) == f.monic()
+    assert _gcd_degree([f, f], R2) == 3
 
 
 def test_gcd_coprime():
-    assert gcd_two_vars([poly(R2, "x0^2"), poly(R2, "x1^2")]) == R2.one()
+    assert _gcd_degree([poly(R2, "x0^2"), poly(R2, "x1^2")], R2) == 0
 
 
 def test_gcd_with_common_factor():
     f = poly(R2, "x0^2*x1 - x0*x1^2")    # x0 x1 (x0 - x1)
     g = poly(R2, "x0^3 - x0*x1^2")       # x0 (x0 - x1)(x0 + x1)
-    assert gcd_two_vars([f, g]) == poly(R2, "x0^2 - x0*x1")
+    assert _gcd_degree([f, g], R2) == 2  # x0 (x0 - x1)
 
 
 def test_gcd_synthetic_pair():
     f = poly(R2, "x0^3 + x0^2*x1")  # x0^2 (x0 + x1)
     g = poly(R2, "x0^2*x1^2")
-    assert gcd_two_vars([f, g]) == poly(R2, "x0^2")
+    assert _gcd_degree([f, g], R2) == 2  # x0^2
 
 
 def test_gcd_of_single_generator_is_itself():
     f = poly(R2, "5*x0^2*x1 + 5*x1^3")
-    assert gcd_two_vars([f]) == f.monic()
+    assert _gcd_degree([f], R2) == f.degree
 
 
-def test_gcd_rejects_empty():
-    with pytest.raises(ValueError):
-        gcd_two_vars([R2.zero()])
+@settings(max_examples=40)
+@given(st.integers(0, 10 ** 6), st.sampled_from([7, 32003]))
+def test_gcd_degree_is_the_multiplicity_by_rank(seed, p):
+    """For large d, dim (R/J)_d is the degree of the gcd; at twice the
+    largest degree the quotient has reached it.  The oracle counts it by
+    ranks of multiplication matrices."""
+    ring = PolyRing(2, p)
+    rng = random.Random(seed)
+    F = ring.random_form(rng.randint(0, 3), rng)
+    forms = [F * ring.random_form(rng.randint(0, 3), rng)
+             for _ in range(rng.randint(1, 3))]
+    dmax = 2 * max(f.degree for f in forms)
+    assert _gcd_degree(forms, ring) == \
+        oracles.quotient_ring_dims(forms, dmax, 2, p)[dmax]
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +764,7 @@ def test_gcd_recovers_planted_factor(seed):
     F = R2.random_form(rng.randint(1, 3), rng)
     fs = [F * R2.random_form(rng.randint(1, 2), rng) for _ in range(3)]
     # cofactors at these pinned seeds share no factor, so the gcd is F itself
-    assert gcd_two_vars(fs) == F.monic()
+    assert _gcd_degree(fs, R2) == F.degree
 
 
 # ---------------------------------------------------------------------------

@@ -773,6 +773,13 @@ def test_truncate_below_everything_is_zero():
     assert truncate(I, 1).is_zero()
 
 
+def test_is_zero_reads_the_generators_without_a_basis():
+    I = ideal(R3, "x0^2 + x1^2, x2^3")
+    assert not I.is_zero() and I._gb is None
+    Z = Ideal(R3, [R3.zero()])
+    assert Z.is_zero() and Z._gb is None
+
+
 def test_truncation_generates_from_basis_elements_below_cutoff():
     """Presentation choice: generated by I's generators under the cutoff."""
     I = twisted_cubic()
