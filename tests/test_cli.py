@@ -371,6 +371,9 @@ def test_in_file_behaves_as_its_generator_lines(capsys, tmp_path, command,
     ("trace_disconnected_staircase_seed0.json",
      ("trace", "--gens", "x0^3, x0^2*x1, x0*x1^6, x1^8", "--n", "3",
       "--levels", "0", "--seed", "0", "--json")),
+    # every section of the chain by a coordinate hyperplane
+    ("gin_ci_surface_seed0.json",
+     ("gin", "--in", str(DATA / "ci-surface.ideal"), "--seed", "0", "--json")),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)

@@ -2,6 +2,7 @@ import functools
 import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -975,29 +976,146 @@ def test_a_chain_without_its_certificate_loses_a_generator(corpus_entries,
     assert not uncertified.gin.contains((1, 1, 1, 0))
 
 
+def _recorded_restrictions(monkeypatch):
+    """The (J, form) pairs of every ``restrict_ideal`` call gin() makes."""
+    module = importlib.import_module("gintools.gin")
+    restrict = module.restrict_ideal
+    calls = []
+
+    def recording(J, form):
+        calls.append((J, form))
+        return restrict(J, form)
+
+    monkeypatch.setattr(module, "restrict_ideal", recording)
+    return calls
+
+
 def test_a_regular_but_special_first_section_is_not_sampled(corpus_entries,
                                                            monkeypatch):
     """x3 = 0 is the tangent plane at (1:0:0:0) of the quadric
     x1*x2 - x0*x3 through the rational quartic, and meets the quartic only
-    there.  It is regular, so the chain certifies it, but it is not
-    generic.  The chain stops at depth 1, and I, not that section, is
-    sampled."""
-    module = importlib.import_module("gintools.gin")
-    restrict = module.restrict_ideal
-    forms = []
-
-    def tangent_first(J, form):
-        if J.ring.nvars == 4:
-            form = J.ring.variable(3)
-        forms.append(form)
-        return restrict(J, form)
-
-    monkeypatch.setattr(module, "restrict_ideal", tangent_first)
+    there.  No generator of in(I) involves x3, so x3 is regular and the
+    chain takes that section without drawing a form, although it is not
+    generic.  The form drawn at three variables is a zero divisor, so the
+    chain stops at depth 1, and I, not that section, is sampled."""
+    calls = _recorded_restrictions(monkeypatch)
     levels = _sampled_levels(monkeypatch)
-    result = gin(corpus_entries["rational-quartic"].ideal(), seed=0)
-    assert len(forms) == 2 and levels == [4]
+    I = corpus_entries["rational-quartic"].ideal()
+    result = gin(I, seed=0)
+    assert [J.ring.nvars for J, _ in calls] == [3] and levels == [4]
+    J, form = calls[0]
+    assert any(oracles.colon_dim(J.gens, form, d, 3, J.ring.prime)
+               > oracles.ideal_dim(J.gens, d, 3, J.ring.prime)
+               for d in range(1, 5))
     assert result.gin == staircase(4, (2, 0, 0, 0), (1, 2, 0, 0),
                                    (0, 3, 0, 0), (1, 1, 1, 0))
+
+
+def _counted_chain_calls(monkeypatch):
+    """The number of Buchberger runs and restrictions gin() makes."""
+    module = importlib.import_module("gintools.gin")
+    counts = {"_groebner_basis": 0, "restrict_ideal": 0}
+
+    def counted(name):
+        run = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return run(*args, **kwargs)
+        return counting
+
+    for name in counts:
+        monkeypatch.setattr(module, name, counted(name))
+    return counts
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete_intersection(2, 3, 5, 0),
+    lambda: determinantal(5, 0),
+], ids=["ci-2-3-P5", "determinantal-P5"])
+def test_a_chain_of_coordinate_sections_runs_no_buchberger(build,
+                                                           monkeypatch):
+    """in(I) is generated in K[x0, x1], so every section of the chain is
+    by a coordinate hyperplane and is read off I's own basis."""
+    I = build()
+    sampled = _sampled_gin(I, votes=5).gin
+    counts = _counted_chain_calls(monkeypatch)
+    result = gin(I, seed=0)
+    assert counts == {"_groebner_basis": 0, "restrict_ideal": 0}
+    assert result.samples_used == 0 and result.gin == sampled
+
+
+def test_the_twisted_cubic_draws_one_chain_form(capsys, monkeypatch):
+    """in(I) = (x1^2, x1*x2, x2^2): x3 is regular, x2 is not, so one form
+    is drawn, at three variables, and the gin is the golden one."""
+    calls = _recorded_restrictions(monkeypatch)
+    data = Path(__file__).resolve().parent.parent / "src" / "gintools" / "data"
+    golden = Path(__file__).resolve().parent / "golden"
+    assert main(["gin", "--in", str(data / "twisted-cubic.ideal"),
+                 "--seed", "0", "--json"]) == 0
+    assert [J.ring.nvars for J, _ in calls] == [3]
+    assert capsys.readouterr().out == \
+        (golden / "gin_twisted_cubic_seed0.json").read_text()
+
+
+@st.composite
+def monomial_ideals(draw):
+    nvars = draw(st.integers(3, 5))
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return MonomialIdeal.from_monomials(
+        nvars, draw(st.lists(exponents, min_size=1, max_size=5)))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(monomial_ideals())
+def test_no_generator_on_x_last_is_the_numerator_certificate(L):
+    """x_last is regular on R/L exactly when the section keeps the
+    numerator of the Hilbert series, the certificate a drawn form gets."""
+    n = L.nvars - 1
+    regular = all(g[-1] == 0 for g in L.gens)
+    assert regular == (_hilbert_numerator(restrict_last(L).gens, n)
+                       == _hilbert_numerator(L.gens, n + 1))
+
+
+@st.composite
+def small_polynomial_ideals(draw):
+    nvars = draw(st.integers(3, 5))
+    ring = PolyRing(nvars, draw(st.sampled_from([7, 32003])))
+    rng = random.Random(draw(st.integers(0, 10 ** 9)))
+    gens = [ring.random_form(rng.randint(1, 3), rng)
+            for _ in range(rng.randint(1, 3))]
+    if draw(st.booleans()):  # forms in fewer variables: x_last divides out
+        gens = [g * ring.variable(nvars - 1) for g in gens[:1]] + gens[1:]
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(small_polynomial_ideals())
+def test_every_coordinate_section_is_by_a_nonzerodivisor(I):
+    """By rank alone: (J : x_last)_d = J_d up to the top degree of in(J)'s
+    generators, where in(J : x_last) = in(J) : x_last is generated, at
+    every level where the chain cuts by x_last."""
+    module = importlib.import_module("gintools.gin")
+    cut, drop, levels = module.restrict_last, module.drop_last, {}
+
+    def recording_cut(L):
+        levels[L.nvars] = (L, [])
+        return cut(L)
+
+    def recording_drop(f):
+        levels[f.ring.nvars][1].append(f)
+        return drop(f)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "restrict_last", recording_cut)
+        patch.setattr(module, "drop_last", recording_drop)
+        _gin_or_refusal(I, 0, gin)
+    p = I.ring.prime
+    for nvars, (L, gens) in levels.items():
+        x_last = PolyRing(nvars, p).variable(nvars - 1)
+        for d in range(L.max_degree() + 1):
+            assert oracles.colon_dim(gens, x_last, d, nvars, p) == \
+                oracles.ideal_dim(gens, d, nvars, p), (nvars, d)
 
 
 def test_an_unsaturated_ideal_is_sampled_at_level_zero(monkeypatch):
