@@ -18,8 +18,8 @@ from functools import reduce
 from importlib import resources
 
 from .ring import PolyRing, DEFAULT_PRIME
-from .groebner import (Ideal, _hilbert_numerator, hilbert_function,
-                       initial_ideal, intersect)
+from .groebner import (Ideal, _hilbert_numerator, _koszul_numerator,
+                       hilbert_function, initial_ideal, intersect)
 from .staircase import gap_degrees
 from .gin import (child_rng, connectedness_from_table, gin, run_trace,
                   variety_invariants, verify_gap_truncation,
@@ -141,13 +141,6 @@ def collinear_points(N, seed, prime=DEFAULT_PRIME) -> Ideal:
     return _distinct_points(N, prime, on_line)
 
 
-def _koszul_numerator(a, b):
-    """(1 - t^a)(1 - t^b), lowest degree first: the Hilbert series
-    numerator of a complete intersection of degrees a and b."""
-    return [(k == 0) - (k == a) - (k == b) + (k == a + b)
-            for k in range(a + b + 1)]
-
-
 # 1 - 3t^2 + 2t^3: three quadrics with two linear syzygies (Eagon-Northcott)
 _DETERMINANTAL_NUMERATOR = [1, 0, -3, 2]
 
@@ -178,7 +171,7 @@ def complete_intersection(a, b, n, seed, prime=DEFAULT_PRIME) -> Ideal:
         raise ValueError("need ambient dimension at least 3")
     ring = PolyRing(n + 1, prime)
     return _first_with_hilbert(
-        _koszul_numerator(a, b),
+        _koszul_numerator((a, b)),
         lambda rng: Ideal(ring, [ring.random_form(a, rng),
                                  ring.random_form(b, rng)]),
         seed, "ci", a, b, n)

@@ -428,17 +428,19 @@ def verify_gap_truncation(I: Ideal, seed=0, votes=2,
 # ---------------------------------------------------------------------------
 # the degree of a gcd in two variables
 
-def _gcd_degree(forms, ring) -> int:
+def _gcd_degree(forms, ring, leads=None) -> int:
     """The degree of the gcd g of nonzero forms of K[x0, x1].
 
     The forms divided by g have no common factor, so they generate an
     ideal primary to (x0, x1), and the ideal J of the forms saturates to
     (g): dim (R/J)_d = deg g for large d.  With HS(R/J) = N(t) / (1 - t)^2
-    that multiplicity is -N'(1).  The basis is left unreduced, since only
-    its lead monomials are read.
+    that multiplicity is -N'(1).  ``leads`` generate in(J) when a basis is
+    at hand; otherwise a basis is built and left unreduced, since only its
+    lead monomials are read.
     """
-    N = _hilbert_numerator(
-        [g.lead_monomial for g in _groebner_basis(forms, ring)], 2)
+    if leads is None:
+        leads = [g.lead_monomial for g in _groebner_basis(forms, ring)]
+    N = _hilbert_numerator(leads, 2)
     return -sum(k * c for k, c in enumerate(N))
 
 
@@ -517,7 +519,8 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
     The gcd of its generators up to the chosen gap degree must have degree
     equal to the least x0-exponent on the staircase there (step 2); that
     degree is the multiplicity of the ideal the generators span, read off
-    its Hilbert numerator (``_gcd_degree``).
+    its Hilbert numerator (``_gcd_degree``); when they are all of the
+    draw's generators, off the lead ideal the draw's basis already gave.
 
     The forms are drawn ``_TRACE_SPECIALIZATIONS`` times.  Dimensions of
     restrictions are upper semicontinuous in the forms, so a draw whose
@@ -580,13 +583,15 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
         delta = analytic.max_degree() + 1
         is_gap = False
 
-    def gcd_degree_of(J_spec):
-        gens = truncate(J_spec, delta).gens
+    def gcd_degree_of(D, L):
+        gens = truncate(D, delta).gens
         if not gens:
             raise DegenerateTraceError("no generators up to the gap degree")
-        return _gcd_degree(gens, J_spec.ring)
+        # a truncation that keeps every generator is D, with lead ideal L
+        return _gcd_degree(gens, D.ring,
+                           L.gens if len(gens) == len(D.gens) else None)
 
-    degrees = [gcd_degree_of(D) for D in draws]
+    degrees = [gcd_degree_of(D, L) for D, L in zip(draws, leads)]
     consistent = not special and all(d == degrees[0] for d in degrees)
 
     eligible = [g for g in analytic.gens if mono_degree(g) <= delta]

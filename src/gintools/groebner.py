@@ -66,6 +66,21 @@ grown, HS(R/<lead G>) is compared with the target, and equality ends the
 run.  This is exact: <lead G> lies in in(I), and equal Hilbert series
 force equality, so G is already a Groebner basis.  The pairs left would
 all reduce to zero.
+
+A run with no such target still has a floor when its generators are
+r <= nvars forms of degrees d_i: HS(R/I) >= prod (1 - t^d_i) / (1-t)^nvars
+in every degree, with equality exactly for a regular sequence (Froberg,
+An inequality for Hilbert series of graded algebras, Math. Scand. 56
+(1985)).  dim I_d is at most its value for generic forms, by
+semicontinuity, and generic forms with r <= nvars are regular.  As
+HS(R/<lead G>) >= HS(R/I), leads whose numerator meets the floor's are
+in(I), and ``buchberger`` stops there the same way; a floor never met
+costs nothing in answers, and the run ends with every pair.  Two rules
+keep the checks cheap.  The generators' own leads are not checked: they
+meet the floor only if pairwise coprime, and then they make no pair.
+And at a boundary into degree d every element still to come has degree
+>= d, so the numerator's coefficients below d are final; once they
+differ from the floor's, the checks end.
 """
 
 from __future__ import annotations
@@ -292,12 +307,23 @@ def buchberger(gens, ring) -> tuple:
     """The reduced Groebner basis of the given generators.
 
     The result is auto-reduced, monic, and sorted with the lowest-degree
-    leads first.
+    leads first.  In a graded ring, r <= nvars forms f_i of degrees d_i
+    hand the run their Koszul floor prod (1 - t^d_i) as a lower bound on
+    the series: reaching it stops the run, which is exact; a run that
+    never does returns the full basis (see the module docstring).
     """
-    return _reduce_basis(_groebner_basis(gens, ring), ring)
+    gens = [f for f in gens if not f.is_zero()]
+    # in grevlex the first term has the greatest degree and the last the least
+    degrees = [f.packed[0][0] & DEGREE_MASK for f in gens]
+    if ring.graded and len(gens) <= ring.nvars and all(
+            d == f.packed[-1][0] & DEGREE_MASK for d, f in zip(degrees, gens)):
+        G = _groebner_basis(gens, ring, _koszul_numerator(degrees), floor=True)
+    else:
+        G = _groebner_basis(gens, ring)
+    return _reduce_basis(G, ring)
 
 
-def _groebner_basis(gens, ring, target=None) -> list:
+def _groebner_basis(gens, ring, target=None, floor=False) -> list:
     """A monic Groebner basis of the given generators, not reduced.
 
     Pairs are processed in increasing order of their lcm (the normal
@@ -307,6 +333,13 @@ def _groebner_basis(gens, ring, target=None) -> list:
     monomials reach it (see the module docstring).  Pairs that run out
     before they do raise ``GinUnstableError``: the series was wrong, so a
     coordinate change or this kernel is.
+
+    With ``floor`` the target is only a lower bound on the series, the
+    Koszul floor of homogeneous generators that ``buchberger`` passes.
+    Reaching it stops the run all the same; pairs that run out return the
+    basis.  The generators' own leads are not checked, and checks end once
+    the numerator's coefficients below the current degree, which are
+    final, differ from the floor's.
     """
     G, lead, reducers, P, pair_lcm = [], [], [], set(), {}
     for f in gens:
@@ -316,7 +349,9 @@ def _groebner_basis(gens, ring, target=None) -> list:
         r = _divide(dict(f.packed), reducers, ring)
         if r:
             P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
-    degree = checked = -1
+    # the generators' leads meet a floor only if pairwise coprime, and
+    # then they made no pair
+    degree, checked = -1, len(G) if floor else -1
     while P:
         pair = max(P, key=pair_lcm.__getitem__)
         lcm = pair_lcm.pop(pair)
@@ -324,14 +359,19 @@ def _groebner_basis(gens, ring, target=None) -> list:
             degree = d
             if len(G) > checked:
                 checked = len(G)
-                if _hilbert_numerator(lead, ring.nvars) == target:
+                N = _hilbert_numerator(lead, ring.nvars)
+                if N == target:
                     return G
+                # elements still to come have degree >= d
+                if floor and (N + [0] * d)[:d] != (target + [0] * d)[:d]:
+                    target = None  # the floor is out of reach
         P.discard(pair)
         r = _divide(_s_pair(reducers[pair[0]], reducers[pair[1]], lcm,
                             ring.prime), reducers, ring)
         if r:
             P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
-    if target is not None and _hilbert_numerator(lead, ring.nvars) != target:
+    if (target is not None and not floor
+            and _hilbert_numerator(lead, ring.nvars) != target):
         raise GinUnstableError(
             "the Groebner basis is complete but its Hilbert series is not "
             f"the one expected at p={ring.prime}: a coordinate change or the "
@@ -429,13 +469,7 @@ def _numerator(gens, nvars) -> list:
     if most <= 1:
         if gens and not most:
             return []  # the unit ideal
-        N = [1]
-        for g in gens:
-            d = sum(g)
-            N += [0] * d
-            for k in range(len(N) - 1, d - 1, -1):
-                N[k] -= N[k - d]
-        return N
+        return _koszul_numerator(sum(g) for g in gens)
     i = counts.index(most)
     e = sorted(g[i] for g in gens if g[i])[(most - 1) // 2]
     pivot = (0,) * i + (e,) + (0,) * (nvars - i - 1)
@@ -446,6 +480,21 @@ def _numerator(gens, nvars) -> list:
     N += [0] * (len(colon) + e - len(N))
     for k, c in enumerate(colon, e):
         N[k] += c
+    return N
+
+
+def _koszul_numerator(degrees) -> list:
+    """prod (1 - t^d) over the degrees, lowest degree first and without
+    trailing zeros: the numerator of a complete intersection of forms of
+    those degrees, and the floor below every ideal generated by at most
+    nvars such forms (see the module docstring)."""
+    N = [1]
+    for d in degrees:
+        N += [0] * d
+        for k in range(len(N) - 1, d - 1, -1):
+            N[k] -= N[k - d]
+    while N and not N[-1]:
+        N.pop()  # a factor of degree 0 is the zero polynomial
     return N
 
 

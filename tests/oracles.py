@@ -2,10 +2,11 @@
 
 Everything here works degree by degree with dense coefficient matrices
 over F_p and deliberately shares no code with the Groebner machinery it
-checks: monomial enumeration goes through itertools and ranks through
-numpy Gaussian elimination.  The one exception is the last section, the
-slow path that intersection by elimination replaced, which runs the
-kernel's Buchberger in a block order.
+checks: monomial enumeration goes through itertools, ranks through
+numpy Gaussian elimination, and reduced Groebner bases through sympy.
+The one exception is the last section, the slow path that intersection
+by elimination replaced, which runs the kernel's Buchberger in a block
+order.
 """
 
 import itertools
@@ -252,6 +253,23 @@ def expand_change(f_terms, matrix, p):
 # ---------------------------------------------------------------------------
 # intersection by elimination in the block order
 #
+def sympy_reduced_basis(gens, ring):
+    """The reduced grevlex basis of the forms ``gens`` by sympy, as a
+    sorted list of sorted (exponents, coefficient) tuples, coefficients in
+    [0, p).  x0 > x1 > ... is the kernel's grevlex: its last variable is
+    the smallest.  sympy is imported here, so only its callers pay."""
+    import sympy
+
+    xs = sympy.symbols(f"x0:{ring.nvars}")
+    p = ring.prime
+    forms = [sympy.Poly.from_dict(dict(f.terms), *xs, modulus=p).as_expr()
+             for f in gens]
+    basis = sympy.groebner(forms, *xs, order="grevlex", modulus=p)
+    # sympy prints coefficients in the symmetric range
+    return sorted(tuple(sorted((m, int(c) % p) for m, c in q.terms()))
+                  for q in basis.polys)
+
+
 # The slow path: t*I + (1-t)*J in the block order with t greatest, whose
 # every Groebner basis eliminates t, and a reduced basis of all of it.
 # It runs the kernel's Buchberger, so it checks the order and the elements

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from gintools import corpus
 from gintools.corpus import (DATA, _DETERMINANTAL_NUMERATOR,
-                             _first_with_hilbert, _koszul_numerator,
+                             _first_with_hilbert,
                              check_expectations, collinear_points,
                              complete_intersection, determinantal,
                              determinantal_from_matrix, entry_names,
@@ -14,7 +14,8 @@ from gintools.corpus import (DATA, _DETERMINANTAL_NUMERATOR,
                              load_entry, parse_entry, point_ideal,
                              render_entry, twisted_cubic)
 from gintools.gin import child_rng, gin, variety_invariants
-from gintools.groebner import Ideal, _hilbert_numerator, initial_ideal
+from gintools.groebner import (Ideal, _hilbert_numerator, _koszul_numerator,
+                               initial_ideal)
 from gintools.ring import PolyRing
 from gintools.staircase import (InvariantProfile, MonomialIdeal,
                                 UnsaturatedIdealError,
@@ -92,7 +93,7 @@ def test_koszul_numerator_is_that_of_two_coprime_powers(n):
     for a, b in itertools.product(range(1, 5), repeat=2):
         M = MonomialIdeal.from_monomials(
             n + 1, [(a,) + (0,) * n, (0, b) + (0,) * (n - 1)])
-        assert _koszul_numerator(a, b) == _hilbert_numerator(M.gens, n + 1)
+        assert _koszul_numerator((a, b)) == _hilbert_numerator(M.gens, n + 1)
 
 
 @pytest.mark.parametrize("build", [twisted_cubic,
@@ -120,7 +121,7 @@ def test_first_with_hilbert_skips_forms_with_a_common_factor():
         drawn.append(Ideal(ring, forms))
         return drawn[-1]
 
-    I = _first_with_hilbert(_koszul_numerator(2, 2), build, 5, "ci", 2, 2, 3)
+    I = _first_with_hilbert(_koszul_numerator((2, 2)), build, 5, "ci", 2, 2, 3)
     assert I is drawn[1]
     assert rngs == [child_rng(5, "ci", 2, 2, 3, k).getstate() for k in (0, 1)]
 

@@ -634,6 +634,33 @@ def test_trace_exposes_proper_factor_on_disconnected_staircase():
     assert result.gcd_degree == 2
 
 
+def test_a_draw_kept_whole_gets_its_gcd_degree_from_its_own_basis(
+        monkeypatch):
+    """With no internal gap delta lies past every generator, so each
+    draw's truncation is the draw, and its gcd degree is read off the lead
+    ideal its basis already gave: no further Groebner run.  Under a gap
+    the truncation drops generators and gets one run per draw."""
+    module = importlib.import_module("gintools.gin")
+    run = module._groebner_basis
+    runs = []
+
+    def recording(gens, ring, target=None):
+        runs.append(len(gens))
+        return run(gens, ring, target)
+
+    cubic = twisted_cubic()
+    M = staircase(4, (3, 0, 0, 0), (2, 1, 0, 0), (1, 6, 0, 0), (0, 8, 0, 0))
+    gapped = Ideal(R4, [R4.monomial(g) for g in M.gens])
+    gins = [gin(cubic, seed=0), gin(gapped, seed=0)]
+    monkeypatch.setattr(module, "_groebner_basis", recording)
+    result = run_trace(cubic, (0,), seed=0, gin_result=gins[0])
+    assert not result.delta_is_internal_gap and result.passed
+    assert runs == []
+    result = run_trace(gapped, (0,), seed=0, gin_result=gins[1])
+    assert result.delta_is_internal_gap and result.passed
+    assert result.specialization_degrees == (2, 2, 2) and len(runs) == 3
+
+
 # Draws whose forms are special: ci-surface at gin seed 85 (the line of draw
 # 0 gives Hilbert function (1, 2, 1, 1, ...) against the generic
 # (1, 2, 1, 0, ...)) and elliptic-quartic at seed 104005001 (the line of

@@ -7,10 +7,11 @@ import oracles
 from gintools.ring import (LinearChange, Poly, PolyRing, last_image,
                            mono_div, mono_divides, mono_lcm,
                            monomials_of_degree, restrict, revlex_key)
-from gintools.corpus import general_points, point_ideal
+from gintools.corpus import complete_intersection, general_points, point_ideal
 from gintools.groebner import (Ideal, _SliceBasis, _divide,
                                _elimination_ring, _groebner_basis,
-                               _hilbert_numerator, _lift, _one_minus_t,
+                               _hilbert_numerator, _koszul_numerator,
+                               _lift, _one_minus_t,
                                _reduce_basis, _reducer, _s_pair,
                                buchberger, hilbert_function,
                                ideal_quotient, initial_ideal, intersect,
@@ -421,6 +422,125 @@ def test_a_series_never_reached_raises_naming_the_prime():
     wrong = series(MonomialIdeal.from_monomials(3, [(2, 0, 0)]))
     with pytest.raises(GinUnstableError, match="p=7"):
         _groebner_basis(I.gens, ring, wrong)
+
+
+# ---------------------------------------------------------------------------
+# the Koszul floor: r <= nvars forms stop at prod (1 - t^d_i)
+
+def floor_forms(kind, ring, rng):
+    """At most nvars forms, often not a regular sequence."""
+    n = ring.nvars
+
+    def form():
+        return ring.random_form(rng.randint(1, 4 - n // 2), rng)
+
+    if kind == "random":
+        return [form() for _ in range(rng.randint(1, n))]
+    if kind == "r = nvars":
+        return [form() for _ in range(n)]
+    f = form()
+    if kind == "common factor":
+        return [f * ring.random_form(rng.randint(0, 1), rng)
+                for _ in range(rng.randint(2, n))]
+    if kind == "repeated form":
+        return [f, form(), f][:n]
+    # a form that is a multiple of another, which comes first
+    return [form() * f, f, form()][:n]
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 7, 32003]),
+       st.sampled_from([2, 3, 4]),
+       st.sampled_from(["random", "r = nvars", "common factor",
+                        "repeated form", "multiple"]))
+@settings(max_examples=60, derandomize=True)
+def test_the_floored_basis_is_the_full_one(seed, p, nvars, kind):
+    """Stopped at the floor or not, the reduced basis is byte-identical
+    to the one from the run that processes every pair."""
+    ring = PolyRing(nvars, p)
+    forms = floor_forms(kind, ring, random.Random(seed))
+    assert len(forms) <= nvars
+    full = _reduce_basis(_groebner_basis(forms, ring), ring)
+    assert [g.packed for g in buchberger(forms, ring)] == \
+        [g.packed for g in full]
+
+
+def test_a_floor_never_reached_returns_the_full_basis():
+    """Three quadrics with two linear syzygies: 1 - 3t^2 + 2t^3 lies above
+    the floor (1 - t^2)^3, so the run takes every pair and raises
+    nothing, where the same numerator as a target raises."""
+    I = twisted_cubic()
+    floor = _koszul_numerator((2, 2, 2))
+    assert floor != series(initial_ideal(I))
+    G = _groebner_basis(I.gens, R4, floor, floor=True)
+    assert lead_ideal(G, 4) == initial_ideal(I)
+    assert buchberger(I.gens, R4) == \
+        _reduce_basis(_groebner_basis(I.gens, R4), R4)
+    with pytest.raises(GinUnstableError):
+        _groebner_basis(I.gens, R4, floor)
+
+
+def test_a_floor_out_of_reach_is_checked_once(monkeypatch):
+    """x1 divides two of the forms.  The basis gains a quartic, and at the
+    degree-5 boundary its numerator already differs from the floor's
+    below degree 5, which is final; the quintic it gains next costs no
+    second check."""
+    import gintools.groebner as gb
+    I = ideal(R3, "x0*x1 + x1*x2, x1^3 - x0*x1*x2, x0*x2^2 + x1*x2^2")
+    numerators = []
+
+    def recorded(monos, nvars):
+        numerators.append(_hilbert_numerator(monos, nvars))
+        return numerators[-1]
+
+    monkeypatch.setattr(gb, "_hilbert_numerator", recorded)
+    basis = buchberger(I.gens, R3)
+    assert [g.degree for g in basis] == [2, 3, 3, 4, 5]
+    floor = _koszul_numerator((2, 3, 3))
+    assert len(numerators) == 1 and numerators[0][:5] != floor[:5]
+    assert basis == _reduce_basis(_groebner_basis(I.gens, R3), R3)
+
+
+def test_a_complete_intersection_stops_at_its_floor(monkeypatch):
+    """A (2,3) complete intersection in P^4: its one pair adds a quartic,
+    and the leads reach the floor at the next degree boundary, so the
+    quintic pair the quartic makes is left.  That boundary is the one
+    check: the generators' own leads are not checked."""
+    import gintools.groebner as gb
+    I = complete_intersection(2, 3, 4, seed=7)
+    calls, checks = [], []
+
+    def recorded(f, g, lcm, p):
+        calls.append((f, g))
+        return _s_pair(f, g, lcm, p)
+
+    def checked(monos, nvars):
+        checks.append(list(monos))
+        return _hilbert_numerator(monos, nvars)
+
+    monkeypatch.setattr(gb, "_s_pair", recorded)
+    monkeypatch.setattr(gb, "_hilbert_numerator", checked)
+    floored = buchberger(I.gens, I.ring)
+    assert len(calls) == 1 and len(checks) == 1 and len(checks[0]) == 3
+    calls.clear()
+    assert _reduce_basis(_groebner_basis(I.gens, I.ring), I.ring) == floored
+    assert len(calls) == 2
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([7, 32003]),
+       st.sampled_from(["random", "common factor", "nvars + 1 forms"]))
+@settings(max_examples=20, derandomize=True)
+def test_buchberger_matches_sympy_term_for_term(seed, p, kind):
+    """sympy's reduced grevlex basis, on forms that reach the floor, forms
+    that do not, and more forms than variables, which get no floor."""
+    rng = random.Random(seed)
+    ring = PolyRing(rng.choice([3, 4]), p)
+    if kind == "nvars + 1 forms":
+        forms = [ring.random_form(rng.randint(1, 2), rng)
+                 for _ in range(ring.nvars + 1)]
+    else:
+        forms = floor_forms(kind, ring, rng)
+    ours = sorted(tuple(sorted(g.terms)) for g in buchberger(forms, ring))
+    assert ours == oracles.sympy_reduced_basis(forms, ring)
 
 
 # ---------------------------------------------------------------------------
