@@ -1,5 +1,12 @@
 """Command-line driver: parse ideals, run the pipelines, emit tables or JSON.
 
+``COMMANDS`` is the one table of commands: it maps each name to its
+handler and to the functions that add its options, in the order of its
+help text.  ``main`` builds the top-level parser with the one subparser
+that its first argument names.  With no command, ``-h``/``--help`` or a
+name it does not know, it builds all of them, so that the top-level help
+and argparse's errors list every command.
+
 Exit codes: 0 success, 2 parse error, 3 configuration error (any other
 ValueError), 4 computation error (ComputationError), 5 a verification check
 failed.  ``main`` picks the code by the type of the exception alone.
@@ -210,7 +217,11 @@ def cmd_trace(args):
 def cmd_corpus_run(args):
     names = entry_names()
     if args.entries:
-        wanted = {name.strip() for name in args.entries.split(",")}
+        # empty names are dropped, as empty generators are from --gens
+        wanted = {name for part in args.entries.split(",")
+                  if (name := part.strip())}
+        if not wanted:
+            raise ConfigError(f"--entries {args.entries!r} names no entry")
         unknown = wanted - set(names)
         if unknown:
             raise ConfigError(f"unknown corpus entries: {sorted(unknown)}")
@@ -238,59 +249,88 @@ def cmd_corpus_run(args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gintools",
-        description="generic initial ideals and monomial invariants")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _inputs(p):
+    """Every single-ideal command reads its input the same way."""
+    p.add_argument("--in", dest="infile", metavar="FILE",
+                   help="ideal file (corpus entry format)")
+    p.add_argument("--gens", metavar="STR",
+                   help="comma-separated generator polynomials")
+    p.add_argument("--n", type=int, default=None,
+                   help="ambient projective dimension (default: inferred)")
+    p.add_argument("--prime", type=int, default=None,
+                   help=f"field characteristic (default {DEFAULT_PRIME})")
+    p.add_argument("--json", action="store_true", dest="as_json")
 
-    # every single-ideal command reads its input the same way
-    inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--in", dest="infile", metavar="FILE",
-                        help="ideal file (corpus entry format)")
-    inputs.add_argument("--gens", metavar="STR",
-                        help="comma-separated generator polynomials")
-    inputs.add_argument("--n", type=int, default=None,
-                        help="ambient projective dimension (default: inferred)")
-    inputs.add_argument("--prime", type=int, default=None,
-                        help=f"field characteristic (default {DEFAULT_PRIME})")
-    inputs.add_argument("--json", action="store_true", dest="as_json")
-    # the commands that draw coordinate changes
-    sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--seed", type=int, default=0)
-    sampling.add_argument("--votes", type=int, default=2)
 
-    def command(name, fn, *parents):
-        p = sub.add_parser(name, parents=[inputs, *parents])
-        p.set_defaults(fn=fn)
-        return p
+def _sampling(p):
+    """The commands that draw coordinate changes."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--votes", type=int, default=2)
 
-    command("gin", cmd_gin, sampling)
-    command("invariants", cmd_invariants, sampling)
-    command("check", cmd_check, sampling)
-    p = command("slice", cmd_slice)
+
+def _slice_options(p):
     p.add_argument("--axis", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
-    command("borel", cmd_borel)
-    p = command("hilbert", cmd_hilbert)
+
+
+def _hilbert_options(p):
     p.add_argument("--dmax", type=int, default=None)
-    p = command("trace", cmd_trace, sampling)
+
+
+def _trace_options(p):
     p.add_argument("--levels", default=None, type=_int_tuple,
                    help="comma-separated colon levels for x2..x_{n-1}")
 
-    p = sub.add_parser("corpus-run")
+
+def _corpus_run_options(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--votes", type=int, default=5)
     p.add_argument("--entries", default="",
                    help="comma-separated entry names (default: all)")
     p.add_argument("--json", action="store_true", dest="as_json")
-    p.set_defaults(fn=cmd_corpus_run)
+
+
+# each command's handler and the functions that add its options, in order
+COMMANDS = {
+    "gin": (cmd_gin, _inputs, _sampling),
+    "invariants": (cmd_invariants, _inputs, _sampling),
+    "check": (cmd_check, _inputs, _sampling),
+    "slice": (cmd_slice, _inputs, _slice_options),
+    "borel": (cmd_borel, _inputs),
+    "hilbert": (cmd_hilbert, _inputs, _hilbert_options),
+    "trace": (cmd_trace, _inputs, _sampling, _trace_options),
+    "corpus-run": (cmd_corpus_run, _corpus_run_options),
+}
+
+
+def build_parser(command=None):
+    """The parser for ``command``'s lines, or, with None, for every
+    command's.
+
+    A parser built for one command still names all of them in its usage
+    line, as the parser for every command does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gintools",
+        description="generic initial ideals and monomial invariants")
+    names = list(COMMANDS) if command is None else [command]
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in names:
+        fn, *options = COMMANDS[name]
+        p = sub.add_parser(name)
+        p.set_defaults(fn=fn)
+        for add in options:
+            add(p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help, no command or an unknown one needs every command's parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

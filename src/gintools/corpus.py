@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from importlib import resources
 
-from .ring import PolyRing, DEFAULT_PRIME
+from .ring import DEFAULT_PRIME, PolyRing, check_modulus, check_nvars
 from .groebner import (Ideal, _hilbert_numerator, _koszul_numerator,
                        hilbert_function, initial_ideal, intersect)
 from .staircase import gap_degrees
@@ -210,7 +210,8 @@ def determinantal(n, seed, prime=DEFAULT_PRIME) -> Ideal:
 def split_entry(text, name="entry"):
     """(header, generator text, expect) of an entry file; the header holds
     the ``name, n, prime, seed, tags`` of a CorpusEntry, as integers where
-    they are numbers.  Its ring is checked by ``header_value`` where used.
+    they are numbers.  ``parse_entry`` checks its ring by building it, and
+    ``header_value`` checks one value where it is used.
 
     The generator text keeps one line per line of the file, blank outside
     the ``gens:`` section, so that positions in it are those of the file.
@@ -250,9 +251,11 @@ def header_value(fields, key, name="entry"):
     entry when no ring has it.  Checked only where it is used, since
     ``--n`` and ``--prime`` replace it."""
     value = fields[key]
-    nvars, prime = (value + 1, DEFAULT_PRIME) if key == "n" else (1, value)
     try:
-        PolyRing(nvars, prime)
+        if key == "n":
+            check_nvars(value + 1)
+        else:
+            check_modulus(value)
     except ValueError as exc:
         raise ParseError(f"entry {name!r}: {exc}")
     return value
@@ -260,8 +263,11 @@ def header_value(fields, key, name="entry"):
 
 def parse_entry(text, name="entry") -> CorpusEntry:
     fields, gens_text, expect = split_entry(text, name)
-    gens = parse_ideal(gens_text, header_value(fields, "n", name) + 1,
-                       header_value(fields, "prime", name)).gens
+    try:
+        ring = PolyRing(fields["n"] + 1, fields["prime"])
+    except ValueError as exc:
+        raise ParseError(f"entry {name!r}: {exc}")
+    gens = parse_ideal(gens_text, ring=ring).gens
     if not gens:  # the entry's ring is that of its generators
         raise ParseError(f"entry {name!r} has only zero generators")
     return CorpusEntry(gens=gens, expect=expect, **fields)

@@ -11,8 +11,16 @@ Grammar, read by one lexer (``_tokenize``):
 
 Other whitespace is insignificant, and a ``#`` starts a comment that runs
 to the end of its line.  Each expression of an ideal is one generator, and
-a sum of terms of different degrees is rejected where it is formed.  The
-renderer emits the canonical form (terms in decreasing order, balanced
+a sum of terms of different degrees is rejected where it is formed.
+
+A term's variables and integers, with their powers, fold into one packed
+term of the ring (``ring.py``): one key, the sum of the keys of its
+monomials, and one coefficient, where an integer's power is one modular
+``pow``.  Only a parenthesised factor is multiplied as a Poly.  A term
+that reaches the degree bound is refused with the ``ValueError`` of the
+Poly arithmetic it stands for.
+
+The renderer emits the canonical form (terms in decreasing order, balanced
 signed coefficients) and round-trips through the parser.
 """
 
@@ -20,7 +28,8 @@ from __future__ import annotations
 
 import re
 
-from .ring import Poly, PolyRing, DEFAULT_PRIME, add_into
+from .ring import (DEFAULT_PRIME, DEGREE_MASK, Poly, PolyRing, add_into,
+                   check_degree)
 
 
 class ParseError(ValueError):
@@ -71,6 +80,7 @@ class _Parser:
     def __init__(self, tokens, ring):
         self.tokens = tokens
         self.ring = ring
+        self.keys = [ring.variable(i).packed[0][0] for i in range(ring.nvars)]
         self.i = 0
 
     def peek(self):
@@ -123,38 +133,69 @@ class _Parser:
         return self.ring.from_packed(acc)
 
     def term(self):
-        f = self.factor()
-        while self.accept("*"):
-            f = f * self.factor()
-        return f
+        """A product of factors, as one Poly.
+
+        Variables and integers fold into one packed key and one
+        coefficient: the key of a product of monomials is the sum of their
+        keys, and that of a power a multiple.  Only a parenthesised factor
+        multiplies as a Poly.  As with a chain of Poly products, a product
+        that reaches the degree bound is refused where it is formed, unless
+        it or the factor is zero.
+        """
+        key, coeff, rest, degree = 0, 1, None, 0   # coeff * x^key * rest
+        while True:
+            f_key, f_coeff, f_rest = self.factor()
+            if coeff and f_coeff:
+                f_degree = (f_key & DEGREE_MASK if f_rest is None
+                            else f_rest.degree)
+                degree = check_degree(degree + f_degree, "product")
+                key, coeff = key + f_key, coeff * f_coeff % self.ring.prime
+                if f_rest is not None:
+                    rest = f_rest if rest is None else rest * f_rest
+            else:
+                coeff = 0
+            if not self.accept("*"):
+                break
+        if not coeff:
+            return self.ring.zero()
+        mono = Poly(self.ring, ((key, coeff),))
+        return mono if rest is None else rest * mono
 
     def factor(self):
-        base = self.base()
-        if not self.accept("^"):
-            return base
-        kind, exp, *_ = self.peek()
-        if kind != "int":
-            self.error("expected an integer exponent")
-        self.next()
-        return base ** exp
+        """(key, coeff, rest) for the factor coeff * x^key * rest.
 
-    def base(self):
+        A variable or an integer, with its exponent, has no ``rest``; a
+        parenthesised expression is ``rest`` alone, or coefficient 0 when
+        it is zero.  An integer's power is one modular ``pow``.
+        """
         tok = self.next()
         kind, value, *_ = tok
         if kind == "var":
             if value >= self.ring.nvars:
                 self.error(f"unknown variable x{value}: "
                            f"ring has x0..x{self.ring.nvars - 1}", tok)
-            return self.ring.variable(value)
+            e = check_degree(self.exponent(), "power")
+            return self.keys[value] * e, 1, None
         if kind == "int":
-            return self.ring.one().scale(value)
+            return 0, pow(value, self.exponent(), self.ring.prime), None
         if kind == "op" and value == "(":
             f = self.expression()
             if not self.accept(")"):
                 self.error("expected ')'")
-            return f
+            f = f ** self.exponent()
+            return 0, 1 if f.packed else 0, f
         found = "end of input" if kind in ("sep", "end") else repr(value)
         self.error(f"expected a variable, integer, or '(', found {found}", tok)
+
+    def exponent(self):
+        """The integer after a ``^``, or 1 when there is none."""
+        if not self.accept("^"):
+            return 1
+        kind, exp, *_ = self.peek()
+        if kind != "int":
+            self.error("expected an integer exponent")
+        self.next()
+        return exp
 
 
 def max_coefficient(text):
@@ -174,20 +215,24 @@ def parse_polynomial(text: str, ring: PolyRing) -> Poly:
     return _Parser(_tokenize(text), ring).generator(stops=("end",))
 
 
-def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME):
+def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME, *, ring=None):
     """Parse generators into an Ideal; raises on inhomogeneous input.
 
-    The variable count is inferred from the largest index present unless
-    given; every generator must be homogeneous of a single degree.
+    The ideal lives in ``ring`` when one is given.  Otherwise its ring has
+    ``nvars`` variables, inferred from the largest index present unless
+    given, over F_prime.  Every generator must be homogeneous of a single
+    degree.
     """
     from .groebner import Ideal
 
     tokens = _tokenize(text)
-    if nvars is None:
-        nvars = 1 + max((v for k, v, *_ in tokens if k == "var"), default=-1)
-    if nvars < 1:
-        raise ParseError("no variables found; declare the variable count")
-    ring = PolyRing(nvars, prime)
+    if ring is None:
+        if nvars is None:
+            nvars = 1 + max((v for k, v, *_ in tokens if k == "var"),
+                            default=-1)
+        if nvars < 1:
+            raise ParseError("no variables found; declare the variable count")
+        ring = PolyRing(nvars, prime)
     return Ideal(ring, _Parser(tokens, ring).generators())
 
 

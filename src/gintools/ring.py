@@ -59,6 +59,15 @@ DEGREE_MASK = (1 << _FIELD) - 1      # key & DEGREE_MASK is the total degree
 DEGREE_BOUND = _GUARD                # total degrees stay below this
 
 
+def check_degree(degree, what="monomial"):
+    """The total degree of a ``what`` (monomial, product or power), refused
+    with ValueError when it reaches DEGREE_BOUND."""
+    if degree >= DEGREE_BOUND:
+        raise ValueError(f"{what} of degree {degree}: degrees must stay "
+                         f"below {DEGREE_BOUND}")
+    return degree
+
+
 # ---------------------------------------------------------------------------
 # monomial primitives
 
@@ -153,6 +162,22 @@ def _is_prime(p):
     return True
 
 
+def check_nvars(nvars):
+    """Refuse, with ValueError, a variable count that no ring has."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+
+
+def check_modulus(prime):
+    """Refuse, with ValueError, a modulus that is not a prime below
+    _PRIME_LIMIT."""
+    if prime >= _PRIME_LIMIT:
+        raise ValueError(f"modulus {prime} is past the primality test's "
+                         f"limit: need p < {_PRIME_LIMIT}")
+    if not _is_prime(prime):
+        raise ValueError(f"modulus {prime} is not prime")
+
+
 class PolyRing:
     """K[x0..xn] over F_p, with a fixed computational monomial order.
 
@@ -165,13 +190,8 @@ class PolyRing:
     """
 
     def __init__(self, nvars, prime=DEFAULT_PRIME, order=None):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        if prime >= _PRIME_LIMIT:
-            raise ValueError(f"modulus {prime} is past the primality test's "
-                             f"limit: need p < {_PRIME_LIMIT}")
-        if not _is_prime(prime):
-            raise ValueError(f"modulus {prime} is not prime")
+        check_nvars(nvars)
+        check_modulus(prime)
         grevlex = ((-1,) * nvars,)
         if order is not None:
             order = tuple(tuple(int(w) for w in row) for row in order)
@@ -232,9 +252,7 @@ class PolyRing:
                              f"{len(m)} vs {self.nvars}")
         if min(m) < 0:
             raise ValueError(f"negative exponent in {tuple(m)}")
-        if sum(m) >= DEGREE_BOUND:
-            raise ValueError(f"monomial of degree {sum(m)}: degrees must "
-                             f"stay below {DEGREE_BOUND}")
+        check_degree(sum(m))
         return self.sort_key(m)
 
     # -- element constructors
@@ -389,9 +407,8 @@ class Poly:
             raise ValueError("polynomials from different rings")
 
     def _check_product_degree(self, degree):
-        if self.packed and (d := self.degree + degree) >= DEGREE_BOUND:
-            raise ValueError(f"product of degree {d}: degrees must stay "
-                             f"below {DEGREE_BOUND}")
+        if self.packed:
+            check_degree(self.degree + degree, "product")
 
     def __add__(self, other):
         self._check_ring(other)
@@ -416,9 +433,8 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        if k and self.packed and self.degree * k >= DEGREE_BOUND:
-            raise ValueError(f"power of degree {self.degree * k}: degrees "
-                             f"must stay below {DEGREE_BOUND}")
+        if k and self.packed:
+            check_degree(self.degree * k, "power")
         if self.degree <= 0:  # a constant: no degree bound stops the loop
             c = self.packed[0][1] if self.packed else 0
             return self.ring.one().scale(pow(c, k, self.ring.prime))

@@ -9,7 +9,7 @@ import pytest
 
 from gintools import corpus
 from gintools.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTE, EXIT_CONFIG,
-                          EXIT_PARSE, main)
+                          EXIT_PARSE, build_parser, main)
 from gintools.gin import child_rng
 from gintools.parsing import max_coefficient
 from gintools.ring import LinearChange, PolyRing
@@ -256,6 +256,64 @@ def test_options_a_command_does_not_read_are_rejected(capsys, command,
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# main builds only the parser of the command it is given; nothing visible
+# may tell it from the parser of every command
+ALL_COMMANDS = "{gin,invariants,check,slice,borel,hilbert,trace,corpus-run}"
+INPUT_OPTIONS = {"--in", "--gens", "--n", "--prime", "--json"}
+OWN_OPTIONS = {
+    "gin": INPUT_OPTIONS | {"--seed", "--votes"},
+    "invariants": INPUT_OPTIONS | {"--seed", "--votes"},
+    "check": INPUT_OPTIONS | {"--seed", "--votes"},
+    "slice": INPUT_OPTIONS | {"--axis", "--level"},
+    "borel": INPUT_OPTIONS,
+    "hilbert": INPUT_OPTIONS | {"--dmax"},
+    "trace": INPUT_OPTIONS | {"--seed", "--votes", "--levels"},
+    "corpus-run": {"--seed", "--votes", "--entries", "--json"},
+}
+
+
+def exit_of(capsys, parse):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, _ = exit_of(capsys, lambda: main(["--help"]))
+    assert code == 0
+    assert ALL_COMMANDS in out.split()
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["nosuch", "--gens", "x0"]])
+def test_no_command_or_an_unknown_one_exits_2(capsys, argv):
+    code, _, err = exit_of(capsys, lambda: main(argv))
+    assert code == 2
+    assert ("invalid choice" if argv else "required") in err
+
+
+@pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+def test_each_command_help_shows_exactly_its_own_options(capsys, command):
+    code, out, _ = exit_of(capsys, lambda: main([command, "--help"]))
+    assert code == 0
+    assert out.startswith(f"usage: gintools {command} [-h]")
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out)) == \
+        OWN_OPTIONS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+@pytest.mark.parametrize("rest", [["--help"], ["--bogus", "3"], ["extra"],
+                                  ["--seed"], ["--axis", "x"]])
+def test_one_command_parser_prints_what_every_command_parser_does(
+        capsys, command, rest):
+    argv = [command, *rest]
+    one = exit_of(capsys, lambda: build_parser(command).parse_args(argv))
+    every = exit_of(capsys, lambda: build_parser().parse_args(argv))
+    assert one == every
+    assert one[0] == (0 if rest == ["--help"] else 2)
+
+
 def test_config_error_missing_input(capsys):
     code, _ = run(capsys, "gin")
     assert code == EXIT_CONFIG
@@ -411,6 +469,20 @@ def test_corpus_run_filtered(capsys):
 def test_corpus_run_unknown_entry(capsys):
     code, _ = run(capsys, "corpus-run", "--entries", "nope")
     assert code == EXIT_CONFIG
+
+
+def test_corpus_run_skips_an_empty_entry_name(capsys):
+    code, out = run(capsys, "corpus-run", "--entries", "twisted-cubic,",
+                    "--json")
+    assert code == 0
+    assert [e["name"] for e in json.loads(out)["entries"]] == ["twisted-cubic"]
+
+
+@pytest.mark.parametrize("entries", [",", " , ,"])
+def test_corpus_run_refuses_entries_that_name_nothing(capsys, entries):
+    code, _, err = run_with_err(capsys, "corpus-run", "--entries", entries)
+    assert code == EXIT_CONFIG
+    assert err == f"config error: --entries {entries!r} names no entry\n"
 
 
 @pytest.mark.parametrize("seed,name", [("85", "ci-surface"),

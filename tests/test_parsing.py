@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gintools.ring import PolyRing
 from gintools.parsing import (ParseError, max_coefficient, parse_ideal,
@@ -203,3 +203,108 @@ def test_generator_list_parses_as_each_generator_alone(nvars, prime, seed,
                 for g in gens for _, c in g.terms]
     assert max_coefficient(text) == max(
         (c for c in literals if c != 1), default=None)
+
+
+# ---------------------------------------------------------------------------
+# terms folded straight to packed form
+
+def _factors(draw, degree, depth, ring):
+    """(text, Poly) of a product of total degree ``degree``: variables,
+    integers, their powers and parenthesised sums, each built by ring
+    arithmetic too."""
+    texts, poly, left = [], ring.one(), degree
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["var", "int", "paren"] if depth
+                                    else ["var", "int"]))
+        e = draw(st.integers(0, 3))
+        if kind == "var":
+            i, e = draw(st.integers(0, ring.nvars - 1)), min(e, left)
+            text, f = f"x{i}", ring.variable(i) ** e
+            left -= e
+        elif kind == "int":
+            c = draw(st.integers(0, 20))
+            text, f = str(c), ring.one().scale(c) ** e
+        else:
+            inner = draw(st.integers(0, left))
+            e = min(e, left // inner) if inner else e
+            text, g = _sums(draw, inner, depth - 1, ring)
+            text, f = f"({text})", g ** e
+            left -= inner * e
+        texts.append(text if e == 1 and draw(st.booleans()) else f"{text}^{e}")
+        poly = poly * f
+    if left:
+        i = draw(st.integers(0, ring.nvars - 1))
+        texts.append(f"x{i}^{left}")
+        poly = poly * ring.variable(i) ** left
+    order = draw(st.permutations(range(len(texts))))
+    return "*".join(texts[k] for k in order), poly
+
+
+def _sums(draw, degree, depth, ring):
+    """(text, Poly) of a signed sum of products of one degree."""
+    text, poly = "", ring.zero()
+    for k in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from("+-" if k else ["", "+", "-"]))
+        term_text, term = _factors(draw, degree, depth, ring)
+        text += f" {sign} {term_text}" if k else f"{sign}{term_text}"
+        poly = poly - term if sign == "-" else poly + term
+    return text, poly
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.data(), st.sampled_from([7, 32003]), st.integers(0, 4))
+def test_folded_terms_equal_ring_arithmetic(data, prime, degree):
+    """Signed sums of products of variables, integers, powers and
+    parenthesised sums parse to the Poly that ring arithmetic builds,
+    zero factors at p = 7 included."""
+    ring = PolyRing(3, prime)
+    text, poly = _sums(data.draw, degree, 2, ring)
+    assert parse_polynomial(text, ring) == poly
+
+
+@pytest.mark.parametrize("text,message,column", [
+    ("x0*x5*x1", "unknown variable x5: ring has x0..x2", 4),
+    ("x0^", "expected an integer exponent", 4),
+    ("2*x0^*x1", "expected an integer exponent", 6),
+])
+def test_term_parse_errors_carry_their_text_and_position(text, message,
+                                                         column):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, R3)
+    assert str(info.value) == f"{message} at line 1, column {column}"
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x0^32768", "power of degree 32768"),
+    ("x0^20000*x1^20000", "product of degree 40000"),
+    ("x0^16384*x0^16384", "product of degree 32768"),
+    ("(x0 + x1)^2*x0^32766", "product of degree 32768"),
+    ("x0^20000*x0^20000*0", "product of degree 40000"),
+])
+def test_terms_past_the_degree_bound_are_refused_as_poly_arithmetic_is(
+        text, message):
+    """The refusal is the ValueError of the Poly product or power, with no
+    position, which the CLI reports as a configuration error."""
+    with pytest.raises(ValueError) as info:
+        parse_polynomial(text, R3)
+    assert not isinstance(info.value, ParseError)
+    assert str(info.value) == f"{message}: degrees must stay below 32768"
+
+
+@pytest.mark.parametrize("text", ["0*x0^20000*x0^20000",
+                                  "x0^20000*0*x0^20000",
+                                  "x0^20000*(x1 - x1)*x0^20000"])
+def test_a_zero_product_is_not_refused_past_the_bound(text):
+    assert parse_polynomial(text, R3).is_zero()
+
+
+def test_an_integer_power_is_one_modular_pow():
+    f = parse_polynomial("2^1000000000*x0", R3)
+    assert f == R3.variable(0).scale(pow(2, 10 ** 9, R3.prime))
+
+
+def test_a_zero_coefficient_gives_the_zero_term():
+    assert parse_polynomial("0*x0", R3).is_zero()
+    assert parse_polynomial("x1 + 0*x0", R3) == R3.variable(1)
+    assert parse_ideal("0*x0, x1", nvars=3).gens == (R3.variable(1),)
