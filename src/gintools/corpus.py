@@ -210,8 +210,7 @@ def determinantal(n, seed, prime=DEFAULT_PRIME) -> Ideal:
 def split_entry(text, name="entry"):
     """(header, generator text, expect) of an entry file; the header holds
     the ``name, n, prime, seed, tags`` of a CorpusEntry, as integers where
-    they are numbers.  ``parse_entry`` checks its ring by building it, and
-    ``header_value`` checks one value where it is used.
+    they are numbers.  Its ring is checked by ``header_value`` where used.
 
     The generator text keeps one line per line of the file, blank outside
     the ``gens:`` section, so that positions in it are those of the file.
@@ -263,11 +262,8 @@ def header_value(fields, key, name="entry"):
 
 def parse_entry(text, name="entry") -> CorpusEntry:
     fields, gens_text, expect = split_entry(text, name)
-    try:
-        ring = PolyRing(fields["n"] + 1, fields["prime"])
-    except ValueError as exc:
-        raise ParseError(f"entry {name!r}: {exc}")
-    gens = parse_ideal(gens_text, ring=ring).gens
+    gens = parse_ideal(gens_text, header_value(fields, "n", name) + 1,
+                       header_value(fields, "prime", name)).gens
     if not gens:  # the entry's ring is that of its generators
         raise ParseError(f"entry {name!r} has only zero generators")
     return CorpusEntry(gens=gens, expect=expect, **fields)

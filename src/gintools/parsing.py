@@ -80,7 +80,6 @@ class _Parser:
     def __init__(self, tokens, ring):
         self.tokens = tokens
         self.ring = ring
-        self.keys = [ring.variable(i).packed[0][0] for i in range(ring.nvars)]
         self.i = 0
 
     def peek(self):
@@ -175,7 +174,7 @@ class _Parser:
                 self.error(f"unknown variable x{value}: "
                            f"ring has x0..x{self.ring.nvars - 1}", tok)
             e = check_degree(self.exponent(), "power")
-            return self.keys[value] * e, 1, None
+            return self.ring.variable_key(value) * e, 1, None
         if kind == "int":
             return 0, pow(value, self.exponent(), self.ring.prime), None
         if kind == "op" and value == "(":
@@ -215,24 +214,20 @@ def parse_polynomial(text: str, ring: PolyRing) -> Poly:
     return _Parser(_tokenize(text), ring).generator(stops=("end",))
 
 
-def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME, *, ring=None):
+def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME):
     """Parse generators into an Ideal; raises on inhomogeneous input.
 
-    The ideal lives in ``ring`` when one is given.  Otherwise its ring has
-    ``nvars`` variables, inferred from the largest index present unless
-    given, over F_prime.  Every generator must be homogeneous of a single
-    degree.
+    The variable count is inferred from the largest index present unless
+    given; every generator must be homogeneous of a single degree.
     """
     from .groebner import Ideal
 
     tokens = _tokenize(text)
-    if ring is None:
-        if nvars is None:
-            nvars = 1 + max((v for k, v, *_ in tokens if k == "var"),
-                            default=-1)
-        if nvars < 1:
-            raise ParseError("no variables found; declare the variable count")
-        ring = PolyRing(nvars, prime)
+    if nvars is None:
+        nvars = 1 + max((v for k, v, *_ in tokens if k == "var"), default=-1)
+    if nvars < 1:
+        raise ParseError("no variables found; declare the variable count")
+    ring = PolyRing(nvars, prime)
     return Ideal(ring, _Parser(tokens, ring).generators())
 
 

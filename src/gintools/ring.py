@@ -245,6 +245,10 @@ class PolyRing:
         """The exponent of x_i in a packed monomial; i = -1 is the last."""
         return (key >> self._shifts[i]) & DEGREE_MASK
 
+    def variable_key(self, i) -> int:
+        """The packed monomial x_i, unchecked."""
+        return self._weights[i]
+
     def _checked_key(self, m) -> int:
         """The packed form of m, refusing what cannot be packed."""
         if len(m) != self.nvars:
