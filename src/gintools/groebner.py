@@ -609,8 +609,8 @@ class _SliceBasis:
 
     def colon(self, power) -> tuple:
         """The reduced basis of psi(I : h^power); ``None`` saturates."""
-        if power == 0:
-            return self.basis
+        if power == 0 or not any(g.lead_monomial[-1] for g in self.basis):
+            return self.basis  # nothing to divide: psi(I) is x_n-saturated
         divided = []
         last = self.ring.variable(self.ring.nvars - 1).packed[0][0]
         for g in self.basis:

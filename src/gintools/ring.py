@@ -40,7 +40,7 @@ A Poly keeps its terms packed, as (key, coefficient) pairs lead first.
 ``Poly.terms``, the same pairs with exponent tuples, stays the public view
 because callers read exponents; it is derived when first read, so a Poly
 that the kernel builds and nobody reads holds one form only.  Products and
-coordinate changes gather every term in one dict and sort it once.
+coordinate changes, one variable at a time, fill one dict and sort it once.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ _FIELD = 16                          # bits per degree or exponent field
 _GUARD = 1 << (_FIELD - 1)           # the top bit of a field
 DEGREE_MASK = (1 << _FIELD) - 1      # key & DEGREE_MASK is the total degree
 DEGREE_BOUND = _GUARD                # total degrees stay below this
+# a ring's weights take about 2 * nvars^2 bytes: 2 MB at this bound, and
+# gigabytes at 10^5 variables, far past anything a basis is computed in
+MAX_NVARS = 1 << 10
 
 
 def check_degree(degree, what="monomial"):
@@ -163,9 +166,11 @@ def _is_prime(p):
 
 
 def check_nvars(nvars):
-    """Refuse, with ValueError, a variable count that no ring has."""
+    """Refuse, with ValueError, a variable count below 1 or past MAX_NVARS."""
     if nvars < 1:
         raise ValueError("need at least one variable")
+    if nvars > MAX_NVARS:
+        raise ValueError(f"{nvars} variables: rings have at most {MAX_NVARS}")
 
 
 def check_modulus(prime):
@@ -460,14 +465,9 @@ class Poly:
 
 
 def _expand(a, b, acc):
-    """Add the product of the packed term sequences a and b into the dict
-    acc.
-
-    A product of monomials is the sum of their keys; the caller checks
-    that both sides come from one ring and that the degrees stay in bounds.
-    Coefficients are left unreduced; ``from_packed`` or ``_reduced``
-    reduces them.
-    """
+    """Add the product of the packed term sequences a and b, unreduced,
+    into the dict acc: a product of monomials is the sum of their keys.
+    The caller checks that both come from one ring, and the degrees."""
     get = acc.get
     for m1, c1 in a:
         for m2, c2 in b:
@@ -505,17 +505,35 @@ def _reduced(acc, p):
 
 @dataclass(frozen=True)
 class LinearChange:
-    """Invertible substitution x_i -> sum_j matrix[i][j] * x_j."""
+    """Invertible substitution x_i -> sum_j matrix[i][j] * x_j.
+
+    f(ABx) is f(Ay) at y = Bx, so the matrix is factored once as P*L*U mod
+    p, and ``apply`` relabels the variables by P, then substitutes
+    x_i -> (row i of L) for i ascending and x_i -> (row i of U) for i
+    descending: a row of L holds no later variable and a row of U no earlier
+    one, so no step writes a variable that a later step of its run
+    rewrites.  A step rewrites each term c*m with x_i^e, e > 0, once and in
+    place: it adds c * (image^e - x_i^e) * m / x_i^e.
+    """
 
     ring: PolyRing
     matrix: tuple  # (n+1) x (n+1), entries in F_p
 
     def __post_init__(self):
-        n = self.ring.nvars
+        ring, n = self.ring, self.ring.nvars
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("matrix has wrong shape")
-        if _det_mod(self.matrix, self.ring.prime) == 0:
-            raise ValueError("singular matrix")
+        order, lower, upper = _triangular_factors(self.matrix, ring.prime)
+        # P sends x_i to x_k for the k with order[k] = i
+        relabel = tuple(ring._weights[order.index(i)] for i in range(n))
+        steps = []  # (i, image of x_i, {e: image^e - x_i^e}), x_i -> x_i left out
+        for rows, run in ((lower, range(n)), (upper, reversed(range(n)))):
+            for i in run:
+                image = [(w, c) for w, c in zip(ring._weights, rows[i]) if c]
+                if image != [(ring._weights[i], 1)]:
+                    steps.append((i, image, {}))
+        vars(self).update(  # frozen: past __setattr__, as cached_property sets
+            _steps=tuple(steps), _relabel=None if relabel == ring._weights else relabel)
 
     @classmethod
     def random(cls, ring, rng):
@@ -534,83 +552,67 @@ class LinearChange:
         its n(n-1)/2 entries (Galligo; Bayer and Stillman; Eisenbud,
         Commutative Algebra, Thms 15.18-15.20 and sec. 15.9).  The triangle
         matters: this one sends x_n to a generic form, and the transposed
-        one fixes x_n.  Image i has i + 1 terms, so a change expands far
-        fewer products than a dense one.
+        one fixes x_n.  The draw is its own L, n - 1 steps with no x_i^e.
         """
         n, p = ring.nvars, ring.prime
         return cls(ring, tuple(
             tuple(rng.randrange(p) for _ in range(i)) + (1,) + (0,) * (n - 1 - i)
             for i in range(n)))
 
-    @cached_property
-    def _powers(self):
-        """Per variable, {e: the packed terms of image^e}, filled on demand.
-
-        Shared by every ``apply`` of this change.  Powers are filled in
-        increasing order and filling one is idempotent, so concurrent
-        callers at worst compute one twice.
-        """
-        return [{0: ((0, 1),), 1: self.ring.linear_form(row).packed}
-                for row in self.matrix]
-
-    def _power(self, i, e):
-        cache = self._powers[i]
-        for k in range(len(cache), e + 1):
-            cache[k] = _reduced(_expand(cache[k - 1], cache[1], {}),
-                                self.ring.prime)
-        return cache[e]
+    def _power(self, step, e):
+        """image^e - x_i^e, packed, built on demand from the one below and
+        kept for every ``apply``; filling one twice fills it alike."""
+        i, image, powers = step
+        x = self.ring._weights[i]
+        for k in range(1, e + 1):
+            if k not in powers:  # image^k = (powers[k-1] + x^(k-1)) * image
+                acc = _expand([(x * (k - 1), 1), *powers.get(k - 1, ())], image, {})
+                acc[x * k] -= 1
+                powers[k] = _reduced(acc, self.ring.prime)
+        return powers[e]
 
     def apply(self, f: Poly) -> Poly:
-        """Substitute each variable by its image row and expand.
-
-        Horner's scheme, one variable at a time: the terms of f are grouped
-        by their exponent e of x_i, each group's image in the later
-        variables is expanded once and multiplied by image_i^e.  Every
-        product is added into one dict, sorted once at the end.  The change
-        keeps degrees, so no product leaves the bound.
-        """
+        """Substitute each variable by its image row and expand, by the
+        steps of the class docstring in one dict, sorted once at the end; a
+        step reduces the coefficients it reads.  Degrees stay in bounds."""
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return self.ring.from_packed(self._expand_from(f.packed, 0, {}))
-
-    def _expand_from(self, terms, i, acc):
-        """Add the image of the packed terms, read from x_i on, into acc."""
-        shift = self.ring._shifts[i]
-        if i == self.ring.nvars - 1:
-            for m, c in terms:
-                power = self._power(i, (m >> shift) & DEGREE_MASK)
-                _expand(((0, c),), power, acc)
-            return acc
-        groups = {}
-        for t in terms:
-            groups.setdefault((t[0] >> shift) & DEGREE_MASK, []).append(t)
-        for e, group in groups.items():
-            if e == 0:
-                self._expand_from(group, i + 1, acc)
-            else:
-                inner = self._expand_from(group, i + 1, {})
-                _expand(_reduced(inner, self.ring.prime), self._power(i, e), acc)
-        return acc
+        ring, p, relabel = self.ring, self.ring.prime, self._relabel
+        acc = dict(f.packed) if relabel is None else {
+            sum(map(mul, ring.unpack(m), relabel)): c for m, c in f.packed}
+        get = acc.get
+        for step in self._steps:
+            i, _, powers = step
+            shift, weight = ring._shifts[i], ring._weights[i]
+            # the terms the step rewrites, read before it writes any
+            for m, c, e in [(m, c % p, e) for m, c in acc.items()
+                            if (e := (m >> shift) & DEGREE_MASK)]:
+                head = m - e * weight
+                for k, a in powers.get(e) or self._power(step, e):
+                    k += head
+                    acc[k] = get(k, 0) + c * a
+        return ring.from_packed(acc)
 
 
-def _det_mod(matrix, p):
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    det = 1
+def _triangular_factors(matrix, p):
+    """(order, L, U), matrix = P * L * U mod p with P moving row k to row
+    order[k], L unit lower and U upper triangular, by elimination with
+    row pivoting; a column with no pivot raises ValueError."""
+    n = len(matrix)
+    upper = [[a % p for a in row] for row in matrix]
+    lower, order = [[0] * n for _ in range(n)], list(range(n))
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] % p != 0), None)
+        pivot = next((r for r in range(col, n) if upper[r][col]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
+            raise ValueError("singular matrix")
+        for rows in (upper, lower, order):
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = (det * rows[col][col]) % p
-        inv = pow(rows[col][col], p - 2, p)
+        lower[col][col], inv = 1, pow(upper[col][col], p - 2, p)
         for r in range(col + 1, n):
-            factor = (rows[r][col] * inv) % p
-            if factor:
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[col])]
-    return det % p
+            if factor := upper[r][col] * inv % p:
+                lower[r][col] = factor
+                upper[r] = [(a - factor * b) % p for a, b in zip(upper[r], upper[col])]
+    return order, lower, upper
 
 
 def last_image(h: Poly) -> Poly:
@@ -642,10 +644,8 @@ def last_image(h: Poly) -> Poly:
 
 
 def substitute_last(f: Poly, image: Poly) -> Poly:
-    """f with the last variable x_n replaced by the linear form image.
-
-    Like ``LinearChange.apply``, it expands into one dict and sorts once.
-    """
+    """f with the last variable x_n replaced by the linear form image,
+    expanded into one dict and sorted once."""
     f._check_ring(image)
     return _substitute_last(f, image)
 

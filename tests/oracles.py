@@ -250,6 +250,27 @@ def expand_change(f_terms, matrix, p):
     return _sorted_terms(total, grevlex_order)
 
 
+def det_mod(matrix, p):
+    """The determinant mod p, by Gaussian elimination with row swaps."""
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] % p != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = (det * rows[col][col]) % p
+        inv = pow(rows[col][col], p - 2, p)
+        for r in range(col + 1, n):
+            factor = (rows[r][col] * inv) % p
+            if factor:
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[col])]
+    return det % p
+
+
 # ---------------------------------------------------------------------------
 # intersection by elimination in the block order
 #

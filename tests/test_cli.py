@@ -355,6 +355,27 @@ def test_in_file_header_is_checked_only_where_no_option_replaces_it(
     assert "entry" in err
 
 
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("--gens", f"x{HUGE}"), EXIT_CONFIG),
+    (("--gens", "x0", "--n", HUGE), EXIT_CONFIG),
+    (("--in", "ENTRY"), EXIT_PARSE),
+], ids=["gens", "n", "entry-header"])
+def test_a_huge_variable_count_is_refused_in_one_line(capsys, tmp_path, argv,
+                                                      code):
+    """Each way of naming the variable count meets ``ring.check_nvars``: an
+    option is a config error, an entry header a parse error of the entry,
+    as for ``n: -1``."""
+    entry = tmp_path / "huge.ideal"
+    entry.write_text(f"name: huge\nn: {HUGE}\ngens:\nx0\n")
+    argv = [str(entry) if a == "ENTRY" else a for a in argv]
+    exit_code, out, err = run_with_err(capsys, "borel", *argv)
+    assert (exit_code, out) == (code, "")
+    assert len(err.splitlines()) == 1 and "rings have at most 1024" in err
+
+
 def test_composite_prime_option_on_a_good_entry_file_is_config_error(
         capsys, tmp_path):
     entry = tmp_path / "u.ideal"

@@ -579,6 +579,19 @@ def test_quotient_by_power_principal():
     assert Q.same_ideal(ideal(R3, "x2"))
 
 
+def test_colons_of_a_saturated_ideal_are_its_basis():
+    """The twisted cubic is saturated, so after the change that sends a
+    general h to x_n no lead involves x_n: every colon is the basis object
+    itself, not a reduction of it."""
+    I = ideal(R4, "x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2")
+    slices = _SliceBasis(I, R4.general_linear_form(random.Random(0)))
+    assert not any(g.lead_monomial[-1] for g in slices.basis)
+    assert slices.colon(1) is slices.basis
+    assert slices.colon(None) is slices.basis
+    divided = _SliceBasis(ideal(R3, "x2^2, x1^2*x2"), poly(R3, "x2"))
+    assert divided.colon(1) is not divided.basis
+
+
 @given(st.integers(0, 1000))
 @settings(max_examples=10)
 def test_iterated_quotient_matches_square(seed):

@@ -1,13 +1,15 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from gintools.groebner import _elimination_ring, normal_form, spoly
-from gintools.ring import (DEGREE_BOUND, LinearChange, Poly, PolyRing,
-                           _det_mod, drop_last, last_image, mono_div,
+from gintools.parsing import parse_ideal
+from gintools.ring import (DEGREE_BOUND, MAX_NVARS, LinearChange, Poly,
+                           PolyRing, drop_last, last_image, mono_div,
                            mono_divides, mono_gcd, mono_lcm, mono_mul,
                            monomials_of_degree, restrict, revlex_key,
                            substitute_last)
@@ -232,28 +234,61 @@ def test_binomial_expansion():
 
 
 def test_singular_matrix_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         LinearChange(R3, ((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+    # row 3 = row 1 + row 2: only the last pivot is zero
+    with pytest.raises(ValueError, match="singular"):
+        LinearChange(R3, ((1, 2, 0), (0, 1, 3), (1, 3, 3)))
 
 
-@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(0, 4))
-def test_change_matches_term_by_term_expansion(seed, nvars, degree):
-    """Over F_7, with sparse matrices and sparse inputs, so that terms
-    cancel and some variables are absent."""
+def _sparse_rows(rng, nvars, p):
+    return [[rng.choice((0, 0, 1, rng.randrange(p))) for _ in range(nvars)]
+            for _ in range(nvars)]
+
+
+def _swapping_rows(rng, nvars, p):
+    """Rows whose elimination finds a zero at pivot k >= 1: row k is a
+    combination of the rows above it plus a row that is zero up to
+    column k."""
+    rows = _sparse_rows(rng, nvars, p)
+    k = rng.randrange(1, nvars - 1)
+    weights = [rng.randrange(p) for _ in range(k)]
+    rows[k] = [(sum(w * row[i] for w, row in zip(weights, rows))
+                + (rng.randrange(p) if i > k else 0)) % p
+               for i in range(nvars)]
+    return rows
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["sparse", "unipotent", "swap"]),
+       st.integers(1, 6), st.integers(0, 4))
+def test_change_matches_term_by_term_expansion(seed, kind, nvars, degree):
+    """Against the oracle: sparse matrices and sparse inputs over F_7, so
+    that terms cancel and some variables are absent; unipotent draws at
+    p = 32003 on dense forms, the shape of every gin sample; and matrices
+    whose elimination swaps rows at a later pivot, so that the relabelling
+    P is not the identity."""
     rng = random.Random(seed)
-    ring = PolyRing(nvars, 7)
-    while True:
-        rows = tuple(tuple(rng.choice((0, 0, 1, rng.randrange(7)))
-                           for _ in range(nvars)) for _ in range(nvars))
-        try:
-            change = LinearChange(ring, rows)
-            break
-        except ValueError:
-            continue
-    monos = list(monomials_of_degree(nvars, degree))
-    picked = rng.sample(monos, min(len(monos), rng.randint(1, 10)))
-    f = ring.from_dict({m: rng.randrange(1, 7) for m in picked})
-    expected = oracles.expand_change(f.terms, rows, ring.prime)
+    p = 32003 if kind == "unipotent" else 7
+    if kind == "swap":
+        nvars = max(nvars, 3)
+    ring = PolyRing(nvars, p)
+    if kind == "unipotent":
+        change = LinearChange.random(ring, rng)
+        f = ring.random_form(degree, rng)
+    else:
+        while True:
+            rows = (_swapping_rows if kind == "swap" else _sparse_rows)(
+                rng, nvars, p)
+            try:
+                change = LinearChange(ring, tuple(map(tuple, rows)))
+                break
+            except ValueError:
+                continue
+        monos = list(monomials_of_degree(nvars, degree))
+        picked = rng.sample(monos, min(len(monos), rng.randint(1, 10)))
+        f = ring.from_dict({m: rng.randrange(1, p) for m in picked})
+    assert (kind == "swap") <= (change._relabel is not None)
+    expected = oracles.expand_change(f.terms, change.matrix, p)
     assert change.apply(f).terms == expected
     assert change.apply(f).terms == expected  # again, from its cached powers
 
@@ -284,7 +319,23 @@ def test_random_change_is_unipotent():
         assert matrix == tuple(
             tuple(next(drawn) for _ in range(i)) + (1,) + (0,) * (nvars - 1 - i)
             for i in range(nvars))
-        assert _det_mod(matrix, p) == 1
+        assert oracles.det_mod(matrix, p) == 1
+
+
+def test_variable_counts_past_the_bound_are_refused_before_allocation():
+    """10^8 variables would need gigabytes of weights; the count is
+    refused before any of them is built."""
+    assert PolyRing(MAX_NVARS).nvars == MAX_NVARS
+    with pytest.raises(ValueError, match="at most"):
+        PolyRing(MAX_NVARS + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most"):
+            parse_ideal("x100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_only_grevlex_rings_are_graded():
