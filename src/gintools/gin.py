@@ -101,12 +101,10 @@ def _largest_sample(samples, ring) -> MonomialIdeal:
 
 def _sample_initial_ideal(I: Ideal, change: LinearChange, target):
     """in(change(I)), from a Buchberger run that stops once its lead
-    monomials reach the series ``target`` (``None``: run to the end).
-
-    The basis is left unreduced, since only its lead monomials are read.
-    """
+    monomials reach the series ``target`` (``None``: run to the end), held
+    unreduced: only its lead monomials are read."""
     moved = Ideal(I.ring, [change.apply(g) for g in I.gens])
-    moved._gb = _groebner_basis(moved.gens, I.ring, target)
+    moved._held = _groebner_basis(moved.gens, I.ring, target)
     return initial_ideal(moved)
 
 
@@ -115,17 +113,17 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     hyperplane sections when the chain reaches K[x0, x1], and sampled
     otherwise.
 
-    N, the numerator of the Hilbert series of I, comes from I's reduced
-    basis, which stays cached on I, and so does L, the lead ideal of the
-    chain's first level.  Level k + 1 of the chain is level k, say J,
+    N, the numerator of the Hilbert series of I, and L, the lead ideal of
+    the chain's first level, are read off the leads of the basis I holds,
+    unreduced (``Ideal.leads``).  Level k + 1 of the chain is level k, J,
     restricted by a linear form, and the coordinate hyperplane x_last = 0
     is tried first.  Two facts of grevlex (Bayer and Stillman, see
     ``groebner``) make it free: in(J : x_last) = in(J) : x_last, so x_last
     is a nonzerodivisor on R/J exactly when no minimal generator of
     L = in(J) involves x_last; and a basis of J restricted to x_last = 0 is
     a basis of the section, so its lead ideal is then L with the x_last
-    slot dropped (``restrict_last``).  Such a level runs no Buchberger; its
-    generators are kept only for a later level that draws a form.  The
+    slot dropped (``restrict_last``).  Such a level updates L alone: J's
+    generators are restricted only when a later level draws a form.  The
     depth argument below needs some regular sequence, not a generic one.
 
     Where a generator of L involves x_last, J is restricted by a random
@@ -165,16 +163,16 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
         raise ValueError("need at least two votes")
     # not initial_ideal(I): the benchmark's tracer counts each of its calls
     # under gin() as a drawn sample
-    L = MonomialIdeal.from_monomials(
-        I.ring.nvars, (g.lead_monomial for g in I.groebner_basis()))
+    L = MonomialIdeal.from_monomials(I.ring.nvars, I.leads())
     target = _hilbert_numerator(L.gens, L.nvars)
-    J = I
-    while J.ring.nvars > 2:
+    J = I  # the last level whose generators are written out
+    while L.nvars > 2:
         if all(g[-1] == 0 for g in L.gens):  # x_last is regular on R/J
             L = restrict_last(L)
-            J = Ideal(J.ring.restricted(), [drop_last(g) for g in J.gens])
             continue
-        depth = I.ring.nvars - J.ring.nvars
+        while J.ring.nvars > L.nvars:  # the coordinate levels since J
+            J = Ideal(J.ring.restricted(), [drop_last(g) for g in J.gens])
+        depth = I.ring.nvars - L.nvars
         form = J.ring.general_linear_form(child_rng(seed, "gin-chain", depth))
         section = restrict_ideal(J, form)
         try:
@@ -185,13 +183,14 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
         J = section
         L = MonomialIdeal.from_monomials(
             J.ring.nvars, (g.lead_monomial for g in basis))
-    if J.ring.nvars == 2:
+    if L.nvars == 2:
         bound = L.max_exponent(0) + L.max_exponent(1)
-        if J.ring.prime > bound:
+        if I.ring.prime > bound:
             pad = (0,) * (I.ring.nvars - 2)
             M = _stable_ideal_with_hilbert(hilbert_function(L, bound))
-            return GinResult(MonomialIdeal.from_monomials(
-                I.ring.nvars, (g + pad for g in M.gens)), 0, True)
+            # zeros appended keep the generators minimal and in order
+            return GinResult(MonomialIdeal(
+                I.ring.nvars, tuple(g + pad for g in M.gens)), 0, True)
     return _sampled_gin(I, seed, votes)
 
 
@@ -208,10 +207,9 @@ def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
     with ``agreed=False`` if it is Borel-fixed, and ``GinUnstableError`` is
     raised if it is not.
 
-    Every sample has the Hilbert series of I, read off I's reduced basis
-    (cached on I: ``gin`` has built it, and a section from a slice basis
-    holds it), and every sample's Buchberger run stops as soon as its lead
-    monomials reach it.  A run that ends short of the series raises
+    Every sample has the Hilbert series of I, read off the leads of the
+    basis I holds, and its Buchberger run stops as soon as its lead
+    monomials reach it; a run that ends short of the series raises
     ``GinUnstableError``.  No sample's basis is reduced.  The harnesses
     call this path directly, so the gins they compare with gin(I) are
     independent of the section chain.
@@ -223,8 +221,7 @@ def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
         change = LinearChange.random(I.ring, child_rng(seed, "gin-sample", k))
         return _sample_initial_ideal(I, change, target)
 
-    target = _hilbert_numerator(
-        [g.lead_monomial for g in I.groebner_basis()], I.ring.nvars)
+    target = _hilbert_numerator(I.leads(), I.ring.nvars)
     results = [sample(k, target) for k in range(votes)]
     prime = I.ring.prime
     if (all(r == results[0] for r in results[1:])

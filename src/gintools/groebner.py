@@ -74,7 +74,7 @@ An inequality for Hilbert series of graded algebras, Math. Scand. 56
 (1985)).  dim I_d is at most its value for generic forms, by
 semicontinuity, and generic forms with r <= nvars are regular.  As
 HS(R/<lead G>) >= HS(R/I), leads whose numerator meets the floor's are
-in(I), and ``buchberger`` stops there the same way; a floor never met
+in(I), and ``_floored_basis`` stops there the same way; a floor never met
 costs nothing in answers, and the run ends with every pair.  Two rules
 keep the checks cheap.  The generators' own leads are not checked: they
 meet the floor only if pairwise coprime, and then they make no pair.
@@ -94,7 +94,11 @@ from .staircase import GinUnstableError, MonomialIdeal, minimal_monomials
 
 
 class Ideal:
-    """Homogeneous ideal with a cached reduced Groebner basis."""
+    """Homogeneous ideal holding the basis of its one Buchberger run
+    (``_floored_basis``) unreduced, as the minimal leads of any Groebner
+    basis are those of the reduced one.  ``groebner_basis()`` reduces it
+    on demand and keeps the result, which intersections and sections set.
+    """
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -108,11 +112,22 @@ class Ideal:
                 raise ValueError(f"inhomogeneous generator: {g}")
             cleaned.append(g)
         self.gens = tuple(cleaned)
-        self._gb = None
+        self._gb = None  # reduced
+        self._held = None  # as the run returned it
+
+    def _basis(self):
+        """The reduced basis if built, else the run's, run once."""
+        if self._gb is None and self._held is None:
+            self._held = _floored_basis(self.gens, self.ring)
+        return self._held if self._gb is None else self._gb
+
+    def leads(self) -> list:
+        """Lead monomials of a Groebner basis, not all minimal."""
+        return [g.lead_monomial for g in self._basis()]
 
     def groebner_basis(self):
         if self._gb is None:
-            self._gb = buchberger(self.gens, self.ring)
+            self._gb = _reduce_basis(self._basis(), self.ring)
         return self._gb
 
     def is_zero(self):
@@ -304,23 +319,25 @@ def _update(G, P, f, lead, reducers, pair_lcm):
 
 
 def buchberger(gens, ring) -> tuple:
-    """The reduced Groebner basis of the given generators.
+    """The reduced Groebner basis of the given generators, monic, with the
+    lowest-degree leads first: ``_floored_basis``, reduced."""
+    return _reduce_basis(_floored_basis(gens, ring), ring)
 
-    The result is auto-reduced, monic, and sorted with the lowest-degree
-    leads first.  In a graded ring, r <= nvars forms f_i of degrees d_i
-    hand the run their Koszul floor prod (1 - t^d_i) as a lower bound on
-    the series: reaching it stops the run, which is exact; a run that
-    never does returns the full basis (see the module docstring).
+
+def _floored_basis(gens, ring) -> list:
+    """A monic Groebner basis of the given generators, not reduced.
+
+    In a graded ring, r <= nvars forms of degrees d_i stop the run at their
+    Koszul floor prod (1 - t^d_i) if it is reached, which is exact; a run
+    that never does returns the full basis (see the module docstring).
     """
     gens = [f for f in gens if not f.is_zero()]
     # in grevlex the first term has the greatest degree and the last the least
     degrees = [f.packed[0][0] & DEGREE_MASK for f in gens]
-    if ring.graded and len(gens) <= ring.nvars and all(
-            d == f.packed[-1][0] & DEGREE_MASK for d, f in zip(degrees, gens)):
-        G = _groebner_basis(gens, ring, _koszul_numerator(degrees), floor=True)
-    else:
-        G = _groebner_basis(gens, ring)
-    return _reduce_basis(G, ring)
+    floor = ring.graded and len(gens) <= ring.nvars and all(
+        d == f.packed[-1][0] & DEGREE_MASK for d, f in zip(degrees, gens))
+    return _groebner_basis(
+        gens, ring, _koszul_numerator(degrees) if floor else None, floor)
 
 
 def _groebner_basis(gens, ring, target=None, floor=False) -> list:
@@ -334,12 +351,9 @@ def _groebner_basis(gens, ring, target=None, floor=False) -> list:
     before they do raise ``GinUnstableError``: the series was wrong, so a
     coordinate change or this kernel is.
 
-    With ``floor`` the target is only a lower bound on the series, the
-    Koszul floor of homogeneous generators that ``buchberger`` passes.
-    Reaching it stops the run all the same; pairs that run out return the
-    basis.  The generators' own leads are not checked, and checks end once
-    the numerator's coefficients below the current degree, which are
-    final, differ from the floor's.
+    With ``floor`` the target is a lower bound on the series, the Koszul
+    floor ``_floored_basis`` passes: reaching it stops the run all the
+    same, and pairs that run out return the basis.
     """
     G, lead, reducers, P, pair_lcm = [], [], [], set(), {}
     for f in gens:
@@ -402,9 +416,9 @@ def _reduce_basis(G, ring):
 
 
 def initial_ideal(I: Ideal) -> MonomialIdeal:
-    """Minimal monomial generators of the ideal of lead monomials."""
-    return MonomialIdeal.from_monomials(
-        I.ring.nvars, (g.lead_monomial for g in I.groebner_basis()))
+    """Minimal monomial generators of the ideal of lead monomials, read off
+    whichever basis I holds."""
+    return MonomialIdeal.from_monomials(I.ring.nvars, I.leads())
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,6 @@ def minimal_monomials(monos) -> list:
     return kept
 
 
-def minimalize(monos) -> tuple:
-    """Minimal generators among monomials of one length, canonically sorted."""
-    return tuple(sorted(minimal_monomials(monos), key=revlex_key, reverse=True))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Minimal monomial generator set; () is the zero ideal."""
@@ -67,7 +62,8 @@ class MonomialIdeal:
         for m in monos:
             if len(m) != nvars:
                 raise ValueError("generator has wrong number of variables")
-        return cls(nvars, minimalize(monos))
+        return cls(nvars, tuple(sorted(minimal_monomials(monos),
+                                       key=revlex_key, reverse=True)))
 
     def is_zero(self):
         return not self.gens
@@ -156,11 +152,13 @@ def colon_by_monomial(M: MonomialIdeal, m: Monomial) -> MonomialIdeal:
 
 
 def restrict_last(M: MonomialIdeal) -> MonomialIdeal:
-    """Set x_n = 0: generators involving x_n vanish, the rest lose the slot."""
+    """Set x_n = 0: generators involving x_n vanish, the rest lose the slot,
+    a zero in each, which changes neither divisibility among them nor
+    their order by ``revlex_key``: they stay minimal and sorted."""
     if M.nvars < 2:
         raise ValueError("cannot restrict away the only variable")
-    return MonomialIdeal.from_monomials(
-        M.nvars - 1, (g[:-1] for g in M.gens if g[-1] == 0))
+    return MonomialIdeal(M.nvars - 1,
+                         tuple(g[:-1] for g in M.gens if g[-1] == 0))
 
 
 def slice_level(M: MonomialIdeal, axis: int, level: int) -> MonomialIdeal:

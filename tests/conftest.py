@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import settings, HealthCheck
 
+# derandomized: every run checks the same examples, in the same time
 settings.register_profile(
-    "default", max_examples=50, deadline=None,
+    "default", max_examples=50, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("default")
 

@@ -453,6 +453,10 @@ def test_in_file_behaves_as_its_generator_lines(capsys, tmp_path, command,
     # every section of the chain by a coordinate hyperplane
     ("gin_ci_surface_seed0.json",
      ("gin", "--in", str(DATA / "ci-surface.ideal"), "--seed", "0", "--json")),
+    # six variables: four coordinate levels, no sample, three table axes
+    ("invariants_ci_2_3_P5_seed0.json",
+     ("invariants", "--in", str(GOLDEN / "ci-2-3-P5.ideal"), "--seed", "0",
+      "--json")),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out = run(capsys, *argv)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
-from gintools.ring import LinearChange, PolyRing
+from gintools.ring import LinearChange, PolyRing, drop_last
 from gintools.groebner import (Ideal, _SliceBasis, _hilbert_numerator,
                                hilbert_function, initial_ideal,
                                restrict_ideal)
@@ -1038,10 +1038,11 @@ def test_a_regular_but_special_first_section_is_not_sampled(corpus_entries,
                                    (0, 3, 0, 0), (1, 1, 1, 0))
 
 
-def _counted_chain_calls(monkeypatch):
-    """The number of Buchberger runs and restrictions gin() makes."""
-    module = importlib.import_module("gintools.gin")
-    counts = {"_groebner_basis": 0, "restrict_ideal": 0}
+def _counted_calls(monkeypatch, module, *names):
+    """The number of calls of each named function of ``module`` (a module
+    name) through that module's binding."""
+    module = importlib.import_module(module)
+    counts = dict.fromkeys(names, 0)
 
     def counted(name):
         run = getattr(module, name)
@@ -1051,7 +1052,7 @@ def _counted_chain_calls(monkeypatch):
             return run(*args, **kwargs)
         return counting
 
-    for name in counts:
+    for name in names:
         monkeypatch.setattr(module, name, counted(name))
     return counts
 
@@ -1063,13 +1064,23 @@ def _counted_chain_calls(monkeypatch):
 def test_a_chain_of_coordinate_sections_runs_no_buchberger(build,
                                                            monkeypatch):
     """in(I) is generated in K[x0, x1], so every section of the chain is
-    by a coordinate hyperplane and is read off I's own basis."""
+    by a coordinate hyperplane and is read off I's own basis: no
+    Buchberger run and no restricted generator.  A fresh I makes its one
+    run for its leads and never reduces it."""
     I = build()
     sampled = _sampled_gin(I, votes=5).gin
-    counts = _counted_chain_calls(monkeypatch)
+    counts = _counted_calls(monkeypatch, "gintools.gin", "_groebner_basis",
+                            "restrict_ideal", "drop_last")
     result = gin(I, seed=0)
-    assert counts == {"_groebner_basis": 0, "restrict_ideal": 0}
+    assert counts == {"_groebner_basis": 0, "restrict_ideal": 0,
+                      "drop_last": 0}
     assert result.samples_used == 0 and result.gin == sampled
+    fresh = Ideal(I.ring, I.gens)
+    runs = _counted_calls(monkeypatch, "gintools.groebner",
+                          "_groebner_basis", "_reduce_basis")
+    assert gin(fresh, seed=0) == result
+    assert runs == {"_groebner_basis": 1, "_reduce_basis": 0}
+    assert fresh._gb is None
 
 
 def test_the_twisted_cubic_draws_one_chain_form(capsys, monkeypatch):
@@ -1121,25 +1132,34 @@ def small_polynomial_ideals(draw):
 def test_every_coordinate_section_is_by_a_nonzerodivisor(I):
     """By rank alone: (J : x_last)_d = J_d up to the top degree of in(J)'s
     generators, where in(J : x_last) = in(J) : x_last is generated, at
-    every level where the chain cuts by x_last."""
+    every level where the chain cuts by x_last.  The generators of a level
+    are those of I, or of the last drawn section above it, restricted to
+    x_last = 0 once per level between."""
     module = importlib.import_module("gintools.gin")
-    cut, drop, levels = module.restrict_last, module.drop_last, {}
+    cut, restrict, cuts, sources = module.restrict_last, \
+        module.restrict_ideal, {}, [I]
 
     def recording_cut(L):
-        levels[L.nvars] = (L, [])
+        cuts[L.nvars] = L
         return cut(L)
 
-    def recording_drop(f):
-        levels[f.ring.nvars][1].append(f)
-        return drop(f)
+    def recording_restrict(J, form):
+        sources.append(restrict(J, form))
+        return sources[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "restrict_last", recording_cut)
-        patch.setattr(module, "drop_last", recording_drop)
+        patch.setattr(module, "restrict_ideal", recording_restrict)
         _gin_or_refusal(I, 0, gin)
     p = I.ring.prime
-    for nvars, (L, gens) in levels.items():
-        x_last = PolyRing(nvars, p).variable(nvars - 1)
+    for nvars, L in cuts.items():
+        J = min((S for S in sources if S.ring.nvars >= nvars),
+                key=lambda S: S.ring.nvars)
+        ring, gens = J.ring, list(J.gens)
+        while ring.nvars > nvars:
+            ring = ring.restricted()
+            gens = [r for r in map(drop_last, gens) if not r.is_zero()]
+        x_last = ring.variable(nvars - 1)
         for d in range(L.max_degree() + 1):
             assert oracles.colon_dim(gens, x_last, d, nvars, p) == \
                 oracles.ideal_dim(gens, d, nvars, p), (nvars, d)

@@ -455,13 +455,18 @@ def floor_forms(kind, ring, rng):
 @settings(max_examples=60, derandomize=True)
 def test_the_floored_basis_is_the_full_one(seed, p, nvars, kind):
     """Stopped at the floor or not, the reduced basis is byte-identical
-    to the one from the run that processes every pair."""
+    to the one from the run that processes every pair, and the lead ideal
+    of a fresh ideal, read off its floored basis unreduced, has the leads
+    of that reduced basis as its generators."""
     ring = PolyRing(nvars, p)
     forms = floor_forms(kind, ring, random.Random(seed))
     assert len(forms) <= nvars
     full = _reduce_basis(_groebner_basis(forms, ring), ring)
     assert [g.packed for g in buchberger(forms, ring)] == \
         [g.packed for g in full]
+    # a fresh ideal reads its leads off the floored basis, unreduced
+    assert sorted(initial_ideal(Ideal(ring, forms)).gens) == \
+        sorted(g.lead_monomial for g in full)
 
 
 def test_a_floor_never_reached_returns_the_full_basis():

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gintools.ring import LinearChange, PolyRing, mono_divides, revlex_key
 from gintools.staircase import (DegenerateProfileError, InvariantProfile,
@@ -208,6 +208,17 @@ def test_restrict_last_kills_generators():
 
 def test_restrict_last_unit():
     assert restrict_last(M(3, (0, 0, 0))).gens == ((0, 0),)
+
+
+@settings(derandomize=True)
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=6)))
+def test_restrict_last_keeps_the_generators_minimal_and_sorted(gens):
+    """Without ``minimalize``, the kept generators of a minimal set are
+    the canonical generators of the restriction, in canonical order."""
+    ideal = M(len(gens[0]), *gens)
+    assert restrict_last(ideal) == MonomialIdeal.from_monomials(
+        ideal.nvars - 1, (g[:-1] for g in ideal.gens if g[-1] == 0))
 
 
 def test_slice_example():
