@@ -32,6 +32,23 @@ That order lives here and nowhere else.  Either ideal may carry t, and
 A, the one whose generators have the lower top degree, does: the t-parts
 a run carries live in R/A (see ``intersect``).
 
+When the rows t*a enter the run as t times a Groebner basis of A (a basis
+A already holds, or generators whose leads are pairwise coprime, as for a
+point or a linear space in echelon form), the run forms no pair of two
+rows, nor of a row and an element h with a t-free lead.  Such an h has no
+t, so it lies in (t*A + (1-t)*B) meet K[x] = A meet B, inside A.  The
+S-polynomial of t*a with h, or with t*a', is then t*S for S = S(a, h) or
+S(a, a') in A.  As the a form a Groebner basis of A, S = sum q_k*a_k with
+every lm(q_k*a_k) <= lm(S), so t*S = sum q_k*(t*a_k) has every term below
+the pair's lcm, and the pair may be dropped: that is Buchberger's
+criterion in its lcm-representation form (Cox, Little and O'Shea, ch. 2
+sec. 9), and it sits with the Gebauer-Moeller pruning (Gebauer and
+Moeller, J. Symbolic Comput. 6 (1988)).  The pair would have reduced to
+zero by the rows, which come first in the division's table, so the run
+adds what it adds without the rule.  The rows are divided by the rows
+before them as they join, which keeps them a Groebner basis of t*A: a
+lead that an earlier row divides was in the ideal of the earlier leads.
+
 The kernel works on packed monomials (see ``ring``): one int per
 monomial is its exponents and its sort key, the smallest key the greatest
 monomial, and a product is a sum of keys.  Division keeps its pending
@@ -159,8 +176,9 @@ def normal_form(f: Poly, basis) -> Poly:
     ring = f.ring
     for g in basis:  # the division adds the packed monomials of one ring
         _check_packing(g.ring, ring)
-    return Poly(ring, _divide(dict(f.packed), [_reducer(g) for g in basis],
-                              ring))
+    # a zero polynomial divides nothing: Ideal and buchberger drop it too
+    return Poly(ring, _divide(dict(f.packed), [_reducer(g) for g in basis
+                                               if not g.is_zero()], ring))
 
 
 def _check_packing(ring, other):
@@ -273,7 +291,7 @@ def spoly(f: Poly, g: Poly) -> Poly:
     return ring.from_packed(_s_pair(_reducer(f), _reducer(g), lcm, ring.prime))
 
 
-def _update(G, P, f, lead, reducers, pair_lcm):
+def _update(G, P, f, lead, reducers, pair_lcm, skip=0):
     """Add the monic f to the basis, pruning pairs by the Gebauer-Moeller
     criteria.
 
@@ -281,15 +299,26 @@ def _update(G, P, f, lead, reducers, pair_lcm):
     and its row of the division's reducer table.  ``pair_lcm`` maps each
     pair in P to its packed lcm, which orders the pairs and shifts the
     S-pair's tails; the entries of pruned pairs are removed here, and those
-    of new pairs added.
+    of new pairs added.  No pair of f with one of the first ``skip``
+    elements is formed: the caller knows that their S-polynomials reduce to
+    zero, so each counts as processed.
     """
     ring = f.ring
     guards = ring.guards
     row = _reducer(f)
     lmf, lmf_exps = row[0], f.lead_monomial
+    # lcm(a, lm f) is a raised to lm f's exponents where those are greater;
     # beyond the bound a packed lcm stays exact, as its degree is below
-    # 2^16; only the pairs that are formed must stay within it
-    lcms = [ring.sort_key(map(max, a, lmf_exps)) for a in lead]
+    # 2^16, and only the pairs that are formed must stay within it
+    support = [(i, e, ring.variable_key(i))
+               for i, e in enumerate(lmf_exps) if e]
+    lcms = []
+    for r, a in zip(reducers, lead):
+        lcm = r[0]
+        for i, e, w in support:
+            if e > a[i]:
+                lcm += (e - a[i]) * w
+        lcms.append(lcm)
     kept = set()
     for ij in P:
         lij = pair_lcm[ij]
@@ -307,9 +336,10 @@ def _update(G, P, f, lead, reducers, pair_lcm):
         if not any(((lcm | guards) - seen) & guards == guards for seen in minimal):
             minimal.append(lcm)
     for lcm in minimal:
-        if not any(lcm == reducers[i][0] + lmf for i in by_lcm[lcm]):
+        if (not any(lcm == reducers[i][0] + lmf for i in by_lcm[lcm])
+                and (first := min(by_lcm[lcm])) >= skip):
             _check_lcm(lcm)
-            pair = (min(by_lcm[lcm]), new_index)
+            pair = (first, new_index)
             pair_lcm[pair] = lcm
             kept.add(pair)
     G.append(f)
@@ -340,7 +370,7 @@ def _floored_basis(gens, ring) -> list:
         gens, ring, _koszul_numerator(degrees) if floor else None, floor)
 
 
-def _groebner_basis(gens, ring, target=None, floor=False) -> list:
+def _groebner_basis(gens, ring, target=None, floor=False, known=0) -> list:
     """A monic Groebner basis of the given generators, not reduced.
 
     Pairs are processed in increasing order of their lcm (the normal
@@ -354,15 +384,30 @@ def _groebner_basis(gens, ring, target=None, floor=False) -> list:
     With ``floor`` the target is a lower bound on the series, the Koszul
     floor ``_floored_basis`` passes: reaching it stops the run all the
     same, and pairs that run out return the basis.
+
+    ``known``, for ``intersect``, says that the first ``known`` generators
+    are t times a Groebner basis of an ideal A, t the last variable, and
+    that every element whose lead has no t lies in A.  No pair of two such
+    rows, nor of a row and an element with a t-free lead, is formed: each
+    S-polynomial is t times one in A, which the rows reduce to zero (see
+    the module docstring).
     """
     G, lead, reducers, P, pair_lcm = [], [], [], set(), {}
-    for f in gens:
+    rows = 0  # the rows of t*A in G, counted once all have joined
+
+    def skip(r):  # the rows a new element, packed as r, forms no pair with
+        return rows if rows and not ring.exponent(r[0][0], -1) else 0
+
+    for i, f in enumerate(gens):
+        if i == known:
+            rows = len(G)
         if f.is_zero():
             continue
         _check_packing(f.ring, ring)
         r = _divide(dict(f.packed), reducers, ring)
         if r:
-            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
+            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm,
+                        len(G) if i < known else skip(r))
     # the generators' leads meet a floor only if pairwise coprime, and
     # then they made no pair
     degree, checked = -1, len(G) if floor else -1
@@ -383,7 +428,8 @@ def _groebner_basis(gens, ring, target=None, floor=False) -> list:
         r = _divide(_s_pair(reducers[pair[0]], reducers[pair[1]], lcm,
                             ring.prime), reducers, ring)
         if r:
-            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
+            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm,
+                        skip(r))
     if (target is not None and not floor
             and _hilbert_numerator(lead, ring.nvars) != target):
         raise GinUnstableError(
@@ -567,6 +613,14 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     in that order form a basis of the intersection, so only they are
     reduced.  Every element is homogeneous in x, so one with a t-free lead
     has no t at all.
+
+    When A holds a Groebner basis, its rows are t times that basis; so are
+    they when A's generators have pairwise coprime leads (Buchberger's
+    first criterion).  Then the run forms no pair of two rows, nor of a row
+    and an element h with a t-free lead: h has no t, so it lies in
+    A meet B, inside A, and each such S-polynomial is t*S(a, .) with
+    S(a, .) in A, which the rows represent below the pair's lcm (see the
+    module docstring).  No Buchberger run is made on A for this.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
@@ -575,14 +629,21 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         raise ValueError("intersection needs a graded ring: elimination "
                          "by x-degree first needs homogeneous generators")
     A, B = (J, I) if _top_degree(J) < _top_degree(I) else (I, J)
+    basis = A._held if A._gb is None else A._gb  # held, so no run is made
+    if basis is None:
+        leads = [g.lead_monomial for g in A.gens]
+        if sum(map(max, zip(*leads))) == sum(map(sum, leads)):  # coprime
+            basis = A.gens
+    rows = A.gens if basis is None else basis
     big = _elimination_ring(ring)
-    gens = [_lift(f, big, extra=1) for f in A.gens]
+    gens = [_lift(f, big, extra=1) for f in rows]
     gens += [_one_minus_t(g, big) for g in B.gens]
     # each kept element written without t
     offset = key_offset(big, ring)
     kept = [Poly(ring, tuple((m + (m & DEGREE_MASK) * offset, c)
                              for m, c in g.packed))
-            for g in _groebner_basis(gens, big)
+            for g in _groebner_basis(
+                gens, big, known=0 if basis is None else len(rows))
             if not big.exponent(g.packed[0][0], -1)]
     reduced = _reduce_basis(kept, ring)
     result = Ideal(ring, reduced)

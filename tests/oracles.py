@@ -282,9 +282,34 @@ def sympy_reduced_basis(gens, ring):
     import sympy
 
     xs = sympy.symbols(f"x0:{ring.nvars}")
-    p = ring.prime
-    forms = [sympy.Poly.from_dict(dict(f.terms), *xs, modulus=p).as_expr()
-             for f in gens]
+    return _sympy_grevlex([_sympy_form(f, xs) for f in gens], xs, ring.prime)
+
+
+def sympy_intersection(gens_a, gens_b, ring):
+    """The reduced grevlex basis of the meet of the ideals of ``gens_a``
+    and ``gens_b`` by sympy, as ``sympy_reduced_basis`` gives it: the
+    t-free part of the lex basis of t*A + (1-t)*B with t greatest, which
+    eliminates t, then its reduced grevlex basis."""
+    import sympy
+
+    t, *xs = sympy.symbols(f"t x0:{ring.nvars}")
+    forms = [t * _sympy_form(f, xs) for f in gens_a]
+    forms += [(1 - t) * _sympy_form(g, xs) for g in gens_b]
+    lex = sympy.groebner(forms, t, *xs, order="lex", modulus=ring.prime)
+    return _sympy_grevlex([q for q in lex.exprs if not q.has(t)], xs,
+                          ring.prime)
+
+
+def _sympy_form(f, xs):
+    import sympy
+
+    return sympy.Poly.from_dict(dict(f.terms), *xs,
+                                modulus=f.ring.prime).as_expr()
+
+
+def _sympy_grevlex(forms, xs, p):
+    import sympy
+
     basis = sympy.groebner(forms, *xs, order="grevlex", modulus=p)
     # sympy prints coefficients in the symmetric range
     return sorted(tuple(sorted((m, int(c) % p) for m, c in q.terms()))

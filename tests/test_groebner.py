@@ -56,6 +56,16 @@ def test_empty_divisor_set():
     assert normal_form(f, []) == f
 
 
+def test_zero_divisors_are_dropped():
+    """A zero polynomial in the basis divides nothing, as Ideal and
+    buchberger drop zero generators; it used to raise IndexError."""
+    f = poly(R3, "x0*x1 + x2^2")
+    x0 = R3.variable(0)
+    assert normal_form(f, [R3.zero(), x0]) == normal_form(f, [x0]) \
+        == poly(R3, "x2^2")
+    assert normal_form(f, [R3.zero()]) == f
+
+
 def test_single_step_division():
     f = poly(R3, "x1^3")
     g = poly(R3, "x1^2 - x0*x2")
@@ -769,8 +779,9 @@ def test_intersect_puts_t_on_the_ideal_of_lower_top_degree(monkeypatch):
     received = []
     real = groebner_module._groebner_basis
     monkeypatch.setattr(groebner_module, "_groebner_basis",
-                        lambda gens, ring, target=None:
-                        received.append(gens) or real(gens, ring, target))
+                        lambda gens, ring, target=None, floor=False, known=0:
+                        received.append(gens)
+                        or real(gens, ring, target, floor, known))
     six = general_points(6, seed=3)
     ring = six.ring
     big = _elimination_ring(ring)
@@ -785,6 +796,113 @@ def test_intersect_puts_t_on_the_ideal_of_lower_top_degree(monkeypatch):
         received.clear()
         intersect(I, J)
         assert received == [lifted(carrier, other)]
+
+
+MEET_KINDS = {"points": True, "held basis": True, "linear space": True,
+              "coprime monomials": True, "shared lead": False}
+
+
+def meet_case(kind, rng, ring):
+    """(I, J) of one kind; in every kind I carries t.  The rows t*A are a
+    Groebner basis of t*A in every kind but "shared lead", whose dense
+    forms mostly lead with powers of x0."""
+    n = ring.nvars
+
+    def forms(low):  # sympy's lex basis grows fast with degree
+        return [ring.random_form(rng.randint(low, max(low, 2)), rng)
+                for _ in range(rng.randint(1, 2))]
+    if kind in ("points", "held basis"):
+        pts = [random_point(rng, ring) for _ in range(rng.randint(2, 3))]
+        I = point_ideal(ring, pts[0])
+        for pt in pts[1:-1]:
+            I = intersect(I, point_ideal(ring, pt))
+        if kind == "points":
+            return point_ideal(ring, pts[-1]), I
+        I = intersect(I, point_ideal(ring, pts[-1]))
+        return I, Ideal(ring, forms(max(g.degree for g in I.gens)))
+    if kind == "linear space":
+        r = rng.randint(1, n - 1)  # x_i plus a form in x_r..x_n, i < r
+        A = [ring.linear_form([int(j == i) if j < r else rng.randrange(
+            ring.prime) for j in range(n)]) for i in range(r)]
+        return Ideal(ring, A), Ideal(ring, forms(1))
+    if kind == "coprime monomials":
+        chosen = rng.sample(range(n), rng.randint(1, n))
+        A = [ring.variable(i) ** rng.randint(1, 2) for i in chosen]
+        return Ideal(ring, A), Ideal(ring, forms(max(g.degree for g in A)))
+    while True:
+        A = [ring.random_form(rng.randint(1, 2), rng) for _ in range(2)]
+        leads = [g.lead_monomial for g in A]
+        if any(map(min, *leads)):
+            return Ideal(ring, A), Ideal(ring, forms(2))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([7, 32003]),
+       st.sampled_from(sorted(MEET_KINDS)))
+@settings(max_examples=20)
+def test_intersect_matches_sympy_term_for_term(seed, p, kind):
+    """sympy's lex elimination of t, then its reduced grevlex basis, term
+    for term, in P^2, where the rows t*A are known to be a Groebner basis
+    (the run forms none of their pairs) and where they are not."""
+    import gintools.groebner as gb
+    ring = MEET_RINGS[(3, p)]
+    I, J = meet_case(kind, random.Random(seed), ring)
+    known = []
+    real = gb._groebner_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "_groebner_basis", lambda gens, ring, **kw:
+                   known.append(kw["known"]) or real(gens, ring, **kw))
+        meet = intersect(I, J)
+    assert bool(known[-1]) == MEET_KINDS[kind]
+    ours = sorted(tuple(sorted(g.terms)) for g in meet.groebner_basis())
+    assert ours == oracles.sympy_intersection(I.gens, J.gens, ring)
+
+
+def test_skipped_pairs_are_t_times_an_element_of_a(monkeypatch):
+    """On a fixed chain of points, and on a meet whose A holds its basis,
+    every pair the rule drops has an S-polynomial t*S with S in A, and its
+    normal form by the final elimination basis is 0; the counts of pairs
+    formed and dropped are pinned."""
+    import gintools.groebner as gb
+    ring = PolyRing(3, 32003)
+    real = gb._update
+    skipped, counts = [], {"formed": 0, "skipped": 0}
+
+    def recording(G, P, f, lead, reducers, pair_lcm, skip=0):
+        before = set(P)
+        every = real(list(G), set(P), f, list(lead), list(reducers),
+                     dict(pair_lcm)) - before
+        kept = real(G, P, f, lead, reducers, pair_lcm, skip)
+        formed, dropped = kept - before, every - (kept - before)
+        assert formed <= every and all(i < skip for i, _ in dropped)
+        skipped.extend((G, pair) for pair in dropped)
+        counts["formed"] += len(formed)
+        counts["skipped"] += len(dropped)
+        return kept
+    monkeypatch.setattr(gb, "_update", recording)
+
+    def meet(I, J, A):
+        skipped.clear()
+        result = intersect(I, J)
+        for G, (i, j) in skipped:
+            s = spoly(G[i], G[j])
+            assert normal_form(s, G).is_zero()
+            assert all(m[-1] == 1 for m, _ in s.terms)  # t times a form in x
+            s_x = ring.from_dict({m[:-1]: c for m, c in s.terms})
+            assert normal_form(s_x, A.groebner_basis()).is_zero()
+        return result
+    rng = random.Random(11)
+    pts = [random_point(rng, ring) for _ in range(12)]
+    I = point_ideal(ring, pts[0])
+    I = meet(I, point_ideal(ring, pts[1]), I)  # t on I on a tie
+    for k, pt in enumerate(pts[2:], 3):
+        A = point_ideal(ring, pt)
+        I = meet(I, A, A)
+        if k == 4:
+            four = I
+    chain = dict(counts)
+    assert meet(four, I, four).same_ideal(I)  # four holds its basis
+    assert chain == {"formed": 55, "skipped": 53}
+    assert counts == {"formed": 59, "skipped": 60}
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 5),
