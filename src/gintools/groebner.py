@@ -32,15 +32,15 @@ That order lives here and nowhere else.  Either ideal may carry t, and
 A, the one whose generators have the lower top degree, does: the t-parts
 a run carries live in R/A (see ``intersect``).
 
-When the rows t*a enter the run as t times a Groebner basis of A (a basis
-A already holds, or generators whose leads are pairwise coprime, as for a
-point or a linear space in echelon form), the run forms no pair of two
-rows, nor of a row and an element h with a t-free lead.  Such an h has no
-t, so it lies in (t*A + (1-t)*B) meet K[x] = A meet B, inside A.  The
-S-polynomial of t*a with h, or with t*a', is then t*S for S = S(a, h) or
-S(a, a') in A.  As the a form a Groebner basis of A, S = sum q_k*a_k with
-every lm(q_k*a_k) <= lm(S), so t*S = sum q_k*(t*a_k) has every term below
-the pair's lcm, and the pair may be dropped: that is Buchberger's
+When the rows t*a enter the run as t times a Groebner basis of A
+(generators whose leads are pairwise coprime, as for a point or a linear
+space in echelon form), the run forms no pair of two rows, nor of a row
+and an element h with a t-free lead.  Such an h has no t, so it lies in
+(t*A + (1-t)*B) meet K[x] = A meet B, inside A.  The S-polynomial of t*a
+with h, or with t*a', is then t*S for S = S(a, h) or S(a, a') in A.  As
+the a form a Groebner basis of A, S = sum q_k*a_k with every
+lm(q_k*a_k) <= lm(S), so t*S = sum q_k*(t*a_k) has every term below the
+pair's lcm, and the pair may be dropped: that is Buchberger's
 criterion in its lcm-representation form (Cox, Little and O'Shea, ch. 2
 sec. 9), and it sits with the Gebauer-Moeller pruning (Gebauer and
 Moeller, J. Symbolic Comput. 6 (1988)).  The pair would have reduced to
@@ -307,18 +307,9 @@ def _update(G, P, f, lead, reducers, pair_lcm, skip=0):
     guards = ring.guards
     row = _reducer(f)
     lmf, lmf_exps = row[0], f.lead_monomial
-    # lcm(a, lm f) is a raised to lm f's exponents where those are greater;
     # beyond the bound a packed lcm stays exact, as its degree is below
-    # 2^16, and only the pairs that are formed must stay within it
-    support = [(i, e, ring.variable_key(i))
-               for i, e in enumerate(lmf_exps) if e]
-    lcms = []
-    for r, a in zip(reducers, lead):
-        lcm = r[0]
-        for i, e, w in support:
-            if e > a[i]:
-                lcm += (e - a[i]) * w
-        lcms.append(lcm)
+    # 2^16; only the pairs that are formed must stay within it
+    lcms = [ring.sort_key(map(max, a, lmf_exps)) for a in lead]
     kept = set()
     for ij in P:
         lij = pair_lcm[ij]
@@ -614,13 +605,13 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     reduced.  Every element is homogeneous in x, so one with a t-free lead
     has no t at all.
 
-    When A holds a Groebner basis, its rows are t times that basis; so are
-    they when A's generators have pairwise coprime leads (Buchberger's
-    first criterion).  Then the run forms no pair of two rows, nor of a row
-    and an element h with a t-free lead: h has no t, so it lies in
-    A meet B, inside A, and each such S-polynomial is t*S(a, .) with
-    S(a, .) in A, which the rows represent below the pair's lcm (see the
-    module docstring).  No Buchberger run is made on A for this.
+    When A's generators have pairwise coprime leads, they are a Groebner
+    basis of A (Buchberger's first criterion), as for every point and
+    every linear space in echelon form.  Then the run forms no pair of two
+    rows, nor of a row and an element h with a t-free lead: h has no t, so
+    it lies in A meet B, inside A, and each such S-polynomial is t*S(a, .)
+    with S(a, .) in A, which the rows represent below the pair's lcm (see
+    the module docstring).  No Buchberger run is made on A for this.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
@@ -629,21 +620,17 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         raise ValueError("intersection needs a graded ring: elimination "
                          "by x-degree first needs homogeneous generators")
     A, B = (J, I) if _top_degree(J) < _top_degree(I) else (I, J)
-    basis = A._held if A._gb is None else A._gb  # held, so no run is made
-    if basis is None:
-        leads = [g.lead_monomial for g in A.gens]
-        if sum(map(max, zip(*leads))) == sum(map(sum, leads)):  # coprime
-            basis = A.gens
-    rows = A.gens if basis is None else basis
+    leads = [g.lead_monomial for g in A.gens]
+    coprime = sum(map(max, zip(*leads))) == sum(map(sum, leads))
     big = _elimination_ring(ring)
-    gens = [_lift(f, big, extra=1) for f in rows]
+    gens = [_lift(f, big, extra=1) for f in A.gens]
     gens += [_one_minus_t(g, big) for g in B.gens]
     # each kept element written without t
     offset = key_offset(big, ring)
     kept = [Poly(ring, tuple((m + (m & DEGREE_MASK) * offset, c)
                              for m, c in g.packed))
             for g in _groebner_basis(
-                gens, big, known=0 if basis is None else len(rows))
+                gens, big, known=len(A.gens) if coprime else 0)
             if not big.exponent(g.packed[0][0], -1)]
     reduced = _reduce_basis(kept, ring)
     result = Ideal(ring, reduced)

@@ -743,6 +743,16 @@ def random_point(rng, ring):
             return pt
 
 
+def point_chain(rng, ring, count):
+    """The ideal of count - 1 random points, built by a chain of
+    intersects, and the ideal of one more point."""
+    pts = [random_point(rng, ring) for _ in range(count)]
+    I = point_ideal(ring, pts[0])
+    for pt in pts[1:-1]:
+        I = intersect(I, point_ideal(ring, pt))
+    return I, point_ideal(ring, pts[-1])
+
+
 @given(*MEET_CASES, st.booleans())
 @settings(max_examples=25)
 def test_intersect_matches_block_order_elimination_and_ranks(seed, key,
@@ -754,11 +764,7 @@ def test_intersect_matches_block_order_elimination_and_ranks(seed, key,
     ring = MEET_RINGS[key]
     rng = random.Random(seed)
     if points:
-        pts = [random_point(rng, ring) for _ in range(rng.randint(2, 5))]
-        I = point_ideal(ring, pts[0])
-        for pt in pts[1:-1]:
-            I = intersect(I, point_ideal(ring, pt))
-        J = point_ideal(ring, pts[-1])
+        I, J = point_chain(rng, ring, rng.randint(2, 5))
     else:
         I = Ideal(ring, random_forms(rng, ring))
         J = Ideal(ring, random_forms(rng, ring))
@@ -798,7 +804,7 @@ def test_intersect_puts_t_on_the_ideal_of_lower_top_degree(monkeypatch):
         assert received == [lifted(carrier, other)]
 
 
-MEET_KINDS = {"points": True, "held basis": True, "linear space": True,
+MEET_KINDS = {"points": True, "linear space": True,
               "coprime monomials": True, "shared lead": False}
 
 
@@ -811,15 +817,9 @@ def meet_case(kind, rng, ring):
     def forms(low):  # sympy's lex basis grows fast with degree
         return [ring.random_form(rng.randint(low, max(low, 2)), rng)
                 for _ in range(rng.randint(1, 2))]
-    if kind in ("points", "held basis"):
-        pts = [random_point(rng, ring) for _ in range(rng.randint(2, 3))]
-        I = point_ideal(ring, pts[0])
-        for pt in pts[1:-1]:
-            I = intersect(I, point_ideal(ring, pt))
-        if kind == "points":
-            return point_ideal(ring, pts[-1]), I
-        I = intersect(I, point_ideal(ring, pts[-1]))
-        return I, Ideal(ring, forms(max(g.degree for g in I.gens)))
+    if kind == "points":
+        chain, point = point_chain(rng, ring, rng.randint(2, 3))
+        return point, chain
     if kind == "linear space":
         r = rng.randint(1, n - 1)  # x_i plus a form in x_r..x_n, i < r
         A = [ring.linear_form([int(j == i) if j < r else rng.randrange(
@@ -858,10 +858,10 @@ def test_intersect_matches_sympy_term_for_term(seed, p, kind):
 
 
 def test_skipped_pairs_are_t_times_an_element_of_a(monkeypatch):
-    """On a fixed chain of points, and on a meet whose A holds its basis,
-    every pair the rule drops has an S-polynomial t*S with S in A, and its
-    normal form by the final elimination basis is 0; the counts of pairs
-    formed and dropped are pinned."""
+    """On a fixed chain of points every pair the rule drops has an
+    S-polynomial t*S with S in A, and its normal form by the final
+    elimination basis is 0; the counts of pairs formed and dropped are
+    pinned.  A meet whose A has leads sharing a variable drops none."""
     import gintools.groebner as gb
     ring = PolyRing(3, 32003)
     real = gb._update
@@ -899,10 +899,11 @@ def test_skipped_pairs_are_t_times_an_element_of_a(monkeypatch):
         I = meet(I, A, A)
         if k == 4:
             four = I
-    chain = dict(counts)
-    assert meet(four, I, four).same_ideal(I)  # four holds its basis
-    assert chain == {"formed": 55, "skipped": 53}
-    assert counts == {"formed": 59, "skipped": 60}
+    assert counts == {"formed": 55, "skipped": 53}
+    assert [g.lead_monomial for g in four.gens] == [(2, 0, 0), (1, 1, 0),
+                                                    (0, 3, 0)]
+    assert meet(four, I, four).same_ideal(I)
+    assert counts["skipped"] == 53
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 5),
