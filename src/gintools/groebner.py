@@ -58,15 +58,18 @@ heap, J. Symbolic Comput. 46 (2011), who pack exponent vectors into words
 the same way); a term that cancels stays in the heap and is skipped when
 popped.  A lead divides a term when the guard bits of their difference
 say so.  Its divisors come as a table of (lead, inverse lead coefficient,
-tail, rise) rows; rise, the excess of the tail's degree over the lead's,
-is 0 in grevlex, and otherwise lets a reduction refuse to cross the
-degree bound.  Buchberger builds no intermediate polynomial: it keeps
-that table with its basis, one row added as each monic element joins,
-and writes each S-pair u*tail(f) - v*tail(g) straight into the division's
-dict, where the leads would cancel.  Each pair's packed lcm is formed once,
-when the pair is made; it orders the pairs, and u and v are the lcm minus
-each lead.  A pair whose lcm reaches the degree bound raises
-``ValueError``.  Reducing a basis builds the table once, and each element
+tail) rows.  Every polynomial the kernel meets has its lead at its
+greatest total degree: a form of a graded ring has one degree, and in
+the elimination ring each polynomial is homogeneous in x, so its lead is
+the term with the most t.  No reduction therefore writes a term of
+higher degree than the one it removes, and only an S-pair's lcm can
+cross the degree bound.  Buchberger builds no intermediate polynomial:
+it keeps that table with its basis, one row added as each monic element
+joins, and writes each S-pair u*tail(f) - v*tail(g) straight into the
+division's dict, where the leads would cancel.  Each pair's packed lcm
+is formed once, when the pair is made; it orders the pairs, and u and v
+are the lcm minus each lead.  A pair whose lcm reaches the degree bound
+raises ``ValueError``.  Reducing a basis builds the table once, and each element
 divides by it without its own row.  Polynomials are read out as exponent
 tuples only at the edges: lead monomials for Hilbert series and initial
 ideals.
@@ -105,8 +108,9 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
-from .ring import (DEGREE_BOUND, DEGREE_MASK, Poly, drop_last, key_offset,
-                   last_image, restrict, revlex_key, substitute_last)
+from .ring import (DEGREE_BOUND, DEGREE_MASK, Poly, PolyRing, drop_last,
+                   key_offset, last_image, restrict, revlex_key,
+                   substitute_last)
 from .staircase import GinUnstableError, MonomialIdeal, minimal_monomials
 
 
@@ -192,24 +196,10 @@ def _check_packing(ring, other):
 
 def _reducer(g: Poly) -> tuple:
     """The row of g in a division's reducer table: lead, inverse of the
-    lead coefficient, tail, and rise, by how much the greatest degree in
-    the tail exceeds the lead's."""
+    lead coefficient, and tail."""
     lead, lc = g.packed[0]
-    tail = g.packed[1:]
-    rise = 0  # in grevlex the lead has the greatest degree
-    if tail and not g.ring.graded:
-        top = max(m & DEGREE_MASK for m, _ in tail)
-        rise = max(0, top - (lead & DEGREE_MASK))
     # Buchberger's basis elements are monic, and inverting 1 is not free
-    return lead, 1 if lc == 1 else g.ring.inv(lc), tail, rise
-
-
-def _check_rise(m, rise):
-    """Refuse to reduce the packed m by a row whose tail would cross the
-    degree bound."""
-    if (d := (m & DEGREE_MASK) + rise) >= DEGREE_BOUND:
-        raise ValueError(f"a reduction reaches degree {d}: degrees must "
-                         f"stay below {DEGREE_BOUND}")
+    return lead, 1 if lc == 1 else g.ring.inv(lc), g.packed[1:]
 
 
 def _divide(work, reducers, ring) -> tuple:
@@ -230,10 +220,8 @@ def _divide(work, reducers, ring) -> tuple:
         if not c:
             continue  # cancelled after it was pushed
         mg = m | guards
-        for lm, lc_inv, tail, rise in reducers:
+        for lm, lc_inv, tail in reducers:
             if (mg - lm) & guards == guards:
-                if rise:
-                    _check_rise(m, rise)
                 shift = m - lm
                 factor = p - c * lc_inv % p
                 for gm, gc in tail:
@@ -262,10 +250,8 @@ def _s_pair(f, g, lcm, p) -> dict:
     f and g, given by their reducer rows, where u*lm(f) = v*lm(g) = lcm,
     all packed: u*tail(f) - v*tail(g).  The leads cancel and are never
     written."""
-    lf, _, tail_f, rise_f = f
-    lg, _, tail_g, rise_g = g
-    if rise_f or rise_g:
-        _check_rise(lcm, max(rise_f, rise_g))
+    lf, _, tail_f = f
+    lg, _, tail_g = g
     u, v = lcm - lf, lcm - lg
     work = {m + u: c for m, c in tail_f}
     get = work.get
@@ -552,18 +538,29 @@ def _koszul_numerator(degrees) -> list:
 # ---------------------------------------------------------------------------
 # intersection, quotient, saturation
 
-def _elimination_ring(ring):
-    """K[x, t] for the graded ``ring`` K[x], t last, in the elimination
-    order: x-degree first, then the power of t, then grevlex on x.
+class _EliminationRing(PolyRing):
+    """K[x, t] for the graded ring K[x], t last, in the elimination order:
+    x-degree first, then the power of t, then grevlex on x.
 
     On a polynomial homogeneous in x all terms share one x-degree, so the
     power of t decides first, as in the block order with t greatest; the
     generators of t*I + (1-t)*J are such polynomials, and S-polynomials and
     reductions of them stay so.  Hence t is eliminated, though the order is
-    not a block order.  Built once per ring.
+    not a block order.  Its sums may mix degrees, so it is not graded.
     """
-    n = ring.nvars
-    return ring.adjoined(((-1,) * n + (0,), (0,) * n + (-1,)))
+
+    graded = False
+
+    def __init__(self, ring):  # ring has checked the modulus
+        n = ring.nvars
+        self._pack(n + 1, ring.prime, ((-1,) * n + (0,), (0,) * n + (-1,)))
+
+
+def _elimination_ring(ring):
+    """The ``_EliminationRing`` of the graded ``ring``, built once per ring."""
+    if ring._elimination is None:
+        ring._elimination = _EliminationRing(ring)
+    return ring._elimination
 
 
 def _lift(f, big, extra=0):

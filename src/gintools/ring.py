@@ -7,12 +7,14 @@ where the exponents differ: the monomial with the smaller exponent there
 is the greater one.  All coefficients live in F_p for a configurable
 prime p.
 
-Each ring fixes its computational order by integer weight rows: of two
-monomials the greater is the one with the smaller value row . m at the
-first row where they differ, and past the rows the smaller m[::-1], the
-smaller exponent at the rightmost index where they differ.  No rows means
-grevlex, the single row (-1, ..., -1): higher degree first, which agrees
-with the public order within each degree.  Only a grevlex ring is graded.
+A ring built by ``PolyRing(nvars, prime)`` computes in grevlex, the single
+weight row (-1, ..., -1): of two monomials the greater is the one with
+the smaller value row . m, so the higher degree, and within a degree the
+one with the smaller m[::-1], the smaller exponent at the rightmost index
+where they differ, which agrees with the public order.  Such a ring is
+graded.  The one other order is private to ``groebner.intersect``, whose
+elimination ring packs two rows the same way (``PolyRing._pack``), the
+first row deciding, and is not graded.
 
 Packed monomials.  Inside the kernel a monomial is one int, its key
 ``ring.sort_key(m)``: the sum of e_i * W_i for a fixed weight W_i per
@@ -184,31 +186,26 @@ def check_modulus(prime):
 
 
 class PolyRing:
-    """K[x0..xn] over F_p, with a fixed computational monomial order.
+    """K[x0..xn] over F_p in grevlex.
 
-    ``order`` is a sequence of integer weight rows, one weight per
-    variable, ties broken by m[::-1] (see the module docstring); ``None``,
-    the default, is grevlex.  Rings with equal rows are equal.  A grevlex
-    ring is graded: it enforces the homogeneous-only contract, so sums of
-    nonzero polynomials of different degrees are rejected.  The elimination
-    ring that ideal intersection builds with its own rows relaxes this.
+    A ring is graded: it enforces the homogeneous-only contract, so sums of
+    nonzero polynomials of different degrees are rejected.  Two rings with
+    the same variable count and modulus are equal.  The elimination ring
+    that ``groebner.intersect`` builds for itself relaxes the contract.
     """
 
-    def __init__(self, nvars, prime=DEFAULT_PRIME, order=None):
+    graded = True
+
+    def __init__(self, nvars, prime=DEFAULT_PRIME):
         check_nvars(nvars)
         check_modulus(prime)
-        grevlex = ((-1,) * nvars,)
-        if order is not None:
-            order = tuple(tuple(int(w) for w in row) for row in order)
-            if any(len(row) != nvars for row in order):
-                raise ValueError(f"every order row needs {nvars} weights")
-            if order == grevlex:
-                order = None
+        self._pack(nvars, prime, ((-1,) * nvars,))
+
+    def _pack(self, nvars, prime, rows):
+        """Set up the ring with its packed monomials ordered by the weight
+        rows ``rows`` (see the module docstring), unchecked."""
         self.nvars = nvars
         self.prime = prime
-        self.order = order
-        self.graded = order is None
-        rows = grevlex if order is None else order
         # a row's field holds its values for degrees below 2^16, with sign
         shift, shifts = _FIELD * (nvars + 1), []
         for row in reversed(rows):
@@ -220,17 +217,17 @@ class PolyRing:
             1 + (1 << s) + sum(row[i] << r for row, r in zip(rows, shifts))
             for i, s in enumerate(self._shifts))
         self.guards = sum(_GUARD << s for s in self._shifts)
-        self._adjoined = {}
+        self._elimination = None  # groebner._elimination_ring's, on first use
         self._zero = Poly(self, ())
 
     def __eq__(self, other):
         return self is other or (isinstance(other, PolyRing)
                                  and self.nvars == other.nvars
                                  and self.prime == other.prime
-                                 and self.order == other.order)
+                                 and self.graded == other.graded)
 
     def __hash__(self):
-        return hash((self.nvars, self.prime, self.order))
+        return hash((self.nvars, self.prime, self.graded))
 
     def __repr__(self):
         return f"PolyRing(nvars={self.nvars}, prime={self.prime})"
@@ -331,16 +328,6 @@ class PolyRing:
         if self.nvars == 1:
             raise ValueError("cannot drop the last remaining variable")
         return PolyRing(self.nvars - 1, self.prime)
-
-    def adjoined(self, order):
-        """The ring with one more variable, last, in the given order;
-        built once per ring and order."""
-        order = tuple(map(tuple, order))
-        ring = self._adjoined.get(order)
-        if ring is None:
-            ring = self._adjoined[order] = PolyRing(self.nvars + 1,
-                                                    self.prime, order)
-        return ring
 
     def inv(self, c):
         c %= self.prime
@@ -505,35 +492,37 @@ def _reduced(acc, p):
 
 @dataclass(frozen=True)
 class LinearChange:
-    """Invertible substitution x_i -> sum_j matrix[i][j] * x_j.
+    """Invertible substitution x_i -> sum_{j<=i} matrix[i][j] * x_j.
 
-    f(ABx) is f(Ay) at y = Bx, so the matrix is factored once as P*L*U mod
-    p, and ``apply`` relabels the variables by P, then substitutes
-    x_i -> (row i of L) for i ascending and x_i -> (row i of U) for i
-    descending: a row of L holds no later variable and a row of U no earlier
-    one, so no step writes a variable that a later step of its run
-    rewrites.  A step rewrites each term c*m with x_i^e, e > 0, once and in
-    place: it adds c * (image^e - x_i^e) * m / x_i^e.
+    The matrix is lower triangular with a nonzero diagonal, as every change
+    the system makes is: the unipotent draws of ``random``, and the change
+    psi of ``last_image`` written out as a matrix.  Any other matrix, or one
+    of the wrong shape, is refused with ``ValueError``.  ``apply``
+    substitutes x_i -> (row i) for i ascending: row i holds no later
+    variable, so no step writes a variable that a later step rewrites.  A
+    step rewrites each term c*m with x_i^e, e > 0, once and in place: it
+    adds c * (image^e - x_i^e) * m / x_i^e.
     """
 
     ring: PolyRing
     matrix: tuple  # (n+1) x (n+1), entries in F_p
 
     def __post_init__(self):
-        ring, n = self.ring, self.ring.nvars
+        ring, n, p = self.ring, self.ring.nvars, self.ring.prime
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("matrix has wrong shape")
-        order, lower, upper = _triangular_factors(self.matrix, ring.prime)
-        # P sends x_i to x_k for the k with order[k] = i
-        relabel = tuple(ring._weights[order.index(i)] for i in range(n))
+        rows = [[a % p for a in row] for row in self.matrix]
+        if any(any(row[i + 1:]) for i, row in enumerate(rows)):
+            raise ValueError("matrix is not lower triangular")
+        if not all(row[i] for i, row in enumerate(rows)):
+            raise ValueError("singular matrix: a zero on the diagonal")
         steps = []  # (i, image of x_i, {e: image^e - x_i^e}), x_i -> x_i left out
-        for rows, run in ((lower, range(n)), (upper, reversed(range(n)))):
-            for i in run:
-                image = [(w, c) for w, c in zip(ring._weights, rows[i]) if c]
-                if image != [(ring._weights[i], 1)]:
-                    steps.append((i, image, {}))
-        vars(self).update(  # frozen: past __setattr__, as cached_property sets
-            _steps=tuple(steps), _relabel=None if relabel == ring._weights else relabel)
+        for i, row in enumerate(rows):
+            image = [(w, c) for w, c in zip(ring._weights, row) if c]
+            if image != [(ring._weights[i], 1)]:
+                steps.append((i, image, {}))
+        # frozen: past __setattr__, as cached_property sets
+        vars(self).update(_steps=tuple(steps))
 
     @classmethod
     def random(cls, ring, rng):
@@ -552,7 +541,7 @@ class LinearChange:
         its n(n-1)/2 entries (Galligo; Bayer and Stillman; Eisenbud,
         Commutative Algebra, Thms 15.18-15.20 and sec. 15.9).  The triangle
         matters: this one sends x_n to a generic form, and the transposed
-        one fixes x_n.  The draw is its own L, n - 1 steps with no x_i^e.
+        one fixes x_n.  The draw is n - 1 steps, as it fixes x0.
         """
         n, p = ring.nvars, ring.prime
         return cls(ring, tuple(
@@ -577,9 +566,8 @@ class LinearChange:
         step reduces the coefficients it reads.  Degrees stay in bounds."""
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        ring, p, relabel = self.ring, self.ring.prime, self._relabel
-        acc = dict(f.packed) if relabel is None else {
-            sum(map(mul, ring.unpack(m), relabel)): c for m, c in f.packed}
+        ring, p = self.ring, self.ring.prime
+        acc = dict(f.packed)
         get = acc.get
         for step in self._steps:
             i, _, powers = step
@@ -592,27 +580,6 @@ class LinearChange:
                     k += head
                     acc[k] = get(k, 0) + c * a
         return ring.from_packed(acc)
-
-
-def _triangular_factors(matrix, p):
-    """(order, L, U), matrix = P * L * U mod p with P moving row k to row
-    order[k], L unit lower and U upper triangular, by elimination with
-    row pivoting; a column with no pivot raises ValueError."""
-    n = len(matrix)
-    upper = [[a % p for a in row] for row in matrix]
-    lower, order = [[0] * n for _ in range(n)], list(range(n))
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if upper[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        for rows in (upper, lower, order):
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-        lower[col][col], inv = 1, pow(upper[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            if factor := upper[r][col] * inv % p:
-                lower[r][col] = factor
-                upper[r] = [(a - factor * b) % p for a, b in zip(upper[r], upper[col])]
-    return order, lower, upper
 
 
 def last_image(h: Poly) -> Poly:

@@ -4,9 +4,6 @@ Everything here works degree by degree with dense coefficient matrices
 over F_p and deliberately shares no code with the Groebner machinery it
 checks: monomial enumeration goes through itertools, ranks through
 numpy Gaussian elimination, and reduced Groebner bases through sympy.
-The one exception is the last section, the slow path that intersection
-by elimination replaced, which runs the kernel's Buchberger in a block
-order.
 """
 
 import itertools
@@ -155,12 +152,6 @@ def grevlex_order(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def elimination_order(m):
-    """The block order: the last variable t first, then grevlex on the
-    others."""
-    return (m[-1], sum(m[:-1]), tuple(-e for e in reversed(m[:-1])))
-
-
 def x_degree_first_order(m):
     """Degree in all variables but the last first, then the last variable
     t, then grevlex on the others."""
@@ -272,8 +263,8 @@ def det_mod(matrix, p):
 
 
 # ---------------------------------------------------------------------------
-# intersection by elimination in the block order
-#
+# reduced Groebner bases by sympy
+
 def sympy_reduced_basis(gens, ring):
     """The reduced grevlex basis of the forms ``gens`` by sympy, as a
     sorted list of sorted (exponents, coefficient) tuples, coefficients in
@@ -287,17 +278,42 @@ def sympy_reduced_basis(gens, ring):
 
 def sympy_intersection(gens_a, gens_b, ring):
     """The reduced grevlex basis of the meet of the ideals of ``gens_a``
-    and ``gens_b`` by sympy, as ``sympy_reduced_basis`` gives it: the
-    t-free part of the lex basis of t*A + (1-t)*B with t greatest, which
-    eliminates t, then its reduced grevlex basis."""
+    and ``gens_b`` by sympy, as ``sympy_reduced_basis`` gives it."""
     import sympy
 
-    t, *xs = sympy.symbols(f"t x0:{ring.nvars}")
-    forms = [t * _sympy_form(f, xs) for f in gens_a]
-    forms += [(1 - t) * _sympy_form(g, xs) for g in gens_b]
-    lex = sympy.groebner(forms, t, *xs, order="lex", modulus=ring.prime)
-    return _sympy_grevlex([q for q in lex.exprs if not q.has(t)], xs,
-                          ring.prime)
+    xs = sympy.symbols(f"x0:{ring.nvars}")
+    return _sympy_grevlex(
+        _sympy_meet([_sympy_form(f, xs) for f in gens_a],
+                    [_sympy_form(g, xs) for g in gens_b], xs, ring.prime),
+        xs, ring.prime)
+
+
+def sympy_quotient(gens, h, ring):
+    """The reduced grevlex basis of (I : h), I the ideal of ``gens``, by
+    sympy, as ``sympy_reduced_basis`` gives it: each generator of the meet
+    of I and (h), divided by h, then the reduced grevlex basis of those."""
+    import sympy
+
+    xs = sympy.symbols(f"x0:{ring.nvars}")
+    hx = _sympy_form(h, xs)
+    quotients = []
+    for q in _sympy_meet([_sympy_form(f, xs) for f in gens], [hx], xs,
+                         ring.prime):
+        quotient, remainder = sympy.div(q, hx, *xs, modulus=ring.prime)
+        assert remainder == 0, "an element of (h) that h does not divide"
+        quotients.append(quotient)
+    return _sympy_grevlex(quotients, xs, ring.prime)
+
+
+def _sympy_meet(forms_a, forms_b, xs, p):
+    """The t-free part of sympy's lex basis of t*A + (1-t)*B with t
+    greatest, which eliminates t: a basis of A meet B."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    forms = [t * f for f in forms_a] + [(1 - t) * g for g in forms_b]
+    lex = sympy.groebner(forms, t, *xs, order="lex", modulus=p)
+    return [q for q in lex.exprs if not q.has(t)]
 
 
 def _sympy_form(f, xs):
@@ -314,35 +330,3 @@ def _sympy_grevlex(forms, xs, p):
     # sympy prints coefficients in the symmetric range
     return sorted(tuple(sorted((m, int(c) % p) for m, c in q.terms()))
                   for q in basis.polys)
-
-
-# The slow path: t*I + (1-t)*J in the block order with t greatest, whose
-# every Groebner basis eliminates t, and a reduced basis of all of it.
-# It runs the kernel's Buchberger, so it checks the order and the elements
-# an intersection keeps, not Buchberger itself.
-
-def block_order(nvars):
-    """The weight rows of ``elimination_order`` in ``nvars`` variables, t
-    last, in the kernel's convention: the smaller row value is the greater
-    monomial, and m[::-1] breaks ties, which past the rows is grevlex on
-    the others."""
-    return ((0,) * (nvars - 1) + (-1,), (-1,) * (nvars - 1) + (0,))
-
-
-def block_elimination_meet(gens_i, gens_j, ring):
-    """The reduced basis of I meet J, from the t-free elements of the
-    block-order basis of t*I + (1-t)*J."""
-    from gintools.groebner import buchberger
-    from gintools.ring import PolyRing
-
-    big = PolyRing(ring.nvars + 1, ring.prime, order=block_order(ring.nvars + 1))
-
-    def lift(f, t):
-        return big.from_dict({m + (t,): c for m, c in f.terms})
-
-    gens = [lift(f, 1) for f in gens_i]
-    gens += [lift(g, 0) - lift(g, 1) for g in gens_j]
-    kept = [ring.from_dict({m[:-1]: c for m, c in g.terms})
-            for g in buchberger(gens, big) if g.lead_monomial[-1] == 0]
-    return buchberger(kept, ring)
-

@@ -126,15 +126,23 @@ def test_votes_below_two_rejected():
         gin(twisted_cubic(), votes=1)
 
 
-def _dense_change(ring, rng):
-    """A uniform invertible matrix, drawn by rejection."""
-    while True:
-        rows = tuple(tuple(rng.randrange(ring.prime) for _ in range(ring.nvars))
-                     for _ in range(ring.nvars))
-        try:
-            return LinearChange(ring, rows)
-        except ValueError:
-            continue
+class _DenseChange:
+    """A uniform invertible matrix, drawn by rejection, whose ``apply`` is
+    the term-by-term oracle: ``LinearChange`` takes lower-triangular
+    matrices only."""
+
+    def __init__(self, ring, rng):
+        while True:
+            self.matrix = tuple(tuple(rng.randrange(ring.prime)
+                                      for _ in range(ring.nvars))
+                                for _ in range(ring.nvars))
+            if oracles.det_mod(self.matrix, ring.prime):
+                break
+        self.ring = ring
+
+    def apply(self, f):
+        return self.ring.from_dict(dict(oracles.expand_change(
+            f.terms, self.matrix, self.ring.prime)))
 
 
 def _special_complete_intersection(a, b, n):
@@ -177,7 +185,7 @@ def test_unipotent_samples_give_the_gin_of_dense_ones(build):
         I = build(seed)
         target = hilbert_numerator(initial_ideal(I))
         rng = random.Random(seed)
-        dense = [module._sample_initial_ideal(I, _dense_change(I.ring, rng),
+        dense = [module._sample_initial_ideal(I, _DenseChange(I.ring, rng),
                                               target) for _ in range(3)]
         expected = module._largest_sample(dense, I.ring)
         assert _sampled_gin(Ideal(I.ring, I.gens), seed=seed).gin == expected

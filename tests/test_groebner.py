@@ -105,22 +105,25 @@ def homogeneous_division_case(seed, nvars):
     return ring, f, divisors
 
 
-def elimination_rings(nvars):
-    """The elimination ring over F_7, x-degree first, and a ring in the
-    block order it replaced, each with its larger-is-greater oracle order."""
-    return [(_elimination_ring(PolyRing(nvars, 7)), oracles.x_degree_first_order),
-            (PolyRing(nvars + 1, 7, order=oracles.block_order(nvars + 1)),
-             oracles.elimination_order)]
+def x_homogeneous_poly(big, rng, x_degree, max_terms=8):
+    """A random polynomial of the elimination ring, homogeneous in x of the
+    given x-degree, with t to powers 0 to 2: the only kind ``intersect``
+    makes."""
+    monos = [m + (k,) for m in monomials_of_degree(big.nvars - 1, x_degree)
+             for k in range(3)]
+    picked = rng.sample(monos, min(len(monos), rng.randint(1, max_terms)))
+    return big.from_dict({m: rng.randrange(1, big.prime) for m in picked})
 
 
 def elimination_division_case(seed, big):
-    """The same in an elimination ring, with inhomogeneous polynomials."""
+    """The same in the elimination ring, with polynomials homogeneous in x
+    but not in x and t."""
     rng = random.Random(seed)
-    divisors = [sparse_poly(big, rng, [1, 2], max_terms=4)
+    divisors = [x_homogeneous_poly(big, rng, rng.randint(1, 2), max_terms=4)
                 for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.5:
         divisors = list(buchberger(divisors, big))
-    f = sparse_poly(big, rng, [1, 2, 3], max_terms=15)
+    f = x_homogeneous_poly(big, rng, rng.randint(1, 3), max_terms=15)
     return big, f, divisors
 
 
@@ -137,11 +140,12 @@ def test_heap_normal_form_matches_scan_division_in_grevlex(seed, nvars):
 @settings(max_examples=40)
 def test_heap_normal_form_matches_scan_division_in_elimination_order(seed,
                                                                      nvars):
-    for big, order in elimination_rings(nvars):
-        _, f, divisors = elimination_division_case(seed, big)
-        expected = oracles.scan_normal_form(
-            f.terms, [g.terms for g in divisors], big.prime, order)
-        assert normal_form(f, divisors).terms == expected
+    big = _elimination_ring(PolyRing(nvars, 7))
+    _, f, divisors = elimination_division_case(seed, big)
+    expected = oracles.scan_normal_form(f.terms, [g.terms for g in divisors],
+                                        big.prime,
+                                        oracles.x_degree_first_order)
+    assert normal_form(f, divisors).terms == expected
 
 
 def test_division_rejects_a_ring_with_other_nvars():
@@ -175,16 +179,20 @@ def s_polynomial_terms(f, g, p):
     return [(m, c) for m, c in coeffs.items() if c]
 
 
-def check_s_pair_remainder(ring, order, rng, homogeneous):
+def check_s_pair_remainder(ring, order, rng):
     """The S-pair that Buchberger forms in the division's dict, divided by
     a reducer table, against the scan division of an S-polynomial built
     here; the public ``spoly`` against the same S-polynomial.  Over F_7,
-    where cancellations are frequent."""
+    where cancellations are frequent; forms in a graded ring, polynomials
+    homogeneous in x in the elimination ring."""
     p = ring.prime
 
     def monic_poly():
-        degrees = [rng.randint(1, 3)] if homogeneous else [1, 2]
-        return sparse_poly(ring, rng, degrees, max_terms=4).monic()
+        if ring.graded:
+            f = sparse_poly(ring, rng, [rng.randint(1, 3)], max_terms=4)
+        else:
+            f = x_homogeneous_poly(ring, rng, rng.randint(1, 2), max_terms=4)
+        return f.monic()
 
     f, g = monic_poly(), monic_poly()
     basis = [monic_poly() for _ in range(rng.randint(1, 3))]
@@ -210,16 +218,15 @@ def test_spoly_rejects_polynomials_from_different_rings():
 @settings(max_examples=40)
 def test_s_pair_remainder_matches_scan_division_in_grevlex(seed, nvars):
     check_s_pair_remainder(PolyRing(nvars, 7), oracles.grevlex_order,
-                           random.Random(seed), homogeneous=True)
+                           random.Random(seed))
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
 @settings(max_examples=40)
 def test_s_pair_remainder_matches_scan_division_in_elimination_order(seed,
                                                                      nvars):
-    rng = random.Random(seed)
-    for big, order in elimination_rings(nvars):
-        check_s_pair_remainder(big, order, rng, homogeneous=False)
+    check_s_pair_remainder(_elimination_ring(PolyRing(nvars, 7)),
+                           oracles.x_degree_first_order, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +660,11 @@ def test_quotients_refuse_a_quadric_and_the_zero_form():
             saturate(I, f)
 
 
-LEX3 = PolyRing(3, order=((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
 QUADRIC = poly(R3, "x0^2 + x1*x2")
+# the "lex" kind's ring, which is not graded: intersection's elimination
+# ring, whose weight rows compare lexicographically, x-degree before the
+# power of t
+UNGRADED = _elimination_ring(PolyRing(2))
 # kind -> (a generator, h, the words of h's refusal) for every kind of form
 # that ``last_image`` refuses
 CONTRACT_FORMS = {
@@ -665,7 +675,7 @@ CONTRACT_FORMS = {
                                              (0, 0, 0): 1}),
                       "linear forms only"),
     "no_xn": (QUADRIC, poly(R3, "x0"), "no x_n term"),
-    "lex": (poly(LEX3, "x0*x2 + x1^2"), LEX3.variable(2), "graded"),
+    "lex": (poly(UNGRADED, "x0*x2 + x1^2"), UNGRADED.variable(2), "graded"),
 }
 CONTRACT_ENTRY_POINTS = {
     "last_image": lambda f, h: last_image(h),
@@ -753,29 +763,58 @@ def point_chain(rng, ring, count):
     return I, point_ideal(ring, pts[-1])
 
 
+def points_or_forms(rng, ring, points):
+    """(I, J): the ideal of one to four points and that of one more point,
+    or two ideals of random forms."""
+    if points:
+        return point_chain(rng, ring, rng.randint(2, 5))
+    return (Ideal(ring, random_forms(rng, ring)),
+            Ideal(ring, random_forms(rng, ring)))
+
+
 @given(*MEET_CASES, st.booleans())
 @settings(max_examples=25)
 def test_intersect_matches_block_order_elimination_and_ranks(seed, key,
                                                              points):
-    """The x-degree-first elimination against the block order it replaced,
-    on random forms, whose top degrees come out lower, higher or tied, or
-    on a set of one to four points against one more point.  t goes on
-    either side, and the reduced basis is the same."""
+    """The x-degree-first elimination against sympy's in the block order
+    (lex with t greatest), on random forms, whose top degrees come out
+    lower, higher or tied, or on a set of one to four points against one
+    more point.  t goes on either side, and the reduced basis is the same.
+    sympy's lex basis of random forms in P^3 can take minutes, and forms in
+    P^2 are compared with it in ``test_intersect_matches_sympy_term_for_term``,
+    so on forms the generators are checked for membership in I and in J
+    instead; the ranks are checked everywhere."""
     ring = MEET_RINGS[key]
-    rng = random.Random(seed)
-    if points:
-        I, J = point_chain(rng, ring, rng.randint(2, 5))
-    else:
-        I = Ideal(ring, random_forms(rng, ring))
-        J = Ideal(ring, random_forms(rng, ring))
+    I, J = points_or_forms(random.Random(seed), ring, points)
     meet = intersect(I, J)
     assert meet.gens == intersect(J, I).gens
-    assert meet.groebner_basis() == oracles.block_elimination_meet(
-        I.gens, J.gens, ring)
+    if points:
+        ours = sorted(tuple(sorted(g.terms)) for g in meet.groebner_basis())
+        assert ours == oracles.sympy_intersection(I.gens, J.gens, ring)
+    else:
+        for g in meet.gens:
+            for side in (I, J):
+                assert oracles.is_member(g, list(side.gens), ring.nvars,
+                                         ring.prime)
     for d in range(6):
         assert oracles.ideal_dim(list(meet.gens), d, ring.nvars, ring.prime) \
             == oracles.intersection_dim(list(I.gens), list(J.gens), d,
                                         ring.nvars, ring.prime)
+
+
+@given(*MEET_CASES)
+@settings(max_examples=20)
+def test_meet_with_the_maximal_ideal_is_the_other_ideal(seed, key):
+    """Every form lies in (x0, ..., x_n), so its meet with forms B is B, on
+    either side.  The variables have coprime leads, so when they carry t
+    the run forms no pair of two rows, nor of a row and a t-free element;
+    a pair of such an element with the first (1-t)*b must still be formed.
+    """
+    ring = MEET_RINGS[key]
+    maximal = Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
+    B = Ideal(ring, random_forms(random.Random(seed), ring))
+    assert intersect(maximal, B).same_ideal(B)
+    assert intersect(B, maximal).same_ideal(B)
 
 
 def test_intersect_puts_t_on_the_ideal_of_lower_top_degree(monkeypatch):
@@ -836,15 +875,21 @@ def meet_case(kind, rng, ring):
             return Ideal(ring, A), Ideal(ring, forms(2))
 
 
-@given(st.integers(0, 10 ** 6), st.sampled_from([7, 32003]),
+P2_RINGS = {p: PolyRing(3, p) for p in (2, 7, 32003)}
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(P2_RINGS)),
        st.sampled_from(sorted(MEET_KINDS)))
-@settings(max_examples=20)
+@settings(max_examples=30)
 def test_intersect_matches_sympy_term_for_term(seed, p, kind):
     """sympy's lex elimination of t, then its reduced grevlex basis, term
     for term, in P^2, where the rows t*A are known to be a Groebner basis
-    (the run forms none of their pairs) and where they are not."""
+    (the run forms none of their pairs) and where they are not.  Every
+    kind of ``meet_case`` can be built over F_2 too, where a form's
+    coefficients are 0 or 1 and points repeat, so no kind is left out at
+    p = 2."""
     import gintools.groebner as gb
-    ring = MEET_RINGS[(3, p)]
+    ring = P2_RINGS[p]
     I, J = meet_case(kind, random.Random(seed), ring)
     known = []
     real = gb._groebner_basis
@@ -855,6 +900,37 @@ def test_intersect_matches_sympy_term_for_term(seed, p, kind):
     assert bool(known[-1]) == MEET_KINDS[kind]
     ours = sorted(tuple(sorted(g.terms)) for g in meet.groebner_basis())
     assert ours == oracles.sympy_intersection(I.gens, J.gens, ring)
+
+
+@given(*MEET_CASES, st.booleans())
+@settings(max_examples=20)
+def test_every_polynomial_of_an_intersect_run_leads_at_its_top_degree(
+        seed, key, points):
+    """Why the reducer rows need no degree check: every polynomial the
+    elimination run meets is homogeneous in x, so its lead, the term with
+    the most t, has its greatest total degree, and no reduction writes a
+    term of higher degree than the one it removes.  Checked on the lifted
+    rows t*a, each (1-t)*b and each element the run returns, on point
+    chains and dense forms in P^2 and P^3."""
+    import gintools.groebner as gb
+    ring = MEET_RINGS[key]
+    I, J = points_or_forms(random.Random(seed), ring, points)
+    seen = []
+    real = gb._groebner_basis
+
+    def recording(gens, big, **kw):
+        basis = real(gens, big, **kw)
+        seen.extend(gens)
+        seen.extend(basis)
+        return basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "_groebner_basis", recording)
+        intersect(I, J)
+    assert len(seen) > len(I.gens) + len(J.gens)
+    for g in seen:
+        assert g.ring == _elimination_ring(ring)
+        assert len({sum(m[:-1]) for m, _ in g.terms}) == 1
+        assert sum(g.lead_monomial) == g.degree
 
 
 def test_skipped_pairs_are_t_times_an_element_of_a(monkeypatch):
@@ -938,24 +1014,28 @@ def test_reduce_basis_divides_each_element_by_the_others(seed, nvars):
 
 
 def test_elimination_ring_is_built_once_per_ring(monkeypatch):
-    """Intersections share one elimination ring, so its modulus is tested
-    for primality once."""
+    """Intersections share one elimination ring, built once from the
+    ring's own checked modulus, with no primality test of its own."""
+    import gintools.groebner as gb
     import gintools.ring as ring_module
     I, J = ideal(PolyRing(3, 7), "x0, x1"), ideal(PolyRing(3, 7), "x1, x2")
     ring = I.ring
-    tested = []
+    tested, built = [], []
     monkeypatch.setattr(ring_module, "_is_prime",
                         lambda p: tested.append(p) or True)
+    real = gb._EliminationRing
+    monkeypatch.setattr(gb, "_EliminationRing",
+                        lambda r: built.append(r) or real(r))
     assert _elimination_ring(ring) is _elimination_ring(ring)
     for _ in range(3):
         intersect(I, J)
-    assert tested == [7]
+    assert built == [ring] and tested == []
 
 
 def test_intersect_refuses_a_ring_that_is_not_graded():
     """The elimination order eliminates t only on homogeneous generators,
     and in(J : x_n) = in(J) : x_n is a fact of grevlex."""
-    ring = PolyRing(3, 7, order=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    ring = _elimination_ring(PolyRing(2, 7))
     x0, x2 = ring.variable(0), ring.variable(2)
     I = Ideal(ring, [x0 * ring.variable(1) + x2 * x2])
     with pytest.raises(ValueError, match="graded"):
@@ -965,11 +1045,11 @@ def test_intersect_refuses_a_ring_that_is_not_graded():
 
 
 def test_quotients_and_sections_refuse_a_ring_that_is_not_graded():
-    """In lex, (x0*x2 + x1^2, x1*x2) : x2 came out as (x0 + x1^2, x1),
-    which is inhomogeneous, and x0 + x1^2 is not in the colon."""
-    lex = PolyRing(3, order=((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
-    x0, x1, x2 = (lex.variable(i) for i in range(3))
-    I = Ideal(lex, [x0 * x2 + x1 * x1, x1 * x2])
+    """Dividing x_n out of a basis gives the colon in grevlex only; the
+    elimination ring, which is not graded, is refused."""
+    big = _elimination_ring(PolyRing(2))
+    x0, x1, x2 = (big.variable(i) for i in range(3))
+    I = Ideal(big, [x0 * x2 + x1 * x1, x1 * x2])
     for h in (x2, x0):  # the ring is refused before the form is read
         with pytest.raises(ValueError, match="graded"):
             ideal_quotient(I, h)
@@ -1085,12 +1165,13 @@ def linear_form(rng, ring, kind):
     return ring.linear_form(coeffs)
 
 
-def ideal_with_h_torsion(rng, ring, h):
-    """Generators h^e * f with e up to 2, so that the colons by h move."""
+def ideal_with_h_torsion(rng, ring, h, top=3):
+    """Generators h^e * f of degree up to ``top``, with e up to 2, so that
+    the colons by h move."""
     gens = []
     for _ in range(rng.randint(2, 3)):
-        e = rng.randint(0, 2)
-        gens.append(h ** e * ring.random_form(rng.randint(1, 3 - e), rng))
+        e = rng.randint(0, min(2, top - 1))
+        gens.append(h ** e * ring.random_form(rng.randint(1, top - e), rng))
     return Ideal(ring, gens)
 
 
@@ -1125,6 +1206,32 @@ def test_linear_colon_matches_elimination_and_ranks(seed, nvars, kind):
     for d in range(4):
         assert oracles.ideal_dim(list(Q.gens), d, nvars, R3.prime) == \
             oracles.colon_dim(list(I.gens), h, d, nvars, R3.prime)
+
+
+@given(*MEET_CASES)
+@settings(max_examples=16)
+def test_quotient_and_saturation_match_sympy_term_for_term(seed, key):
+    """(I : h) against sympy's: the meet of I and (h) by sympy's
+    elimination, each generator divided by h, then its reduced grevlex
+    basis; (I : h^infinity) against the fixed point of those quotients.  I
+    is generated by h^e * f, so that the colons move, of degree up to 3 in
+    P^2 and up to 2 in P^3, where sympy's lex basis of cubics can take
+    minutes."""
+    ring = MEET_RINGS[key]
+    rng = random.Random(seed)
+    h = ring.general_linear_form(rng)
+    I = ideal_with_h_torsion(rng, ring, h, top=3 if ring.nvars == 3 else 2)
+
+    def terms(J):
+        return sorted(tuple(sorted(g.terms)) for g in J.groebner_basis())
+    quotient = oracles.sympy_quotient(I.gens, h, ring)
+    assert terms(ideal_quotient(I, h)) == quotient
+    saturation = None
+    while quotient != saturation:
+        saturation = quotient
+        quotient = oracles.sympy_quotient(
+            [ring.from_dict(dict(q)) for q in saturation], h, ring)
+    assert terms(saturate(I, h)) == saturation
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]), FORM_KINDS)
