@@ -4,10 +4,11 @@
 Each mutant names a file, an exact piece of its text and a replacement.
 For each one the script copies the repository to a temporary directory,
 applies the mutant there, and runs the tier-1 suite with ``-x -q``; the
-mutant is killed when the suite fails, or when it runs past four times
-the unmutated run plus a minute, since a broken division can loop.  The
-unmutated copy is run first and must pass, so a broken environment
-cannot pass for a killed mutant.
+mutant is killed when a test fails.  A suite that runs past four times
+the unmutated run plus a minute is stopped, and its mutant counts as
+surviving: a fault that makes a division loop must be caught by a
+failing test, not by the wall clock.  The unmutated copy is run first
+and must pass, so a broken environment cannot pass for a killed mutant.
 A mutant whose text does not occur exactly once fails the script before
 any suite runs, so a refactor that moves the code must move the mutant
 with it.  The repository itself is never written.
@@ -39,10 +40,10 @@ MUTANTS = [
      "src/gintools/groebner.py",
      "    if lcm & DEGREE_BOUND:",
      "    if False:"),
-    ("the packed divisibility test ignores the guard bit of x0",
+    ("the packed divisibility test ignores the guard bit of the last variable",
      "src/gintools/ring.py",
      "self.guards = sum(_GUARD << s for s in self._shifts)",
-     "self.guards = sum(_GUARD << s for s in self._shifts[1:])"),
+     "self.guards = sum(_GUARD << s for s in self._shifts[:-1])"),
     ("intersect's known rows skip one pair too many",
      "src/gintools/groebner.py",
      "return rows if rows and not ring.exponent(r[0][0], -1) else 0",
@@ -68,7 +69,8 @@ def check_texts():
 
 def run_suite(tree, limit=None):
     """Tier-1 in ``tree``, stopping at the first failure or after ``limit``
-    seconds; (passed, seconds)."""
+    seconds; (outcome, seconds), the outcome "passed", "failed" or
+    "timed out"."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # no stale bytecode
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
@@ -79,10 +81,10 @@ def run_suite(tree, limit=None):
              "no:cacheprovider", "--continue-on-collection-errors"],
             cwd=tree, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, timeout=limit)
-        passed = result.returncode == 0
+        outcome = "failed" if result.returncode else "passed"
     except subprocess.TimeoutExpired:
-        passed = False
-    return passed, time.perf_counter() - start
+        outcome = "timed out"
+    return outcome, time.perf_counter() - start
 
 
 def main():
@@ -91,8 +93,8 @@ def main():
     with tempfile.TemporaryDirectory(prefix="gintools-mutants-") as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
-        passed, baseline = run_suite(tree)
-        if not passed:
+        outcome, baseline = run_suite(tree)
+        if outcome != "passed":
             sys.exit("the suite fails on the unmutated copy: nothing to gate")
         print(f"unmutated copy passes ({baseline:.1f} s)")
         for name, path, text, replacement in MUTANTS:
@@ -100,13 +102,14 @@ def main():
             original = target.read_text()
             target.write_text(original.replace(text, replacement))
             try:
-                passed, seconds = run_suite(tree, 4 * baseline + 60)
+                outcome, seconds = run_suite(tree, 4 * baseline + 60)
             finally:
                 target.write_text(original)
-            if passed:
+            if outcome != "failed":
                 survivors.append(name)
-            print(f"{'SURVIVED' if passed else 'killed'}: {name} "
-                  f"({seconds:.1f} s)")
+            verdict = ("killed" if outcome == "failed"
+                       else f"SURVIVED, {outcome}")
+            print(f"{verdict}: {name} ({seconds:.1f} s)")
     if survivors:
         sys.exit(f"{len(survivors)} of {len(MUTANTS)} mutants survived")
     print(f"all {len(MUTANTS)} mutants killed")

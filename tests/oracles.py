@@ -306,14 +306,23 @@ def sympy_quotient(gens, h, ring):
 
 
 def _sympy_meet(forms_a, forms_b, xs, p):
-    """The t-free part of sympy's lex basis of t*A + (1-t)*B with t
-    greatest, which eliminates t: a basis of A meet B."""
+    """The t-free part of sympy's basis of t*A + (1-t)*B in an order that
+    compares powers of t first, which eliminates t: a basis of A meet B.
+    Its grevlex tie-break on x makes it much faster than lex: on two to
+    six random quadrics in P^3, a second at most where lex can run past
+    twenty seconds."""
     import sympy
 
     t = sympy.Symbol("t")
     forms = [t * f for f in forms_a] + [(1 - t) * g for g in forms_b]
-    lex = sympy.groebner(forms, t, *xs, order="lex", modulus=p)
-    return [q for q in lex.exprs if not q.has(t)]
+    basis = sympy.groebner(forms, t, *xs, order=_t_first, modulus=p)
+    return [q for q in basis.exprs if not q.has(t)]
+
+
+def _t_first(m):
+    """sympy's sort key of the exponents m of (t, x0, ..., xn): the power
+    of t, then grevlex on x."""
+    return (m[0], sum(m), tuple(-e for e in reversed(m)))
 
 
 def _sympy_form(f, xs):
