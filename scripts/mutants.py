@@ -7,7 +7,9 @@ applies the mutant there, and runs the tier-1 suite with ``-x -q``; the
 mutant is killed when a test fails.  A suite that runs past four times
 the unmutated run plus a minute is stopped, and its mutant counts as
 surviving: a fault that makes a division loop must be caught by a
-failing test, not by the wall clock.  The unmutated copy is run first
+failing test, not by the wall clock.  A test that loops fails on its own
+at the suite's per-test time limit (``tests/conftest.py``), which lies
+well inside that bound.  The unmutated copy is run first
 and must pass, so a broken environment cannot pass for a killed mutant.
 A mutant whose text does not occur exactly once fails the script before
 any suite runs, so a refactor that moves the code must move the mutant
@@ -44,10 +46,26 @@ MUTANTS = [
      "src/gintools/ring.py",
      "self.guards = sum(_GUARD << s for s in self._shifts)",
      "self.guards = sum(_GUARD << s for s in self._shifts[:-1])"),
+    ("the packed divisibility test ignores the guard bit of x0",
+     "src/gintools/ring.py",
+     "self.guards = sum(_GUARD << s for s in self._shifts)",
+     "self.guards = sum(_GUARD << s for s in self._shifts[1:])"),
     ("intersect's known rows skip one pair too many",
      "src/gintools/groebner.py",
      "return rows if rows and not ring.exponent(r[0][0], -1) else 0",
      "return rows + 1 if rows and not ring.exponent(r[0][0], -1) else 0"),
+    ("the Koszul floor is taken for nvars + 1 forms",
+     "src/gintools/groebner.py",
+     "ring.graded and len(gens) <= ring.nvars:",
+     "ring.graded and len(gens) <= ring.nvars + 1:"),
+    ("truncate keeps only the generators of degree below the cutoff",
+     "src/gintools/groebner.py",
+     "kept = [g for g in I.gens if g.degree <= delta]",
+     "kept = [g for g in I.gens if g.degree < delta]"),
+    ("_largest_sample keeps the smallest sample",
+     "src/gintools/gin.py",
+     "if all(a <= b for theirs in parts.values()",
+     "if all(a >= b for theirs in parts.values()"),
 ]
 
 # what a test run leaves behind, and the benchmark's own output

@@ -1,8 +1,7 @@
 """Generic initial ideals, Borel-fixed staircases, and monomial invariants."""
 
 from .ring import (DEFAULT_PRIME, LinearChange, Poly, PolyRing, mono_div,
-                   mono_divides, mono_gcd, mono_lcm, mono_mul, restrict,
-                   revlex_key)
+                   mono_divides, mono_gcd, restrict, revlex_key)
 from .groebner import (Ideal, buchberger, hilbert_function, ideal_quotient,
                        initial_ideal, intersect, normal_form, restrict_ideal,
                        saturate, truncate)

@@ -66,9 +66,19 @@ def rational_quartic(prime=DEFAULT_PRIME) -> Ideal:
 # random varieties (seed-pinned when written to data files)
 
 def point_ideal(ring, point) -> Ideal:
-    """The saturated ideal of a single projective point."""
+    """The saturated ideal of a single projective point.
+
+    Raises ``ValueError`` for a point with the wrong number of
+    coordinates, or one that is zero mod p.
+    """
     p = ring.prime
-    k = max(i for i, c in enumerate(point) if c % p)
+    if len(point) != ring.nvars:
+        raise ValueError(f"a point of P^{ring.nvars - 1} has {ring.nvars} "
+                         f"coordinates, not {len(point)}")
+    nonzero = [i for i, c in enumerate(point) if c % p]
+    if not nonzero:
+        raise ValueError(f"{tuple(point)} is zero mod {p}: not a point")
+    k = nonzero[-1]
     gens = []
     for i in range(ring.nvars):
         if i == k:

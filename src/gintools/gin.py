@@ -101,8 +101,9 @@ def _largest_sample(samples, ring) -> MonomialIdeal:
 
 def _sample_initial_ideal(I: Ideal, change: LinearChange, target):
     """in(change(I)), from a Buchberger run that stops once its lead
-    monomials reach the series ``target`` (``None``: run to the end), held
-    unreduced: only its lead monomials are read."""
+    monomials reach the series ``target`` (``None``: at the Koszul floor,
+    where there is one), held unreduced: only its lead monomials are
+    read."""
     moved = Ideal(I.ring, [change.apply(g) for g in I.gens])
     moved._held = _groebner_basis(moved.gens, I.ring, target)
     return initial_ideal(moved)
@@ -425,19 +426,16 @@ def verify_gap_truncation(I: Ideal, seed=0, votes=2,
 # ---------------------------------------------------------------------------
 # the degree of a gcd in two variables
 
-def _gcd_degree(forms, ring, leads=None) -> int:
-    """The degree of the gcd g of nonzero forms of K[x0, x1].
+def _gcd_degree(J: Ideal) -> int:
+    """The degree of the gcd g of the generators of the nonzero ideal J of
+    K[x0, x1].
 
-    The forms divided by g have no common factor, so they generate an
-    ideal primary to (x0, x1), and the ideal J of the forms saturates to
-    (g): dim (R/J)_d = deg g for large d.  With HS(R/J) = N(t) / (1 - t)^2
-    that multiplicity is -N'(1).  ``leads`` generate in(J) when a basis is
-    at hand; otherwise a basis is built and left unreduced, since only its
-    lead monomials are read.
+    The generators divided by g have no common factor, so they generate an
+    ideal primary to (x0, x1), and J saturates to (g): dim (R/J)_d = deg g
+    for large d.  With HS(R/J) = N(t) / (1 - t)^2 that multiplicity is
+    -N'(1), read off the leads of the basis J holds, or of its one run.
     """
-    if leads is None:
-        leads = [g.lead_monomial for g in _groebner_basis(forms, ring)]
-    N = _hilbert_numerator(leads, 2)
+    N = _hilbert_numerator(J.leads(), 2)
     return -sum(k * c for k, c in enumerate(N))
 
 
@@ -516,8 +514,9 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
     The gcd of its generators up to the chosen gap degree must have degree
     equal to the least x0-exponent on the staircase there (step 2); that
     degree is the multiplicity of the ideal the generators span, read off
-    its Hilbert numerator (``_gcd_degree``); when they are all of the
-    draw's generators, off the lead ideal the draw's basis already gave.
+    its Hilbert numerator (``_gcd_degree``).  A truncation that keeps every
+    generator is the draw itself, so its leads are those the draw's basis
+    already gave.
 
     The forms are drawn ``_TRACE_SPECIALIZATIONS`` times.  Dimensions of
     restrictions are upper semicontinuous in the forms, so a draw whose
@@ -580,15 +579,13 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
         delta = analytic.max_degree() + 1
         is_gap = False
 
-    def gcd_degree_of(D, L):
-        gens = truncate(D, delta).gens
-        if not gens:
+    def gcd_degree_of(D):
+        truncated = truncate(D, delta)
+        if truncated.is_zero():
             raise DegenerateTraceError("no generators up to the gap degree")
-        # a truncation that keeps every generator is D, with lead ideal L
-        return _gcd_degree(gens, D.ring,
-                           L.gens if len(gens) == len(D.gens) else None)
+        return _gcd_degree(truncated)
 
-    degrees = [gcd_degree_of(D, L) for D, L in zip(draws, leads)]
+    degrees = [gcd_degree_of(D) for D in draws]
     consistent = not special and all(d == degrees[0] for d in degrees)
 
     eligible = [g for g in analytic.gens if mono_degree(g) <= delta]

@@ -94,13 +94,16 @@ An inequality for Hilbert series of graded algebras, Math. Scand. 56
 (1985)).  dim I_d is at most its value for generic forms, by
 semicontinuity, and generic forms with r <= nvars are regular.  As
 HS(R/<lead G>) >= HS(R/I), leads whose numerator meets the floor's are
-in(I), and ``_floored_basis`` stops there the same way; a floor never met
-costs nothing in answers, and the run ends with every pair.  Two rules
-keep the checks cheap.  The generators' own leads are not checked: they
-meet the floor only if pairwise coprime, and then they make no pair.
-And at a boundary into degree d every element still to come has degree
->= d, so the numerator's coefficients below d are final; once they
-differ from the floor's, the checks end.
+in(I), and ``_groebner_basis`` takes the floor itself whenever it is given
+no target in a graded ring, and stops there the same way: I's own basis,
+``buchberger``, a slice basis built without a series and a trace's gcd
+all do.  ``intersect``'s elimination ring is not graded, so its run takes
+none.  A floor never met costs nothing in answers, and the run ends with
+every pair.  Two rules keep the checks cheap.  The generators' own leads
+are not checked: they meet the floor only if pairwise coprime, and then
+they make no pair.  And at a boundary into degree d every element still
+to come has degree >= d, so the numerator's coefficients below d are
+final; once they differ from the floor's, the checks end.
 """
 
 from __future__ import annotations
@@ -116,8 +119,9 @@ from .staircase import GinUnstableError, MonomialIdeal, minimal_monomials
 
 class Ideal:
     """Homogeneous ideal holding the basis of its one Buchberger run
-    (``_floored_basis``) unreduced, as the minimal leads of any Groebner
-    basis are those of the reduced one.  ``groebner_basis()`` reduces it
+    (``_groebner_basis``, stopped at the Koszul floor when its generators
+    reach it) unreduced, as the minimal leads of any Groebner basis are
+    those of the reduced one.  ``groebner_basis()`` reduces it
     on demand and keeps the result, which intersections and sections set.
     """
 
@@ -139,7 +143,7 @@ class Ideal:
     def _basis(self):
         """The reduced basis if built, else the run's, run once."""
         if self._gb is None and self._held is None:
-            self._held = _floored_basis(self.gens, self.ring)
+            self._held = _groebner_basis(self.gens, self.ring)
         return self._held if self._gb is None else self._gb
 
     def leads(self) -> list:
@@ -267,16 +271,6 @@ def _s_pair(f, g, lcm, p) -> dict:
     return work
 
 
-def spoly(f: Poly, g: Poly) -> Poly:
-    """The S-polynomial of f and g, made monic first."""
-    f._check_ring(g)
-    ring = f.ring
-    f, g = f.monic(), g.monic()
-    lcm = ring.sort_key(tuple(map(max, f.lead_monomial, g.lead_monomial)))
-    _check_lcm(lcm)
-    return ring.from_packed(_s_pair(_reducer(f), _reducer(g), lcm, ring.prime))
-
-
 def _update(G, P, f, lead, reducers, pair_lcm, skip=0):
     """Add the monic f to the basis, pruning pairs by the Gebauer-Moeller
     criteria.
@@ -327,27 +321,11 @@ def _update(G, P, f, lead, reducers, pair_lcm, skip=0):
 
 def buchberger(gens, ring) -> tuple:
     """The reduced Groebner basis of the given generators, monic, with the
-    lowest-degree leads first: ``_floored_basis``, reduced."""
-    return _reduce_basis(_floored_basis(gens, ring), ring)
+    lowest-degree leads first: ``_groebner_basis``, reduced."""
+    return _reduce_basis(_groebner_basis(gens, ring), ring)
 
 
-def _floored_basis(gens, ring) -> list:
-    """A monic Groebner basis of the given generators, not reduced.
-
-    In a graded ring, r <= nvars forms of degrees d_i stop the run at their
-    Koszul floor prod (1 - t^d_i) if it is reached, which is exact; a run
-    that never does returns the full basis (see the module docstring).
-    """
-    gens = [f for f in gens if not f.is_zero()]
-    # in grevlex the first term has the greatest degree and the last the least
-    degrees = [f.packed[0][0] & DEGREE_MASK for f in gens]
-    floor = ring.graded and len(gens) <= ring.nvars and all(
-        d == f.packed[-1][0] & DEGREE_MASK for d, f in zip(degrees, gens))
-    return _groebner_basis(
-        gens, ring, _koszul_numerator(degrees) if floor else None, floor)
-
-
-def _groebner_basis(gens, ring, target=None, floor=False, known=0) -> list:
+def _groebner_basis(gens, ring, target=None, known=0) -> list:
     """A monic Groebner basis of the given generators, not reduced.
 
     Pairs are processed in increasing order of their lcm (the normal
@@ -358,9 +336,10 @@ def _groebner_basis(gens, ring, target=None, floor=False, known=0) -> list:
     before they do raise ``GinUnstableError``: the series was wrong, so a
     coordinate change or this kernel is.
 
-    With ``floor`` the target is a lower bound on the series, the Koszul
-    floor ``_floored_basis`` passes: reaching it stops the run all the
-    same, and pairs that run out return the basis.
+    With no ``target``, r <= nvars forms of degrees d_i in a graded ring
+    take their Koszul floor prod (1 - t^d_i) as a lower bound on the
+    series: reaching it stops the run all the same, which is exact, and
+    pairs that run out return the basis.
 
     ``known``, for ``intersect``, says that the first ``known`` generators
     are t times a Groebner basis of an ideal A, t the last variable, and
@@ -369,6 +348,14 @@ def _groebner_basis(gens, ring, target=None, floor=False, known=0) -> list:
     S-polynomial is t times one in A, which the rows reduce to zero (see
     the module docstring).
     """
+    gens = [f for f in gens if not f.is_zero()]
+    floor = False
+    if target is None and ring.graded and len(gens) <= ring.nvars:
+        # in grevlex the first term has the greatest degree, the last the least
+        degrees = [f.packed[0][0] & DEGREE_MASK for f in gens]
+        floor = degrees == [f.packed[-1][0] & DEGREE_MASK for f in gens]
+        if floor:
+            target = _koszul_numerator(degrees)
     G, lead, reducers, P, pair_lcm = [], [], [], set(), {}
     rows = 0  # the rows of t*A in G, counted once all have joined
 
@@ -378,8 +365,6 @@ def _groebner_basis(gens, ring, target=None, floor=False, known=0) -> list:
     for i, f in enumerate(gens):
         if i == known:
             rows = len(G)
-        if f.is_zero():
-            continue
         _check_packing(f.ring, ring)
         r = _divide(dict(f.packed), reducers, ring)
         if r:
@@ -712,8 +697,10 @@ def truncate(I: Ideal, delta: int) -> Ideal:
 
     Generated by I's generators up to the cutoff: an element of I_d is a
     sum of a_i * g_i with deg a_i = d - deg g_i, so only generators of
-    degree <= d take part.  No Groebner basis is needed.
+    degree <= d take part.  No Groebner basis is needed.  When every
+    generator is kept the result is I itself, with whatever basis it holds.
     """
     if delta < 0:
         raise ValueError("negative truncation degree")
-    return Ideal(I.ring, [g for g in I.gens if g.degree <= delta])
+    kept = [g for g in I.gens if g.degree <= delta]
+    return I if len(kept) == len(I.gens) else Ideal(I.ring, kept)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
+from operator import mul
 
 DEFAULT_PRIME = 32003
 
@@ -85,11 +85,6 @@ def _check_same_length(a, b):
         raise ValueError(f"exponent vectors of different lengths: {len(a)} vs {len(b)}")
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    _check_same_length(a, b)
-    return tuple(map(add, a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """Whether a divides b."""
     _check_same_length(a, b)
@@ -107,11 +102,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     _check_same_length(a, b)
     return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    _check_same_length(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def revlex_key(m: Monomial):

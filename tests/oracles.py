@@ -263,6 +263,30 @@ def det_mod(matrix, p):
 
 
 # ---------------------------------------------------------------------------
+# monomial products and lcms, and S-polynomials by Poly arithmetic
+
+def monomial_product(a, b):
+    """The product of two exponent tuples of one length."""
+    assert len(a) == len(b), "exponent tuples of different lengths"
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def monomial_lcm(a, b):
+    """The lcm of two exponent tuples of one length."""
+    assert len(a) == len(b), "exponent tuples of different lengths"
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def s_polynomial(f, g):
+    """u*f/lc(f) - v*g/lc(g), where u*lm(f) = v*lm(g) is the lcm of the
+    leads, by Poly products and a difference."""
+    lcm = monomial_lcm(f.lead_monomial, g.lead_monomial)
+    u, v = (f.ring.monomial(tuple(a - b for a, b in zip(lcm, h.lead_monomial)))
+            for h in (f, g))
+    return f.monic() * u - g.monic() * v
+
+
+# ---------------------------------------------------------------------------
 # reduced Groebner bases by sympy
 
 def sympy_reduced_basis(gens, ring):

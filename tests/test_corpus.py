@@ -31,6 +31,21 @@ def test_single_point_is_two_linear_forms():
     assert oracles.ideal_dim(list(I.gens), 1, 3, ring.prime) == 2
 
 
+def test_a_malformed_point_is_refused():
+    """A point with too few or too many coordinates, or one that is zero
+    mod p, has no ideal."""
+    ring = PolyRing(3, 7)
+    for point in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError,
+                           match=f"3 coordinates, not {len(point)}"):
+            point_ideal(ring, point)
+    for point in ((0, 0, 0), (7, 14, -21)):
+        with pytest.raises(ValueError, match="zero mod 7"):
+            point_ideal(ring, point)
+    assert point_ideal(ring, (7, 1, 0)).same_ideal(
+        point_ideal(ring, (0, 1, 0)))
+
+
 def test_three_general_points_profile():
     inv = variety_invariants(general_points(3, seed=0), seed=0)
     assert inv.table.entries[0][1] == InvariantProfile(2, (2, 1))

@@ -215,20 +215,20 @@ def enumerate_candidate_gins():
     generator.  Saturated means x3-free, so the search runs in three
     variables where the quotient must count 1, 3, 3, 3, ...
     """
-    from gintools.ring import mono_mul
+    from oracles import monomial_product as product
     candidates = []
     deg2 = _monos(3, 2)
     for s2 in itertools.combinations(deg2, 3):
         if not _move_stable(s2, 3):
             continue
-        forced3 = {mono_mul(m, v) for m in s2 for v in _monos(3, 1)}
+        forced3 = {product(m, v) for m in s2 for v in _monos(3, 1)}
         for extra3 in itertools.combinations([m for m in _monos(3, 3)
                                               if m not in forced3],
                                              7 - len(forced3)):
             s3 = forced3 | set(extra3)
             if not _move_stable(s3, 3):
                 continue
-            forced4 = {mono_mul(m, v) for m in s3 for v in _monos(3, 1)}
+            forced4 = {product(m, v) for m in s3 for v in _monos(3, 1)}
             for extra4 in itertools.combinations([m for m in _monos(3, 4)
                                                   if m not in forced4],
                                                  12 - len(forced4)):
@@ -549,28 +549,28 @@ _gcd_degree = importlib.import_module("gintools.gin")._gcd_degree
 
 def test_gcd_idempotent():
     f = poly(R2, "3*x0^2*x1 - 6*x1^3")
-    assert _gcd_degree([f, f], R2) == 3
+    assert _gcd_degree(Ideal(R2, [f, f])) == 3
 
 
 def test_gcd_coprime():
-    assert _gcd_degree([poly(R2, "x0^2"), poly(R2, "x1^2")], R2) == 0
+    assert _gcd_degree(Ideal(R2, [poly(R2, "x0^2"), poly(R2, "x1^2")])) == 0
 
 
 def test_gcd_with_common_factor():
     f = poly(R2, "x0^2*x1 - x0*x1^2")    # x0 x1 (x0 - x1)
     g = poly(R2, "x0^3 - x0*x1^2")       # x0 (x0 - x1)(x0 + x1)
-    assert _gcd_degree([f, g], R2) == 2  # x0 (x0 - x1)
+    assert _gcd_degree(Ideal(R2, [f, g])) == 2  # x0 (x0 - x1)
 
 
 def test_gcd_synthetic_pair():
     f = poly(R2, "x0^3 + x0^2*x1")  # x0^2 (x0 + x1)
     g = poly(R2, "x0^2*x1^2")
-    assert _gcd_degree([f, g], R2) == 2  # x0^2
+    assert _gcd_degree(Ideal(R2, [f, g])) == 2  # x0^2
 
 
 def test_gcd_of_single_generator_is_itself():
     f = poly(R2, "5*x0^2*x1 + 5*x1^3")
-    assert _gcd_degree([f], R2) == f.degree
+    assert _gcd_degree(Ideal(R2, [f])) == f.degree
 
 
 @settings(max_examples=40)
@@ -585,7 +585,7 @@ def test_gcd_degree_is_the_multiplicity_by_rank(seed, p):
     forms = [F * ring.random_form(rng.randint(0, 3), rng)
              for _ in range(rng.randint(1, 3))]
     dmax = 2 * max(f.degree for f in forms)
-    assert _gcd_degree(forms, ring) == \
+    assert _gcd_degree(Ideal(ring, forms)) == \
         oracles.quotient_ring_dims(forms, dmax, 2, p)[dmax]
 
 
@@ -645,28 +645,31 @@ def test_trace_exposes_proper_factor_on_disconnected_staircase():
 def test_a_draw_kept_whole_gets_its_gcd_degree_from_its_own_basis(
         monkeypatch):
     """With no internal gap delta lies past every generator, so each
-    draw's truncation is the draw, and its gcd degree is read off the lead
-    ideal its basis already gave: no further Groebner run.  Under a gap
-    the truncation drops generators and gets one run per draw."""
-    module = importlib.import_module("gintools.gin")
-    run = module._groebner_basis
+    draw's truncation is the draw itself, and its gcd degree is read off
+    the leads of the basis the draw already holds: each draw makes its one
+    Buchberger run and no other.  Under a gap the truncation drops
+    generators and gets one run of its own per draw."""
+    groebner = importlib.import_module("gintools.groebner")
+    run = groebner._groebner_basis
     runs = []
 
-    def recording(gens, ring, target=None):
+    def recording(gens, ring, target=None, known=0):
         runs.append(len(gens))
-        return run(gens, ring, target)
+        return run(gens, ring, target, known)
 
     cubic = twisted_cubic()
     M = staircase(4, (3, 0, 0, 0), (2, 1, 0, 0), (1, 6, 0, 0), (0, 8, 0, 0))
     gapped = Ideal(R4, [R4.monomial(g) for g in M.gens])
     gins = [gin(cubic, seed=0), gin(gapped, seed=0)]
-    monkeypatch.setattr(module, "_groebner_basis", recording)
+    monkeypatch.setattr(groebner, "_groebner_basis", recording)
     result = run_trace(cubic, (0,), seed=0, gin_result=gins[0])
     assert not result.delta_is_internal_gap and result.passed
-    assert runs == []
+    assert runs == [3] * 3  # the three draws' own runs
+    runs.clear()
     result = run_trace(gapped, (0,), seed=0, gin_result=gins[1])
     assert result.delta_is_internal_gap and result.passed
-    assert result.specialization_degrees == (2, 2, 2) and len(runs) == 3
+    assert result.specialization_degrees == (2, 2, 2) and len(runs) == 6
+    assert all(kept < whole for whole, kept in zip(runs[:3], runs[3:]))
 
 
 # Draws whose forms are special: ci-surface at gin seed 85 (the line of draw
@@ -800,7 +803,7 @@ def test_gcd_recovers_planted_factor(seed):
     F = R2.random_form(rng.randint(1, 3), rng)
     fs = [F * R2.random_form(rng.randint(1, 2), rng) for _ in range(3)]
     # cofactors at these pinned seeds share no factor, so the gcd is F itself
-    assert _gcd_degree(fs, R2) == F.degree
+    assert _gcd_degree(Ideal(R2, fs)) == F.degree
 
 
 # ---------------------------------------------------------------------------
