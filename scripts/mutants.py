@@ -4,7 +4,10 @@
 Each mutant names a file, an exact piece of its text and a replacement.
 For each one the script copies the repository to a temporary directory,
 applies the mutant there, and runs the tier-1 suite with ``-x -q``; the
-mutant is killed when a test fails.  A suite that runs past four times
+mutant is killed when a test fails.  The suite's files are named one by
+one, ``tests/test_ring.py`` first: it fails within seconds on the
+packing mutants, which elsewhere first make a division loop, and pytest
+collects in the order of its arguments only when every file is named.  A suite that runs past four times
 the unmutated run plus a minute is stopped, and its mutant counts as
 surviving: a fault that makes a division loop must be caught by a
 failing test, not by the wall clock.  A test that loops fails on its own
@@ -66,6 +69,27 @@ MUTANTS = [
      "src/gintools/gin.py",
      "if all(a <= b for theirs in parts.values()",
      "if all(a >= b for theirs in parts.values()"),
+    ("the lead ideal is read off the generators, not the basis",
+     "src/gintools/groebner.py",
+     "(g.lead_monomial for g in self._basis())",
+     "(g.lead_monomial for g in self.gens)"),
+    ("the floor's final coefficients are read through degree d",
+     "src/gintools/groebner.py",
+     "if floor and (N + (0,) * d)[:d] != (target + (0,) * d)[:d]:",
+     "if floor and (N + (0,) * (d + 1))[:d + 1] != "
+     "(target + (0,) * (d + 1))[:d + 1]:"),
+    ("_stable_ideal_with_hilbert is off by one",
+     "src/gintools/gin.py",
+     "for d, h in enumerate(values) for i in range(d + 1 - h)",
+     "for d, h in enumerate(values) for i in range(d - h)"),
+    ("two_variable_trace slices with < for <=",
+     "src/gintools/staircase.py",
+     "if all(map(le, g[2:], p_tilde))",
+     "if all(a < b for a, b in zip(g[2:], p_tilde))"),
+    ("last_image accepts a form with no x_n term",
+     "src/gintools/ring.py",
+     "    if coeffs[-1] == 0:\n        raise ValueError",
+     "    if False:\n        raise ValueError"),
 ]
 
 # what a test run leaves behind, and the benchmark's own output
@@ -85,6 +109,14 @@ def check_texts():
         sys.exit("mutants out of date:\n  " + "\n  ".join(missing))
 
 
+def test_files(tree):
+    """Tier-1's test files, relative to ``tree``, ``tests/test_ring.py``
+    first and the rest in the order of their names."""
+    first = tree / "tests" / "test_ring.py"
+    rest = sorted(p for p in (tree / "tests").glob("test_*.py") if p != first)
+    return [str(p.relative_to(tree)) for p in [first, *rest]]
+
+
 def run_suite(tree, limit=None):
     """Tier-1 in ``tree``, stopping at the first failure or after ``limit``
     seconds; (outcome, seconds), the outcome "passed", "failed" or
@@ -96,7 +128,8 @@ def run_suite(tree, limit=None):
     try:
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", "--continue-on-collection-errors"],
+             "no:cacheprovider", "--continue-on-collection-errors",
+             *test_files(tree)],
             cwd=tree, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, timeout=limit)
         outcome = "failed" if result.returncode else "passed"

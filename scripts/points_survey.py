@@ -18,9 +18,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from gintools.corpus import general_points
 from gintools.gin import gin, variety_invariants
-from gintools.groebner import hilbert_function
 from gintools.parsing import render_monomial_ideal
-from gintools.staircase import is_connected
+from gintools.staircase import hilbert_function, is_connected
 
 
 def main():

@@ -19,8 +19,9 @@ import json
 import sys
 
 from .ring import DEFAULT_PRIME
-from .groebner import hilbert_function, initial_ideal, default_dmax
-from .staircase import MonomialIdeal, is_p_borel_fixed, slice_level
+from .groebner import initial_ideal
+from .staircase import (MonomialIdeal, hilbert_function, is_p_borel_fixed,
+                        slice_level)
 from .gin import (ComputationError, check_connectedness, gin, run_trace,
                   variety_invariants, is_saturated_gin)
 from .parsing import (ParseError, max_coefficient, parse_ideal,
@@ -183,9 +184,8 @@ def cmd_hilbert(args):
         M = _monomial_ideal_from(ideal)
     except ConfigError:
         M = initial_ideal(ideal)
-    dmax = args.dmax if args.dmax is not None else default_dmax(M)
-    hf = hilbert_function(M, dmax)
-    _emit({"hilbert": list(hf), "dmax": dmax}, args.as_json)
+    hf = hilbert_function(M, args.dmax)
+    _emit({"hilbert": list(hf), "dmax": len(hf) - 1}, args.as_json)
     return EXIT_OK
 
 

@@ -18,9 +18,8 @@ from functools import reduce
 from importlib import resources
 
 from .ring import DEFAULT_PRIME, PolyRing, check_modulus, check_nvars
-from .groebner import (Ideal, _hilbert_numerator, _koszul_numerator,
-                       hilbert_function, initial_ideal, intersect)
-from .staircase import gap_degrees
+from .groebner import Ideal, initial_ideal, intersect
+from .staircase import _koszul_numerator, gap_degrees, hilbert_function
 from .gin import (child_rng, connectedness_from_table, gin, run_trace,
                   variety_invariants, verify_gap_truncation,
                   verify_slice_identity)
@@ -152,7 +151,7 @@ def collinear_points(N, seed, prime=DEFAULT_PRIME) -> Ideal:
 
 
 # 1 - 3t^2 + 2t^3: three quadrics with two linear syzygies (Eagon-Northcott)
-_DETERMINANTAL_NUMERATOR = [1, 0, -3, 2]
+_DETERMINANTAL_NUMERATOR = (1, 0, -3, 2)
 
 
 def _first_with_hilbert(numerator, build, seed, *labels) -> Ideal:
@@ -163,7 +162,7 @@ def _first_with_hilbert(numerator, build, seed, *labels) -> Ideal:
     """
     for attempt in range(20):
         I = build(child_rng(seed, *labels, attempt))
-        if _hilbert_numerator(initial_ideal(I).gens, I.ring.nvars) == numerator:
+        if initial_ideal(I).numerator == numerator:
             return I
     raise RuntimeError(f"no {labels[0]} ideal with the expected Hilbert "
                        "series; seed exhausted")

@@ -39,14 +39,14 @@ from dataclasses import dataclass
 from .ring import (LinearChange, drop_last, mono_degree,
                    monomials_of_degree)
 # intersect is unused here: bench/tests/test_tracer.py asserts its binding
-from .groebner import (Ideal, _SliceBasis, _groebner_basis,
-                       _hilbert_numerator, hilbert_function, initial_ideal,
+from .groebner import (Ideal, _SliceBasis, _groebner_basis, initial_ideal,
                        intersect, restrict_ideal, truncate)
 from .staircase import (ComputationError, GinUnstableError, InvariantTable,
                         MonomialIdeal, colon_by_monomial, gap_degrees,
-                        invariant_table, is_borel_fixed, is_connected,
-                        is_p_borel_fixed, restrict_last, truncate_monomial,
-                        two_variable_trace, UnsaturatedIdealError)
+                        hilbert_function, invariant_table, is_borel_fixed,
+                        is_connected, is_p_borel_fixed, restrict_last,
+                        truncate_monomial, two_variable_trace,
+                        UnsaturatedIdealError)
 
 
 class DegenerateTraceError(ComputationError):
@@ -114,9 +114,9 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     hyperplane sections when the chain reaches K[x0, x1], and sampled
     otherwise.
 
-    N, the numerator of the Hilbert series of I, and L, the lead ideal of
-    the chain's first level, are read off the leads of the basis I holds,
-    unreduced (``Ideal.leads``).  Level k + 1 of the chain is level k, J,
+    L, the lead ideal of the chain's first level, is the one I keeps
+    (``Ideal.lead_ideal``), and N, the numerator of the Hilbert series of
+    I, is the one L keeps.  Level k + 1 of the chain is level k, J,
     restricted by a linear form, and the coordinate hyperplane x_last = 0
     is tried first.  Two facts of grevlex (Bayer and Stillman, see
     ``groebner``) make it free: in(J : x_last) = in(J) : x_last, so x_last
@@ -164,8 +164,8 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
         raise ValueError("need at least two votes")
     # not initial_ideal(I): the benchmark's tracer counts each of its calls
     # under gin() as a drawn sample
-    L = MonomialIdeal.from_monomials(I.ring.nvars, I.leads())
-    target = _hilbert_numerator(L.gens, L.nvars)
+    L = I.lead_ideal()
+    target = L.numerator
     J = I  # the last level whose generators are written out
     while L.nvars > 2:
         if all(g[-1] == 0 for g in L.gens):  # x_last is regular on R/J
@@ -208,12 +208,12 @@ def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
     with ``agreed=False`` if it is Borel-fixed, and ``GinUnstableError`` is
     raised if it is not.
 
-    Every sample has the Hilbert series of I, read off the leads of the
-    basis I holds, and its Buchberger run stops as soon as its lead
-    monomials reach it; a run that ends short of the series raises
-    ``GinUnstableError``.  No sample's basis is reduced.  The harnesses
-    call this path directly, so the gins they compare with gin(I) are
-    independent of the section chain.
+    Every sample has the Hilbert series of I, the one I's lead ideal keeps
+    (already computed once ``gin`` has run on I), and its Buchberger run
+    stops as soon as its lead monomials reach it; a run that ends short of
+    the series raises ``GinUnstableError``.  No sample's basis is reduced.
+    The harnesses call this path directly, so the gins they compare with
+    gin(I) are independent of the section chain.
     """
     if votes < 2:
         raise ValueError("need at least two votes")
@@ -222,7 +222,7 @@ def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
         change = LinearChange.random(I.ring, child_rng(seed, "gin-sample", k))
         return _sample_initial_ideal(I, change, target)
 
-    target = _hilbert_numerator(I.leads(), I.ring.nvars)
+    target = I.lead_ideal().numerator
     results = [sample(k, target) for k in range(votes)]
     prime = I.ring.prime
     if (all(r == results[0] for r in results[1:])
@@ -371,7 +371,7 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
         raise ValueError("need at least one form")
     n = I.ring.nvars - 1
     M = _stable_gin(I, seed, votes, gin_result).gin
-    series = _hilbert_numerator(M.gens, M.nvars)  # I's, kept by psi
+    series = M.numerator  # I's, kept by psi
     xn_power = lambda p: tuple(p if i == n else 0 for i in range(I.ring.nvars))
     section_gins = {}
     cases = []
@@ -433,9 +433,9 @@ def _gcd_degree(J: Ideal) -> int:
     The generators divided by g have no common factor, so they generate an
     ideal primary to (x0, x1), and J saturates to (g): dim (R/J)_d = deg g
     for large d.  With HS(R/J) = N(t) / (1 - t)^2 that multiplicity is
-    -N'(1), read off the leads of the basis J holds, or of its one run.
+    -N'(1), read off the lead ideal J keeps.
     """
-    N = _hilbert_numerator(J.leads(), 2)
+    N = J.lead_ideal().numerator
     return -sum(k * c for k, c in enumerate(N))
 
 
@@ -515,8 +515,8 @@ def run_trace(I: Ideal, levels, seed=0, votes=2,
     equal to the least x0-exponent on the staircase there (step 2); that
     degree is the multiplicity of the ideal the generators span, read off
     its Hilbert numerator (``_gcd_degree``).  A truncation that keeps every
-    generator is the draw itself, so its leads are those the draw's basis
-    already gave.
+    generator is the draw itself, whose lead ideal has computed its
+    numerator for the Hilbert function already: its gcd runs no engine.
 
     The forms are drawn ``_TRACE_SPECIALIZATIONS`` times.  Dimensions of
     restrictions are upper semicontinuous in the forms, so a draw whose

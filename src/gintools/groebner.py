@@ -74,18 +74,15 @@ divides by it without its own row.  Polynomials are read out as exponent
 tuples only at the edges: lead monomials for Hilbert series and initial
 ideals.
 
-Hilbert series come from the numerator N(t) of HS(R/M) = N(t)/(1-t)^n
-for a monomial ideal M, by the Bayer-Stillman recursion on a Bigatti
-pivot; ``hilbert_function`` reads its values off N.  A Buchberger run
-that knows the series of its ideal in advance (a gin sample, or a slice
-basis, whose coordinate change keeps the series) stops
-as soon as the lead monomials reach it (Traverso, Hilbert functions and
-the Buchberger algorithm, J. Symbolic Comput. 22 (1996)): pairs come in
-increasing lcm degree, so at each degree boundary where the basis has
-grown, HS(R/<lead G>) is compared with the target, and equality ends the
-run.  This is exact: <lead G> lies in in(I), and equal Hilbert series
-force equality, so G is already a Groebner basis.  The pairs left would
-all reduce to zero.
+A Buchberger run that knows the Hilbert series of its ideal in advance
+(a gin sample, or a slice basis, whose coordinate change keeps the
+series) stops as soon as the lead monomials reach it (Traverso, Hilbert
+functions and the Buchberger algorithm, J. Symbolic Comput. 22 (1996)):
+pairs come in increasing lcm degree, so at each degree boundary where the
+basis has grown, the numerator of HS(R/<lead G>) (see ``staircase``) is
+compared with the target, and equality ends the run.  This is exact:
+<lead G> lies in in(I), and equal Hilbert series force equality, so G is
+already a Groebner basis.  The pairs left would all reduce to zero.
 
 A run with no such target still has a floor when its generators are
 r <= nvars forms of degrees d_i: HS(R/I) >= prod (1 - t^d_i) / (1-t)^nvars
@@ -109,12 +106,12 @@ final; once they differ from the floor's, the checks end.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 
 from .ring import (DEGREE_BOUND, DEGREE_MASK, Poly, PolyRing, drop_last,
                    key_offset, last_image, restrict, revlex_key,
                    substitute_last)
-from .staircase import GinUnstableError, MonomialIdeal, minimal_monomials
+from .staircase import (GinUnstableError, MonomialIdeal, _koszul_numerator,
+                        _numerator, minimal_monomials)
 
 
 class Ideal:
@@ -139,6 +136,7 @@ class Ideal:
         self.gens = tuple(cleaned)
         self._gb = None  # reduced
         self._held = None  # as the run returned it
+        self._lead_ideal = None
 
     def _basis(self):
         """The reduced basis if built, else the run's, run once."""
@@ -146,9 +144,14 @@ class Ideal:
             self._held = _groebner_basis(self.gens, self.ring)
         return self._held if self._gb is None else self._gb
 
-    def leads(self) -> list:
-        """Lead monomials of a Groebner basis, not all minimal."""
-        return [g.lead_monomial for g in self._basis()]
+    def lead_ideal(self) -> MonomialIdeal:
+        """The ideal of lead monomials, read off whichever basis the ideal
+        holds and then kept: every Groebner basis has the same minimal
+        leads, so the reduced basis built later leaves it valid."""
+        if self._lead_ideal is None:
+            self._lead_ideal = MonomialIdeal.from_monomials(
+                self.ring.nvars, (g.lead_monomial for g in self._basis()))
+        return self._lead_ideal
 
     def groebner_basis(self):
         if self._gb is None:
@@ -380,11 +383,11 @@ def _groebner_basis(gens, ring, target=None, known=0) -> list:
             degree = d
             if len(G) > checked:
                 checked = len(G)
-                N = _hilbert_numerator(lead, ring.nvars)
+                N = _numerator(minimal_monomials(lead), ring.nvars)
                 if N == target:
                     return G
                 # elements still to come have degree >= d
-                if floor and (N + [0] * d)[:d] != (target + [0] * d)[:d]:
+                if floor and (N + (0,) * d)[:d] != (target + (0,) * d)[:d]:
                     target = None  # the floor is out of reach
         P.discard(pair)
         r = _divide(_s_pair(reducers[pair[0]], reducers[pair[1]], lcm,
@@ -393,7 +396,7 @@ def _groebner_basis(gens, ring, target=None, known=0) -> list:
             P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm,
                         skip(r))
     if (target is not None and not floor
-            and _hilbert_numerator(lead, ring.nvars) != target):
+            and _numerator(minimal_monomials(lead), ring.nvars) != target):
         raise GinUnstableError(
             "the Groebner basis is complete but its Hilbert series is not "
             f"the one expected at p={ring.prime}: a coordinate change or the "
@@ -424,100 +427,8 @@ def _reduce_basis(G, ring):
 
 
 def initial_ideal(I: Ideal) -> MonomialIdeal:
-    """Minimal monomial generators of the ideal of lead monomials, read off
-    whichever basis I holds."""
-    return MonomialIdeal.from_monomials(I.ring.nvars, I.leads())
-
-
-# ---------------------------------------------------------------------------
-# Hilbert functions
-
-def default_dmax(M: MonomialIdeal) -> int:
-    """Past max generator degree + nvars the function is polynomial here."""
-    return M.max_degree() + M.nvars
-
-
-def hilbert_function(M: MonomialIdeal, dmax=None) -> tuple:
-    """Quotient dimensions dim (R/M)_d for 0 <= d <= dmax.
-
-    Read off the numerator N(t) of the Hilbert series: dividing by
-    (1 - t) is a running sum, done once per variable.
-    """
-    if dmax is None:
-        dmax = default_dmax(M)
-    if dmax < 0:
-        raise ValueError("negative degree bound")
-    if any(len(g) != M.nvars for g in M.gens):
-        raise ValueError("generator has wrong number of variables")
-    values = _hilbert_numerator(M.gens, M.nvars) + [0] * (dmax + 1)
-    values = values[:dmax + 1]
-    for _ in range(M.nvars):
-        values = accumulate(values)
-    return tuple(values)
-
-
-def _hilbert_numerator(monos, nvars) -> list:
-    """N(t), lowest degree first and without trailing zeros, where
-    HS(R/M) = N(t) / (1 - t)^nvars for the ideal M the monomials generate.
-
-    N is unique once nvars is fixed, so two ideals of one ring have the
-    same Hilbert series exactly when their numerators are equal lists.
-    """
-    N = _numerator(minimal_monomials(monos), nvars)
-    while N and not N[-1]:
-        N.pop()
-    return N
-
-
-def _numerator(gens, nvars) -> list:
-    """The numerator for minimal generators ``gens``.
-
-    Bayer and Stillman's recursion on a pivot p = x_i^e,
-    HS(R/M) = HS(R/(M + (p))) + t^e HS(R/(M : p)), with Bigatti's choice of
-    pivot (J. Pure Appl. Algebra 119 (1997)): x_i occurs in the most
-    generators, and e is the lower median of its exponents there.  A pure
-    power of x_i among the generators is the unique largest exponent, so p
-    is not in M and both branches are strictly larger ideals; the
-    recursion therefore ends.  It stops at generators with pairwise
-    disjoint supports, whose numerator is the product of the 1 - t^deg(g).
-    Nothing is kept between calls.
-    """
-    counts = [0] * nvars
-    for g in gens:
-        for i, a in enumerate(g):
-            if a:
-                counts[i] += 1
-    most = max(counts)
-    if most <= 1:
-        if gens and not most:
-            return []  # the unit ideal
-        return _koszul_numerator(sum(g) for g in gens)
-    i = counts.index(most)
-    e = sorted(g[i] for g in gens if g[i])[(most - 1) // 2]
-    pivot = (0,) * i + (e,) + (0,) * (nvars - i - 1)
-    N = _numerator([g for g in gens if g[i] < e] + [pivot], nvars)
-    colon = _numerator(minimal_monomials(
-        g if g[i] == 0 else g[:i] + (max(g[i] - e, 0),) + g[i + 1:]
-        for g in gens), nvars)
-    N += [0] * (len(colon) + e - len(N))
-    for k, c in enumerate(colon, e):
-        N[k] += c
-    return N
-
-
-def _koszul_numerator(degrees) -> list:
-    """prod (1 - t^d) over the degrees, lowest degree first and without
-    trailing zeros: the numerator of a complete intersection of forms of
-    those degrees, and the floor below every ideal generated by at most
-    nvars such forms (see the module docstring)."""
-    N = [1]
-    for d in degrees:
-        N += [0] * d
-        for k in range(len(N) - 1, d - 1, -1):
-            N[k] -= N[k - d]
-    while N and not N[-1]:
-        N.pop()  # a factor of degree 0 is the zero polynomial
-    return N
+    """The ideal of lead monomials that I keeps (``Ideal.lead_ideal``)."""
+    return I.lead_ideal()
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,11 @@ class PolyRing:
         return f
 
     def random_form(self, degree, rng):
-        """Dense random homogeneous form of the given degree."""
+        """Dense random homogeneous form of the given degree; one with no
+        monomial, or none that packs, is refused before any is listed."""
+        if degree < 0:
+            raise ValueError(f"no form has the negative degree {degree}")
+        check_degree(degree, "form")
         while True:
             f = self.from_dict({m: rng.randrange(self.prime)
                                 for m in monomials_of_degree(self.nvars, degree)})

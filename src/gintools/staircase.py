@@ -11,12 +11,17 @@ g_i <= p_i on every sliced variable i, each with its other exponents, and
 kills every other one, which keeps a sliced variable.  ``slice_level``,
 ``two_variable_trace`` and every profile read their slice straight off
 the generators this way, without building the colon.
+
+A ``MonomialIdeal`` computes the numerator N(t) of HS(R/M) = N(t)/(1-t)^n
+once, by the Bayer-Stillman recursion on a Bigatti pivot (``_numerator``),
+and keeps it; ``hilbert_function`` reads its values off N.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 
 from .ring import (Monomial, mono_degree, mono_divides, mono_div, mono_gcd,
@@ -76,6 +81,85 @@ class MonomialIdeal:
 
     def max_exponent(self, axis):
         return max((g[axis] for g in self.gens), default=0)
+
+    @cached_property
+    def numerator(self) -> tuple:
+        """N(t), where HS(R/M) = N(t) / (1 - t)^nvars, computed once."""
+        return _numerator(self.gens, self.nvars)
+
+
+# ---------------------------------------------------------------------------
+# Hilbert series
+
+def hilbert_function(M: MonomialIdeal, dmax=None) -> tuple:
+    """Quotient dimensions dim (R/M)_d for 0 <= d <= dmax, by default up to
+    the top generator degree plus nvars, past which they are polynomial.
+    Dividing M's numerator by (1 - t) is a running sum, one per variable."""
+    if dmax is None:
+        dmax = M.max_degree() + M.nvars
+    if dmax < 0:
+        raise ValueError("negative degree bound")
+    if any(len(g) != M.nvars for g in M.gens):
+        raise ValueError("generator has wrong number of variables")
+    values = (M.numerator + (0,) * (dmax + 1))[:dmax + 1]
+    for _ in range(M.nvars):
+        values = itertools.accumulate(values)
+    return tuple(values)
+
+
+def _numerator(gens, nvars) -> tuple:
+    """N(t), lowest degree first and without trailing zeros, where
+    HS(R/M) = N(t) / (1 - t)^nvars for the ideal M of the minimal generators
+    ``gens``.  N is unique once nvars is fixed: two ideals of one ring have
+    the same Hilbert series exactly when their numerators are equal.
+
+    Bayer and Stillman's recursion on a pivot p = x_i^e,
+    HS(R/M) = HS(R/(M + (p))) + t^e HS(R/(M : p)), with Bigatti's choice of
+    pivot (J. Pure Appl. Algebra 119 (1997)): x_i occurs in the most
+    generators, and e is the lower median of its exponents there.  A pure
+    power of x_i among the generators is the unique largest exponent, so p
+    is not in M and both branches are strictly larger ideals; the
+    recursion therefore ends.  It stops at generators with pairwise
+    disjoint supports, whose numerator is the product of the 1 - t^deg(g).
+    """
+    counts = [0] * nvars
+    for g in gens:
+        for i, a in enumerate(g):
+            if a:
+                counts[i] += 1
+    most = max(counts)
+    if most <= 1:
+        if gens and not most:
+            return ()  # the unit ideal
+        return _koszul_numerator(sum(g) for g in gens)
+    i = counts.index(most)
+    e = sorted(g[i] for g in gens if g[i])[(most - 1) // 2]
+    pivot = (0,) * i + (e,) + (0,) * (nvars - i - 1)
+    N = list(_numerator([g for g in gens if g[i] < e] + [pivot], nvars))
+    colon = _numerator(minimal_monomials(
+        g if g[i] == 0 else g[:i] + (max(g[i] - e, 0),) + g[i + 1:]
+        for g in gens), nvars)
+    N += [0] * (len(colon) + e - len(N))
+    for k, c in enumerate(colon, e):
+        N[k] += c
+    while N and not N[-1]:
+        N.pop()
+    return tuple(N)
+
+
+def _koszul_numerator(degrees) -> tuple:
+    """prod (1 - t^d) over the degrees, lowest degree first and without
+    trailing zeros: the numerator of a complete intersection of forms of
+    those degrees, and the floor below every ideal generated by at most
+    nvars such forms (see ``groebner``)."""
+    N = [1]
+    for d in degrees:
+        N += [0] * d
+        for k in range(len(N) - 1, d - 1, -1):
+            N[k] -= N[k - d]
+    while N and not N[-1]:
+        N.pop()  # a factor of degree 0 is the zero polynomial
+    return tuple(N)
 
 
 def elementary_move(m: Monomial, j: int):

@@ -14,11 +14,10 @@ from gintools.corpus import (DATA, _DETERMINANTAL_NUMERATOR,
                              load_entry, parse_entry, point_ideal,
                              render_entry, twisted_cubic)
 from gintools.gin import child_rng, gin, variety_invariants
-from gintools.groebner import (Ideal, _hilbert_numerator, _koszul_numerator,
-                               initial_ideal)
+from gintools.groebner import Ideal, initial_ideal
 from gintools.ring import PolyRing
 from gintools.staircase import (InvariantProfile, MonomialIdeal,
-                                UnsaturatedIdealError,
+                                UnsaturatedIdealError, _koszul_numerator,
                                 gap_degrees, is_borel_fixed)
 from gintools.parsing import ParseError, parse_polynomial
 
@@ -108,16 +107,15 @@ def test_koszul_numerator_is_that_of_two_coprime_powers(n):
     for a, b in itertools.product(range(1, 5), repeat=2):
         M = MonomialIdeal.from_monomials(
             n + 1, [(a,) + (0,) * n, (0, b) + (0,) * (n - 1)])
-        assert _koszul_numerator((a, b)) == _hilbert_numerator(M.gens, n + 1)
+        assert _koszul_numerator((a, b)) == M.numerator
 
 
 @pytest.mark.parametrize("build", [twisted_cubic,
                                    lambda: determinantal(4, seed=0)])
 def test_determinantal_numerator_is_that_of_the_minors(build):
     I = build()
-    assert _DETERMINANTAL_NUMERATOR == [1, 0, -3, 2]
-    assert _hilbert_numerator(initial_ideal(I).gens, I.ring.nvars) == \
-        _DETERMINANTAL_NUMERATOR
+    assert _DETERMINANTAL_NUMERATOR == (1, 0, -3, 2)
+    assert initial_ideal(I).numerator == _DETERMINANTAL_NUMERATOR
 
 
 def test_first_with_hilbert_skips_forms_with_a_common_factor():
@@ -275,3 +273,49 @@ def test_entry_report_raises_on_an_unsaturated_ideal():
     with pytest.raises(UnsaturatedIdealError):
         entry_report(entry, seed=0, votes=2)
 
+
+
+def test_an_entry_report_computes_the_gin_series_once(corpus_entries,
+                                                      monkeypatch):
+    """The slice check computes the series of the gin, and the expect
+    block's Hilbert function reads it; no other ideal equal to the gin
+    computes it again.  The trace keeps each draw whole at its gap degree,
+    so each gcd reads the numerator its draw's lead ideal computed for the
+    Hilbert function, and runs no engine."""
+    import functools
+    import importlib
+    import gintools.groebner as groebner
+    import gintools.staircase as staircase
+    gin_module = importlib.import_module("gintools.gin")
+    engine_runs, computed, gins, gcd_runs = [], [], [], []
+
+    def engine(gens, nvars, run=staircase._numerator):
+        engine_runs.append(nvars)
+        return run(gens, nvars)
+
+    def numerator(M, compute=MonomialIdeal.numerator.func):
+        computed.append(M)
+        return compute(M)
+
+    def recorded_gin(*args, **kwargs):
+        gins.append(gin(*args, **kwargs))
+        return gins[-1]
+
+    def gcd_degree(J, compute=gin_module._gcd_degree):
+        before = len(engine_runs)
+        degree = compute(J)
+        gcd_runs.append(len(engine_runs) - before)
+        return degree
+
+    kept = functools.cached_property(numerator)
+    kept.__set_name__(MonomialIdeal, "numerator")
+    monkeypatch.setattr(MonomialIdeal, "numerator", kept)
+    monkeypatch.setattr(staircase, "_numerator", engine)
+    monkeypatch.setattr(groebner, "_numerator", engine)
+    monkeypatch.setattr(corpus, "gin", recorded_gin)
+    monkeypatch.setattr(gin_module, "_gcd_degree", gcd_degree)
+    report = entry_report(corpus_entries["twisted-cubic"], seed=0)
+    assert report["passed"] and len(gins) == 1
+    equal = [M for M in computed if M == gins[0].gin]
+    assert len(equal) == 1 and equal[0] is gins[0].gin
+    assert gcd_runs == [0, 0, 0]

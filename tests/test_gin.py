@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from gintools.ring import LinearChange, PolyRing, drop_last
-from gintools.groebner import (Ideal, _SliceBasis, _hilbert_numerator,
-                               hilbert_function, initial_ideal,
+from gintools.groebner import (Ideal, _SliceBasis, initial_ideal,
                                restrict_ideal)
 from gintools.cli import main
 from gintools.corpus import (complete_intersection, determinantal,
@@ -24,8 +23,9 @@ from gintools.gin import (ComputationError, GinUnstableError, _sampled_gin,
 from gintools.parsing import parse_ideal, parse_polynomial
 from gintools.staircase import (InvariantProfile, InvariantTable,
                                 MonomialIdeal, UnsaturatedIdealError,
-                                elementary_move, is_borel_fixed,
-                                is_connected, profile_at, restrict_last)
+                                elementary_move, hilbert_function,
+                                is_borel_fixed, is_connected, profile_at,
+                                restrict_last)
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -41,10 +41,6 @@ def ideal(ring, text):
 
 def twisted_cubic():
     return ideal(R4, "x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2")
-
-
-def hilbert_numerator(M):
-    return _hilbert_numerator(M.gens, M.nvars)
 
 
 def staircase(nvars, *gens):
@@ -183,7 +179,7 @@ def test_unipotent_samples_give_the_gin_of_dense_ones(build):
     module = importlib.import_module("gintools.gin")
     for seed in range(3):
         I = build(seed)
-        target = hilbert_numerator(initial_ideal(I))
+        target = initial_ideal(I).numerator
         rng = random.Random(seed)
         dense = [module._sample_initial_ideal(I, _DenseChange(I.ring, rng),
                                               target) for _ in range(3)]
@@ -373,8 +369,6 @@ def test_hilbert_tail_is_polynomial_on_corpus(corpus_entries, corpus_gins):
     """Past the default bound the counts follow a polynomial of the right
     degree: differences of order n-1 vanish at the tail (codimension two
     means dimension n-2)."""
-    from gintools.groebner import default_dmax, hilbert_function
-
     def tail_differences(values, order):
         vals = list(values)
         for _ in range(order):
@@ -383,7 +377,7 @@ def test_hilbert_tail_is_polynomial_on_corpus(corpus_entries, corpus_gins):
 
     for name, entry in corpus_entries.items():
         M = corpus_gins[name].gin
-        values = list(hilbert_function(M, default_dmax(M) + 3))
+        values = list(hilbert_function(M, M.max_degree() + M.nvars + 3))
         diffs = tail_differences(values, entry.n - 1)
         assert diffs[-3:] == [0, 0, 0], (name, values)
 
@@ -903,7 +897,7 @@ def test_every_sample_stops_at_the_series_of_the_ideal(monkeypatch):
     """Sample 0 included: the series comes from I's own basis."""
     I = twisted_cubic()
     targets = recorded_targets(I, monkeypatch)
-    expected = hilbert_numerator(initial_ideal(I))
+    expected = initial_ideal(I).numerator
     assert targets == [expected, expected]
 
 
@@ -911,7 +905,7 @@ def test_every_sample_of_an_ideal_with_its_basis_stops(monkeypatch):
     """A section read off a slice basis holds its reduced basis."""
     section = _SliceBasis(twisted_cubic(), R4.variable(3)).section(0)
     targets = recorded_targets(section, monkeypatch)
-    assert targets == [hilbert_numerator(initial_ideal(section))] * 2
+    assert targets == [initial_ideal(section).numerator] * 2
 
 
 def test_a_sample_short_of_the_series_is_refused(capsys, monkeypatch):
@@ -1122,8 +1116,7 @@ def test_no_generator_on_x_last_is_the_numerator_certificate(L):
     numerator of the Hilbert series, the certificate a drawn form gets."""
     n = L.nvars - 1
     regular = all(g[-1] == 0 for g in L.gens)
-    assert regular == (_hilbert_numerator(restrict_last(L).gens, n)
-                       == _hilbert_numerator(L.gens, n + 1))
+    assert regular == (restrict_last(L).numerator == L.numerator)
 
 
 @st.composite

@@ -4,21 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gintools.ring import (LinearChange, Poly, PolyRing, last_image,
-                           mono_div, mono_divides, monomials_of_degree,
-                           restrict, revlex_key)
+from gintools.ring import (DEGREE_MASK, LinearChange, Poly, PolyRing,
+                           last_image, mono_div, mono_divides,
+                           monomials_of_degree, restrict, revlex_key)
 from gintools.corpus import complete_intersection, general_points, point_ideal
 from gintools.groebner import (Ideal, _SliceBasis, _divide,
                                _elimination_ring, _groebner_basis,
-                               _hilbert_numerator, _koszul_numerator,
                                _lift, _one_minus_t,
                                _reduce_basis, _reducer, _s_pair,
-                               buchberger, hilbert_function,
-                               ideal_quotient, initial_ideal, intersect,
-                               normal_form, restrict_ideal, saturate,
-                               truncate)
+                               buchberger, ideal_quotient, initial_ideal,
+                               intersect, normal_form, restrict_ideal,
+                               saturate, truncate)
 from gintools.parsing import parse_ideal, parse_polynomial
-from gintools.staircase import GinUnstableError, MonomialIdeal
+from gintools.staircase import (GinUnstableError, MonomialIdeal,
+                                _koszul_numerator, _numerator,
+                                hilbert_function)
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -312,6 +312,18 @@ def test_initial_ideal_of_linear_forms_row_reduces():
         MonomialIdeal.from_monomials(3, [(1, 0, 0), (0, 1, 0)])
 
 
+def test_an_ideal_keeps_its_lead_ideal_through_reduction():
+    """The lead ideal is read off the run's unreduced basis once and kept:
+    after the reduced basis is built it is the same object, and its
+    generators are the reduced basis' leads, not the generators' leads."""
+    I = ideal(R3, "x0^2 + x1*x2, x1^2 + x0*x2, x2^2 + x0*x1")
+    L = I.lead_ideal()
+    assert I._gb is None and initial_ideal(I) is L
+    basis = I.groebner_basis()
+    assert I.lead_ideal() is L and initial_ideal(I) is L
+    assert sorted(L.gens) == sorted(g.lead_monomial for g in basis)
+
+
 @given(st.integers(0, 1000))
 @settings(max_examples=20)
 def test_hilbert_function_preserved_by_initial_ideal(seed):
@@ -365,10 +377,6 @@ def test_hilbert_function_matches_enumeration(ideal_gens, dmax):
 # ---------------------------------------------------------------------------
 # Buchberger stopped by a known Hilbert series
 
-def series(M):
-    return _hilbert_numerator(M.gens, M.nvars)
-
-
 def as_sympy(basis):
     """A reduced basis in the form ``oracles.sympy_reduced_basis`` gives."""
     return sorted(tuple(sorted(g.terms)) for g in basis)
@@ -406,7 +414,7 @@ def test_early_stopped_lead_ideal_equals_the_full_one(seed, p, nvars, move):
     change = (LinearChange.random(ring, rng) if move
               else LinearChange(ring, identity))
     moved = [change.apply(g) for g in I.gens]
-    stopped = _groebner_basis(moved, ring, series(initial_ideal(I)))
+    stopped = _groebner_basis(moved, ring, initial_ideal(I).numerator)
     assert lead_ideal(stopped, nvars) == initial_ideal(Ideal(ring, moved))
 
 
@@ -417,14 +425,14 @@ def test_stop_needs_the_whole_series_not_the_values_so_far():
     I = ideal(R3, "x0^2 - x0*x1, x0*x1^2 - x2^3")
     full = initial_ideal(I)
     assert (0, 3, 3) in full.gens
-    stopped = _groebner_basis(I.gens, R3, series(full))
+    stopped = _groebner_basis(I.gens, R3, full.numerator)
     assert lead_ideal(stopped, 3) == full
 
 
 def test_a_basis_with_its_series_processes_no_pair(monkeypatch):
     import gintools.groebner as gb
     I = twisted_cubic()
-    target = series(initial_ideal(I))
+    target = initial_ideal(I).numerator
     calls = []
 
     def recorded(f, g, lcm, p):
@@ -442,7 +450,7 @@ def test_a_basis_with_its_series_processes_no_pair(monkeypatch):
 def test_a_series_never_reached_raises_naming_the_prime():
     ring = PolyRing(3, 7)
     I = ideal(ring, "x0^2 + x1*x2, x1^2")
-    wrong = series(MonomialIdeal.from_monomials(3, [(2, 0, 0)]))
+    wrong = MonomialIdeal.from_monomials(3, [(2, 0, 0)]).numerator
     with pytest.raises(GinUnstableError, match="p=7"):
         _groebner_basis(I.gens, ring, wrong)
 
@@ -518,7 +526,7 @@ def test_a_floor_never_reached_returns_the_full_basis(monkeypatch):
 
     monkeypatch.setattr(gb, "_s_pair", recorded)
     G = _groebner_basis(I.gens, R4)
-    assert series(lead_ideal(G, 4)) == [1, 0, -3, 2] != floor
+    assert lead_ideal(G, 4).numerator == (1, 0, -3, 2) != floor
     assert as_sympy(_reduce_basis(G, R4)) == \
         oracles.sympy_reduced_basis(I.gens, R4)
     floored = list(pairs)
@@ -538,16 +546,44 @@ def test_a_floor_out_of_reach_is_checked_once(monkeypatch):
     I = ideal(R3, "x0*x1 + x1*x2, x1^3 - x0*x1*x2, x0*x2^2 + x1*x2^2")
     numerators = []
 
-    def recorded(monos, nvars):
-        numerators.append(_hilbert_numerator(monos, nvars))
+    def recorded(gens, nvars):
+        numerators.append(_numerator(gens, nvars))
         return numerators[-1]
 
-    monkeypatch.setattr(gb, "_hilbert_numerator", recorded)
+    monkeypatch.setattr(gb, "_numerator", recorded)
     basis = buchberger(I.gens, R3)
     assert [g.degree for g in basis] == [2, 3, 3, 4, 5]
     floor = _koszul_numerator((2, 3, 3))
     assert len(numerators) == 1 and numerators[0][:5] != floor[:5]
     assert basis == _reduce_basis(unfloored_basis(list(I.gens), R3), R3)
+
+
+def test_a_floor_met_below_the_boundary_degree_is_checked_again(monkeypatch):
+    """Three quadrics in P^2.  At the degree-4 boundary the leads'
+    numerator agrees with the floor (1 - t^2)^3 below degree 4 and not at
+    t^4, which the quartics still to come can change, so the checks go on;
+    the next boundary meets the floor and leaves the pairs past degree 4,
+    which the run without a floor takes."""
+    import gintools.groebner as gb
+    I = ideal(R3, "x0^2 + x1*x2, x1^2 + x0*x2, x2^2 + x0*x1")
+    numerators, degrees = [], []
+
+    def recorded(gens, nvars):
+        numerators.append(_numerator(gens, nvars))
+        return numerators[-1]
+
+    def paired(f, g, lcm, p):
+        degrees.append(lcm & DEGREE_MASK)
+        return _s_pair(f, g, lcm, p)
+
+    monkeypatch.setattr(gb, "_numerator", recorded)
+    monkeypatch.setattr(gb, "_s_pair", paired)
+    floored = buchberger(I.gens, R3)
+    assert numerators == [(1, 0, -3, 0, 4, -2), _koszul_numerator((2, 2, 2))]
+    assert max(degrees) == 4
+    degrees.clear()
+    assert _reduce_basis(unfloored_basis(list(I.gens), R3), R3) == floored
+    assert max(degrees) > 4
 
 
 def test_a_complete_intersection_stops_at_its_floor(monkeypatch):
@@ -564,12 +600,12 @@ def test_a_complete_intersection_stops_at_its_floor(monkeypatch):
         calls.append((f, g))
         return _s_pair(f, g, lcm, p)
 
-    def checked(monos, nvars):
-        checks.append(list(monos))
-        return _hilbert_numerator(monos, nvars)
+    def checked(gens, nvars):
+        checks.append(list(gens))
+        return _numerator(gens, nvars)
 
     monkeypatch.setattr(gb, "_s_pair", recorded)
-    monkeypatch.setattr(gb, "_hilbert_numerator", checked)
+    monkeypatch.setattr(gb, "_numerator", checked)
     floored = buchberger(I.gens, I.ring)
     assert len(calls) == 1 and len(checks) == 1 and len(checks[0]) == 3
     assert as_sympy(floored) == oracles.sympy_reduced_basis(I.gens, I.ring)
@@ -590,11 +626,11 @@ def test_more_forms_than_variables_take_no_floor(monkeypatch):
     padded = list(I.gens) + [f * R3.variable(0), f * R3.variable(1)]
     numerators = []
 
-    def recorded(monos, nvars):
-        numerators.append(_hilbert_numerator(monos, nvars))
+    def recorded(gens, nvars):
+        numerators.append(_numerator(gens, nvars))
         return numerators[-1]
 
-    monkeypatch.setattr(gb, "_hilbert_numerator", recorded)
+    monkeypatch.setattr(gb, "_numerator", recorded)
     full = buchberger(padded, R3)
     assert numerators == []
     assert buchberger(I.gens, R3) == full and numerators

@@ -502,6 +502,29 @@ def test_degrees_stay_below_the_packing_bound():
         R3.monomial((-1, 2, 0))
 
 
+def test_random_form_refuses_degrees_it_cannot_build(monkeypatch):
+    """A negative degree has no monomial in two or more variables, so the
+    draw would repeat the zero form forever; a degree at the bound has
+    about C(d + n - 1, n - 1) monomials, none of which packs.  Both are
+    refused before any monomial is listed."""
+    import gintools.ring as ring_module
+
+    def no_listing(nvars, d):
+        raise AssertionError(f"monomials of degree {d} listed")
+
+    rng = random.Random(0)
+    monkeypatch.setattr(ring_module, "monomials_of_degree", no_listing)
+    for ring in (PolyRing(1), R3, R4):
+        with pytest.raises(ValueError, match="negative degree -1"):
+            ring.random_form(-1, rng)
+        with pytest.raises(ValueError, match=f"below {DEGREE_BOUND}"):
+            ring.random_form(DEGREE_BOUND, rng)
+    monkeypatch.undo()
+    top = DEGREE_BOUND - 1
+    assert PolyRing(2).random_form(top, rng).degree == top
+    assert R3.random_form(0, rng).degree == 0
+
+
 def test_a_power_of_a_constant_is_taken_at_once(monkeypatch):
     """No degree bound stops a constant's power, so it is not a loop of
     products: 2^k is pow(2, k, p), the zero polynomial stays zero for
