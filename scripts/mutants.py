@@ -57,6 +57,26 @@ MUTANTS = [
      "src/gintools/groebner.py",
      "return rows if rows and not ring.exponent(r[0][0], -1) else 0",
      "return rows + 1 if rows and not ring.exponent(r[0][0], -1) else 0"),
+    ("a point meet targets t^(e+1) * (1-t)^(n-1) for t^e * (1-t)^(n-1)",
+     "src/gintools/groebner.py",
+     "point = (0,) * e + _koszul_numerator",
+     "point = (0,) * (e + 1) + _koszul_numerator"),
+    ("a point meet takes g* of greatest degree",
+     "src/gintools/groebner.py",
+     "star = min(hits, key=",
+     "star = max(hits, key="),
+    ("a point meet leaves out the a_i * g*",
+     "src/gintools/groebner.py",
+     "gens += [a * g_star for a in A.gens]",
+     "gens += []"),
+    ("the point test accepts linear forms whose leads repeat",
+     "src/gintools/groebner.py",
+     "return (len(I.gens) == len(leads) == I.ring.nvars - 1",
+     "return (len(I.gens) == I.ring.nvars - 1"),
+    ("gin() reads the last level's Hilbert function in three variables",
+     "src/gintools/gin.py",
+     "_series_values(target, 2, bound)",
+     "_series_values(target, 3, bound)"),
     ("the Koszul floor is taken for nvars + 1 forms",
      "src/gintools/groebner.py",
      "ring.graded and len(gens) <= ring.nvars:",

@@ -42,10 +42,10 @@ from .ring import (LinearChange, drop_last, mono_degree,
 from .groebner import (Ideal, _SliceBasis, _groebner_basis, initial_ideal,
                        intersect, restrict_ideal, truncate)
 from .staircase import (ComputationError, GinUnstableError, InvariantTable,
-                        MonomialIdeal, colon_by_monomial, gap_degrees,
-                        hilbert_function, invariant_table, is_borel_fixed,
-                        is_connected, is_p_borel_fixed, restrict_last,
-                        truncate_monomial, two_variable_trace,
+                        MonomialIdeal, _series_values, colon_by_monomial,
+                        gap_degrees, hilbert_function, invariant_table,
+                        is_borel_fixed, is_connected, is_p_borel_fixed,
+                        restrict_last, truncate_monomial, two_variable_trace,
                         UnsaturatedIdealError)
 
 
@@ -188,7 +188,8 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
         bound = L.max_exponent(0) + L.max_exponent(1)
         if I.ring.prime > bound:
             pad = (0,) * (I.ring.nvars - 2)
-            M = _stable_ideal_with_hilbert(hilbert_function(L, bound))
+            # every level keeps I's numerator, so L's is not computed
+            M = _stable_ideal_with_hilbert(_series_values(target, 2, bound))
             # zeros appended keep the generators minimal and in order
             return GinResult(MonomialIdeal(
                 I.ring.nvars, tuple(g + pad for g in M.gens)), 0, True)

@@ -17,25 +17,37 @@ One basis of psi(I) therefore gives every (I : h^p) and every section
 linear form with a nonzero x_n coefficient, as
 ``PolyRing.general_linear_form`` draws, and refuses anything else.
 
-Intersections go through the one-auxiliary-variable elimination
-construction: adjoin t, form t*A + (1-t)*B, and eliminate t.  The order
-gives t weight 0: x-degree first, then the power of t, then grevlex on x.
-Every polynomial the construction meets is homogeneous in x, and there
-the order picks the same leads as the block order with t greatest, so the
-t-free elements of a Groebner basis form one of A meet B (Cox, Little and
-O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 3 and ch. 8 sec. 3).
-Such an element has no t in any term, since its t-free lead is its
-greatest power of t.  The normal strategy takes pairs by x-degree, which is their
-sugar degree (Giovini, Mora, Niesi, Robbiano and Traverso, One sugar
-cube, please, ISSAC 1991), and only the t-free elements are reduced.
-That order lives here and nowhere else.  Either ideal may carry t, and
-A, the one whose generators have the lower top degree, does: the t-parts
-a run carries live in R/A (see ``intersect``).
+An intersection with the ideal A of a point p is taken in the graded
+ring as the kernel of evaluation at p (Abbott, Bigatti, Kreuzer and
+Robbiano, Computing ideals of points, J. Symbolic Comput. 30 (2000)).
+A's n - 1 linear forms lead with n - 1 distinct variables, and division
+by them sends a form g to g(p) * x_k^deg(g), x_k the variable left over.
+With g* an element of B's basis of least degree e among those not
+vanishing at p, A meet B is generated by the a_i * g* and by each other
+element g minus (g(p) / g*(p)) * x_k^(deg g - e) * g*.  Its series is
+known: A + B = A + (x_k^e), so its numerator is N_B + t^e * (1-t)^(n-1),
+and the one Buchberger run stops there, exactly, as every run with a
+known series does (see below, and ``intersect``).
+
+Every other intersection goes through the one-auxiliary-variable
+elimination construction: adjoin t, form t*A + (1-t)*B, and eliminate t.
+The order gives t weight 0: x-degree first, then the power of t, then
+grevlex on x.  Every polynomial the construction meets is homogeneous in
+x, and there the order picks the same leads as the block order with t
+greatest, so the t-free elements of a Groebner basis form one of A meet
+B (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 3
+and ch. 8 sec. 3).  Such an element has no t in any term, since its
+t-free lead is its greatest power of t.  The normal strategy takes pairs
+by x-degree, which is their sugar degree (Giovini, Mora, Niesi, Robbiano
+and Traverso, One sugar cube, please, ISSAC 1991), and only the t-free
+elements are reduced.  That order lives here and nowhere else.  Either
+ideal may carry t, and A, the one whose generators have the lower top
+degree, does: the t-parts a run carries live in R/A (see ``intersect``).
 
 When the rows t*a enter the run as t times a Groebner basis of A
-(generators whose leads are pairwise coprime, as for a point or a linear
-space in echelon form), the run forms no pair of two rows, nor of a row
-and an element h with a t-free lead.  Such an h has no t, so it lies in
+(generators whose leads are pairwise coprime, as for a linear space in
+echelon form), the run forms no pair of two rows, nor of a row and an
+element h with a t-free lead.  Such an h has no t, so it lies in
 (t*A + (1-t)*B) meet K[x] = A meet B, inside A.  The S-polynomial of t*a
 with h, or with t*a', is then t*S for S = S(a, h) or S(a, a') in A.  As
 the a form a Groebner basis of A, S = sum q_k*a_k with every
@@ -76,13 +88,14 @@ ideals.
 
 A Buchberger run that knows the Hilbert series of its ideal in advance
 (a gin sample, or a slice basis, whose coordinate change keeps the
-series) stops as soon as the lead monomials reach it (Traverso, Hilbert
-functions and the Buchberger algorithm, J. Symbolic Comput. 22 (1996)):
-pairs come in increasing lcm degree, so at each degree boundary where the
-basis has grown, the numerator of HS(R/<lead G>) (see ``staircase``) is
-compared with the target, and equality ends the run.  This is exact:
-<lead G> lies in in(I), and equal Hilbert series force equality, so G is
-already a Groebner basis.  The pairs left would all reduce to zero.
+series, or a meet with a point) stops as soon as the lead monomials reach
+it (Traverso, Hilbert functions and the Buchberger algorithm, J. Symbolic
+Comput. 22 (1996)): pairs come in increasing lcm degree, so at each degree
+boundary where the basis has grown, the numerator of HS(R/<lead G>) (see
+``staircase``) is compared with the target, and equality ends the run.
+This is exact: <lead G> lies in in(I), and equal Hilbert series force
+equality, so G is already a Groebner basis.  The pairs left would all
+reduce to zero.
 
 A run with no such target still has a floor when its generators are
 r <= nvars forms of degrees d_i: HS(R/I) >= prod (1 - t^d_i) / (1-t)^nvars
@@ -481,16 +494,76 @@ def _top_degree(I: Ideal) -> int:
     return max((g.degree for g in I.gens), default=-1)
 
 
-def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I meet J via elimination of t from t*A + (1-t)*B.
+def _is_point(I: Ideal) -> bool:
+    """Whether I's generators are n - 1 linear forms whose leads are n - 1
+    distinct variables, as ``corpus.point_ideal`` builds: the ideal of a
+    point."""
+    leads = {g.packed[0][0] for g in I.gens}
+    return (len(I.gens) == len(leads) == I.ring.nvars - 1
+            and all(m & DEGREE_MASK == 1 for m in leads))
 
-    A is the argument whose generators have the lower top degree, I on a
-    tie.  Each (1-t)*b reduces against the t-rows to b - t*NF_A(b), so the
-    t-parts the run carries live in R/A.  The top degree stands in, for
-    free, for the smaller quotient (a point has one standard monomial in
-    every degree); a rule that compares Groebner bases costs more than it
-    saves.  The reduced basis of the meet is unique, so the choice changes
-    only the work.
+
+def _meet_point(A: Ideal, B: Ideal) -> tuple:
+    """The reduced basis of A meet B for the ideal A of a point, as the
+    kernel of evaluation at it (see ``intersect``)."""
+    ring, p = A.ring, A.ring.prime
+    rows = [_reducer(a) for a in A.gens]
+    G = B._basis()
+    # each remainder is () or c_g * x_k^deg(g), packed
+    values = [_divide(dict(g.packed), rows, ring) for g in G]
+    hits = [i for i, v in enumerate(values) if v]
+    if not hits:
+        return B.groebner_basis()  # B lies in A
+    star = min(hits, key=lambda i: values[i][0][0] & DEGREE_MASK)
+    g_star, (x_e, c_star) = G[star], values[star][0]
+    e, inv = x_e & DEGREE_MASK, ring.inv(c_star)
+    gens = []
+    for g, v in zip(G, values):
+        if g is g_star:
+            continue
+        if v:  # x_k^(deg g - e) is the remainders' quotient
+            shift, factor = v[0][0] - x_e, v[0][1] * inv % p
+            g = g - Poly(ring, tuple((m + shift, factor * c % p)
+                                     for m, c in g_star.packed))
+        gens.append(g)
+    # last, so that they join reduced by the rest: on random points their
+    # leads then reach the target before any pair is processed
+    gens += [a * g_star for a in A.gens]
+    # N_B + t^e (1 - t)^(n-1), without trailing zeros
+    target = list(B.lead_ideal().numerator)
+    point = (0,) * e + _koszul_numerator([1] * (ring.nvars - 1))
+    target += [0] * (len(point) - len(target))
+    for k, c in enumerate(point):
+        target[k] += c
+    while target and not target[-1]:
+        target.pop()
+    return _reduce_basis(_groebner_basis(gens, ring, tuple(target)), ring)
+
+
+def intersect(I: Ideal, J: Ideal) -> Ideal:
+    """I meet J: by evaluation when either is the ideal of a point, J
+    first, and otherwise via elimination of t from t*A + (1-t)*B.
+
+    The ideal A of a point p is given by n - 1 linear forms a_i whose
+    leads are n - 1 distinct variables; x_k leads none.  Division by the
+    a_i sends a form g of degree d to c_g * x_k^d, and c_g = g(p) for p
+    scaled so that p_k = 1, as g - NF(g) in A vanishes at p.  Take the
+    basis G that B holds.  If every c_g is 0, B lies in A and the meet is
+    B.  Otherwise let g* be an element with c_g* != 0 of least degree e:
+    A meet B is generated by g - (c_g / c_g*) * x_k^(deg g - e) * g* for
+    every other g (g itself when c_g = 0) and by the a_i * g*.  Modulo
+    these every f in B is q * g*, and f(p) = 0 forces q(p) = 0, so q is in
+    A.  As A + B = A + (x_k^e), the numerator of HS(R/(A meet B)) is
+    N_B + t^e * (1-t)^(n-1), N_B that of B, and the one Buchberger run
+    stops there: its leads lie in in(A meet B), and equal series force
+    equality.  No elimination variable is adjoined.
+
+    For elimination, A is the argument whose generators have the lower
+    top degree, I on a tie.  Each (1-t)*b reduces against the t-rows to
+    b - t*NF_A(b), so the t-parts the run carries live in R/A.  The top
+    degree stands in, for free, for the smaller quotient; a rule that
+    compares Groebner bases costs more than it saves.  The reduced basis
+    of the meet is unique, so the choice changes only the work.
 
     The ring must be graded: the elimination order eliminates t only on
     generators homogeneous in x.  The t-free elements of any Groebner basis
@@ -499,9 +572,9 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     has no t at all.
 
     When A's generators have pairwise coprime leads, they are a Groebner
-    basis of A (Buchberger's first criterion), as for every point and
-    every linear space in echelon form.  Then the run forms no pair of two
-    rows, nor of a row and an element h with a t-free lead: h has no t, so
+    basis of A (Buchberger's first criterion), as for every linear space
+    in echelon form.  Then the run forms no pair of two rows, nor of a
+    row and an element h with a t-free lead: h has no t, so
     it lies in A meet B, inside A, and each such S-polynomial is t*S(a, .)
     with S(a, .) in A, which the rows represent below the pair's lcm (see
     the module docstring).  No Buchberger run is made on A for this.
@@ -512,22 +585,27 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     if not ring.graded:
         raise ValueError("intersection needs a graded ring: elimination "
                          "by x-degree first needs homogeneous generators")
-    A, B = (J, I) if _top_degree(J) < _top_degree(I) else (I, J)
-    leads = [g.lead_monomial for g in A.gens]
-    coprime = sum(map(max, zip(*leads))) == sum(map(sum, leads))
-    big = _elimination_ring(ring)
-    gens = [_lift(f, big, extra=1) for f in A.gens]
-    gens += [_one_minus_t(g, big) for g in B.gens]
-    # each kept element written without t
-    offset = key_offset(big, ring)
-    kept = [Poly(ring, tuple((m + (m & DEGREE_MASK) * offset, c)
-                             for m, c in g.packed))
-            for g in _groebner_basis(
-                gens, big, known=len(A.gens) if coprime else 0)
-            if not big.exponent(g.packed[0][0], -1)]
-    reduced = _reduce_basis(kept, ring)
+    if _is_point(J):
+        reduced = _meet_point(J, I)
+    elif _is_point(I):
+        reduced = _meet_point(I, J)
+    else:
+        A, B = (J, I) if _top_degree(J) < _top_degree(I) else (I, J)
+        leads = [g.lead_monomial for g in A.gens]
+        coprime = sum(map(max, zip(*leads))) == sum(map(sum, leads))
+        big = _elimination_ring(ring)
+        gens = [_lift(f, big, extra=1) for f in A.gens]
+        gens += [_one_minus_t(g, big) for g in B.gens]
+        # each kept element written without t
+        offset = key_offset(big, ring)
+        reduced = _reduce_basis(
+            [Poly(ring, tuple((m + (m & DEGREE_MASK) * offset, c)
+                              for m, c in g.packed))
+             for g in _groebner_basis(
+                 gens, big, known=len(A.gens) if coprime else 0)
+             if not big.exponent(g.packed[0][0], -1)], ring)
     result = Ideal(ring, reduced)
-    result._gb = reduced  # elimination returns a basis of the intersection
+    result._gb = reduced  # either way a basis of the intersection
     return result
 
 

@@ -93,16 +93,22 @@ class MonomialIdeal:
 
 def hilbert_function(M: MonomialIdeal, dmax=None) -> tuple:
     """Quotient dimensions dim (R/M)_d for 0 <= d <= dmax, by default up to
-    the top generator degree plus nvars, past which they are polynomial.
-    Dividing M's numerator by (1 - t) is a running sum, one per variable."""
+    the top generator degree plus nvars, past which they are polynomial,
+    read off M's numerator."""
     if dmax is None:
         dmax = M.max_degree() + M.nvars
     if dmax < 0:
         raise ValueError("negative degree bound")
     if any(len(g) != M.nvars for g in M.gens):
         raise ValueError("generator has wrong number of variables")
-    values = (M.numerator + (0,) * (dmax + 1))[:dmax + 1]
-    for _ in range(M.nvars):
+    return _series_values(M.numerator, M.nvars, dmax)
+
+
+def _series_values(N, nvars, dmax) -> tuple:
+    """The coefficients through t^dmax of N(t) / (1 - t)^nvars: dividing by
+    1 - t is a running sum, one per variable."""
+    values = (N + (0,) * (dmax + 1))[:dmax + 1]
+    for _ in range(nvars):
         values = itertools.accumulate(values)
     return tuple(values)
 

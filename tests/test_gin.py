@@ -992,6 +992,41 @@ def test_cohen_macaulay_entries_draw_no_sample(corpus_gins):
     assert all(r.agreed for r in corpus_gins.values())
 
 
+def test_the_last_level_of_a_chain_keeps_the_series_of_i(corpus_entries,
+                                                         monkeypatch):
+    """gin() reads the Hilbert function of the chain's last level, in
+    K[x0, x1], off N, the numerator of I's series, without computing that
+    level's own: every level keeps N.  Checked on every packaged entry
+    whose gin is read off the chain, by the numerator of each last level's
+    lead ideal."""
+    module = importlib.import_module("gintools.gin")
+    levels = []
+    restrict, run = module.restrict_last, module._groebner_basis
+
+    def restricted(L):
+        levels.append(restrict(L))
+        return levels[-1]
+
+    def basis(gens, ring, target=None):
+        G = run(gens, ring, target)
+        levels.append(MonomialIdeal.from_monomials(
+            ring.nvars, (g.lead_monomial for g in G)))
+        return G
+
+    monkeypatch.setattr(module, "restrict_last", restricted)
+    monkeypatch.setattr(module, "_groebner_basis", basis)
+    read = set()
+    for name, entry in corpus_entries.items():
+        I = entry.ideal()
+        levels.clear()
+        if gin(I, seed=0, votes=5).samples_used:
+            continue
+        read.add(name)
+        assert levels[-1].nvars == 2
+        assert levels[-1].numerator == I.lead_ideal().numerator
+    assert read == set(corpus_entries) - {"rational-quartic"}
+
+
 def test_a_chain_without_its_certificate_loses_a_generator(corpus_entries,
                                                          monkeypatch):
     """Without the target, the rational quartic's second section is taken

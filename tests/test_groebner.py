@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from gintools.ring import (DEGREE_MASK, LinearChange, Poly, PolyRing,
@@ -805,6 +805,16 @@ def test_intersect_two_points():
     assert got.same_ideal(ideal(R3, "x0, x1*x2"))
 
 
+def test_a_point_given_by_forms_of_one_lead_is_met_by_elimination():
+    """(x0 + x1, x0 + x2) is the ideal of (1:-1:-1), but both forms lead
+    with x0, so division by them does not evaluate: the meet goes through
+    elimination and equals the one with the point's echelon form."""
+    I = ideal(R3, "x0 + x1, x0 + x2")
+    B = general_points(3, seed=0)
+    expected = intersect(point_ideal(R3, (1, -1, -1)), B).gens
+    assert intersect(I, B).gens == intersect(B, I).gens == expected
+
+
 @given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3),
                 min_size=1, max_size=3),
        st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3),
@@ -859,6 +869,34 @@ def points_or_forms(rng, ring, points, top=3):
             Ideal(ring, random_forms(rng, ring, top)))
 
 
+def random_line(rng, ring):
+    """A line of P^2 or P^3: the n - 2 forms x_i plus a form in the last
+    two variables, i < n - 2.  Their leads are coprime, so the rows t*a are
+    known to be a Groebner basis, and they are fewer than a point's n - 1:
+    a meet with a line takes the elimination run."""
+    n = ring.nvars
+    return Ideal(ring, [ring.linear_form(
+        [int(j == i) if j < n - 2 else rng.randrange(ring.prime)
+         for j in range(n)]) for i in range(n - 2)])
+
+
+def line_chain(rng, ring, count):
+    """The ideal of count - 1 random lines, built by a chain of intersects,
+    and the ideal of one more line."""
+    I = random_line(rng, ring)
+    for _ in range(count - 2):
+        I = intersect(I, random_line(rng, ring))
+    return I, random_line(rng, ring)
+
+
+def is_point_ideal(I):
+    """n - 1 linear forms whose leads are n - 1 distinct variables: the
+    ideals ``intersect`` meets by evaluation."""
+    leads = {g.lead_monomial for g in I.gens}
+    return (len(I.gens) == len(leads) == I.ring.nvars - 1
+            and all(g.degree == 1 for g in I.gens))
+
+
 @given(*MEET_CASES, st.booleans())
 @settings(max_examples=25)
 def test_intersect_matches_block_order_elimination_and_ranks(seed, key,
@@ -900,38 +938,41 @@ def test_meet_with_the_maximal_ideal_is_the_other_ideal(seed, key):
 
 def test_intersect_puts_t_on_the_ideal_of_lower_top_degree(monkeypatch):
     """The generators intersect hands to Buchberger are t*a for a in the
-    ideal of lower top degree, I on a tie, and (1-t)*b for the other's."""
+    ideal of lower top degree, I on a tie, and (1-t)*b for the other's:
+    three skew lines of P^3 against a line, and two lines."""
     import gintools.groebner as groebner_module
+    ring = PolyRing(4)
+    rng = random.Random(3)
+    three, _ = line_chain(rng, ring, 4)
+    a, b = random_line(rng, ring), random_line(rng, ring)
     received = []
     real = groebner_module._groebner_basis
     monkeypatch.setattr(groebner_module, "_groebner_basis",
                         lambda gens, ring, target=None, known=0:
                         received.append(gens)
                         or real(gens, ring, target, known))
-    six = general_points(6, seed=3)
-    ring = six.ring
     big = _elimination_ring(ring)
-    a, b = point_ideal(ring, (1, 2, 3)), point_ideal(ring, (4, 5, 6))
-    assert max(g.degree for g in six.gens) == 3
+    assert max(g.degree for g in three.gens) == 3
 
     def lifted(with_t, without_t):
         return ([_lift(f, big, extra=1) for f in with_t.gens]
                 + [_one_minus_t(g, big) for g in without_t.gens])
-    for I, J, carrier, other in ((six, a, a, six), (a, six, a, six),
+    for I, J, carrier, other in ((three, a, a, three), (a, three, a, three),
                                  (a, b, a, b), (b, a, b, a)):
         received.clear()
         intersect(I, J)
         assert received == [lifted(carrier, other)]
 
 
-MEET_KINDS = {"points": True, "linear space": True,
-              "coprime monomials": True, "shared lead": False}
+MEET_KINDS = {"points": "point", "linear space": "known rows",
+              "coprime monomials": "known rows", "shared lead": "elimination"}
 
 
 def meet_case(kind, rng, ring):
-    """(I, J) of one kind; in every kind I carries t.  The rows t*A are a
-    Groebner basis of t*A in every kind but "shared lead", whose dense
-    forms mostly lead with powers of x0."""
+    """(I, J) of one kind.  In "points" I is the ideal of a point, which
+    ``intersect`` meets by evaluation; in every other kind I carries t, and
+    the rows t*A are a Groebner basis of t*A in every kind but "shared
+    lead", whose dense forms mostly lead with powers of x0."""
     n = ring.nvars
 
     def forms(low):  # sympy's elimination basis grows fast with degree
@@ -940,8 +981,8 @@ def meet_case(kind, rng, ring):
     if kind == "points":
         chain, point = point_chain(rng, ring, rng.randint(2, 3))
         return point, chain
-    if kind == "linear space":
-        r = rng.randint(1, n - 1)  # x_i plus a form in x_r..x_n, i < r
+    if kind == "linear space":  # of codimension below a point's n - 1
+        r = rng.randint(1, n - 2)  # x_i plus a form in x_r..x_n, i < r
         A = [ring.linear_form([int(j == i) if j < r else rng.randrange(
             ring.prime) for j in range(n)]) for i in range(r)]
         return Ideal(ring, A), Ideal(ring, forms(1))
@@ -965,20 +1006,28 @@ P2_RINGS = {p: PolyRing(3, p) for p in (2, 7, 32003)}
 def test_intersect_matches_sympy_term_for_term(seed, p, kind):
     """sympy's elimination of t, then its reduced grevlex basis, term
     for term, in P^2, where the rows t*A are known to be a Groebner basis
-    (the run forms none of their pairs) and where they are not.  Every
-    kind of ``meet_case`` can be built over F_2 too, where a form's
+    (the run forms none of their pairs), where they are not, and where a
+    point is met by evaluation with no elimination run.  A draw of another
+    kind whose J, or whose monomials, are a point's takes that path too.
+    Every kind of ``meet_case`` can be built over F_2 too, where a form's
     coefficients are 0 or 1 and points repeat, so no kind is left out at
     p = 2."""
     import gintools.groebner as gb
     ring = P2_RINGS[p]
     I, J = meet_case(kind, random.Random(seed), ring)
-    known = []
+    runs = []
     real = gb._groebner_basis
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gb, "_groebner_basis", lambda gens, ring, **kw:
-                   known.append(kw["known"]) or real(gens, ring, **kw))
+        mp.setattr(gb, "_groebner_basis", lambda gens, ring, *args, **kw:
+                   runs.append((ring, kw.get("known", 0)))
+                   or real(gens, ring, *args, **kw))
         meet = intersect(I, J)
-    assert bool(known[-1]) == MEET_KINDS[kind]
+    path = "point" if is_point_ideal(I) or is_point_ideal(J) \
+        else MEET_KINDS[kind]
+    if path == "point":
+        assert all(r == ring for r, _ in runs)
+    else:
+        assert bool(runs[-1][1]) == (path == "known rows")
     assert as_sympy(meet.groebner_basis()) == \
         oracles.sympy_intersection(I.gens, J.gens, ring)
 
@@ -986,16 +1035,22 @@ def test_intersect_matches_sympy_term_for_term(seed, p, kind):
 @given(*MEET_CASES, st.booleans())
 @settings(max_examples=20)
 def test_every_polynomial_of_an_intersect_run_leads_at_its_top_degree(
-        seed, key, points):
+        seed, key, lines):
     """Why the reducer rows need no degree check: every polynomial the
     elimination run meets is homogeneous in x, so its lead, the term with
     the most t, has its greatest total degree, and no reduction writes a
     term of higher degree than the one it removes.  Checked on the lifted
-    rows t*a, each (1-t)*b and each element the run returns, on point
-    chains and dense forms in P^2 and P^3."""
+    rows t*a, each (1-t)*b and each element the run returns, on chains of
+    lines and dense forms in P^2 and P^3.  Forms that happen to be a
+    point's are met by evaluation, with no elimination run to check."""
     import gintools.groebner as gb
     ring = MEET_RINGS[key]
-    I, J = points_or_forms(random.Random(seed), ring, points)
+    rng = random.Random(seed)
+    if lines:
+        I, J = line_chain(rng, ring, rng.randint(2, 4))
+    else:
+        I, J = points_or_forms(rng, ring, False)
+    assume(not is_point_ideal(I) and not is_point_ideal(J))
     seen = []
     real = gb._groebner_basis
 
@@ -1015,12 +1070,12 @@ def test_every_polynomial_of_an_intersect_run_leads_at_its_top_degree(
 
 
 def test_skipped_pairs_are_t_times_an_element_of_a(monkeypatch):
-    """On a fixed chain of points every pair the rule drops has an
+    """On a fixed chain of lines in P^3 every pair the rule drops has an
     S-polynomial t*S with S in A, and its normal form by the final
     elimination basis is 0; the counts of pairs formed and dropped are
     pinned.  A meet whose A has leads sharing a variable drops none."""
     import gintools.groebner as gb
-    ring = PolyRing(3, 32003)
+    ring = PolyRing(4, 32003)
     real = gb._update
     skipped, counts = [], {"formed": 0, "skipped": 0}
 
@@ -1048,19 +1103,112 @@ def test_skipped_pairs_are_t_times_an_element_of_a(monkeypatch):
             assert normal_form(s_x, A.groebner_basis()).is_zero()
         return result
     rng = random.Random(11)
-    pts = [random_point(rng, ring) for _ in range(12)]
-    I = point_ideal(ring, pts[0])
-    I = meet(I, point_ideal(ring, pts[1]), I)  # t on I on a tie
-    for k, pt in enumerate(pts[2:], 3):
-        A = point_ideal(ring, pt)
+    lines = [random_line(rng, ring) for _ in range(8)]
+    I = lines[0]
+    I = meet(I, lines[1], I)  # t on I on a tie
+    for k, A in enumerate(lines[2:], 3):
         I = meet(I, A, A)
         if k == 4:
             four = I
-    assert counts == {"formed": 55, "skipped": 53}
-    assert [g.lead_monomial for g in four.gens] == [(2, 0, 0), (1, 1, 0),
-                                                    (0, 3, 0)]
+    assert counts == {"formed": 160, "skipped": 68}
+    assert [g.lead_monomial for g in four.gens] == [
+        (3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0), (2, 0, 2, 0),
+        (1, 1, 2, 0)]
     assert meet(four, I, four).same_ideal(I)
-    assert counts["skipped"] == 53
+    assert counts["skipped"] == 68
+
+
+POINT_RINGS = {(n, p): PolyRing(n, p) for n in (3, 4) for p in (2, 7, 32003)}
+POINT_PARTNERS = ("points", "point", "line", "through", "zero", "forms")
+
+
+def point_partner(kind, rng, ring, A):
+    """The ideal a point's ideal A meets: one to three random points, one
+    point, a line, forms in A (the meet is the partner), the zero ideal
+    (likewise), or random forms."""
+    if kind == "points":
+        return point_chain(rng, ring, rng.randint(2, 4))[0]
+    if kind == "point":
+        return point_ideal(ring, random_point(rng, ring))
+    if kind == "line":
+        return random_line(rng, ring)
+    if kind == "through":
+        return Ideal(ring, [a * ring.random_form(rng.randint(0, 1), rng)
+                            for a in A.gens if rng.random() < 0.7])
+    if kind == "zero":
+        return Ideal(ring, [])
+    return Ideal(ring, random_forms(rng, ring, top=2))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(POINT_RINGS)),
+       st.sampled_from(["random", 0, 1, 2]), st.sampled_from(POINT_PARTNERS),
+       st.booleans())
+@settings(max_examples=80)
+def test_a_point_meet_matches_sympy_term_for_term_and_ranks(seed, key, axis,
+                                                           kind, first):
+    """A meet with a point's ideal, taken by evaluation with no elimination
+    run, against sympy's elimination of t term for term and against the
+    ranks dim I_d + dim J_d - dim (I + J)_d, in P^2 and P^3 at p = 2, 7 and
+    32003.  The point is random or a coordinate point, (1:0:0), (0:1:0) or
+    (0:0:1) in P^2, and it comes first or second; it meets points, one
+    point, a line, random forms, an ideal inside its own, where the meet is
+    that ideal, and the zero ideal."""
+    import gintools.groebner as gb
+    ring = POINT_RINGS[key]
+    rng = random.Random(seed)
+    pt = (random_point(rng, ring) if axis == "random"
+          else tuple(int(i == axis) for i in range(ring.nvars)))
+    A = point_ideal(ring, pt)
+    B = point_partner(kind, rng, ring, A)
+    I, J = (A, B) if first else (B, A)
+    runs = []
+    real = gb._groebner_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "_groebner_basis", lambda gens, ring, *args, **kw:
+                   runs.append(ring) or real(gens, ring, *args, **kw))
+        meet = intersect(I, J)
+    assert all(r == ring for r in runs)
+    assert meet.gens == meet.groebner_basis() == intersect(J, I).gens
+    assert as_sympy(meet.groebner_basis()) == \
+        oracles.sympy_intersection(I.gens, J.gens, ring)
+    for d in range(5):
+        assert oracles.ideal_dim(list(meet.gens), d, ring.nvars, ring.prime) \
+            == oracles.intersection_dim(list(I.gens), list(J.gens), d,
+                                        ring.nvars, ring.prime)
+    if kind in ("through", "zero"):
+        assert meet.same_ideal(B)
+
+
+def test_a_point_meet_runs_no_elimination_and_targets_its_series(
+        monkeypatch):
+    """The twisted cubic meets the point (1:2:3:5) off it, where
+    x0*x2 - x1^2 is -1, so e = 2.  No elimination ring is built or run,
+    and the one targeted run is handed N_B + t^2 * (1-t)^3."""
+    import gintools.groebner as gb
+    from math import comb
+    ring = PolyRing(4, 7)  # a ring of its own: no elimination ring yet
+    B = parse_ideal("x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2", 4, 7)
+    A = point_ideal(ring, (1, 2, 3, 5))
+    N_B = B.lead_ideal().numerator
+    assert N_B == (1, 0, -3, 2)
+    built, runs = [], []
+    monkeypatch.setattr(gb, "_EliminationRing",
+                        lambda r: built.append(r) or pytest.fail("built"))
+    real = gb._groebner_basis
+    monkeypatch.setattr(gb, "_groebner_basis",
+                        lambda gens, ring, target=None, known=0:
+                        runs.append((ring, target, known))
+                        or real(gens, ring, target, known))
+    for I, J in ((B, A), (A, B)):
+        runs.clear()
+        meet = intersect(I, J)
+        expected = list(N_B) + [0, 0]
+        for j in range(4):
+            expected[2 + j] += (-1) ** j * comb(3, j)
+        assert runs == [(ring, tuple(expected), 0)]
+        assert tuple(expected) == (1, 0, -2, -1, 3, -1)
+        assert initial_ideal(meet).numerator == tuple(expected)
+    assert built == [] and ring._elimination is None
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 5),
