@@ -44,23 +44,6 @@ elements are reduced.  That order lives here and nowhere else.  Either
 ideal may carry t, and A, the one whose generators have the lower top
 degree, does: the t-parts a run carries live in R/A (see ``intersect``).
 
-When the rows t*a enter the run as t times a Groebner basis of A
-(generators whose leads are pairwise coprime, as for a linear space in
-echelon form), the run forms no pair of two rows, nor of a row and an
-element h with a t-free lead.  Such an h has no t, so it lies in
-(t*A + (1-t)*B) meet K[x] = A meet B, inside A.  The S-polynomial of t*a
-with h, or with t*a', is then t*S for S = S(a, h) or S(a, a') in A.  As
-the a form a Groebner basis of A, S = sum q_k*a_k with every
-lm(q_k*a_k) <= lm(S), so t*S = sum q_k*(t*a_k) has every term below the
-pair's lcm, and the pair may be dropped: that is Buchberger's
-criterion in its lcm-representation form (Cox, Little and O'Shea, ch. 2
-sec. 9), and it sits with the Gebauer-Moeller pruning (Gebauer and
-Moeller, J. Symbolic Comput. 6 (1988)).  The pair would have reduced to
-zero by the rows, which come first in the division's table, so the run
-adds what it adds without the rule.  The rows are divided by the rows
-before them as they join, which keeps them a Groebner basis of t*A: a
-lead that an earlier row divides was in the ideal of the earlier leads.
-
 The kernel works on packed monomials (see ``ring``): one int per
 monomial is its exponents and its sort key, the smallest key the greatest
 monomial, and a product is a sum of keys.  Division keeps its pending
@@ -287,7 +270,7 @@ def _s_pair(f, g, lcm, p) -> dict:
     return work
 
 
-def _update(G, P, f, lead, reducers, pair_lcm, skip=0):
+def _update(G, P, f, lead, reducers, pair_lcm):
     """Add the monic f to the basis, pruning pairs by the Gebauer-Moeller
     criteria.
 
@@ -295,9 +278,7 @@ def _update(G, P, f, lead, reducers, pair_lcm, skip=0):
     and its row of the division's reducer table.  ``pair_lcm`` maps each
     pair in P to its packed lcm, which orders the pairs and shifts the
     S-pair's tails; the entries of pruned pairs are removed here, and those
-    of new pairs added.  No pair of f with one of the first ``skip``
-    elements is formed: the caller knows that their S-polynomials reduce to
-    zero, so each counts as processed.
+    of new pairs added.
     """
     ring = f.ring
     guards = ring.guards
@@ -323,10 +304,9 @@ def _update(G, P, f, lead, reducers, pair_lcm, skip=0):
         if not any(((lcm | guards) - seen) & guards == guards for seen in minimal):
             minimal.append(lcm)
     for lcm in minimal:
-        if (not any(lcm == reducers[i][0] + lmf for i in by_lcm[lcm])
-                and (first := min(by_lcm[lcm])) >= skip):
+        if not any(lcm == reducers[i][0] + lmf for i in by_lcm[lcm]):
             _check_lcm(lcm)
-            pair = (first, new_index)
+            pair = (min(by_lcm[lcm]), new_index)
             pair_lcm[pair] = lcm
             kept.add(pair)
     G.append(f)
@@ -341,7 +321,7 @@ def buchberger(gens, ring) -> tuple:
     return _reduce_basis(_groebner_basis(gens, ring), ring)
 
 
-def _groebner_basis(gens, ring, target=None, known=0) -> list:
+def _groebner_basis(gens, ring, target=None) -> list:
     """A monic Groebner basis of the given generators, not reduced.
 
     Pairs are processed in increasing order of their lcm (the normal
@@ -356,13 +336,6 @@ def _groebner_basis(gens, ring, target=None, known=0) -> list:
     take their Koszul floor prod (1 - t^d_i) as a lower bound on the
     series: reaching it stops the run all the same, which is exact, and
     pairs that run out return the basis.
-
-    ``known``, for ``intersect``, says that the first ``known`` generators
-    are t times a Groebner basis of an ideal A, t the last variable, and
-    that every element whose lead has no t lies in A.  No pair of two such
-    rows, nor of a row and an element with a t-free lead, is formed: each
-    S-polynomial is t times one in A, which the rows reduce to zero (see
-    the module docstring).
     """
     gens = [f for f in gens if not f.is_zero()]
     floor = False
@@ -373,19 +346,11 @@ def _groebner_basis(gens, ring, target=None, known=0) -> list:
         if floor:
             target = _koszul_numerator(degrees)
     G, lead, reducers, P, pair_lcm = [], [], [], set(), {}
-    rows = 0  # the rows of t*A in G, counted once all have joined
-
-    def skip(r):  # the rows a new element, packed as r, forms no pair with
-        return rows if rows and not ring.exponent(r[0][0], -1) else 0
-
-    for i, f in enumerate(gens):
-        if i == known:
-            rows = len(G)
+    for f in gens:
         _check_packing(f.ring, ring)
         r = _divide(dict(f.packed), reducers, ring)
         if r:
-            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm,
-                        len(G) if i < known else skip(r))
+            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
     # the generators' leads meet a floor only if pairwise coprime, and
     # then they made no pair
     degree, checked = -1, len(G) if floor else -1
@@ -406,8 +371,7 @@ def _groebner_basis(gens, ring, target=None, known=0) -> list:
         r = _divide(_s_pair(reducers[pair[0]], reducers[pair[1]], lcm,
                             ring.prime), reducers, ring)
         if r:
-            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm,
-                        skip(r))
+            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
     if (target is not None and not floor
             and _numerator(minimal_monomials(lead), ring.nvars) != target):
         raise GinUnstableError(
@@ -465,13 +429,6 @@ class _EliminationRing(PolyRing):
         self._pack(n + 1, ring.prime, ((-1,) * n + (0,), (0,) * n + (-1,)))
 
 
-def _elimination_ring(ring):
-    """The ``_EliminationRing`` of the graded ``ring``, built once per ring."""
-    if ring._elimination is None:
-        ring._elimination = _EliminationRing(ring)
-    return ring._elimination
-
-
 def _lift(f, big, extra=0):
     """f in ``big``, times t^extra; with t's power fixed the order is
     grevlex on x, so the terms keep their order."""
@@ -479,15 +436,6 @@ def _lift(f, big, extra=0):
     t = extra * big.variable(big.nvars - 1).packed[0][0]
     return Poly(big, tuple((m + (m & DEGREE_MASK) * offset + t, c)
                            for m, c in f.packed))
-
-
-def _one_minus_t(g, big):
-    """(1 - t)*g in ``big`` for a form g, without a sort: every t-term has
-    g's x-degree and one more power of t than every plain term, so it is
-    the greater, and the terms are -t*g followed by g."""
-    plain = _lift(g, big).packed
-    t, p = big.variable(big.nvars - 1).packed[0][0], big.prime
-    return Poly(big, tuple((m + t, p - c) for m, c in plain) + plain)
 
 
 def _top_degree(I: Ideal) -> int:
@@ -570,14 +518,6 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     in that order form a basis of the intersection, so only they are
     reduced.  Every element is homogeneous in x, so one with a t-free lead
     has no t at all.
-
-    When A's generators have pairwise coprime leads, they are a Groebner
-    basis of A (Buchberger's first criterion), as for every linear space
-    in echelon form.  Then the run forms no pair of two rows, nor of a
-    row and an element h with a t-free lead: h has no t, so
-    it lies in A meet B, inside A, and each such S-polynomial is t*S(a, .)
-    with S(a, .) in A, which the rows represent below the pair's lcm (see
-    the module docstring).  No Buchberger run is made on A for this.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
@@ -591,18 +531,15 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         reduced = _meet_point(I, J)
     else:
         A, B = (J, I) if _top_degree(J) < _top_degree(I) else (I, J)
-        leads = [g.lead_monomial for g in A.gens]
-        coprime = sum(map(max, zip(*leads))) == sum(map(sum, leads))
-        big = _elimination_ring(ring)
+        big = _EliminationRing(ring)
         gens = [_lift(f, big, extra=1) for f in A.gens]
-        gens += [_one_minus_t(g, big) for g in B.gens]
+        gens += [_lift(g, big) - _lift(g, big, extra=1) for g in B.gens]
         # each kept element written without t
         offset = key_offset(big, ring)
         reduced = _reduce_basis(
             [Poly(ring, tuple((m + (m & DEGREE_MASK) * offset, c)
                               for m, c in g.packed))
-             for g in _groebner_basis(
-                 gens, big, known=len(A.gens) if coprime else 0)
+             for g in _groebner_basis(gens, big)
              if not big.exponent(g.packed[0][0], -1)], ring)
     result = Ideal(ring, reduced)
     result._gb = reduced  # either way a basis of the intersection

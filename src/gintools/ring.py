@@ -207,7 +207,6 @@ class PolyRing:
             1 + (1 << s) + sum(row[i] << r for row, r in zip(rows, shifts))
             for i, s in enumerate(self._shifts))
         self.guards = sum(_GUARD << s for s in self._shifts)
-        self._elimination = None  # groebner._elimination_ring's, on first use
         self._zero = Poly(self, ())
 
     def __eq__(self, other):

@@ -647,9 +647,9 @@ def test_a_draw_kept_whole_gets_its_gcd_degree_from_its_own_basis(
     run = groebner._groebner_basis
     runs = []
 
-    def recording(gens, ring, target=None, known=0):
+    def recording(gens, ring, target=None):
         runs.append(len(gens))
-        return run(gens, ring, target, known)
+        return run(gens, ring, target)
 
     cubic = twisted_cubic()
     M = staircase(4, (3, 0, 0, 0), (2, 1, 0, 0), (1, 6, 0, 0), (0, 8, 0, 0))

@@ -8,9 +8,8 @@ from gintools.ring import (DEGREE_MASK, LinearChange, Poly, PolyRing,
                            last_image, mono_div, mono_divides,
                            monomials_of_degree, restrict, revlex_key)
 from gintools.corpus import complete_intersection, general_points, point_ideal
-from gintools.groebner import (Ideal, _SliceBasis, _divide,
-                               _elimination_ring, _groebner_basis,
-                               _lift, _one_minus_t,
+from gintools.groebner import (Ideal, _EliminationRing, _SliceBasis,
+                               _divide, _groebner_basis, _lift,
                                _reduce_basis, _reducer, _s_pair,
                                buchberger, ideal_quotient, initial_ideal,
                                intersect, normal_form, restrict_ideal,
@@ -140,7 +139,7 @@ def test_heap_normal_form_matches_scan_division_in_grevlex(seed, nvars):
 @settings(max_examples=40)
 def test_heap_normal_form_matches_scan_division_in_elimination_order(seed,
                                                                      nvars):
-    big = _elimination_ring(PolyRing(nvars, 7))
+    big = _EliminationRing(PolyRing(nvars, 7))
     _, f, divisors = elimination_division_case(seed, big)
     expected = oracles.scan_normal_form(f.terms, [g.terms for g in divisors],
                                         big.prime,
@@ -223,7 +222,7 @@ def test_s_pair_remainder_matches_scan_division_in_grevlex(seed, nvars):
 @settings(max_examples=40)
 def test_s_pair_remainder_matches_scan_division_in_elimination_order(seed,
                                                                      nvars):
-    check_s_pair_remainder(_elimination_ring(PolyRing(nvars, 7)),
+    check_s_pair_remainder(_EliminationRing(PolyRing(nvars, 7)),
                            oracles.x_degree_first_order, random.Random(seed))
 
 
@@ -292,6 +291,24 @@ def test_buchberger_takes_pairs_by_increasing_lcm(seed, monkeypatch):
     buchberger([R4.random_form(d, rng) for d in (2, 2, 3)], R4)
     assert len(set(degrees)) > 1
     assert degrees == sorted(degrees)
+
+
+@pytest.mark.parametrize("seed, pairs", [(0, 12), (1, 9), (3, 11)])
+def test_buchberger_processes_a_pinned_number_of_s_pairs(seed, pairs,
+                                                         monkeypatch):
+    """Five random quadrics and cubics in P^2, more forms than variables,
+    so no floor stops the run: the S-pairs processed are pinned.  Dropping
+    Gebauer-Moeller's B criterion adds one at seed 0 and two at seeds 1
+    and 3; dropping its M criterion adds five at seed 0 and four at 3."""
+    import gintools.groebner as gb
+    calls = []
+    monkeypatch.setattr(gb, "_s_pair",
+                        lambda *args: calls.append(args) or _s_pair(*args))
+    rng = random.Random(seed)
+    gens = [R3.random_form(rng.randint(2, 3), rng) for _ in range(5)]
+    assert as_sympy(buchberger(gens, R3)) == \
+        oracles.sympy_reduced_basis(gens, R3)
+    assert len(calls) == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +769,7 @@ QUADRIC = poly(R3, "x0^2 + x1*x2")
 # the "lex" kind's ring, which is not graded: intersection's elimination
 # ring, whose weight rows compare lexicographically, x-degree before the
 # power of t
-UNGRADED = _elimination_ring(PolyRing(2))
+UNGRADED = _EliminationRing(PolyRing(2))
 # kind -> (a generator, h, the words of h's refusal) for every kind of form
 # that ``last_image`` refuses
 CONTRACT_FORMS = {
@@ -871,9 +888,8 @@ def points_or_forms(rng, ring, points, top=3):
 
 def random_line(rng, ring):
     """A line of P^2 or P^3: the n - 2 forms x_i plus a form in the last
-    two variables, i < n - 2.  Their leads are coprime, so the rows t*a are
-    known to be a Groebner basis, and they are fewer than a point's n - 1:
-    a meet with a line takes the elimination run."""
+    two variables, i < n - 2.  They are fewer than a point's n - 1, so a
+    meet with a line takes the elimination run."""
     n = ring.nvars
     return Ideal(ring, [ring.linear_form(
         [int(j == i) if j < n - 2 else rng.randrange(ring.prime)
@@ -925,10 +941,7 @@ def test_intersect_matches_block_order_elimination_and_ranks(seed, key,
 @settings(max_examples=20)
 def test_meet_with_the_maximal_ideal_is_the_other_ideal(seed, key):
     """Every form lies in (x0, ..., x_n), so its meet with forms B is B, on
-    either side.  The variables have coprime leads, so when they carry t
-    the run forms no pair of two rows, nor of a row and a t-free element;
-    a pair of such an element with the first (1-t)*b must still be formed.
-    """
+    either side, whichever ideal carries t in the elimination run."""
     ring = MEET_RINGS[key]
     maximal = Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
     B = Ideal(ring, random_forms(random.Random(seed), ring))
@@ -948,15 +961,15 @@ def test_intersect_puts_t_on_the_ideal_of_lower_top_degree(monkeypatch):
     received = []
     real = groebner_module._groebner_basis
     monkeypatch.setattr(groebner_module, "_groebner_basis",
-                        lambda gens, ring, target=None, known=0:
-                        received.append(gens)
-                        or real(gens, ring, target, known))
-    big = _elimination_ring(ring)
+                        lambda gens, ring, target=None:
+                        received.append(gens) or real(gens, ring, target))
+    big = _EliminationRing(ring)
     assert max(g.degree for g in three.gens) == 3
 
     def lifted(with_t, without_t):
         return ([_lift(f, big, extra=1) for f in with_t.gens]
-                + [_one_minus_t(g, big) for g in without_t.gens])
+                + [_lift(g, big) - _lift(g, big, extra=1)
+                   for g in without_t.gens])
     for I, J, carrier, other in ((three, a, a, three), (a, three, a, three),
                                  (a, b, a, b), (b, a, b, a)):
         received.clear()
@@ -964,15 +977,16 @@ def test_intersect_puts_t_on_the_ideal_of_lower_top_degree(monkeypatch):
         assert received == [lifted(carrier, other)]
 
 
-MEET_KINDS = {"points": "point", "linear space": "known rows",
-              "coprime monomials": "known rows", "shared lead": "elimination"}
+MEET_KINDS = {"points": "point", "linear space": "elimination",
+              "coprime monomials": "elimination", "shared lead": "elimination"}
 
 
 def meet_case(kind, rng, ring):
     """(I, J) of one kind.  In "points" I is the ideal of a point, which
-    ``intersect`` meets by evaluation; in every other kind I carries t, and
-    the rows t*A are a Groebner basis of t*A in every kind but "shared
-    lead", whose dense forms mostly lead with powers of x0."""
+    ``intersect`` meets by evaluation; in every other kind I carries t in
+    the elimination run: a linear space of codimension below a point's,
+    powers of variables, or two dense forms whose leads share a
+    variable."""
     n = ring.nvars
 
     def forms(low):  # sympy's elimination basis grows fast with degree
@@ -1005,8 +1019,7 @@ P2_RINGS = {p: PolyRing(3, p) for p in (2, 7, 32003)}
 @settings(max_examples=30)
 def test_intersect_matches_sympy_term_for_term(seed, p, kind):
     """sympy's elimination of t, then its reduced grevlex basis, term
-    for term, in P^2, where the rows t*A are known to be a Groebner basis
-    (the run forms none of their pairs), where they are not, and where a
+    for term, in P^2, where the meet takes the elimination run and where a
     point is met by evaluation with no elimination run.  A draw of another
     kind whose J, or whose monomials, are a point's takes that path too.
     Every kind of ``meet_case`` can be built over F_2 too, where a form's
@@ -1018,16 +1031,15 @@ def test_intersect_matches_sympy_term_for_term(seed, p, kind):
     runs = []
     real = gb._groebner_basis
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gb, "_groebner_basis", lambda gens, ring, *args, **kw:
-                   runs.append((ring, kw.get("known", 0)))
-                   or real(gens, ring, *args, **kw))
+        mp.setattr(gb, "_groebner_basis", lambda gens, ring, *args:
+                   runs.append(ring) or real(gens, ring, *args))
         meet = intersect(I, J)
     path = "point" if is_point_ideal(I) or is_point_ideal(J) \
         else MEET_KINDS[kind]
     if path == "point":
-        assert all(r == ring for r, _ in runs)
+        assert all(r == ring for r in runs)
     else:
-        assert bool(runs[-1][1]) == (path == "known rows")
+        assert runs[-1] == _EliminationRing(ring)
     assert as_sympy(meet.groebner_basis()) == \
         oracles.sympy_intersection(I.gens, J.gens, ring)
 
@@ -1064,58 +1076,33 @@ def test_every_polynomial_of_an_intersect_run_leads_at_its_top_degree(
         intersect(I, J)
     assert len(seen) > len(I.gens) + len(J.gens)
     for g in seen:
-        assert g.ring == _elimination_ring(ring)
+        assert g.ring == _EliminationRing(ring)
         assert len({sum(m[:-1]) for m, _ in g.terms}) == 1
         assert sum(g.lead_monomial) == g.degree
 
 
-def test_skipped_pairs_are_t_times_an_element_of_a(monkeypatch):
-    """On a fixed chain of lines in P^3 every pair the rule drops has an
-    S-polynomial t*S with S in A, and its normal form by the final
-    elimination basis is 0; the counts of pairs formed and dropped are
-    pinned.  A meet whose A has leads sharing a variable drops none."""
-    import gintools.groebner as gb
+def test_a_chain_of_lines_meets_as_the_ranks_say():
+    """On a fixed chain of eight lines in P^3, met one by one by
+    elimination, each meet has the ranks dim I_d + dim J_d - dim (I + J)_d
+    through its top degree; the leads of the four-line meet are pinned,
+    and the eight-line meet lies in it."""
     ring = PolyRing(4, 32003)
-    real = gb._update
-    skipped, counts = [], {"formed": 0, "skipped": 0}
-
-    def recording(G, P, f, lead, reducers, pair_lcm, skip=0):
-        before = set(P)
-        every = real(list(G), set(P), f, list(lead), list(reducers),
-                     dict(pair_lcm)) - before
-        kept = real(G, P, f, lead, reducers, pair_lcm, skip)
-        formed, dropped = kept - before, every - (kept - before)
-        assert formed <= every and all(i < skip for i, _ in dropped)
-        skipped.extend((G, pair) for pair in dropped)
-        counts["formed"] += len(formed)
-        counts["skipped"] += len(dropped)
-        return kept
-    monkeypatch.setattr(gb, "_update", recording)
-
-    def meet(I, J, A):
-        skipped.clear()
-        result = intersect(I, J)
-        for G, (i, j) in skipped:
-            s = oracles.s_polynomial(G[i], G[j])
-            assert normal_form(s, G).is_zero()
-            assert all(m[-1] == 1 for m, _ in s.terms)  # t times a form in x
-            s_x = ring.from_dict({m[:-1]: c for m, c in s.terms})
-            assert normal_form(s_x, A.groebner_basis()).is_zero()
-        return result
     rng = random.Random(11)
     lines = [random_line(rng, ring) for _ in range(8)]
     I = lines[0]
-    I = meet(I, lines[1], I)  # t on I on a tie
-    for k, A in enumerate(lines[2:], 3):
-        I = meet(I, A, A)
+    for k, line in enumerate(lines[1:], 2):
+        meet = intersect(I, line)
+        for d in range(max(g.degree for g in meet.gens) + 1):
+            assert oracles.ideal_dim(list(meet.gens), d, 4, ring.prime) \
+                == oracles.intersection_dim(list(I.gens), list(line.gens), d,
+                                            4, ring.prime)
+        I = meet
         if k == 4:
             four = I
-    assert counts == {"formed": 160, "skipped": 68}
     assert [g.lead_monomial for g in four.gens] == [
         (3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0), (2, 0, 2, 0),
         (1, 1, 2, 0)]
-    assert meet(four, I, four).same_ideal(I)
-    assert counts["skipped"] == 68
+    assert intersect(four, I).same_ideal(I)
 
 
 POINT_RINGS = {(n, p): PolyRing(n, p) for n in (3, 4) for p in (2, 7, 32003)}
@@ -1186,7 +1173,7 @@ def test_a_point_meet_runs_no_elimination_and_targets_its_series(
     and the one targeted run is handed N_B + t^2 * (1-t)^3."""
     import gintools.groebner as gb
     from math import comb
-    ring = PolyRing(4, 7)  # a ring of its own: no elimination ring yet
+    ring = PolyRing(4, 7)
     B = parse_ideal("x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2", 4, 7)
     A = point_ideal(ring, (1, 2, 3, 5))
     N_B = B.lead_ideal().numerator
@@ -1196,31 +1183,19 @@ def test_a_point_meet_runs_no_elimination_and_targets_its_series(
                         lambda r: built.append(r) or pytest.fail("built"))
     real = gb._groebner_basis
     monkeypatch.setattr(gb, "_groebner_basis",
-                        lambda gens, ring, target=None, known=0:
-                        runs.append((ring, target, known))
-                        or real(gens, ring, target, known))
+                        lambda gens, ring, target=None:
+                        runs.append((ring, target))
+                        or real(gens, ring, target))
     for I, J in ((B, A), (A, B)):
         runs.clear()
         meet = intersect(I, J)
         expected = list(N_B) + [0, 0]
         for j in range(4):
             expected[2 + j] += (-1) ** j * comb(3, j)
-        assert runs == [(ring, tuple(expected), 0)]
+        assert runs == [(ring, tuple(expected))]
         assert tuple(expected) == (1, 0, -2, -1, 3, -1)
         assert initial_ideal(meet).numerator == tuple(expected)
-    assert built == [] and ring._elimination is None
-
-
-@given(st.integers(0, 10 ** 6), st.integers(2, 5),
-       st.sampled_from([2, 7, 32003]))
-@settings(max_examples=40)
-def test_one_minus_t_matches_the_subtraction(seed, nvars, p):
-    """(1-t)*g built term by term is the Poly difference g - t*g."""
-    rng = random.Random(seed)
-    ring = PolyRing(nvars, p)
-    big = _elimination_ring(ring)
-    g = sparse_poly(ring, rng, [rng.randint(0, 4)])
-    assert _one_minus_t(g, big) == _lift(g, big) - _lift(g, big, extra=1)
+    assert built == []
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]))
@@ -1242,29 +1217,27 @@ def test_reduce_basis_divides_each_element_by_the_others(seed, nvars):
     assert _reduce_basis(G, ring) == tuple(expected)
 
 
-def test_elimination_ring_is_built_once_per_ring(monkeypatch):
-    """Intersections share one elimination ring, built once from the
-    ring's own checked modulus, with no primality test of its own."""
+def test_elimination_ring_makes_no_primality_test(monkeypatch):
+    """The elimination ring that ``intersect`` builds takes the ring's own
+    checked modulus, with no primality test of its own."""
     import gintools.groebner as gb
     import gintools.ring as ring_module
-    I, J = ideal(PolyRing(3, 7), "x0, x1"), ideal(PolyRing(3, 7), "x1, x2")
-    ring = I.ring
+    I, J = ideal(PolyRing(3, 7), "x0"), ideal(PolyRing(3, 7), "x1 + x2")
+    expected = ideal(I.ring, "x0*x1 + x0*x2")
     tested, built = [], []
     monkeypatch.setattr(ring_module, "_is_prime",
                         lambda p: tested.append(p) or True)
     real = gb._EliminationRing
     monkeypatch.setattr(gb, "_EliminationRing",
                         lambda r: built.append(r) or real(r))
-    assert _elimination_ring(ring) is _elimination_ring(ring)
-    for _ in range(3):
-        intersect(I, J)
-    assert built == [ring] and tested == []
+    assert intersect(I, J).same_ideal(expected)
+    assert built == [I.ring] and tested == []
 
 
 def test_intersect_refuses_a_ring_that_is_not_graded():
     """The elimination order eliminates t only on homogeneous generators,
     and in(J : x_n) = in(J) : x_n is a fact of grevlex."""
-    ring = _elimination_ring(PolyRing(2, 7))
+    ring = _EliminationRing(PolyRing(2, 7))
     x0, x2 = ring.variable(0), ring.variable(2)
     I = Ideal(ring, [x0 * ring.variable(1) + x2 * x2])
     with pytest.raises(ValueError, match="graded"):
@@ -1276,7 +1249,7 @@ def test_intersect_refuses_a_ring_that_is_not_graded():
 def test_quotients_and_sections_refuse_a_ring_that_is_not_graded():
     """Dividing x_n out of a basis gives the colon in grevlex only; the
     elimination ring, which is not graded, is refused."""
-    big = _elimination_ring(PolyRing(2))
+    big = _EliminationRing(PolyRing(2))
     x0, x1, x2 = (big.variable(i) for i in range(3))
     I = Ideal(big, [x0 * x2 + x1 * x1, x1 * x2])
     for h in (x2, x0):  # the ring is refused before the form is read

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from oracles import monomial_product as product
-from gintools.groebner import _elimination_ring, buchberger
+from gintools.groebner import _EliminationRing, buchberger
 from gintools.parsing import parse_ideal
 from gintools.ring import (DEGREE_BOUND, MAX_NVARS, LinearChange, Poly,
                            PolyRing, drop_last, last_image, mono_div,
@@ -333,7 +333,7 @@ def test_only_grevlex_rings_are_graded():
     """A ring offers grevlex alone; the one other order is the private
     elimination ring of ``intersect``, which is not graded."""
     assert R3.graded and R3.restricted() == PolyRing(2)
-    elimination = _elimination_ring(PolyRing(2))
+    elimination = _EliminationRing(PolyRing(2))
     assert not elimination.graded and elimination != R3
     assert elimination.nvars == 3
     with pytest.raises(TypeError):
@@ -344,12 +344,12 @@ def test_rings_with_equal_rows_are_equal():
     """Rings that pack monomials by the same rows are equal: two grevlex
     rings of one size and modulus, or the elimination rings of two such
     rings; a grevlex ring and an elimination ring of one size are not."""
-    a, b = _elimination_ring(PolyRing(3)), _elimination_ring(PolyRing(3))
+    a, b = _EliminationRing(PolyRing(3)), _EliminationRing(PolyRing(3))
     assert a is not b and a == b and hash(a) == hash(b)
     assert a._weights == b._weights
     assert PolyRing(3) is not PolyRing(3) and PolyRing(3) == PolyRing(3)
     assert a != PolyRing(4) and a._weights != PolyRing(4)._weights
-    assert a != _elimination_ring(PolyRing(3, 7))
+    assert a != _EliminationRing(PolyRing(3, 7))
 
 
 def test_restricted_ring_is_built_once_per_ring():
@@ -361,7 +361,7 @@ def test_restriction_refuses_a_ring_that_is_not_graded():
     """Dropping x_n keeps the order of grevlex terms only: in the
     elimination ring, x-degree first, x0^2 leads f, but in grevlex
     x1*x3^2 does."""
-    big = _elimination_ring(R3)
+    big = _EliminationRing(R3)
     f = poly(big, "x0^2 + x1*x3^2")
     assert f.lead_monomial == (2, 0, 0, 0)
     assert R4.sort_key((0, 1, 0, 2)) < R4.sort_key((2, 0, 0, 0))
@@ -444,7 +444,7 @@ def packing_rings(nvars):
     """A ring for each order the kernel packs, with its independent
     oracle: grevlex, and intersection's x-degree-first order."""
     return [(PolyRing(nvars), oracles.grevlex_order),
-            (_elimination_ring(PolyRing(nvars - 1)),
+            (_EliminationRing(PolyRing(nvars - 1)),
              oracles.x_degree_first_order)]
 
 
