@@ -63,6 +63,18 @@ MUTANTS = [
      "src/gintools/groebner.py",
      "point = (0,) * e + _koszul_numerator",
      "point = (0,) * (e + 1) + _koszul_numerator"),
+    ("the point meet's lead check is dropped",
+     "src/gintools/groebner.py",
+     "    return lead < subtracted",
+     "    return True"),
+    ("the coprime-leads criterion is dropped",
+     "src/gintools/groebner.py",
+     "if not any(lcm == reducers[i][0] + lmf for i in by_lcm[lcm]):",
+     "if True:"),
+    ("the M criterion is dropped",
+     "src/gintools/groebner.py",
+     "if not any(((lcm | guards) - seen) & guards == guards for seen in minimal):",
+     "if True:"),
     ("a point meet takes g* of greatest degree",
      "src/gintools/groebner.py",
      "star = min(hits, key=",

@@ -24,10 +24,12 @@ A's n - 1 linear forms lead with n - 1 distinct variables, and division
 by them sends a form g to g(p) * x_k^deg(g), x_k the variable left over.
 With g* an element of B's basis of least degree e among those not
 vanishing at p, A meet B is generated by the a_i * g* and by each other
-element g minus (g(p) / g*(p)) * x_k^(deg g - e) * g*.  Its series is
-known: A + B = A + (x_k^e), so its numerator is N_B + t^e * (1-t)^(n-1),
-and the one Buchberger run stops there, exactly, as every run with a
-known series does (see below, and ``intersect``).
+element g minus (g(p) / g*(p)) * x_k^(deg g - e) * g*.  When each of
+these differences keeps lm(g) as its lead, the generators are already a
+Groebner basis, and no Buchberger run is made (see ``intersect``).
+Otherwise the series is known: A + B = A + (x_k^e), so its numerator is
+N_B + t^e * (1-t)^(n-1), and one Buchberger run stops there, exactly, as
+every run with a known series does (see below).
 
 Every other intersection goes through the one-auxiliary-variable
 elimination construction: adjoin t, form t*A + (1-t)*B, and eliminate t.
@@ -451,6 +453,13 @@ def _is_point(I: Ideal) -> bool:
             and all(m & DEGREE_MASK == 1 for m in leads))
 
 
+def _keeps_lead(lead, subtracted) -> bool:
+    # whether a form keeps its packed lead when a multiple of another, with
+    # packed lead ``subtracted``, is taken from it: the greater monomial has
+    # the smaller key.  Apart, so that a test can force the targeted run.
+    return lead < subtracted
+
+
 def _meet_point(A: Ideal, B: Ideal) -> tuple:
     """The reduced basis of A meet B for the ideal A of a point, as the
     kernel of evaluation at it (see ``intersect``)."""
@@ -462,21 +471,28 @@ def _meet_point(A: Ideal, B: Ideal) -> tuple:
     hits = [i for i, v in enumerate(values) if v]
     if not hits:
         return B.groebner_basis()  # B lies in A
-    star = min(hits, key=lambda i: values[i][0][0] & DEGREE_MASK)
+    # of least degree, the one of smallest lead, which is the greatest key
+    star = min(hits, key=lambda i: (values[i][0][0] & DEGREE_MASK,
+                                    -G[i].packed[0][0]))
     g_star, (x_e, c_star) = G[star], values[star][0]
     e, inv = x_e & DEGREE_MASK, ring.inv(c_star)
+    lead_star, certified = g_star.packed[0][0], True
     gens = []
     for g, v in zip(G, values):
         if g is g_star:
             continue
         if v:  # x_k^(deg g - e) is the remainders' quotient
             shift, factor = v[0][0] - x_e, v[0][1] * inv % p
+            certified = certified and _keeps_lead(g.packed[0][0],
+                                                  lead_star + shift)
             g = g - Poly(ring, tuple((m + shift, factor * c % p)
                                      for m, c in g_star.packed))
         gens.append(g)
     # last, so that they join reduced by the rest: on random points their
     # leads then reach the target before any pair is processed
     gens += [a * g_star for a in A.gens]
+    if certified:  # every lead kept: a Groebner basis (see ``intersect``)
+        return _reduce_basis(gens, ring)
     # N_B + t^e (1 - t)^(n-1), without trailing zeros
     target = list(B.lead_ideal().numerator)
     point = (0,) * e + _koszul_numerator([1] * (ring.nvars - 1))
@@ -497,14 +513,28 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     a_i sends a form g of degree d to c_g * x_k^d, and c_g = g(p) for p
     scaled so that p_k = 1, as g - NF(g) in A vanishes at p.  Take the
     basis G that B holds.  If every c_g is 0, B lies in A and the meet is
-    B.  Otherwise let g* be an element with c_g* != 0 of least degree e:
-    A meet B is generated by g - (c_g / c_g*) * x_k^(deg g - e) * g* for
-    every other g (g itself when c_g = 0) and by the a_i * g*.  Modulo
-    these every f in B is q * g*, and f(p) = 0 forces q(p) = 0, so q is in
-    A.  As A + B = A + (x_k^e), the numerator of HS(R/(A meet B)) is
-    N_B + t^e * (1-t)^(n-1), N_B that of B, and the one Buchberger run
-    stops there: its leads lie in in(A meet B), and equal series force
-    equality.  No elimination variable is adjoined.
+    B.  Otherwise let g* be, of the elements with c_g* != 0 of least
+    degree e, the one with the smallest lead: A meet B is generated by
+    g - (c_g / c_g*) * x_k^(deg g - e) * g* for every other g (g itself
+    when c_g = 0) and by the a_i * g*.  Modulo these every f in B is
+    q * g*, and f(p) = 0 forces q(p) = 0, so q is in A.  As
+    A + B = A + (x_k^e), HF(R/(A meet B))(d) = HF(R/B)(d) + [d >= e], and
+    the numerator of its series is N_B + t^e * (1-t)^(n-1), N_B that of B.
+
+    When every combination keeps lm(g) as its lead, these generators are
+    a Groebner basis, and the meet is read off them with no Buchberger
+    run; the choice of g* keeps the leads of degree e.  Let L' be the
+    ideal of their leads: lm(g) for every g != g*, and x_i * lm(g*) for the
+    n - 1 leads x_i of A.  Every generator lies in A meet B, so L' lies in
+    in(A meet B), which lies in in(B).  A monomial of in(B) outside L' is
+    a multiple of lm(g*) and of no other lm(g), by a cofactor free of
+    every x_i, so it is lm(g*) * x_k^j: at most one is missing in each
+    degree d, and none below e.  So HF(R/L')(d) <= HF(R/B)(d) + [d >= e]
+    = HF(R/(A meet B))(d) <= HF(R/L')(d), and L' = in(A meet B).  When a
+    combination loses its lead, the generators go to one Buchberger run
+    instead, stopped at the numerator above, which is exact: the run's
+    leads lie in in(A meet B), and equal series force equality.  No
+    elimination variable is adjoined.
 
     For elimination, A is the argument whose generators have the lower
     top degree, I on a tie.  Each (1-t)*b reduces against the t-rows to

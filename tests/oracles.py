@@ -7,7 +7,7 @@ numpy Gaussian elimination, and reduced Groebner bases through sympy.
 """
 
 import itertools
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -85,6 +85,17 @@ def ideal_dim(gens, d, nvars, p):
         return 0
     index = {m: i for i, m in enumerate(monomial_basis(nvars, d))}
     return rank_mod_p(_multiples(gens, d, nvars, index), p)
+
+
+def evaluation_ranks(points, dmax, nvars, p):
+    """dim (R/I)_d for d = 0..dmax, I the ideal of a set of points of
+    P^(nvars-1) over F_p: the degree-d forms that vanish at the points are
+    the kernel of evaluation at them, so the quotient has the rank of the
+    matrix of monomial values, one row per point."""
+    return [rank_mod_p([[prod(pow(c, e, p) for c, e in zip(pt, m)) % p
+                         for m in monomial_basis(nvars, d)]
+                        for pt in points], p)
+            for d in range(dmax + 1)]
 
 
 def quotient_ring_dims(gens, dmax, nvars, p):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -1169,8 +1170,11 @@ def test_a_point_meet_matches_sympy_term_for_term_and_ranks(seed, key, axis,
 def test_a_point_meet_runs_no_elimination_and_targets_its_series(
         monkeypatch):
     """The twisted cubic meets the point (1:2:3:5) off it, where
-    x0*x2 - x1^2 is -1, so e = 2.  No elimination ring is built or run,
-    and the one targeted run is handed N_B + t^2 * (1-t)^3."""
+    x0*x2 - x1^2 is -1, so e = 2.  Every combination keeps its lead, so the
+    meet is read off with no Buchberger run and no elimination ring, and
+    its series is N_B + t^2 * (1-t)^3.  Two points on the line x0 = x1 meet
+    (1:2:0) off it: x1 * (x0 - x1) outranks x1^2 + x1*x2, so that meet
+    takes the one targeted run, handed N_B + t * (1-t)^2."""
     import gintools.groebner as gb
     from math import comb
     ring = PolyRing(4, 7)
@@ -1186,16 +1190,94 @@ def test_a_point_meet_runs_no_elimination_and_targets_its_series(
                         lambda gens, ring, target=None:
                         runs.append((ring, target))
                         or real(gens, ring, target))
+    expected = list(N_B) + [0, 0]
+    for j in range(4):
+        expected[2 + j] += (-1) ** j * comb(3, j)
+    assert tuple(expected) == (1, 0, -2, -1, 3, -1)
     for I, J in ((B, A), (A, B)):
-        runs.clear()
         meet = intersect(I, J)
-        expected = list(N_B) + [0, 0]
-        for j in range(4):
-            expected[2 + j] += (-1) ** j * comb(3, j)
-        assert runs == [(ring, tuple(expected))]
-        assert tuple(expected) == (1, 0, -2, -1, 3, -1)
         assert initial_ideal(meet).numerator == tuple(expected)
+    assert runs == []
+    line = PolyRing(3, 7)
+    B = intersect(point_ideal(line, (0, 0, 3)), point_ideal(line, (3, 3, 4)))
+    assert [str(g) for g in B.gens] == ["x0 - x1", "x1^2 + x1*x2"]
+    assert B.lead_ideal().numerator == (1, -1, -1, 1)
+    runs.clear()  # the first point's own basis
+    meet = intersect(B, point_ideal(line, (1, 2, 0)))
+    assert runs == [(line, (1, 0, -3, 2))]
+    assert initial_ideal(meet).numerator == (1, 0, -3, 2)
     assert built == []
+
+
+CHAIN_RINGS = {p: PolyRing(3, p) for p in (2, 3, 7, 32003)}
+
+
+def small_points(rng, ring, collinear):
+    """Up to nine points of P^2 with coordinates below 5, the coordinate
+    points among the candidates; or points a*P + b*Q on the line through
+    two such points, a and b below 5, and one more such point, on the line
+    or off it.  Zero vectors mod p are dropped, repeats kept."""
+    small = [pt for pt in itertools.product(range(5), repeat=3)
+             if any(c % ring.prime for c in pt)]
+    if collinear:
+        P, Q = rng.sample(small, 2)
+        pts = [tuple(a * x + b * y for x, y in zip(P, Q))
+               for a, b in (rng.sample(range(5), 2)
+                            for _ in range(rng.randint(1, 7)))]
+        pts.append(rng.choice(small))
+    else:
+        pts = [rng.choice(small) for _ in range(rng.randint(2, 9))]
+    return [pt for pt in pts if any(c % ring.prime for c in pt)]
+
+
+def test_point_chains_read_off_the_same_bases_as_the_targeted_run():
+    """Chains of point meets through ``intersect``, as
+    ``corpus._distinct_points`` builds them, at p = 2, 3, 7 and 32003, on
+    points with coordinates below 5 and on collinear sets.  Each meet's
+    reduced basis equals the one of the same chain with the lead check
+    forced off, so that every meet takes the targeted run, and its Hilbert
+    function equals the rank of evaluation at the points so far.  Over the
+    examples some meets are read off and some run."""
+    import gintools.groebner as gb
+    branches = {"read off": 0, "run": 0, "inside": 0}
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from(sorted(CHAIN_RINGS)),
+           st.booleans())
+    @settings(max_examples=60)
+    def chain(seed, p, collinear):
+        ring = CHAIN_RINGS[p]
+        pts = small_points(random.Random(seed), ring, collinear)
+        assume(len(pts) >= 2)
+        meet_point, targeted = gb._meet_point, []
+
+        def spy(A, B):
+            runs = len(targeted)
+            reduced = meet_point(A, B)
+            branches["run" if len(targeted) > runs else "read off"
+                     if reduced != B.groebner_basis() else "inside"] += 1
+            return reduced
+        def build():
+            ideals = [point_ideal(ring, pts[0])]
+            for pt in pts[1:]:
+                ideals.append(intersect(ideals[-1], point_ideal(ring, pt)))
+            return ideals
+        real = gb._groebner_basis
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gb, "_meet_point", spy)
+            mp.setattr(gb, "_groebner_basis", lambda gens, ring, target=None:
+                       (target is not None and targeted.append(target))
+                       or real(gens, ring, target))
+            read = build()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gb, "_keeps_lead", lambda lead, subtracted: False)
+            run = build()
+        for k, (I, J) in enumerate(zip(read, run)):
+            assert I.groebner_basis() == J.groebner_basis()
+            assert list(hilbert_function(I.lead_ideal(), k + 1)) == \
+                oracles.evaluation_ranks(pts[:k + 1], k + 1, 3, p)
+
+    chain()
+    assert branches["read off"] and branches["run"]
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]))
