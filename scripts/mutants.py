@@ -59,10 +59,6 @@ MUTANTS = [
      "src/gintools/groebner.py",
      "if (((lij | guards) - lmf) & guards != guards",
      "if (True or ((lij | guards) - lmf) & guards != guards"),
-    ("a point meet targets t^(e+1) * (1-t)^(n-1) for t^e * (1-t)^(n-1)",
-     "src/gintools/groebner.py",
-     "point = (0,) * e + _koszul_numerator",
-     "point = (0,) * (e + 1) + _koszul_numerator"),
     ("the point meet's lead check is dropped",
      "src/gintools/groebner.py",
      "    return lead < subtracted",
@@ -99,6 +95,14 @@ MUTANTS = [
      "src/gintools/groebner.py",
      "kept = [g for g in I.gens if g.degree <= delta]",
      "kept = [g for g in I.gens if g.degree < delta]"),
+    ("gin() always takes the coordinate step",
+     "src/gintools/gin.py",
+     "if all(g[-1] == 0 for g in L.gens):  # x_last is regular on R/J",
+     "if True:  # x_last is regular on R/J"),
+    ("gin() never takes the coordinate step",
+     "src/gintools/gin.py",
+     "if all(g[-1] == 0 for g in L.gens):  # x_last is regular on R/J",
+     "if False:  # x_last is regular on R/J"),
     ("_largest_sample keeps the smallest sample",
      "src/gintools/gin.py",
      "if all(a <= b for theirs in parts.values()",

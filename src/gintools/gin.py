@@ -372,7 +372,7 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
         raise ValueError("need at least one form")
     n = I.ring.nvars - 1
     M = _stable_gin(I, seed, votes, gin_result).gin
-    series = M.numerator  # I's, kept by psi
+    series = I.lead_ideal().numerator  # kept by psi
     xn_power = lambda p: tuple(p if i == n else 0 for i in range(I.ring.nvars))
     section_gins = {}
     cases = []

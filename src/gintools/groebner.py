@@ -27,24 +27,20 @@ vanishing at p, A meet B is generated by the a_i * g* and by each other
 element g minus (g(p) / g*(p)) * x_k^(deg g - e) * g*.  When each of
 these differences keeps lm(g) as its lead, the generators are already a
 Groebner basis, and no Buchberger run is made (see ``intersect``).
-Otherwise the series is known: A + B = A + (x_k^e), so its numerator is
-N_B + t^e * (1-t)^(n-1), and one Buchberger run stops there, exactly, as
-every run with a known series does (see below).
+Otherwise they go to one plain Buchberger run.
 
 Every other intersection goes through the one-auxiliary-variable
-elimination construction: adjoin t, form t*A + (1-t)*B, and eliminate t.
+elimination construction: adjoin t, form t*I + (1-t)*J, and eliminate t.
 The order gives t weight 0: x-degree first, then the power of t, then
 grevlex on x.  Every polynomial the construction meets is homogeneous in
 x, and there the order picks the same leads as the block order with t
-greatest, so the t-free elements of a Groebner basis form one of A meet
-B (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 3
+greatest, so the t-free elements of a Groebner basis form one of I meet
+J (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 3
 and ch. 8 sec. 3).  Such an element has no t in any term, since its
 t-free lead is its greatest power of t.  The normal strategy takes pairs
 by x-degree, which is their sugar degree (Giovini, Mora, Niesi, Robbiano
 and Traverso, One sugar cube, please, ISSAC 1991), and only the t-free
-elements are reduced.  That order lives here and nowhere else.  Either
-ideal may carry t, and A, the one whose generators have the lower top
-degree, does: the t-parts a run carries live in R/A (see ``intersect``).
+elements are reduced.  That order lives here and nowhere else.
 
 The kernel works on packed monomials (see ``ring``): one int per
 monomial is its exponents and its sort key, the smallest key the greatest
@@ -73,11 +69,11 @@ ideals.
 
 A Buchberger run that knows the Hilbert series of its ideal in advance
 (a gin sample, or a slice basis, whose coordinate change keeps the
-series, or a meet with a point) stops as soon as the lead monomials reach
-it (Traverso, Hilbert functions and the Buchberger algorithm, J. Symbolic
-Comput. 22 (1996)): pairs come in increasing lcm degree, so at each degree
-boundary where the basis has grown, the numerator of HS(R/<lead G>) (see
-``staircase``) is compared with the target, and equality ends the run.
+series) stops as soon as the lead monomials reach it (Traverso, Hilbert
+functions and the Buchberger algorithm, J. Symbolic Comput. 22 (1996)):
+pairs come in increasing lcm degree, so at each degree boundary where
+the basis has grown, the numerator of HS(R/<lead G>) (see ``staircase``)
+is compared with the target, and equality ends the run.
 This is exact: <lead G> lies in in(I), and equal Hilbert series force
 equality, so G is already a Groebner basis.  The pairs left would all
 reduce to zero.
@@ -440,10 +436,6 @@ def _lift(f, big, extra=0):
                            for m, c in f.packed))
 
 
-def _top_degree(I: Ideal) -> int:
-    return max((g.degree for g in I.gens), default=-1)
-
-
 def _is_point(I: Ideal) -> bool:
     """Whether I's generators are n - 1 linear forms whose leads are n - 1
     distinct variables, as ``corpus.point_ideal`` builds: the ideal of a
@@ -456,7 +448,7 @@ def _is_point(I: Ideal) -> bool:
 def _keeps_lead(lead, subtracted) -> bool:
     # whether a form keeps its packed lead when a multiple of another, with
     # packed lead ``subtracted``, is taken from it: the greater monomial has
-    # the smaller key.  Apart, so that a test can force the targeted run.
+    # the smaller key.  Apart, so that a test can force the fallback run.
     return lead < subtracted
 
 
@@ -475,7 +467,7 @@ def _meet_point(A: Ideal, B: Ideal) -> tuple:
     star = min(hits, key=lambda i: (values[i][0][0] & DEGREE_MASK,
                                     -G[i].packed[0][0]))
     g_star, (x_e, c_star) = G[star], values[star][0]
-    e, inv = x_e & DEGREE_MASK, ring.inv(c_star)
+    inv = ring.inv(c_star)
     lead_star, certified = g_star.packed[0][0], True
     gens = []
     for g, v in zip(G, values):
@@ -488,25 +480,15 @@ def _meet_point(A: Ideal, B: Ideal) -> tuple:
             g = g - Poly(ring, tuple((m + shift, factor * c % p)
                                      for m, c in g_star.packed))
         gens.append(g)
-    # last, so that they join reduced by the rest: on random points their
-    # leads then reach the target before any pair is processed
     gens += [a * g_star for a in A.gens]
     if certified:  # every lead kept: a Groebner basis (see ``intersect``)
         return _reduce_basis(gens, ring)
-    # N_B + t^e (1 - t)^(n-1), without trailing zeros
-    target = list(B.lead_ideal().numerator)
-    point = (0,) * e + _koszul_numerator([1] * (ring.nvars - 1))
-    target += [0] * (len(point) - len(target))
-    for k, c in enumerate(point):
-        target[k] += c
-    while target and not target[-1]:
-        target.pop()
-    return _reduce_basis(_groebner_basis(gens, ring, tuple(target)), ring)
+    return _reduce_basis(_groebner_basis(gens, ring), ring)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I meet J: by evaluation when either is the ideal of a point, J
-    first, and otherwise via elimination of t from t*A + (1-t)*B.
+    first, and otherwise via elimination of t from t*I + (1-t)*J.
 
     The ideal A of a point p is given by n - 1 linear forms a_i whose
     leads are n - 1 distinct variables; x_k leads none.  Division by the
@@ -518,8 +500,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     g - (c_g / c_g*) * x_k^(deg g - e) * g* for every other g (g itself
     when c_g = 0) and by the a_i * g*.  Modulo these every f in B is
     q * g*, and f(p) = 0 forces q(p) = 0, so q is in A.  As
-    A + B = A + (x_k^e), HF(R/(A meet B))(d) = HF(R/B)(d) + [d >= e], and
-    the numerator of its series is N_B + t^e * (1-t)^(n-1), N_B that of B.
+    A + B = A + (x_k^e), HF(R/(A meet B))(d) = HF(R/B)(d) + [d >= e].
 
     When every combination keeps lm(g) as its lead, these generators are
     a Groebner basis, and the meet is read off them with no Buchberger
@@ -531,17 +512,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     every x_i, so it is lm(g*) * x_k^j: at most one is missing in each
     degree d, and none below e.  So HF(R/L')(d) <= HF(R/B)(d) + [d >= e]
     = HF(R/(A meet B))(d) <= HF(R/L')(d), and L' = in(A meet B).  When a
-    combination loses its lead, the generators go to one Buchberger run
-    instead, stopped at the numerator above, which is exact: the run's
-    leads lie in in(A meet B), and equal series force equality.  No
-    elimination variable is adjoined.
-
-    For elimination, A is the argument whose generators have the lower
-    top degree, I on a tie.  Each (1-t)*b reduces against the t-rows to
-    b - t*NF_A(b), so the t-parts the run carries live in R/A.  The top
-    degree stands in, for free, for the smaller quotient; a rule that
-    compares Groebner bases costs more than it saves.  The reduced basis
-    of the meet is unique, so the choice changes only the work.
+    combination loses its lead, the generators go to one plain Buchberger
+    run instead.  No elimination variable is adjoined.
 
     The ring must be graded: the elimination order eliminates t only on
     generators homogeneous in x.  The t-free elements of any Groebner basis
@@ -560,10 +532,9 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     elif _is_point(I):
         reduced = _meet_point(I, J)
     else:
-        A, B = (J, I) if _top_degree(J) < _top_degree(I) else (I, J)
         big = _EliminationRing(ring)
-        gens = [_lift(f, big, extra=1) for f in A.gens]
-        gens += [_lift(g, big) - _lift(g, big, extra=1) for g in B.gens]
+        gens = [_lift(f, big, extra=1) for f in I.gens]
+        gens += [_lift(g, big) - _lift(g, big, extra=1) for g in J.gens]
         # each kept element written without t
         offset = key_offset(big, ring)
         reduced = _reduce_basis(

@@ -225,8 +225,8 @@ def parse_ideal(text: str, nvars=None, prime=DEFAULT_PRIME):
     tokens = _tokenize(text)
     if nvars is None:
         nvars = 1 + max((v for k, v, *_ in tokens if k == "var"), default=-1)
-    if nvars < 1:
-        raise ParseError("no variables found; declare the variable count")
+        if nvars < 1:
+            raise ParseError("no variables found; declare the variable count")
     ring = PolyRing(nvars, prime)
     return Ideal(ring, _Parser(tokens, ring).generators())
 

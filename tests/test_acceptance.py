@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import time
+from math import comb
 
 import oracles
 from gintools.corpus import general_points
@@ -119,10 +120,14 @@ def test_criterion_06_low_level_rows(corpus_entries):
 
 
 def test_criterion_07_general_points_expectation():
-    """Random plane points over 10 seeds: connected; pinned small profiles."""
+    """Random plane points over 10 seeds: the Hilbert function of general
+    points, min(binom(d + 2, 2), N), checked first; connected; pinned
+    small profiles."""
     for N in range(3, 13):
         for seed in range(10):
             I = general_points(N, seed=seed)
+            assert hilbert_function(I.lead_ideal(), N) == tuple(
+                min(comb(d + 2, 2), N) for d in range(N + 1)), (N, seed)
             inv = variety_invariants(I, seed=0)
             ((_, prof),) = inv.table.entries
             ok, index = is_connected(prof)

@@ -184,6 +184,17 @@ def test_config_error_nonprime(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_a_negative_dimension_is_config_error(capsys):
+    """A declared count is an option value, refused by the ring; only a
+    count inferred from a text with no variable is the text's fault."""
+    code, _, err = run_with_err(capsys, "gin", "--gens", "x0", "--n", "-1")
+    assert code == EXIT_CONFIG
+    assert "need at least one variable" in err
+    code, _, err = run_with_err(capsys, "gin", "--gens", "1")
+    assert code == EXIT_PARSE
+    assert "no variables found" in err
+
+
 def test_config_error_small_prime_for_coefficients(capsys):
     code, _ = run(capsys, "gin", "--gens", "40*x0 + x1", "--prime", "79")
     assert code == EXIT_CONFIG

@@ -15,8 +15,8 @@ from gintools.groebner import (Ideal, _SliceBasis, initial_ideal,
 from gintools.cli import main
 from gintools.corpus import (complete_intersection, determinantal,
                              determinantal_from_matrix)
-from gintools.gin import (ComputationError, GinUnstableError, _sampled_gin,
-                          check_connectedness, child_rng,
+from gintools.gin import (ComputationError, GinResult, GinUnstableError,
+                          _sampled_gin, check_connectedness, child_rng,
                           connectedness_from_table, gin,
                           run_trace, variety_invariants,
                           verify_gap_truncation, verify_slice_identity)
@@ -441,6 +441,17 @@ def test_slice_identity_level_zero_drops_last_variable():
     (case,) = report.cases
     assert case.equal
     assert case.rhs == restrict_last(result.gin)
+
+
+def test_slice_identity_reports_a_wrong_gin_as_a_failed_case():
+    """The slice bases stop at I's own series, not the gin's: a strongly
+    stable gin_result of the wrong series, (x0, x1^2) for the twisted
+    cubic, fails the check instead of raising GinUnstableError."""
+    wrong = GinResult(MonomialIdeal.from_monomials(
+        4, [(1, 0, 0, 0), (0, 2, 0, 0)]), 0, True)
+    report = verify_slice_identity(twisted_cubic(), gin_result=wrong)
+    assert not report.passed
+    assert not all(case.equal for case in report.cases)
 
 
 def test_slice_identity_computes_one_gin_per_distinct_section(monkeypatch):
