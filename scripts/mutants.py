@@ -12,7 +12,12 @@ the unmutated run plus a minute is stopped, and its mutant counts as
 surviving: a fault that makes a division loop must be caught by a
 failing test, not by the wall clock.  A test that loops fails on its own
 at the suite's per-test time limit (``tests/conftest.py``), which lies
-well inside that bound.  The unmutated copy is run first
+well inside that bound.  Each suite runs with its address space capped
+at ``MEMORY_CAP`` (``RLIMIT_AS``, set in the child process alone): a
+mutant that makes a test allocate without bound, say by expanding a
+65535th power, then fails that test with ``MemoryError`` and counts as
+killed, instead of growing until the operating system ends a process.
+The unmutated copy is run first
 and must pass, so a broken environment cannot pass for a killed mutant.
 A mutant whose text does not occur exactly once fails the script before
 any suite runs, so a refactor that moves the code must move the mutant
@@ -28,6 +33,7 @@ It exits 0 when every mutant is killed and 1 otherwise.
 """
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -36,6 +42,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# bytes of address space for one suite, ample for the unmutated suite
+MEMORY_CAP = 3 * 1024 ** 3
 
 # (name, file, text, replacement)
 MUTANTS = [
@@ -89,8 +98,21 @@ MUTANTS = [
      "_series_values(target, 3, bound)"),
     ("the Koszul floor is taken for nvars + 1 forms",
      "src/gintools/groebner.py",
-     "ring.graded and len(gens) <= ring.nvars:",
-     "ring.graded and len(gens) <= ring.nvars + 1:"),
+     "len(gens) <= ring.nvars:",
+     "len(gens) <= ring.nvars + 1:"),
+    ("the Hilbert stop fires one degree early",
+     "src/gintools/groebner.py",
+     "if N == target:",
+     "if N[:d + 1] == target[:d + 1]:"),
+    ("the elimination meet keeps the elements with t",
+     "src/gintools/groebner.py",
+     "if not big.exponent(g.packed[0][0], -1)",
+     "if True"),
+    ("the elimination meet lifts (1 - t)*g as g",
+     "src/gintools/groebner.py",
+     "gens += [Poly(big, (-_lift(g, big, extra=1)).packed\n"
+     "                      + _lift(g, big).packed) for g in J.gens]",
+     "gens += [Poly(big, _lift(g, big).packed) for g in J.gens]"),
     ("truncate keeps only the generators of degree below the cutoff",
      "src/gintools/groebner.py",
      "kept = [g for g in I.gens if g.degree <= delta]",
@@ -157,10 +179,19 @@ def test_files(tree):
     return [str(p.relative_to(tree)) for p in [first, *rest]]
 
 
+def cap_memory():
+    """Cap the address space of the process that calls it, a suite's
+    child between fork and exec, at ``MEMORY_CAP``."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = (MEMORY_CAP if hard == resource.RLIM_INFINITY
+            else min(hard, MEMORY_CAP))
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def run_suite(tree, limit=None):
     """Tier-1 in ``tree``, stopping at the first failure or after ``limit``
-    seconds; (outcome, seconds), the outcome "passed", "failed" or
-    "timed out"."""
+    seconds, under ``MEMORY_CAP``; (outcome, seconds), the outcome
+    "passed", "failed" or "timed out"."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # no stale bytecode
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
@@ -171,7 +202,8 @@ def run_suite(tree, limit=None):
              "no:cacheprovider", "--continue-on-collection-errors",
              *test_files(tree)],
             cwd=tree, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=limit)
+            stderr=subprocess.DEVNULL, timeout=limit,
+            preexec_fn=cap_memory)
         outcome = "failed" if result.returncode else "passed"
     except subprocess.TimeoutExpired:
         outcome = "timed out"

@@ -42,10 +42,10 @@ from .ring import (LinearChange, drop_last, mono_degree,
 from .groebner import (Ideal, _SliceBasis, _groebner_basis, initial_ideal,
                        intersect, restrict_ideal, truncate)
 from .staircase import (ComputationError, GinUnstableError, InvariantTable,
-                        MonomialIdeal, _series_values, colon_by_monomial,
-                        gap_degrees, hilbert_function, invariant_table,
-                        is_borel_fixed, is_connected, is_p_borel_fixed,
-                        restrict_last, truncate_monomial, two_variable_trace,
+                        MonomialIdeal, _series_values, gap_degrees,
+                        hilbert_function, invariant_table, is_borel_fixed,
+                        is_connected, is_p_borel_fixed, restrict_last,
+                        truncate_monomial, two_variable_trace,
                         UnsaturatedIdealError)
 
 
@@ -360,7 +360,8 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
 
     The left side runs the analytic pipeline (ideal quotient, restriction,
     then a fresh gin), every level read off one Groebner basis per form;
-    the right side is pure staircase combinatorics on gin(I).  Random
+    the right side is read off the generators of gin(I), as every slice
+    is: those g with g_n <= p, that slot dropped.  Random
     general forms h are drawn per trial.  Levels whose sections have the
     same reduced basis share one gin; for a saturated I that is every level
     of a form.  A check with no cases would pass vacuously, so ``p_max``
@@ -373,7 +374,6 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
     n = I.ring.nvars - 1
     M = _stable_gin(I, seed, votes, gin_result).gin
     series = I.lead_ideal().numerator  # kept by psi
-    xn_power = lambda p: tuple(p if i == n else 0 for i in range(I.ring.nvars))
     section_gins = {}
     cases = []
     for trial in range(forms):
@@ -385,7 +385,8 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
             if key not in section_gins:
                 section_gins[key] = _sampled_gin(section, seed, votes).gin
             lhs = section_gins[key]
-            rhs = restrict_last(colon_by_monomial(M, xn_power(p)))
+            rhs = MonomialIdeal.from_monomials(
+                n, (g[:-1] for g in M.gens if g[-1] <= p))
             cases.append(SliceCase(trial, p, lhs == rhs, lhs, rhs))
     return SliceIdentityReport(tuple(cases), all(c.equal for c in cases))
 

@@ -17,30 +17,34 @@ One basis of psi(I) therefore gives every (I : h^p) and every section
 linear form with a nonzero x_n coefficient, as
 ``PolyRing.general_linear_form`` draws, and refuses anything else.
 
-An intersection with the ideal A of a point p is taken in the graded
-ring as the kernel of evaluation at p (Abbott, Bigatti, Kreuzer and
-Robbiano, Computing ideals of points, J. Symbolic Comput. 30 (2000)).
-A's n - 1 linear forms lead with n - 1 distinct variables, and division
-by them sends a form g to g(p) * x_k^deg(g), x_k the variable left over.
-With g* an element of B's basis of least degree e among those not
-vanishing at p, A meet B is generated by the a_i * g* and by each other
-element g minus (g(p) / g*(p)) * x_k^(deg g - e) * g*.  When each of
+An intersection with the ideal A of a point p is taken in the ring itself,
+with no variable adjoined, as the kernel of evaluation at p (Abbott,
+Bigatti, Kreuzer and Robbiano, Computing ideals of points, J. Symbolic
+Comput. 30 (2000)).  A's n - 1 linear forms lead with n - 1 distinct
+variables, and division by them sends a form g to g(p) * x_k^deg(g), x_k the
+variable left over.  With g* an element of B's basis of least degree e among
+those not vanishing at p, A meet B is generated by the a_i * g* and by each
+other element g minus (g(p) / g*(p)) * x_k^(deg g - e) * g*.  When each of
 these differences keeps lm(g) as its lead, the generators are already a
-Groebner basis, and no Buchberger run is made (see ``intersect``).
-Otherwise they go to one plain Buchberger run.
+Groebner basis, and no Buchberger run is made (see ``intersect``).  Otherwise
+they go to one plain Buchberger run.
 
 Every other intersection goes through the one-auxiliary-variable
-elimination construction: adjoin t, form t*I + (1-t)*J, and eliminate t.
-The order gives t weight 0: x-degree first, then the power of t, then
-grevlex on x.  Every polynomial the construction meets is homogeneous in
-x, and there the order picks the same leads as the block order with t
-greatest, so the t-free elements of a Groebner basis form one of I meet
-J (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 3
-and ch. 8 sec. 3).  Such an element has no t in any term, since its
-t-free lead is its greatest power of t.  The normal strategy takes pairs
-by x-degree, which is their sugar degree (Giovini, Mora, Niesi, Robbiano
-and Traverso, One sugar cube, please, ISSAC 1991), and only the t-free
-elements are reduced.  That order lives here and nowhere else.
+elimination construction: adjoin t, form K = t*I + (1-t)*J, and eliminate
+t (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 3
+and ch. 8 sec. 3).  The run is plain grevlex on K[x, t], t last, and needs
+no block order.  Take a polynomial homogeneous in x.  Its terms share one
+x-degree, so total degree = x-degree + power of t, and in grevlex the
+higher power of t wins, as in the block order with t greatest.  When the
+powers of t are equal, grevlex reads t first, ties there, and falls to
+grevlex on x, as the block order does.  K is graded by x-degree, so in(K)
+is spanned by the leads of its x-homogeneous elements and is the same
+ideal in both orders; the run's elements, built from x-homogeneous
+generators, are x-homogeneous too.  A grevlex Groebner basis of K is
+therefore an elimination basis, and its t-free elements form a basis of
+I meet J.  Such an element has no t in any term, since its lead has its
+greatest power of t.  The normal strategy takes pairs by the total degree
+of their lcm, and only the t-free elements are reduced.
 
 The kernel works on packed monomials (see ``ring``): one int per
 monomial is its exponents and its sort key, the smallest key the greatest
@@ -51,21 +55,19 @@ heap, J. Symbolic Comput. 46 (2011), who pack exponent vectors into words
 the same way); a term that cancels stays in the heap and is skipped when
 popped.  A lead divides a term when the guard bits of their difference
 say so.  Its divisors come as a table of (lead, inverse lead coefficient,
-tail) rows.  Every polynomial the kernel meets has its lead at its
-greatest total degree: a form of a graded ring has one degree, and in
-the elimination ring each polynomial is homogeneous in x, so its lead is
-the term with the most t.  No reduction therefore writes a term of
-higher degree than the one it removes, and only an S-pair's lcm can
-cross the degree bound.  Buchberger builds no intermediate polynomial:
-it keeps that table with its basis, one row added as each monic element
-joins, and writes each S-pair u*tail(f) - v*tail(g) straight into the
-division's dict, where the leads would cancel.  Each pair's packed lcm
-is formed once, when the pair is made; it orders the pairs, and u and v
-are the lcm minus each lead.  A pair whose lcm reaches the degree bound
-raises ``ValueError``.  Reducing a basis builds the table once, and each element
-divides by it without its own row.  Polynomials are read out as exponent
-tuples only at the edges: lead monomials for Hilbert series and initial
-ideals.
+tail) rows.  Every polynomial the kernel meets has its lead at its greatest
+total degree, as grevlex ranks the higher degree first.  No reduction
+therefore writes a term of higher degree than the one it removes, and only
+an S-pair's lcm can cross the degree bound.  Buchberger builds no
+intermediate polynomial: it keeps that table with its basis, one row added
+as each monic element joins, and writes each S-pair u*tail(f) - v*tail(g)
+straight into the division's dict, where the leads would cancel.  Each pair's
+packed lcm is formed once, when the pair is made; it orders the pairs, and u
+and v are the lcm minus each lead.  A pair whose lcm reaches the degree bound
+raises ``ValueError``.  Reducing a basis builds the table once, and each
+element divides by it without its own row.  Polynomials are read out as
+exponent tuples only at the edges: lead monomials for Hilbert series and
+initial ideals.
 
 A Buchberger run that knows the Hilbert series of its ideal in advance
 (a gin sample, or a slice basis, whose coordinate change keeps the
@@ -82,19 +84,18 @@ A run with no such target still has a floor when its generators are
 r <= nvars forms of degrees d_i: HS(R/I) >= prod (1 - t^d_i) / (1-t)^nvars
 in every degree, with equality exactly for a regular sequence (Froberg,
 An inequality for Hilbert series of graded algebras, Math. Scand. 56
-(1985)).  dim I_d is at most its value for generic forms, by
-semicontinuity, and generic forms with r <= nvars are regular.  As
-HS(R/<lead G>) >= HS(R/I), leads whose numerator meets the floor's are
-in(I), and ``_groebner_basis`` takes the floor itself whenever it is given
-no target in a graded ring, and stops there the same way: I's own basis,
-``buchberger``, a slice basis built without a series and a trace's gcd
-all do.  ``intersect``'s elimination ring is not graded, so its run takes
-none.  A floor never met costs nothing in answers, and the run ends with
-every pair.  Two rules keep the checks cheap.  The generators' own leads
-are not checked: they meet the floor only if pairwise coprime, and then
-they make no pair.  And at a boundary into degree d every element still
-to come has degree >= d, so the numerator's coefficients below d are
-final; once they differ from the floor's, the checks end.
+(1985)).  dim I_d is at most its value for generic forms, by semicontinuity,
+and generic forms with r <= nvars are regular.  As HS(R/<lead G>) >= HS(R/I),
+leads whose numerator meets the floor's are in(I), and ``_groebner_basis``
+takes the floor itself whenever it is given no target, and stops there the
+same way: I's own basis, ``buchberger``, a slice basis built without a
+series and a trace's gcd all do, and so does ``intersect``'s run on t*I when
+J is zero.  A floor never met costs nothing in answers, and the run ends with
+every pair.  Two rules keep the checks cheap.  The generators' own leads are
+not checked: they meet the floor only if pairwise coprime, and then they
+make no pair.  And at a boundary into degree d every element still to come
+has degree >= d, so the numerator's coefficients below d are final; once
+they differ from the floor's, the checks end.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class Ideal:
                 raise ValueError("generator from a different ring")
             if g.is_zero():
                 continue
-            if ring.graded and not g.is_homogeneous():
+            if not g.is_homogeneous():
                 raise ValueError(f"inhomogeneous generator: {g}")
             cleaned.append(g)
         self.gens = tuple(cleaned)
@@ -323,21 +324,21 @@ def _groebner_basis(gens, ring, target=None) -> list:
     """A monic Groebner basis of the given generators, not reduced.
 
     Pairs are processed in increasing order of their lcm (the normal
-    strategy), which is the largest sort key.  ``target``, in a graded
-    ring, is the numerator of the Hilbert series of the ideal, known in
-    advance: the run stops at the first degree boundary where the lead
-    monomials reach it (see the module docstring).  Pairs that run out
-    before they do raise ``GinUnstableError``: the series was wrong, so a
-    coordinate change or this kernel is.
+    strategy), which is the largest sort key.  ``target`` is the numerator
+    of the Hilbert series of the ideal, known in advance: the run stops at
+    the first degree boundary where the lead monomials reach it (see the
+    module docstring).  Pairs that run out before they do raise
+    ``GinUnstableError``: the series was wrong, so a coordinate change or
+    this kernel is.
 
-    With no ``target``, r <= nvars forms of degrees d_i in a graded ring
-    take their Koszul floor prod (1 - t^d_i) as a lower bound on the
-    series: reaching it stops the run all the same, which is exact, and
-    pairs that run out return the basis.
+    With no ``target``, r <= nvars forms of degrees d_i take their Koszul
+    floor prod (1 - t^d_i) as a lower bound on the series: reaching it
+    stops the run all the same, which is exact, and pairs that run out
+    return the basis.
     """
     gens = [f for f in gens if not f.is_zero()]
     floor = False
-    if target is None and ring.graded and len(gens) <= ring.nvars:
+    if target is None and len(gens) <= ring.nvars:
         # in grevlex the first term has the greatest degree, the last the least
         degrees = [f.packed[0][0] & DEGREE_MASK for f in gens]
         floor = degrees == [f.packed[-1][0] & DEGREE_MASK for f in gens]
@@ -408,24 +409,6 @@ def initial_ideal(I: Ideal) -> MonomialIdeal:
 
 # ---------------------------------------------------------------------------
 # intersection, quotient, saturation
-
-class _EliminationRing(PolyRing):
-    """K[x, t] for the graded ring K[x], t last, in the elimination order:
-    x-degree first, then the power of t, then grevlex on x.
-
-    On a polynomial homogeneous in x all terms share one x-degree, so the
-    power of t decides first, as in the block order with t greatest; the
-    generators of t*I + (1-t)*J are such polynomials, and S-polynomials and
-    reductions of them stay so.  Hence t is eliminated, though the order is
-    not a block order.  Its sums may mix degrees, so it is not graded.
-    """
-
-    graded = False
-
-    def __init__(self, ring):  # ring has checked the modulus
-        n = ring.nvars
-        self._pack(n + 1, ring.prime, ((-1,) * n + (0,), (0,) * n + (-1,)))
-
 
 def _lift(f, big, extra=0):
     """f in ``big``, times t^extra; with t's power fixed the order is
@@ -515,26 +498,25 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     combination loses its lead, the generators go to one plain Buchberger
     run instead.  No elimination variable is adjoined.
 
-    The ring must be graded: the elimination order eliminates t only on
-    generators homogeneous in x.  The t-free elements of any Groebner basis
-    in that order form a basis of the intersection, so only they are
+    Otherwise t is adjoined as the last variable of the grevlex ring
+    ``PolyRing(n + 1, p)`` (see the module docstring).  The t-free elements
+    of the run's basis form a basis of the intersection, so only they are
     reduced.  Every element is homogeneous in x, so one with a t-free lead
     has no t at all.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
-    if not ring.graded:
-        raise ValueError("intersection needs a graded ring: elimination "
-                         "by x-degree first needs homogeneous generators")
     if _is_point(J):
         reduced = _meet_point(J, I)
     elif _is_point(I):
         reduced = _meet_point(I, J)
     else:
-        big = _EliminationRing(ring)
+        big = PolyRing(ring.nvars + 1, ring.prime)
         gens = [_lift(f, big, extra=1) for f in I.gens]
-        gens += [_lift(g, big) - _lift(g, big, extra=1) for g in J.gens]
+        # (1-t)*g, packed: t*g's terms have the higher degree, so they lead
+        gens += [Poly(big, (-_lift(g, big, extra=1)).packed
+                      + _lift(g, big).packed) for g in J.gens]
         # each kept element written without t
         offset = key_offset(big, ring)
         reduced = _reduce_basis(
@@ -563,11 +545,10 @@ class _SliceBasis:
 
     psi substitutes x_n -> (x_n - sum_{i<n} h_i x_i) / h_n, and
     ``ring.last_image``, which builds it, refuses any h that is not a
-    linear form with a nonzero coefficient on x_n, and any ring that is not
-    graded: both facts of the module docstring are facts of grevlex.  Every
-    colon of I by a power of h, and every section of one by h, is read off
-    this one basis.  ``target``, the numerator of I's Hilbert series when
-    known, stops its Buchberger run early: psi keeps the series.
+    linear form with a nonzero coefficient on x_n.  Every colon of I by a
+    power of h, and every section of one by h, is read off this one
+    basis.  ``target``, the numerator of I's Hilbert series when known,
+    stops its Buchberger run early: psi keeps the series.
     """
 
     def __init__(self, I: Ideal, h: Poly, target=None):

@@ -7,20 +7,19 @@ where the exponents differ: the monomial with the smaller exponent there
 is the greater one.  All coefficients live in F_p for a configurable
 prime p.
 
-A ring built by ``PolyRing(nvars, prime)`` computes in grevlex, the single
-weight row (-1, ..., -1): of two monomials the greater is the one with
-the smaller value row . m, so the higher degree, and within a degree the
-one with the smaller m[::-1], the smaller exponent at the rightmost index
-where they differ, which agrees with the public order.  Such a ring is
-graded.  The one other order is private to ``groebner.intersect``, whose
-elimination ring packs two rows the same way (``PolyRing._pack``), the
-first row deciding, and is not graded.
+Every ring, ``PolyRing(nvars, prime)``, computes in this one order,
+grevlex, the single weight row (-1, ..., -1): of two monomials the greater
+is the one with the smaller value row . m, so the higher degree, and within
+a degree the one with the smaller m[::-1], the smaller exponent at the
+rightmost index where they differ, which agrees with the public order.
+Even ``groebner.intersect`` eliminates in it, in the ring with one more
+variable.
 
 Packed monomials.  Inside the kernel a monomial is one int, its key
 ``ring.sort_key(m)``: the sum of e_i * W_i for a fixed weight W_i per
 variable.  From the low bits up the key holds 16-bit fields, the total
-degree and then e_0, ..., e_n, and above them each row's value in a signed
-field wide enough for it, the first row highest.  So:
+degree and then e_0, ..., e_n, and above them the row's value -deg(m) in a
+signed field.  So:
 
 * integer order is the term order, the smallest key the greatest
   monomial: a polynomial's terms are its keys in ascending order, lead
@@ -180,43 +179,29 @@ class PolyRing:
 
     A ring is graded: it enforces the homogeneous-only contract, so sums of
     nonzero polynomials of different degrees are rejected.  Two rings with
-    the same variable count and modulus are equal.  The elimination ring
-    that ``groebner.intersect`` builds for itself relaxes the contract.
+    the same variable count and modulus are equal.
     """
-
-    graded = True
 
     def __init__(self, nvars, prime=DEFAULT_PRIME):
         check_nvars(nvars)
         check_modulus(prime)
-        self._pack(nvars, prime, ((-1,) * nvars,))
-
-    def _pack(self, nvars, prime, rows):
-        """Set up the ring with its packed monomials ordered by the weight
-        rows ``rows`` (see the module docstring), unchecked."""
         self.nvars = nvars
         self.prime = prime
-        # a row's field holds its values for degrees below 2^16, with sign
-        shift, shifts = _FIELD * (nvars + 1), []
-        for row in reversed(rows):
-            shifts.append(shift)
-            shift += max(map(abs, row)).bit_length() + _FIELD + 2
-        shifts.reverse()
+        # the row's field, above the exponents, holds -deg with its sign
+        row_shift = _FIELD * (nvars + 1)
         self._shifts = tuple(_FIELD * (i + 1) for i in range(nvars))
-        self._weights = tuple(
-            1 + (1 << s) + sum(row[i] << r for row, r in zip(rows, shifts))
-            for i, s in enumerate(self._shifts))
+        self._weights = tuple(1 + (1 << s) - (1 << row_shift)
+                              for s in self._shifts)
         self.guards = sum(_GUARD << s for s in self._shifts)
         self._zero = Poly(self, ())
 
     def __eq__(self, other):
         return self is other or (isinstance(other, PolyRing)
                                  and self.nvars == other.nvars
-                                 and self.prime == other.prime
-                                 and self.graded == other.graded)
+                                 and self.prime == other.prime)
 
     def __hash__(self):
-        return hash((self.nvars, self.prime, self.graded))
+        return hash((self.nvars, self.prime))
 
     def __repr__(self):
         return f"PolyRing(nvars={self.nvars}, prime={self.prime})"
@@ -316,8 +301,6 @@ class PolyRing:
 
     @cached_property
     def _restricted(self):
-        if not self.graded:  # dropping x_n keeps the order of grevlex terms only
-            raise ValueError("restriction needs a graded ring")
         if self.nvars == 1:
             raise ValueError("cannot drop the last remaining variable")
         return PolyRing(self.nvars - 1, self.prime)
@@ -460,11 +443,11 @@ def add_into(acc, f: Poly, sign=1):
     """Add sign * f into acc, the dict of the nonzero coefficients of a
     sum, keyed by packed monomials.
 
-    In a graded ring a nonzero sum and a nonzero f of another degree raise
-    ``ValueError``; a sum that has cancelled to zero takes any f.
+    A nonzero sum and a nonzero f of another degree raise ``ValueError``;
+    a sum that has cancelled to zero takes any f.
     """
-    # in a graded ring sums are homogeneous: one term gives the degree
-    if f.ring.graded and acc and f.packed and (
+    # sums are homogeneous: one term gives the degree
+    if acc and f.packed and (
             (first := next(iter(acc)) & DEGREE_MASK) != f.packed[0][0] & DEGREE_MASK):
         raise ValueError(f"inhomogeneous sum: degrees {first} and {f.degree}")
     p = f.ring.prime
@@ -581,16 +564,11 @@ def last_image(h: Poly) -> Poly:
     psi fixes x0..x_{n-1} and substitutes
     x_n -> (x_n - sum_{i<n} h_i x_i) / h_n; its inverse substitutes
     x_n -> h.  Every restriction, colon and section by h goes through here,
-    and this is the one check on h.  ``ValueError`` refuses a ring that is
-    not graded, an h that is not homogeneous of degree 1 (zero and the
-    constants among them), and an h with no x_n term, each with its own
-    message.
+    and this is the one check on h.  ``ValueError`` refuses an h that is
+    not homogeneous of degree 1 (zero and the constants among them), and an
+    h with no x_n term, each with its own message.
     """
     ring = h.ring
-    if not ring.graded:
-        raise ValueError("colons, sections and restrictions by a linear "
-                         "form need a graded ring: in(J : x_n) = "
-                         "in(J) : x_n and dropping x_n are facts of grevlex")
     if h.degree != 1 or not h.is_homogeneous():
         raise ValueError(f"colons, sections and restrictions are by linear "
                          f"forms only, not by {h}")
@@ -615,8 +593,10 @@ def key_offset(src, dst) -> int:
     variables the two rings share, is k + (k & DEGREE_MASK) * C in ``dst``.
 
     It exists when the weights of those variables differ by one constant,
-    as between a grevlex ring, its restriction and its elimination ring,
-    whose rows weigh those variables alike.
+    as between any two grevlex rings: each weight is 1 + 2^s_i - 2^r, and
+    only the row's shift r depends on the variable count.  So keys move
+    between a ring, its restriction and the ring with one more variable
+    that ``groebner.intersect`` eliminates in.
     """
     offsets = {b - a for a, b in zip(src._weights, dst._weights)}
     if len(offsets) != 1:

@@ -7,6 +7,7 @@ numpy Gaussian elimination, and reduced Groebner bases through sympy.
 """
 
 import itertools
+from functools import lru_cache
 from math import comb, prod
 
 import numpy as np
@@ -161,12 +162,6 @@ def grevlex_order(m):
     """Higher degree first, then the smaller exponent at the rightmost
     differing index."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def x_degree_first_order(m):
-    """Degree in all variables but the last first, then the last variable
-    t, then grevlex on the others."""
-    return (sum(m[:-1]), m[-1], tuple(-e for e in reversed(m[:-1])))
 
 
 def _sorted_terms(coeffs, order):
@@ -354,9 +349,11 @@ def _sympy_meet(forms_a, forms_b, xs, p):
     return [q for q in basis.exprs if not q.has(t)]
 
 
+@lru_cache(maxsize=1 << 16)
 def _t_first(m):
     """sympy's sort key of the exponents m of (t, x0, ..., xn): the power
-    of t, then grevlex on x."""
+    of t, then grevlex on x.  Kept per monomial: one sympy basis asks
+    for the same keys some hundred thousand times."""
     return (m[0], sum(m), tuple(-e for e in reversed(m)))
 
 

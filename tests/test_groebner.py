@@ -9,12 +9,12 @@ from gintools.ring import (DEGREE_MASK, LinearChange, Poly, PolyRing,
                            last_image, mono_div, mono_divides,
                            monomials_of_degree, restrict, revlex_key)
 from gintools.corpus import complete_intersection, general_points, point_ideal
-from gintools.groebner import (Ideal, _EliminationRing, _SliceBasis,
-                               _divide, _groebner_basis, _lift,
-                               _reduce_basis, _reducer, _s_pair,
-                               buchberger, ideal_quotient, initial_ideal,
-                               intersect, normal_form, restrict_ideal,
-                               saturate, truncate)
+from gintools.groebner import (Ideal, _SliceBasis, _divide,
+                               _groebner_basis, _lift, _reduce_basis,
+                               _reducer, _s_pair, buchberger,
+                               ideal_quotient, initial_ideal, intersect,
+                               normal_form, restrict_ideal, saturate,
+                               truncate)
 from gintools.parsing import parse_ideal, parse_polynomial
 from gintools.staircase import (GinUnstableError, MonomialIdeal,
                                 _koszul_numerator, _numerator,
@@ -106,9 +106,9 @@ def homogeneous_division_case(seed, nvars):
 
 
 def x_homogeneous_poly(big, rng, x_degree, max_terms=8):
-    """A random polynomial of the elimination ring, homogeneous in x of the
-    given x-degree, with t to powers 0 to 2: the only kind ``intersect``
-    makes."""
+    """A random polynomial of K[x, t], t the last variable of ``big``,
+    homogeneous in x of the given x-degree, with t to powers 0 to 2: the
+    only kind ``intersect``'s elimination run makes."""
     monos = [m + (k,) for m in monomials_of_degree(big.nvars - 1, x_degree)
              for k in range(3)]
     picked = rng.sample(monos, min(len(monos), rng.randint(1, max_terms)))
@@ -116,8 +116,8 @@ def x_homogeneous_poly(big, rng, x_degree, max_terms=8):
 
 
 def elimination_division_case(seed, big):
-    """The same in the elimination ring, with polynomials homogeneous in x
-    but not in x and t."""
+    """The same in K[x, t], in grevlex with t last, with polynomials
+    homogeneous in x but not in x and t."""
     rng = random.Random(seed)
     divisors = [x_homogeneous_poly(big, rng, rng.randint(1, 2), max_terms=4)
                 for _ in range(rng.randint(1, 3))]
@@ -140,11 +140,10 @@ def test_heap_normal_form_matches_scan_division_in_grevlex(seed, nvars):
 @settings(max_examples=40)
 def test_heap_normal_form_matches_scan_division_in_elimination_order(seed,
                                                                      nvars):
-    big = _EliminationRing(PolyRing(nvars, 7))
+    big = PolyRing(nvars + 1, 7)
     _, f, divisors = elimination_division_case(seed, big)
     expected = oracles.scan_normal_form(f.terms, [g.terms for g in divisors],
-                                        big.prime,
-                                        oracles.x_degree_first_order)
+                                        big.prime, oracles.grevlex_order)
     assert normal_form(f, divisors).terms == expected
 
 
@@ -182,20 +181,20 @@ def s_polynomial_terms(f, g, p):
     return [(m, c) for m, c in coeffs.items() if c]
 
 
-def check_s_pair_remainder(ring, order, rng):
+def check_s_pair_remainder(ring, rng, x_homogeneous=False):
     """The S-pair that Buchberger forms in the division's dict, divided by
     a reducer table, against the scan division of an S-polynomial built
     here; the oracle's S-polynomial of Poly products against the same
-    S-polynomial.  Over F_7,
-    where cancellations are frequent; forms in a graded ring, polynomials
-    homogeneous in x in the elimination ring."""
-    p = ring.prime
+    S-polynomial.  Over F_7, where cancellations are frequent; forms, or
+    with ``x_homogeneous`` polynomials homogeneous in x of K[x, t], t last,
+    as the elimination run of ``intersect`` makes."""
+    p, order = ring.prime, oracles.grevlex_order
 
     def monic_poly():
-        if ring.graded:
-            f = sparse_poly(ring, rng, [rng.randint(1, 3)], max_terms=4)
-        else:
+        if x_homogeneous:
             f = x_homogeneous_poly(ring, rng, rng.randint(1, 2), max_terms=4)
+        else:
+            f = sparse_poly(ring, rng, [rng.randint(1, 3)], max_terms=4)
         return f.monic()
 
     f, g = monic_poly(), monic_poly()
@@ -215,16 +214,15 @@ def check_s_pair_remainder(ring, order, rng):
 @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]))
 @settings(max_examples=40)
 def test_s_pair_remainder_matches_scan_division_in_grevlex(seed, nvars):
-    check_s_pair_remainder(PolyRing(nvars, 7), oracles.grevlex_order,
-                           random.Random(seed))
+    check_s_pair_remainder(PolyRing(nvars, 7), random.Random(seed))
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
 @settings(max_examples=40)
 def test_s_pair_remainder_matches_scan_division_in_elimination_order(seed,
                                                                      nvars):
-    check_s_pair_remainder(_EliminationRing(PolyRing(nvars, 7)),
-                           oracles.x_degree_first_order, random.Random(seed))
+    check_s_pair_remainder(PolyRing(nvars + 1, 7), random.Random(seed),
+                           x_homogeneous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -767,10 +765,6 @@ def test_quotients_refuse_a_quadric_and_the_zero_form():
 
 
 QUADRIC = poly(R3, "x0^2 + x1*x2")
-# the "lex" kind's ring, which is not graded: intersection's elimination
-# ring, whose weight rows compare lexicographically, x-degree before the
-# power of t
-UNGRADED = _EliminationRing(PolyRing(2))
 # kind -> (a generator, h, the words of h's refusal) for every kind of form
 # that ``last_image`` refuses
 CONTRACT_FORMS = {
@@ -781,7 +775,6 @@ CONTRACT_FORMS = {
                                              (0, 0, 0): 1}),
                       "linear forms only"),
     "no_xn": (QUADRIC, poly(R3, "x0"), "no x_n term"),
-    "lex": (poly(UNGRADED, "x0*x2 + x1^2"), UNGRADED.variable(2), "graded"),
 }
 CONTRACT_ENTRY_POINTS = {
     "last_image": lambda f, h: last_image(h),
@@ -918,8 +911,8 @@ def is_point_ideal(I):
 @settings(max_examples=25)
 def test_intersect_matches_block_order_elimination_and_ranks(seed, key,
                                                              points):
-    """The x-degree-first elimination against sympy's elimination of t in
-    a block order (powers of t first), term for term, on random forms,
+    """The grevlex elimination in K[x, t] against sympy's elimination of t
+    in a block order (powers of t first), term for term, on random forms,
     whose top degrees come out lower, higher or tied, or on a set of one
     to four points against one more point.  t goes on either side, and the
     reduced basis is the same.  The forms go up to cubics in P^2 and to
@@ -950,10 +943,41 @@ def test_meet_with_the_maximal_ideal_is_the_other_ideal(seed, key):
     assert intersect(B, maximal).same_ideal(B)
 
 
+ZERO_MEET_RINGS = {(n, p): PolyRing(n, p) for n in (3, 4) for p in (2, 32003)}
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(ZERO_MEET_RINGS)),
+       st.booleans(), st.booleans())
+@settings(max_examples=30)
+def test_a_meet_with_the_zero_ideal_is_zero(seed, key, lines, first):
+    """With J = 0 the lifted generators t*f are forms, one degree each,
+    so the run in K[x, t] takes its Koszul floor; with I = 0 they are the
+    (1-t)*g.  Either way no element of the basis is t-free, and the meet
+    is the zero ideal: random forms or a line in P^2 and P^3, at p = 2 and
+    32003, with the zero ideal on either side, in one run in K[x, t]."""
+    import gintools.groebner as gb
+    ring = ZERO_MEET_RINGS[key]
+    rng = random.Random(seed)
+    B = random_line(rng, ring) if lines else Ideal(ring, random_forms(rng,
+                                                                      ring))
+    assume(not is_point_ideal(B))
+    zero = Ideal(ring, [])
+    runs = []
+    real = gb._groebner_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "_groebner_basis", lambda gens, ring, *args, **kw:
+                   runs.append(ring) or real(gens, ring, *args, **kw))
+        meet = intersect(B, zero) if first else intersect(zero, B)
+    assert runs == [PolyRing(ring.nvars + 1, ring.prime)]
+    assert meet.is_zero() and meet.groebner_basis() == ()
+
+
 def test_intersect_puts_t_on_its_first_argument(monkeypatch):
-    """The generators intersect hands to Buchberger are t*a for a in I,
-    its first argument, and (1-t)*b for b in J, whichever has the lower
-    top degree: three skew lines of P^3 against a line, and two lines."""
+    """The generators intersect hands to Buchberger, in grevlex on
+    K[x, t], are t*a for a in I, its first argument, and (1-t)*b for b in
+    J, whichever of the two has the lower top degree: three skew lines of
+    P^3 against a line, and two lines.  (1-t)*b is built here from
+    exponent tuples, as a sum of two degrees would be refused."""
     import gintools.groebner as groebner_module
     ring = PolyRing(4)
     rng = random.Random(3)
@@ -964,12 +988,13 @@ def test_intersect_puts_t_on_its_first_argument(monkeypatch):
     monkeypatch.setattr(groebner_module, "_groebner_basis",
                         lambda gens, ring, target=None:
                         received.append(gens) or real(gens, ring, target))
-    big = _EliminationRing(ring)
+    big = PolyRing(5)
     assert max(g.degree for g in three.gens) == 3
 
     def lifted(with_t, without_t):
         return ([_lift(f, big, extra=1) for f in with_t.gens]
-                + [_lift(g, big) - _lift(g, big, extra=1)
+                + [big.from_dict({**{m + (0,): c for m, c in g.terms},
+                                  **{m + (1,): -c for m, c in g.terms}})
                    for g in without_t.gens])
     for I, J in ((three, a), (a, three), (a, b), (b, a)):
         received.clear()
@@ -1039,7 +1064,7 @@ def test_intersect_matches_sympy_term_for_term(seed, p, kind):
     if path == "point":
         assert all(r == ring for r in runs)
     else:
-        assert runs[-1] == _EliminationRing(ring)
+        assert runs[-1] == PolyRing(ring.nvars + 1, p)
     assert as_sympy(meet.groebner_basis()) == \
         oracles.sympy_intersection(I.gens, J.gens, ring)
 
@@ -1076,7 +1101,7 @@ def test_every_polynomial_of_an_intersect_run_leads_at_its_top_degree(
         intersect(I, J)
     assert len(seen) > len(I.gens) + len(J.gens)
     for g in seen:
-        assert g.ring == _EliminationRing(ring)
+        assert g.ring == PolyRing(ring.nvars + 1, ring.prime)
         assert len({sum(m[:-1]) for m, _ in g.terms}) == 1
         assert sum(g.lead_monomial) == g.degree
 
@@ -1170,11 +1195,11 @@ def test_a_point_meet_runs_no_elimination_and_falls_back_to_a_plain_run(
         monkeypatch):
     """The twisted cubic meets the point (1:2:3:5) off it, where
     x0*x2 - x1^2 is -1, so e = 2.  Every combination keeps its lead, so the
-    meet is read off with no Buchberger run and no elimination ring, and
-    its series is N_B + t^2 * (1-t)^3.  Two points on the line x0 = x1 meet
-    (1:2:0) off it: x1 * (x0 - x1) outranks x1^2 + x1*x2, so that meet
-    takes one plain run in the graded ring, handed no series, and its
-    series is N_B + t * (1-t)^2."""
+    meet is read off with no Buchberger run and no ring K[x, t] built for
+    an elimination, and its series is N_B + t^2 * (1-t)^3.  Two points on
+    the line x0 = x1 meet (1:2:0) off it: x1 * (x0 - x1) outranks
+    x1^2 + x1*x2, so that meet takes one plain run in the ring itself,
+    handed no series, and its series is N_B + t * (1-t)^2."""
     import gintools.groebner as gb
     from math import comb
     ring = PolyRing(4, 7)
@@ -1183,8 +1208,8 @@ def test_a_point_meet_runs_no_elimination_and_falls_back_to_a_plain_run(
     N_B = B.lead_ideal().numerator
     assert N_B == (1, 0, -3, 2)
     built, runs = [], []
-    monkeypatch.setattr(gb, "_EliminationRing",
-                        lambda r: built.append(r) or pytest.fail("built"))
+    monkeypatch.setattr(gb, "PolyRing",
+                        lambda *r: built.append(r) or pytest.fail("built"))
     real = gb._groebner_basis
     monkeypatch.setattr(gb, "_groebner_basis",
                         lambda gens, ring, target=None:
@@ -1280,6 +1305,39 @@ def test_point_chains_read_off_the_same_bases_as_the_fallback_run():
     assert branches["read off"] and branches["run"]
 
 
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 7, 32003]),
+       st.booleans())
+@settings(max_examples=30)
+def test_point_chains_meet_by_elimination_as_by_evaluation(seed, p,
+                                                           collinear):
+    """Chains of point meets through ``intersect``, once as they run and
+    once with ``_is_point`` made to refuse, so that every meet takes the
+    elimination run in K[x, t]: each meet has the same reduced basis both
+    ways.  Points with coordinates below 5, the coordinate points among
+    them, and collinear sets, at p = 2, 7 and 32003."""
+    import gintools.groebner as gb
+    ring = CHAIN_RINGS[p]
+    pts = small_points(random.Random(seed), ring, collinear)
+    assume(len(pts) >= 2)
+
+    def build():
+        ideals = [point_ideal(ring, pts[0])]
+        for pt in pts[1:]:
+            ideals.append(intersect(ideals[-1], point_ideal(ring, pt)))
+        return ideals
+    by_evaluation = build()
+    runs = []
+    real = gb._groebner_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "_is_point", lambda I: False)
+        mp.setattr(gb, "_groebner_basis", lambda gens, ring, *args, **kw:
+                   runs.append(ring) or real(gens, ring, *args, **kw))
+        by_elimination = build()
+    assert runs == [PolyRing(4, p)] * (len(pts) - 1)
+    for I, J in zip(by_evaluation, by_elimination):
+        assert I.groebner_basis() == J.groebner_basis()
+
+
 @given(st.integers(0, 10 ** 6), st.sampled_from([3, 4]))
 @settings(max_examples=25)
 def test_reduce_basis_divides_each_element_by_the_others(seed, nvars):
@@ -1297,54 +1355,6 @@ def test_reduce_basis_divides_each_element_by_the_others(seed, nvars):
          for i, g in enumerate(minimal)),
         key=lambda h: revlex_key(h.lead_monomial), reverse=True)
     assert _reduce_basis(G, ring) == tuple(expected)
-
-
-def test_elimination_ring_makes_no_primality_test(monkeypatch):
-    """The elimination ring that ``intersect`` builds takes the ring's own
-    checked modulus, with no primality test of its own."""
-    import gintools.groebner as gb
-    import gintools.ring as ring_module
-    I, J = ideal(PolyRing(3, 7), "x0"), ideal(PolyRing(3, 7), "x1 + x2")
-    expected = ideal(I.ring, "x0*x1 + x0*x2")
-    tested, built = [], []
-    monkeypatch.setattr(ring_module, "_is_prime",
-                        lambda p: tested.append(p) or True)
-    real = gb._EliminationRing
-    monkeypatch.setattr(gb, "_EliminationRing",
-                        lambda r: built.append(r) or real(r))
-    assert intersect(I, J).same_ideal(expected)
-    assert built == [I.ring] and tested == []
-
-
-def test_intersect_refuses_a_ring_that_is_not_graded():
-    """The elimination order eliminates t only on homogeneous generators,
-    and in(J : x_n) = in(J) : x_n is a fact of grevlex."""
-    ring = _EliminationRing(PolyRing(2, 7))
-    x0, x2 = ring.variable(0), ring.variable(2)
-    I = Ideal(ring, [x0 * ring.variable(1) + x2 * x2])
-    with pytest.raises(ValueError, match="graded"):
-        intersect(I, Ideal(ring, [x0]))
-    with pytest.raises(ValueError, match="graded"):
-        ideal_quotient(I, x2)
-
-
-def test_quotients_and_sections_refuse_a_ring_that_is_not_graded():
-    """Dividing x_n out of a basis gives the colon in grevlex only; the
-    elimination ring, which is not graded, is refused."""
-    big = _EliminationRing(PolyRing(2))
-    x0, x1, x2 = (big.variable(i) for i in range(3))
-    I = Ideal(big, [x0 * x2 + x1 * x1, x1 * x2])
-    for h in (x2, x0):  # the ring is refused before the form is read
-        with pytest.raises(ValueError, match="graded"):
-            ideal_quotient(I, h)
-        with pytest.raises(ValueError, match="graded"):
-            _SliceBasis(I, h).quotient(2)
-        with pytest.raises(ValueError, match="graded"):
-            saturate(I, h)
-    with pytest.raises(ValueError, match="graded"):
-        _SliceBasis(I, x2)
-    with pytest.raises(ValueError, match="graded"):
-        restrict_ideal(I, x2)
 
 
 # ---------------------------------------------------------------------------

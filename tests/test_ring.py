@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from oracles import monomial_product as product
-from gintools.groebner import _EliminationRing, buchberger
+from gintools.groebner import buchberger
 from gintools.parsing import parse_ideal
 from gintools.ring import (DEGREE_BOUND, MAX_NVARS, LinearChange, Poly,
                            PolyRing, drop_last, last_image, mono_div,
@@ -329,48 +329,23 @@ def test_variable_counts_past_the_bound_are_refused_before_allocation():
     assert peak < 1 << 20
 
 
-def test_only_grevlex_rings_are_graded():
-    """A ring offers grevlex alone; the one other order is the private
-    elimination ring of ``intersect``, which is not graded."""
-    assert R3.graded and R3.restricted() == PolyRing(2)
-    elimination = _EliminationRing(PolyRing(2))
-    assert not elimination.graded and elimination != R3
-    assert elimination.nvars == 3
-    with pytest.raises(TypeError):
-        PolyRing(3, 7, ((-1, -1, -1),))
-
-
 def test_rings_with_equal_rows_are_equal():
-    """Rings that pack monomials by the same rows are equal: two grevlex
-    rings of one size and modulus, or the elimination rings of two such
-    rings; a grevlex ring and an elimination ring of one size are not."""
-    a, b = _EliminationRing(PolyRing(3)), _EliminationRing(PolyRing(3))
+    """Two rings of one size and modulus pack monomials alike and are
+    equal; rings of another size or modulus are not.  A ring takes no
+    weight rows: grevlex is the one order."""
+    a, b = PolyRing(4), PolyRing(4)
     assert a is not b and a == b and hash(a) == hash(b)
     assert a._weights == b._weights
-    assert PolyRing(3) is not PolyRing(3) and PolyRing(3) == PolyRing(3)
-    assert a != PolyRing(4) and a._weights != PolyRing(4)._weights
-    assert a != _EliminationRing(PolyRing(3, 7))
+    assert a != PolyRing(3) and a._weights != PolyRing(3)._weights
+    assert a != PolyRing(4, 7)
+    assert R3.restricted() == PolyRing(2)
+    with pytest.raises(TypeError):
+        PolyRing(3, 7, ((-1, -1, -1),))
 
 
 def test_restricted_ring_is_built_once_per_ring():
     assert R4.restricted() is R4.restricted()
     assert R4.restricted().restricted() is R4.restricted().restricted()
-
-
-def test_restriction_refuses_a_ring_that_is_not_graded():
-    """Dropping x_n keeps the order of grevlex terms only: in the
-    elimination ring, x-degree first, x0^2 leads f, but in grevlex
-    x1*x3^2 does."""
-    big = _EliminationRing(R3)
-    f = poly(big, "x0^2 + x1*x3^2")
-    assert f.lead_monomial == (2, 0, 0, 0)
-    assert R4.sort_key((0, 1, 0, 2)) < R4.sort_key((2, 0, 0, 0))
-    with pytest.raises(ValueError, match="graded"):
-        big.restricted()
-    with pytest.raises(ValueError, match="graded"):
-        drop_last(f)
-    with pytest.raises(ValueError, match="graded"):
-        restrict(f, big.variable(3))
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +415,6 @@ def test_restrict_is_a_ring_map(seed, d1, d2):
 # ---------------------------------------------------------------------------
 # packed monomials
 
-def packing_rings(nvars):
-    """A ring for each order the kernel packs, with its independent
-    oracle: grevlex, and intersection's x-degree-first order."""
-    return [(PolyRing(nvars), oracles.grevlex_order),
-            (_EliminationRing(PolyRing(nvars - 1)),
-             oracles.x_degree_first_order)]
-
-
 # small exponents tie often; large ones fill the 16-bit fields, and five of
 # them, or the sum of two, stay below the degree bound
 exponents = st.one_of(st.integers(0, 3), st.integers(0, 3000))
@@ -461,9 +428,8 @@ def monomial_lists(nvars, **kwargs):
 def test_packed_keys_sort_as_the_oracle_orders(data, nvars):
     monos = data.draw(monomial_lists(nvars, min_size=2, max_size=12,
                                      unique=True))
-    for ring, order in packing_rings(nvars):
-        assert sorted(monos, key=ring.sort_key) == \
-            sorted(monos, key=order, reverse=True)
+    assert sorted(monos, key=PolyRing(nvars).sort_key) == \
+        sorted(monos, key=oracles.grevlex_order, reverse=True)
 
 
 @given(st.data(), st.sampled_from([2, 3, 4, 5]))
@@ -471,14 +437,14 @@ def test_packed_keys_unpack_add_and_divide_as_monomials(data, nvars):
     """A key unpacks to its monomial, the sum of two keys is the key of the
     product, and the guard test on keys agrees with ``mono_divides``."""
     a, b, c = data.draw(monomial_lists(nvars, min_size=3, max_size=3))
-    for ring, _ in packing_rings(nvars):
-        key, G = ring.sort_key, ring.guards
-        for m in (a, b, product(a, b)):
-            assert ring.unpack(key(m)) == m
-            assert key(m) == ring.monomial(m).packed[0][0]
-        assert key(a) + key(b) == key(product(a, b))
-        for l, m in ((a, b), (b, a), (a, product(a, c)), (c, product(a, c))):
-            assert (((key(m) | G) - key(l)) & G == G) == mono_divides(l, m)
+    ring = PolyRing(nvars)
+    key, G = ring.sort_key, ring.guards
+    for m in (a, b, product(a, b)):
+        assert ring.unpack(key(m)) == m
+        assert key(m) == ring.monomial(m).packed[0][0]
+    assert key(a) + key(b) == key(product(a, b))
+    for l, m in ((a, b), (b, a), (a, product(a, c)), (c, product(a, c))):
+        assert (((key(m) | G) - key(l)) & G == G) == mono_divides(l, m)
 
 
 def test_degrees_stay_below_the_packing_bound():
