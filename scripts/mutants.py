@@ -129,6 +129,10 @@ MUTANTS = [
      "src/gintools/gin.py",
      "if all(a <= b for theirs in parts.values()",
      "if all(a >= b for theirs in parts.values()"),
+    ("an Ideal's run ignores its target",
+     "src/gintools/groebner.py",
+     "_groebner_basis(self.gens, self.ring, self._target)",
+     "_groebner_basis(self.gens, self.ring)"),
     ("the lead ideal is read off the generators, not the basis",
      "src/gintools/groebner.py",
      "(g.lead_monomial for g in self._basis())",

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from .ring import (LinearChange, drop_last, mono_degree,
                    monomials_of_degree)
 # intersect is unused here: bench/tests/test_tracer.py asserts its binding
-from .groebner import (Ideal, _SliceBasis, _groebner_basis, initial_ideal,
-                       intersect, restrict_ideal, truncate)
+from .groebner import (Ideal, _SliceBasis, initial_ideal, intersect,
+                       restrict_ideal, truncate)
 from .staircase import (ComputationError, GinUnstableError, InvariantTable,
                         MonomialIdeal, _series_values, gap_degrees,
                         hilbert_function, invariant_table, is_borel_fixed,
@@ -99,16 +99,6 @@ def _largest_sample(samples, ring) -> MonomialIdeal:
                            f"{len(samples)} samples at p={ring.prime}")
 
 
-def _sample_initial_ideal(I: Ideal, change: LinearChange, target):
-    """in(change(I)), from a Buchberger run that stops once its lead
-    monomials reach the series ``target`` (``None``: at the Koszul floor,
-    where there is one), held unreduced: only its lead monomials are
-    read."""
-    moved = Ideal(I.ring, [change.apply(g) for g in I.gens])
-    moved._held = _groebner_basis(moved.gens, I.ring, target)
-    return initial_ideal(moved)
-
-
 def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     """The generic initial ideal of I, read off a chain of certified
     hyperplane sections when the chain reaches K[x0, x1], and sampled
@@ -132,10 +122,11 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
     ``child_rng(seed, "gin-chain", k)``, so a coordinate level shifts no
     other level's draw).  The series of a section is at least
     N / (1 - t)^(n - k) in every degree, with equality exactly when h is a
-    nonzerodivisor on J; its Buchberger run takes N as its target, so
-    reaching N certifies the level, and L becomes the lead ideal of that
-    basis.  A run that ends short of N raises ``GinUnstableError``, and the
-    chain stops at the level above: an unsaturated I stops at level 0.
+    nonzerodivisor on J; the section is built as an ``Ideal`` with N as
+    its target, so reaching N certifies the level, and L becomes that
+    Ideal's lead ideal.  A run that ends short of N raises
+    ``GinUnstableError``, and the chain stops at the level above: an
+    unsaturated I stops at level 0.
 
     A chain down to K[x0, x1] proves depth(R/I) >= n - 1.  In revlex
     depth(R/gin(I)) = depth(R/I) (Bayer and Stillman, Invent. Math. 87
@@ -177,13 +168,10 @@ def gin(I: Ideal, seed=0, votes=2) -> GinResult:
         form = J.ring.general_linear_form(child_rng(seed, "gin-chain", depth))
         section = restrict_ideal(J, form)
         try:
-            # unreduced: only its lead monomials are read
-            basis = _groebner_basis(section.gens, section.ring, target)
+            L = Ideal(section.ring, section.gens, target).lead_ideal()
         except GinUnstableError:
             break  # the form is a zero divisor on R/J
         J = section
-        L = MonomialIdeal.from_monomials(
-            J.ring.nvars, (g.lead_monomial for g in basis))
     if L.nvars == 2:
         bound = L.max_exponent(0) + L.max_exponent(1)
         if I.ring.prime > bound:
@@ -210,27 +198,30 @@ def _sampled_gin(I: Ideal, seed=0, votes=2) -> GinResult:
     raised if it is not.
 
     Every sample has the Hilbert series of I, the one I's lead ideal keeps
-    (already computed once ``gin`` has run on I), and its Buchberger run
-    stops as soon as its lead monomials reach it; a run that ends short of
-    the series raises ``GinUnstableError``.  No sample's basis is reduced.
+    (already computed once ``gin`` has run on I), and is an ``Ideal`` with
+    that series as its target: its Buchberger run stops as soon as its
+    lead monomials reach it, and a run that ends short of the series
+    raises ``GinUnstableError``.  No sample's basis is reduced.
     The harnesses call this path directly, so the gins they compare with
     gin(I) are independent of the section chain.
     """
     if votes < 2:
         raise ValueError("need at least two votes")
 
-    def sample(k, target):
-        change = LinearChange.random(I.ring, child_rng(seed, "gin-sample", k))
-        return _sample_initial_ideal(I, change, target)
-
     target = I.lead_ideal().numerator
-    results = [sample(k, target) for k in range(votes)]
+
+    def sample(k):
+        change = LinearChange.random(I.ring, child_rng(seed, "gin-sample", k))
+        return initial_ideal(Ideal(I.ring, [change.apply(g) for g in I.gens],
+                                   target))
+
+    results = [sample(k) for k in range(votes)]
     prime = I.ring.prime
     if (all(r == results[0] for r in results[1:])
             and is_p_borel_fixed(results[0], prime)[0]):
         return GinResult(results[0], votes, True)
     while len(results) < max(votes, _MAX_SAMPLES):
-        results.append(sample(len(results), target))
+        results.append(sample(len(results)))
     kept = _largest_sample(results, I.ring)
     ok, witness = is_p_borel_fixed(kept, prime)
     if not ok:
@@ -359,10 +350,11 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
     """Compare gin((I : h^p)|_h) against (gin(I) : x_n^p)|_{x_n}.
 
     The left side runs the analytic pipeline (ideal quotient, restriction,
-    then a fresh gin), every level read off one Groebner basis per form;
-    the right side is read off the generators of gin(I), as every slice
-    is: those g with g_n <= p, that slot dropped.  Random
-    general forms h are drawn per trial.  Levels whose sections have the
+    then a fresh gin), every level read off one Groebner basis per form,
+    whose run stops at I's Hilbert series once I holds its lead ideal, as
+    it does after gin(I) (see ``_SliceBasis``); the right side is read off
+    the generators of gin(I), as every slice is: those g with g_n <= p,
+    that slot dropped.  Random general forms h are drawn per trial.  Levels whose sections have the
     same reduced basis share one gin; for a saturated I that is every level
     of a form.  A check with no cases would pass vacuously, so ``p_max``
     must be non-negative and ``forms`` positive.
@@ -373,12 +365,11 @@ def verify_slice_identity(I: Ideal, p_max=3, forms=3, seed=0, votes=2,
         raise ValueError("need at least one form")
     n = I.ring.nvars - 1
     M = _stable_gin(I, seed, votes, gin_result).gin
-    series = I.lead_ideal().numerator  # kept by psi
     section_gins = {}
     cases = []
     for trial in range(forms):
         rng = child_rng(seed, "slice-form", trial)
-        slices = _SliceBasis(I, I.ring.general_linear_form(rng), series)
+        slices = _SliceBasis(I, I.ring.general_linear_form(rng))
         for p in range(p_max + 1):
             section = slices.section(p)
             key = tuple(g.packed for g in section.groebner_basis())

@@ -70,9 +70,11 @@ exponent tuples only at the edges: lead monomials for Hilbert series and
 initial ideals.
 
 A Buchberger run that knows the Hilbert series of its ideal in advance
-(a gin sample, or a slice basis, whose coordinate change keeps the
-series) stops as soon as the lead monomials reach it (Traverso, Hilbert
-functions and the Buchberger algorithm, J. Symbolic Comput. 22 (1996)):
+(an ``Ideal`` given it as its target: a gin sample or a slice basis,
+whose coordinate change keeps the series, or a section of the gin chain,
+whose form the target certifies) stops as soon as the lead monomials
+reach it (Traverso, Hilbert functions and the Buchberger algorithm,
+J. Symbolic Comput. 22 (1996)):
 pairs come in increasing lcm degree, so at each degree boundary where
 the basis has grown, the numerator of HS(R/<lead G>) (see ``staircase``)
 is compared with the target, and equality ends the run.
@@ -88,10 +90,10 @@ An inequality for Hilbert series of graded algebras, Math. Scand. 56
 and generic forms with r <= nvars are regular.  As HS(R/<lead G>) >= HS(R/I),
 leads whose numerator meets the floor's are in(I), and ``_groebner_basis``
 takes the floor itself whenever it is given no target, and stops there the
-same way: I's own basis, ``buchberger``, a slice basis built without a
-series and a trace's gcd all do, and so does ``intersect``'s run on t*I when
-J is zero.  A floor never met costs nothing in answers, and the run ends with
-every pair.  Two rules keep the checks cheap.  The generators' own leads are
+same way: I's own basis, ``buchberger``, a slice basis of an ideal that
+holds no lead ideal and a trace's gcd all do, and so does ``intersect``'s
+run on t*I when J is zero.  A floor never met costs nothing in answers,
+and the run ends with every pair.  Two rules keep the checks cheap.  The generators' own leads are
 not checked: they meet the floor only if pairwise coprime, and then they
 make no pair.  And at a boundary into degree d every element still to come
 has degree >= d, so the numerator's coefficients below d are final; once
@@ -103,21 +105,27 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .ring import (DEGREE_BOUND, DEGREE_MASK, Poly, PolyRing, drop_last,
-                   key_offset, last_image, restrict, revlex_key,
-                   substitute_last)
+                   key_offset, last_image, revlex_key, substitute_last)
 from .staircase import (GinUnstableError, MonomialIdeal, _koszul_numerator,
                         _numerator, minimal_monomials)
 
 
 class Ideal:
     """Homogeneous ideal holding the basis of its one Buchberger run
-    (``_groebner_basis``, stopped at the Koszul floor when its generators
-    reach it) unreduced, as the minimal leads of any Groebner basis are
-    those of the reduced one.  ``groebner_basis()`` reduces it
-    on demand and keeps the result, which intersections and sections set.
+    (``_groebner_basis``) unreduced, as the minimal leads of any Groebner
+    basis are those of the reduced one.  ``target``, the numerator of the
+    ideal's Hilbert series when known in advance, stops the run as soon as
+    the leads reach it, and a run that ends short of it raises
+    ``GinUnstableError`` and leaves no basis held; with none the run stops
+    at the Koszul floor when its generators reach it.  ``groebner_basis()``
+    reduces the run's basis on demand and keeps the result, which
+    intersections and sections set.
+
+    The constructor is where an inhomogeneous generator is refused: sums
+    refuse only summands of different lead degrees (``ring.add_into``).
     """
 
-    def __init__(self, ring, gens):
+    def __init__(self, ring, gens, target=None):
         self.ring = ring
         cleaned = []
         for g in gens:
@@ -129,6 +137,7 @@ class Ideal:
                 raise ValueError(f"inhomogeneous generator: {g}")
             cleaned.append(g)
         self.gens = tuple(cleaned)
+        self._target = target
         self._gb = None  # reduced
         self._held = None  # as the run returned it
         self._lead_ideal = None
@@ -136,7 +145,7 @@ class Ideal:
     def _basis(self):
         """The reduced basis if built, else the run's, run once."""
         if self._gb is None and self._held is None:
-            self._held = _groebner_basis(self.gens, self.ring)
+            self._held = _groebner_basis(self.gens, self.ring, self._target)
         return self._held if self._gb is None else self._gb
 
     def lead_ideal(self) -> MonomialIdeal:
@@ -269,15 +278,15 @@ def _s_pair(f, g, lcm, p) -> dict:
     return work
 
 
-def _update(G, P, f, lead, reducers, pair_lcm):
+def _update(G, f, lead, reducers, pair_lcm):
     """Add the monic f to the basis, pruning pairs by the Gebauer-Moeller
     criteria.
 
     ``lead`` and ``reducers`` hold each element's lead as an exponent tuple
     and its row of the division's reducer table.  ``pair_lcm`` maps each
-    pair in P to its packed lcm, which orders the pairs and shifts the
-    S-pair's tails; the entries of pruned pairs are removed here, and those
-    of new pairs added.
+    pair still to be processed to its packed lcm, which orders the pairs
+    and shifts the S-pair's tails; pruned pairs are removed from it in
+    place, and new pairs added.
     """
     ring = f.ring
     guards = ring.guards
@@ -286,14 +295,11 @@ def _update(G, P, f, lead, reducers, pair_lcm):
     # beyond the bound a packed lcm stays exact, as its degree is below
     # 2^16; only the pairs that are formed must stay within it
     lcms = [ring.sort_key(map(max, a, lmf_exps)) for a in lead]
-    kept = set()
-    for ij in P:
-        lij = pair_lcm[ij]
+    for ij, lij in list(pair_lcm.items()):
         if (((lij | guards) - lmf) & guards != guards
                 or lij == lcms[ij[0]] or lij == lcms[ij[1]]):
-            kept.add(ij)
-        else:
-            del pair_lcm[ij]
+            continue
+        del pair_lcm[ij]
     new_index = len(G)
     by_lcm = {}
     for i, lcm in enumerate(lcms):
@@ -305,13 +311,10 @@ def _update(G, P, f, lead, reducers, pair_lcm):
     for lcm in minimal:
         if not any(lcm == reducers[i][0] + lmf for i in by_lcm[lcm]):
             _check_lcm(lcm)
-            pair = (min(by_lcm[lcm]), new_index)
-            pair_lcm[pair] = lcm
-            kept.add(pair)
+            pair_lcm[min(by_lcm[lcm]), new_index] = lcm
     G.append(f)
     lead.append(lmf_exps)
     reducers.append(row)
-    return kept
 
 
 def buchberger(gens, ring) -> tuple:
@@ -344,17 +347,17 @@ def _groebner_basis(gens, ring, target=None) -> list:
         floor = degrees == [f.packed[-1][0] & DEGREE_MASK for f in gens]
         if floor:
             target = _koszul_numerator(degrees)
-    G, lead, reducers, P, pair_lcm = [], [], [], set(), {}
+    G, lead, reducers, pair_lcm = [], [], [], {}
     for f in gens:
         _check_packing(f.ring, ring)
         r = _divide(dict(f.packed), reducers, ring)
         if r:
-            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
+            _update(G, Poly(ring, r).monic(), lead, reducers, pair_lcm)
     # the generators' leads meet a floor only if pairwise coprime, and
     # then they made no pair
     degree, checked = -1, len(G) if floor else -1
-    while P:
-        pair = max(P, key=pair_lcm.__getitem__)
+    while pair_lcm:
+        pair = max(pair_lcm, key=pair_lcm.__getitem__)
         lcm = pair_lcm.pop(pair)
         if target is not None and (d := lcm & DEGREE_MASK) > degree:
             degree = d
@@ -366,11 +369,10 @@ def _groebner_basis(gens, ring, target=None) -> list:
                 # elements still to come have degree >= d
                 if floor and (N + (0,) * d)[:d] != (target + (0,) * d)[:d]:
                     target = None  # the floor is out of reach
-        P.discard(pair)
         r = _divide(_s_pair(reducers[pair[0]], reducers[pair[1]], lcm,
                             ring.prime), reducers, ring)
         if r:
-            P = _update(G, P, Poly(ring, r).monic(), lead, reducers, pair_lcm)
+            _update(G, Poly(ring, r).monic(), lead, reducers, pair_lcm)
     if (target is not None and not floor
             and _numerator(minimal_monomials(lead), ring.nvars) != target):
         raise GinUnstableError(
@@ -414,7 +416,7 @@ def _lift(f, big, extra=0):
     """f in ``big``, times t^extra; with t's power fixed the order is
     grevlex on x, so the terms keep their order."""
     offset = key_offset(f.ring, big)
-    t = extra * big.variable(big.nvars - 1).packed[0][0]
+    t = extra * big.variable_key(big.nvars - 1)
     return Poly(big, tuple((m + (m & DEGREE_MASK) * offset + t, c)
                            for m, c in f.packed))
 
@@ -547,24 +549,25 @@ class _SliceBasis:
     ``ring.last_image``, which builds it, refuses any h that is not a
     linear form with a nonzero coefficient on x_n.  Every colon of I by a
     power of h, and every section of one by h, is read off this one
-    basis.  ``target``, the numerator of I's Hilbert series when known,
-    stops its Buchberger run early: psi keeps the series.
+    basis.  psi keeps the Hilbert series, so when I already holds its lead
+    ideal, that ideal's numerator is the target of psi(I)'s run.
     """
 
-    def __init__(self, I: Ideal, h: Poly, target=None):
+    def __init__(self, I: Ideal, h: Poly):
         image = last_image(h)
         self.ring = I.ring
         self.h = h
-        self.basis = _reduce_basis(_groebner_basis(
-            [substitute_last(g, image) for g in I.gens], self.ring, target),
-            self.ring)
+        target = None if I._lead_ideal is None else I._lead_ideal.numerator
+        self.basis = Ideal(self.ring, [substitute_last(g, image)
+                                       for g in I.gens],
+                           target).groebner_basis()
 
     def colon(self, power) -> tuple:
         """The reduced basis of psi(I : h^power); ``None`` saturates."""
         if power == 0 or not any(g.lead_monomial[-1] for g in self.basis):
             return self.basis  # nothing to divide: psi(I) is x_n-saturated
         divided = []
-        last = self.ring.variable(self.ring.nvars - 1).packed[0][0]
+        last = self.ring.variable_key(self.ring.nvars - 1)
         for g in self.basis:
             k = g.lead_monomial[-1]  # in grevlex x_n^k divides all of g
             if power is not None:
@@ -591,13 +594,14 @@ def restrict_ideal(I: Ideal, h: Poly) -> Ideal:
     """The ideal generated by the restrictions of I's generators modulo h.
 
     No saturation is applied; the result can be strictly smaller than the
-    full ideal of the hyperplane section.  h is checked by ``last_image``
-    once, so the zero ideal refuses the forms every other ideal refuses.
+    full ideal of the hyperplane section.  psi's image of x_n, restricted,
+    is built once (see ``ring.restrict``), and building it is the one check
+    on h, so the zero ideal refuses the forms every other ideal refuses.
     """
     if h.ring != I.ring:
         raise ValueError("form from a different ring")
-    last_image(h)
-    return Ideal(I.ring.restricted(), [restrict(g, h) for g in I.gens])
+    image = drop_last(last_image(h))
+    return Ideal(image.ring, [substitute_last(g, image) for g in I.gens])
 
 
 def truncate(I: Ideal, delta: int) -> Ideal:

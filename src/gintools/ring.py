@@ -177,9 +177,13 @@ def check_modulus(prime):
 class PolyRing:
     """K[x0..xn] over F_p in grevlex.
 
-    A ring is graded: it enforces the homogeneous-only contract, so sums of
-    nonzero polynomials of different degrees are rejected.  Two rings with
-    the same variable count and modulus are equal.
+    A ring is graded: a sum of nonzero homogeneous polynomials of different
+    degrees is refused (``add_into``, which compares the degrees of the
+    summands' leads only).  ``from_dict`` and ``from_packed`` do not check
+    their terms, so an inhomogeneous polynomial can be built, and a sum
+    with it is refused only when the leads' degrees differ;
+    ``groebner.Ideal`` is where an inhomogeneous generator is refused.  Two
+    rings with the same variable count and modulus are equal.
     """
 
     def __init__(self, nvars, prime=DEFAULT_PRIME):
@@ -443,8 +447,9 @@ def add_into(acc, f: Poly, sign=1):
     """Add sign * f into acc, the dict of the nonzero coefficients of a
     sum, keyed by packed monomials.
 
-    A nonzero sum and a nonzero f of another degree raise ``ValueError``;
-    a sum that has cancelled to zero takes any f.
+    The summands are taken to be homogeneous, so one term of each side is
+    compared: a nonzero sum and a nonzero f of another degree raise
+    ``ValueError``; a sum that has cancelled to zero takes any f.
     """
     # sums are homogeneous: one term gives the degree
     if acc and f.packed and (
@@ -581,13 +586,6 @@ def last_image(h: Poly) -> Poly:
     return ring.linear_form([-c * inv for c in coeffs[:-1]] + [inv])
 
 
-def substitute_last(f: Poly, image: Poly) -> Poly:
-    """f with the last variable x_n replaced by the linear form image,
-    expanded into one dict and sorted once."""
-    f._check_ring(image)
-    return _substitute_last(f, image)
-
-
 def key_offset(src, dst) -> int:
     """The int C for which a key k of ``src``, of a monomial in the
     variables the two rings share, is k + (k & DEGREE_MASK) * C in ``dst``.
@@ -604,10 +602,13 @@ def key_offset(src, dst) -> int:
     return offsets.pop()
 
 
-def _substitute_last(f: Poly, image: Poly) -> Poly:
-    """f with x_n replaced by image, a linear form in f's ring or in its
-    restriction; in the restriction every monomial of f loses its x_n."""
+def substitute_last(f: Poly, image: Poly) -> Poly:
+    """f with the last variable x_n replaced by the linear form image,
+    expanded into one dict and sorted once.  image lies in f's ring or in
+    its restriction, where every monomial of f loses its x_n."""
     ring, src = image.ring, f.ring
+    if ring != src and (src.nvars == 1 or ring != src.restricted()):
+        raise ValueError("polynomials from different rings")
     shift, last, p = src._shifts[-1], src._weights[-1], ring.prime
     offset = key_offset(src, ring)
     powers = [((0, 1),)]
@@ -644,4 +645,4 @@ def restrict(f: Poly, h: Poly) -> Poly:
     """
     if h.ring != f.ring:
         raise ValueError("form from a different ring")
-    return _substitute_last(f, drop_last(last_image(h)))
+    return substitute_last(f, drop_last(last_image(h)))

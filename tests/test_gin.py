@@ -181,8 +181,11 @@ def test_unipotent_samples_give_the_gin_of_dense_ones(build):
         I = build(seed)
         target = initial_ideal(I).numerator
         rng = random.Random(seed)
-        dense = [module._sample_initial_ideal(I, _DenseChange(I.ring, rng),
-                                              target) for _ in range(3)]
+        dense = []
+        for _ in range(3):
+            change = _DenseChange(I.ring, rng)
+            dense.append(initial_ideal(Ideal(
+                I.ring, [change.apply(g) for g in I.gens], target)))
         expected = module._largest_sample(dense, I.ring)
         assert _sampled_gin(Ideal(I.ring, I.gens), seed=seed).gin == expected
 
@@ -867,7 +870,7 @@ def test_every_sample_is_at_most_the_kept_one(seed, count, p):
     I = Ideal(ring, [ring.random_form(rng.randint(1, 2), rng)
                      for _ in range(count)])
     module = importlib.import_module("gintools.gin")
-    sample = module._sample_initial_ideal
+    sample = module.initial_ideal  # every call under _sampled_gin is a sample
     samples = []
 
     def recording(*args):
@@ -875,7 +878,7 @@ def test_every_sample_is_at_most_the_kept_one(seed, count, p):
         return samples[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_sample_initial_ideal", recording)
+        patch.setattr(module, "initial_ideal", recording)
         try:
             kept = _sampled_gin(I, seed=seed).gin
         except GinUnstableError:
@@ -890,8 +893,8 @@ def test_every_sample_is_at_most_the_kept_one(seed, count, p):
 
 def recorded_targets(I, monkeypatch):
     """The target series each sample's Buchberger run of the sampled gin
-    of I gets."""
-    module = importlib.import_module("gintools.gin")
+    of I gets; I's own run is made before the recording starts."""
+    module = importlib.import_module("gintools.groebner")
     run = module._groebner_basis
     targets = []
 
@@ -899,6 +902,7 @@ def recorded_targets(I, monkeypatch):
         targets.append(target)
         return run(gens, ring, target)
 
+    I.lead_ideal()
     monkeypatch.setattr(module, "_groebner_basis", recording)
     _sampled_gin(I, seed=3)
     return targets
@@ -922,7 +926,7 @@ def test_every_sample_of_an_ideal_with_its_basis_stops(monkeypatch):
 def test_a_sample_short_of_the_series_is_refused(capsys, monkeypatch):
     """A kernel that loses a generator after the first sample ends short
     of the series: exit 4, naming the prime."""
-    module = importlib.import_module("gintools.gin")
+    module = importlib.import_module("gintools.groebner")
     run = module._groebner_basis
 
     def lossy(gens, ring, target=None):
@@ -1011,8 +1015,9 @@ def test_the_last_level_of_a_chain_keeps_the_series_of_i(corpus_entries,
     whose gin is read off the chain, by the numerator of each last level's
     lead ideal."""
     module = importlib.import_module("gintools.gin")
+    groebner = importlib.import_module("gintools.groebner")
     levels = []
-    restrict, run = module.restrict_last, module._groebner_basis
+    restrict, run = module.restrict_last, groebner._groebner_basis
 
     def restricted(L):
         levels.append(restrict(L))
@@ -1025,10 +1030,11 @@ def test_the_last_level_of_a_chain_keeps_the_series_of_i(corpus_entries,
         return G
 
     monkeypatch.setattr(module, "restrict_last", restricted)
-    monkeypatch.setattr(module, "_groebner_basis", basis)
+    monkeypatch.setattr(groebner, "_groebner_basis", basis)
     read = set()
     for name, entry in corpus_entries.items():
         I = entry.ideal()
+        I.lead_ideal()  # I's own run, before the chain's levels
         levels.clear()
         if gin(I, seed=0, votes=5).samples_used:
             continue
@@ -1045,7 +1051,7 @@ def test_a_chain_without_its_certificate_loses_a_generator(corpus_entries,
     misses x0*x1*x2."""
     I = corpus_entries["rational-quartic"].ideal()
     assert gin(I, seed=0).gin.contains((1, 1, 1, 0))
-    module = importlib.import_module("gintools.gin")
+    module = importlib.import_module("gintools.groebner")
     run = module._groebner_basis
     monkeypatch.setattr(module, "_groebner_basis",
                         lambda gens, ring, target=None: run(gens, ring))
@@ -1120,15 +1126,16 @@ def test_a_chain_of_coordinate_sections_runs_no_buchberger(build,
     run for its leads and never reduces it."""
     I = build()
     sampled = _sampled_gin(I, votes=5).gin
-    counts = _counted_calls(monkeypatch, "gintools.gin", "_groebner_basis",
-                            "restrict_ideal", "drop_last")
-    result = gin(I, seed=0)
-    assert counts == {"_groebner_basis": 0, "restrict_ideal": 0,
-                      "drop_last": 0}
-    assert result.samples_used == 0 and result.gin == sampled
-    fresh = Ideal(I.ring, I.gens)
     runs = _counted_calls(monkeypatch, "gintools.groebner",
                           "_groebner_basis", "_reduce_basis")
+    counts = _counted_calls(monkeypatch, "gintools.gin", "restrict_ideal",
+                            "drop_last")
+    result = gin(I, seed=0)
+    assert runs["_groebner_basis"] == 0
+    assert counts == {"restrict_ideal": 0, "drop_last": 0}
+    assert result.samples_used == 0 and result.gin == sampled
+    fresh = Ideal(I.ring, I.gens)
+    runs.update(_groebner_basis=0, _reduce_basis=0)
     assert gin(fresh, seed=0) == result
     assert runs == {"_groebner_basis": 1, "_reduce_basis": 0}
     assert fresh._gb is None

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 import oracles
 from gintools.ring import (DEGREE_MASK, LinearChange, Poly, PolyRing,
@@ -471,6 +471,31 @@ def test_a_series_never_reached_raises_naming_the_prime():
         _groebner_basis(I.gens, ring, wrong)
 
 
+def test_an_ideal_short_of_its_target_raises_and_holds_no_basis():
+    """An Ideal's one run stops at the target it is given; a run that ends
+    short of it raises from ``lead_ideal()``, and leaves no basis held, so
+    a second call raises again.  A reachable target gives the leads of the
+    run without one."""
+    ring = PolyRing(3, 7)
+    gens = ideal(ring, "x0^2 + x1*x2, x1^2").gens
+    wrong = MonomialIdeal.from_monomials(3, [(2, 0, 0)]).numerator
+    I = Ideal(ring, gens, wrong)
+    for _ in range(2):
+        with pytest.raises(GinUnstableError, match="p=7"):
+            I.lead_ideal()
+        assert I._held is None and I._gb is None and I._lead_ideal is None
+    full = Ideal(ring, gens).lead_ideal()
+    assert Ideal(ring, gens, full.numerator).lead_ideal() == full
+
+
+def test_an_ideal_refuses_an_inhomogeneous_sum():
+    """x0 + 1 plus x1 + 2 is x0 + x1 + 3: a sum compares the degrees of
+    its summands' leads only, and the Ideal refuses the result."""
+    f = R3.from_dict({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 3})
+    with pytest.raises(ValueError, match="inhomogeneous generator"):
+        Ideal(R3, [f])
+
+
 # ---------------------------------------------------------------------------
 # the Koszul floor: r <= nvars forms stop at prod (1 - t^d_i)
 
@@ -907,6 +932,9 @@ def is_point_ideal(I):
             and all(g.degree == 1 for g in I.gens))
 
 
+# pinned draws: derandomized draws follow the test's source text, so an
+# edit to it would redraw them, and with them its sympy oracle's cost
+@seed(0)
 @given(*MEET_CASES, st.booleans())
 @settings(max_examples=25)
 def test_intersect_matches_block_order_elimination_and_ranks(seed, key,
@@ -1152,6 +1180,9 @@ def point_partner(kind, rng, ring, A):
     return Ideal(ring, random_forms(rng, ring, top=2))
 
 
+# pinned draws: derandomized draws follow the test's source text, so an
+# edit to it would redraw them, and with them its sympy oracle's cost
+@seed(0)
 @given(st.integers(0, 10 ** 6), st.sampled_from(sorted(POINT_RINGS)),
        st.sampled_from(["random", 0, 1, 2]), st.sampled_from(POINT_PARTNERS),
        st.booleans())
@@ -1505,6 +1536,9 @@ def test_linear_colon_matches_elimination_and_ranks(seed, nvars, kind):
             oracles.colon_dim(list(I.gens), h, d, nvars, R3.prime)
 
 
+# pinned draws: derandomized draws follow the test's source text, so an
+# edit to it would redraw them, and with them its sympy oracle's cost
+@seed(0)
 @given(*MEET_CASES, st.sampled_from(["h torsion", "random", "common factor"]))
 @settings(max_examples=20)
 def test_quotient_and_saturation_match_sympy_term_for_term(seed, key, kind):
